@@ -606,12 +606,14 @@ def main(argv=None) -> int:
     except UnboundParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ConvergenceError, SteadyStateError, SynthesisError, RealizationError) as exc:
+        # Before ValueError: SteadyStateError is one, but a singular
+        # generator is a numerical failure, not a usage error.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (MESpecError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, SteadyStateError, SynthesisError, RealizationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except PreForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED_CHECK

@@ -60,6 +60,8 @@ def transition_edges(graph, k: int) -> list:
     edges = [(int(j), int(k0)) for j, k0 in graph]
     if any(j == k0 or not (0 <= j < k) or not (0 <= k0 < k) for j, k0 in edges):
         raise ValueError("edge list contains self-loops or out-of-range indices")
+    if len(set(edges)) != len(edges):
+        raise ValueError("edge list contains duplicate edges")
     return edges
 
 
@@ -135,31 +137,109 @@ class Ensemble:
 
 @dataclass
 class ConstraintSystem:
-    """Residual map for candidate ensembles over a fixed transition graph."""
+    """Residual map for candidate ensembles over a fixed transition graph.
+
+    Every system solves the same core equations for K member vectors y_k in
+    an n-dimensional coordinate space and one rate per graph edge (j, k):
+
+        flow rows    L y_k + f - sum_{(j, k) in edges} kappa_jk (y_j - y_k),
+        purity rows  |y_k + a|^2 - r^2.
+
+    Member k has coherence vector ``origin + embed @ y_k``.  A reduced
+    system maps its own parameters linearly onto the core parameters
+    (``expand``) and keeps a subset of the core rows (``rows``).
+    ``residual`` and ``jacobian`` take one parameter vector, giving (m,) and
+    (m, p), or a stack of shape (S, p), giving (S, m) and (S, m, p); every
+    start in a stack is evaluated independently of the others.
+    """
 
     bm: BlochModel
     k: int
     edges: list
     structure: dict
-    n_params: int
-    n_constraints: int
-    _residual: callable
-    _jacobian: callable
-    _unpack: callable
+    lin: np.ndarray  # L, (n, n)
+    drift: np.ndarray  # f, (n,)
+    centre: np.ndarray  # a, (n,)
+    radius_sq: float  # r^2
+    embed: np.ndarray  # (D^2 - 1, n)
+    origin: np.ndarray  # (D^2 - 1,)
     _sample: callable
+    expand: np.ndarray | None = None  # (core params, params)
+    rows: np.ndarray | None = None  # kept core rows
     graph_consistent: bool = True
     inconsistency_reason: str = ""
     notes: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        n, k = self.lin.shape[0], self.k
+        # Edge e = (j, k) carries a rate from member _from[e] = k to member
+        # _to[e] = j; _leaving[k, e] marks the edges out of member k and
+        # _net = _leaving - (edges into each member).
+        self._to = np.array([j for j, _ in self.edges], dtype=int)
+        self._from = np.array([k0 for _, k0 in self.edges], dtype=int)
+        self._leaving = (np.arange(k)[:, None] == self._from).astype(float)
+        self._net = self._leaving - (np.arange(k)[:, None] == self._to)
+        self._lin_blocks = np.kron(np.eye(k), self.lin).reshape(k, n, k, n)
+
+    @property
+    def n_params(self) -> int:
+        if self.expand is not None:
+            return self.expand.shape[1]
+        return self.k * self.lin.shape[0] + len(self.edges)
+
+    @property
+    def n_constraints(self) -> int:
+        if self.rows is not None:
+            return len(self.rows)
+        return self.k * (self.lin.shape[0] + 1)
+
+    def _core(self, theta: np.ndarray):
+        """Core parameters of a stack: member coordinates (S, K, n), rates (S, E)."""
+        if self.expand is not None:
+            theta = (theta[:, None, :] @ self.expand.T)[:, 0]
+        n = self.lin.shape[0]
+        y = theta[:, : self.k * n].reshape(-1, self.k, n)
+        return y, theta[:, self.k * n :]
+
     def residual(self, theta: np.ndarray) -> np.ndarray:
-        return self._residual(np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        y, rates = self._core(np.atleast_2d(theta))
+        flow = y @ self.lin.T + self.drift
+        flow -= self._leaving @ (rates[:, :, None] * (y[:, self._to] - y[:, self._from]))
+        shifted = y + self.centre
+        purity = np.einsum("skn,skn->sk", shifted, shifted) - self.radius_sq
+        out = np.concatenate([flow.reshape(len(y), -1), purity], axis=1)
+        if self.rows is not None:
+            out = out[:, self.rows]
+        return out if theta.ndim > 1 else out[0]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        return self._jacobian(np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        y, rates = self._core(np.atleast_2d(theta))
+        s, k, n = y.shape
+        # d(flow_k)/d(y_j) = L delta_kj + G[k, j] I_n with G from the rates.
+        gmat = (self._leaving * rates[:, None, :]) @ self._net.T
+        d_states = self._lin_blocks + gmat[:, :, None, :, None] * np.eye(n)[:, None, :]
+        diff = y[:, self._to] - y[:, self._from]
+        d_rates = -self._leaving[None, :, None, :] * np.swapaxes(diff, 1, 2)[:, None]
+        d_purity = 2.0 * np.eye(k)[:, :, None] * (y + self.centre)[:, :, None, :]
+        jac = np.zeros((s, k * (n + 1), k * n + rates.shape[1]))
+        jac[:, : k * n, : k * n] = d_states.reshape(s, k * n, k * n)
+        jac[:, : k * n, k * n :] = d_rates.reshape(s, k * n, -1)
+        jac[:, k * n :, : k * n] = d_purity.reshape(s, k, k * n)
+        if self.rows is not None:
+            jac = jac[:, self.rows]
+        if self.expand is not None:
+            jac = jac @ self.expand
+        return jac if theta.ndim > 1 else jac[0]
 
     def unpack(self, theta: np.ndarray):
         """(states, kappa) for a parameter vector."""
-        return self._unpack(np.asarray(theta, dtype=float))
+        y, rates = self._core(np.asarray(theta, dtype=float)[None])
+        kappa = np.zeros((self.k, self.k))
+        for (j, k0), rate in zip(self.edges, rates[0]):
+            kappa[j, k0] = rate
+        return self.origin + y[0] @ self.embed.T, kappa
 
     def sample_start(self, rng: np.random.Generator) -> np.ndarray:
         return self._sample(rng)
@@ -183,6 +263,13 @@ def _sample_kappa(n_edges: int, bm: BlochModel, rng: np.random.Generator) -> np.
     return scale * 10.0 ** rng.uniform(-2.0, 1.0, size=n_edges)
 
 
+def _sample_sphere(rng: np.random.Generator, centre: np.ndarray, radius_sq: float) -> np.ndarray:
+    """Uniform point on the sphere of squared radius ``radius_sq`` about ``centre``."""
+    direction = rng.normal(size=centre.size)
+    direction /= np.linalg.norm(direction)
+    return centre + math.sqrt(max(radius_sq, 0.0)) * direction
+
+
 def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
     """Constraint system over the full coherence space.
 
@@ -193,62 +280,22 @@ def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
         raise ValueError("need at least two ensemble members")
     n = bm.n_coords
     edges = transition_edges(graph, k)
-    n_edges = len(edges)
-    radius_sq = pure_radius_sq(bm.dim)
-    l0, b = bm.l0, bm.b
-
-    def unpack(theta):
-        states = theta[: k * n].reshape(k, n)
-        kappa = np.zeros((k, k))
-        for e, (j, k0) in enumerate(edges):
-            kappa[j, k0] = theta[k * n + e]
-        return states, kappa
-
-    def residual(theta):
-        states, kappa = unpack(theta)
-        out = np.empty(k * n + k)
-        flow = states @ l0.T + b  # rows: l0 x_k + b
-        for k0 in range(k):
-            acc = flow[k0].copy()
-            for j, kk in edges:
-                if kk == k0:
-                    acc -= kappa[j, k0] * (states[j] - states[k0])
-            out[k0 * n : (k0 + 1) * n] = acc
-        out[k * n :] = np.einsum("ki,ki->k", states, states) - radius_sq
-        return out
-
-    def jacobian(theta):
-        states, kappa = unpack(theta)
-        jac = np.zeros((k * n + k, k * n + n_edges))
-        for k0 in range(k):
-            rows = slice(k0 * n, (k0 + 1) * n)
-            jac[rows, k0 * n : (k0 + 1) * n] = l0
-            for e, (j, kk) in enumerate(edges):
-                if kk != k0:
-                    continue
-                jac[rows, k0 * n : (k0 + 1) * n] += kappa[j, k0] * np.eye(n)
-                jac[rows, j * n : (j + 1) * n] -= kappa[j, k0] * np.eye(n)
-                jac[rows, k * n + e] = -(states[j] - states[k0])
-            jac[k * n + k0, k0 * n : (k0 + 1) * n] = 2.0 * states[k0]
-        return jac
 
     def sample(rng):
-        theta = np.empty(k * n + n_edges)
-        for k0 in range(k):
-            theta[k0 * n : (k0 + 1) * n] = _sample_pure_state(bm, rng)
-        theta[k * n :] = _sample_kappa(n_edges, bm, rng)
-        return theta
+        states = [_sample_pure_state(bm, rng) for _ in range(k)]
+        return np.concatenate(states + [_sample_kappa(len(edges), bm, rng)])
 
     return ConstraintSystem(
         bm=bm,
         k=k,
         edges=edges,
         structure={"kind": "full"},
-        n_params=k * n + n_edges,
-        n_constraints=k * n + k,
-        _residual=residual,
-        _jacobian=jacobian,
-        _unpack=unpack,
+        lin=bm.l0,
+        drift=bm.b,
+        centre=np.zeros(n),
+        radius_sq=pure_radius_sq(bm.dim),
+        embed=np.eye(n),
+        origin=np.zeros(n),
         _sample=sample,
     )
 
@@ -258,7 +305,8 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
 
     Members are parametrized by their components along the subspace basis
     (translated by the steady state), shrinking the row count from
-    K(D^2-1) + K to K(N+1).
+    K(D^2-1) + K to K(N+1).  The flow rows are exact because
+    l0 x_ss + b = 0 and l0 maps the subspace into itself.
     """
     if k < 2:
         raise ValueError("need at least two ensemble members")
@@ -267,92 +315,49 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
     basis_i0 = np.asarray(sub.basis_i0, dtype=float)
     n_sub = basis_i0.shape[1]
     edges = transition_edges(graph, k)
-    n_edges = len(edges)
-    radius_sq = pure_radius_sq(bm.dim)
-    l_sub = basis_i0.T @ bm.l0 @ basis_i0
     x_ss = bm.x_ss
     proj_ss = basis_i0.T @ x_ss
-
-    def unpack(theta):
-        coeffs = theta[: k * n_sub].reshape(k, n_sub)
-        kappa = np.zeros((k, k))
-        for e, (j, k0) in enumerate(edges):
-            kappa[j, k0] = theta[k * n_sub + e]
-        return x_ss + coeffs @ basis_i0.T, kappa
-
-    def residual(theta):
-        coeffs = theta[: k * n_sub].reshape(k, n_sub)
-        kappa = np.zeros((k, k))
-        for e, (j, k0) in enumerate(edges):
-            kappa[j, k0] = theta[k * n_sub + e]
-        out = np.empty(k * n_sub + k)
-        flow = coeffs @ l_sub.T
-        for k0 in range(k):
-            acc = flow[k0].copy()
-            for j, kk in edges:
-                if kk == k0:
-                    acc -= kappa[j, k0] * (coeffs[j] - coeffs[k0])
-            out[k0 * n_sub : (k0 + 1) * n_sub] = acc
-        norms = np.einsum("ki,ki->k", coeffs, coeffs) + 2.0 * coeffs @ proj_ss
-        out[k * n_sub :] = norms + x_ss @ x_ss - radius_sq
-        return out
-
-    def jacobian(theta):
-        coeffs = theta[: k * n_sub].reshape(k, n_sub)
-        kappa = np.zeros((k, k))
-        for e, (j, k0) in enumerate(edges):
-            kappa[j, k0] = theta[k * n_sub + e]
-        jac = np.zeros((k * n_sub + k, k * n_sub + n_edges))
-        for k0 in range(k):
-            rows = slice(k0 * n_sub, (k0 + 1) * n_sub)
-            jac[rows, k0 * n_sub : (k0 + 1) * n_sub] = l_sub
-            for e, (j, kk) in enumerate(edges):
-                if kk != k0:
-                    continue
-                jac[rows, k0 * n_sub : (k0 + 1) * n_sub] += kappa[j, k0] * np.eye(n_sub)
-                jac[rows, j * n_sub : (j + 1) * n_sub] -= kappa[j, k0] * np.eye(n_sub)
-                jac[rows, k * n_sub + e] = -(coeffs[j] - coeffs[k0])
-            jac[k * n_sub + k0, k0 * n_sub : (k0 + 1) * n_sub] = 2.0 * (coeffs[k0] + proj_ss)
-        return jac
-
     # Pure states within the slice sit on a sphere in coefficient space.
-    centre = -proj_ss
-    slice_radius_sq = radius_sq - x_ss @ x_ss + proj_ss @ proj_ss
+    slice_radius_sq = pure_radius_sq(bm.dim) - x_ss @ x_ss + proj_ss @ proj_ss
 
     def sample(rng):
-        theta = np.empty(k * n_sub + n_edges)
-        r = math.sqrt(max(slice_radius_sq, 0.0))
-        for k0 in range(k):
-            direction = rng.normal(size=n_sub)
-            direction /= np.linalg.norm(direction)
-            theta[k0 * n_sub : (k0 + 1) * n_sub] = centre + r * direction
-        theta[k * n_sub :] = _sample_kappa(n_edges, bm, rng)
-        return theta
+        states = [_sample_sphere(rng, -proj_ss, slice_radius_sq) for _ in range(k)]
+        return np.concatenate(states + [_sample_kappa(len(edges), bm, rng)])
 
     return ConstraintSystem(
         bm=bm,
         k=k,
         edges=edges,
         structure={"kind": "subspace", "n": n_sub},
-        n_params=k * n_sub + n_edges,
-        n_constraints=k * (n_sub + 1),
-        _residual=residual,
-        _jacobian=jacobian,
-        _unpack=unpack,
+        lin=basis_i0.T @ bm.l0 @ basis_i0,
+        drift=np.zeros(n_sub),
+        centre=proj_ss,
+        radius_sq=slice_radius_sq,
+        embed=basis_i0,
+        origin=x_ss,
         _sample=sample,
     )
 
 
+def _cycles(perm: tuple) -> list:
+    """Cycles of a permutation, each starting at its smallest member."""
+    cycles = []
+    seen = set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        current = perm[start]
+        while current != start:
+            cycle.append(current)
+            current = perm[current]
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 def _perm_order(perm: tuple) -> int:
-    order = 1
-    current = perm
-    ident = tuple(range(len(perm)))
-    while current != ident:
-        current = tuple(perm[i] for i in current)
-        order += 1
-        if order > len(perm) + 1:
-            raise PermutationError("permutation does not generate a finite cycle")
-    return order
+    return math.lcm(*(len(cycle) for cycle in _cycles(perm)))
 
 
 def _matrix_order(t0: np.ndarray, cap: int = 64) -> int | None:
@@ -371,6 +376,8 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     (x_{perm[k]} = t0 x_k, with matching rates).  Only one member per orbit
     is free; its residual rows imply the rest.  Orbit representatives whose
     orbit closes after s steps are confined to the fixed space of t0^s.
+    The parameters map linearly onto the full system's members and rates,
+    and the residual keeps the representatives' rows of the full system.
     """
     if k < 2:
         raise ValueError("need at least two ensemble members")
@@ -384,27 +391,8 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         raise PermutationError(
             f"permutation order {p_order} incompatible with symmetry order {order}"
         )
-
-    # Orbits of the member permutation.
-    orbits = []
-    seen = set()
-    for start in range(k):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        current = perm[start]
-        while current != start:
-            orbit.append(current)
-            seen.add(current)
-            current = perm[current]
-        orbits.append(orbit)
-
+    orbits = _cycles(perm)
     n = bm.n_coords
-    member_of = {}
-    for o_idx, orbit in enumerate(orbits):
-        for p, member in enumerate(orbit):
-            member_of[member] = (o_idx, p)
 
     # Fixed-space bases: representative of an orbit of size s satisfies
     # t0^s x = x.  An absolute singular-value cut keeps the full space when
@@ -455,61 +443,31 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         edge_orbits.append({"edges": orbit, "forced_zero": forced_zero})
 
     state_dims = [fb.shape[1] for fb in fix_bases]
-    state_offsets = np.concatenate([[0], np.cumsum(state_dims)])
+    state_offsets = np.concatenate([[0], np.cumsum(state_dims)]).astype(int)
     n_state_params = int(state_offsets[-1])
     n_rate = len(edge_orbits)
     radius_sq = pure_radius_sq(bm.dim)
-    l0, b = bm.l0, bm.b
 
-    def unpack(theta):
-        states = np.empty((k, n))
-        for o_idx, orbit in enumerate(orbits):
-            a = theta[state_offsets[o_idx] : state_offsets[o_idx + 1]]
-            x_rep = fix_bases[o_idx] @ a
-            for p, member in enumerate(orbit):
-                states[member] = t_powers[p] @ x_rep
-        kappa = np.zeros((k, k))
-        for eo_idx, eo in enumerate(edge_orbits):
-            value = 0.0 if eo["forced_zero"] else theta[n_state_params + eo_idx]
-            for j, k0 in eo["edges"]:
-                kappa[j, k0] = value
-        return states, kappa
-
-    def residual(theta):
-        states, kappa = unpack(theta)
-        rows = []
-        for o_idx, orbit in enumerate(orbits):
-            rep = orbit[0]
-            acc = l0 @ states[rep] + b
-            for j, kk in edges:
-                if kk == rep:
-                    acc = acc - kappa[j, rep] * (states[j] - states[rep])
-            rows.append(acc)
-            rows.append([states[rep] @ states[rep] - radius_sq])
-        return np.concatenate(rows)
-
-    def jacobian(theta):
-        # Orbit expansion makes analytic rows awkward; the systems are small.
-        eps = 1e-7
-        base = residual(theta)
-        jac = np.empty((base.size, theta.size))
-        for i in range(theta.size):
-            bumped = theta.copy()
-            bumped[i] += eps
-            jac[:, i] = (residual(bumped) - base) / eps
-        return jac
+    # Member k = perm^p(rep) sits at t0^p x_rep; every edge of an orbit
+    # carries the orbit's rate, or zero when the orbit is forced to zero.
+    expand = np.zeros((k * n + len(edges), n_state_params + n_rate))
+    for o_idx, orbit in enumerate(orbits):
+        cols = slice(state_offsets[o_idx], state_offsets[o_idx + 1])
+        for p, member in enumerate(orbit):
+            expand[member * n : (member + 1) * n, cols] = t_powers[p] @ fix_bases[o_idx]
+    for e_idx, e in enumerate(edges):
+        eo_idx = edge_orbit_of[e]
+        if not edge_orbits[eo_idx]["forced_zero"]:
+            expand[k * n + e_idx, n_state_params + eo_idx] = 1.0
+    rows = np.concatenate([[*range(o[0] * n, o[0] * n + n), k * n + o[0]] for o in orbits])
 
     def sample(rng):
         theta = np.empty(n_state_params + n_rate)
-        for o_idx, orbit in enumerate(orbits):
-            fix = fix_bases[o_idx]
+        for o_idx, fix in enumerate(fix_bases):
             proj_ss = fix.T @ bm.x_ss
-            centre = -proj_ss  # sphere of pure states inside the fixed space
             rad_sq = radius_sq - bm.x_ss @ bm.x_ss + proj_ss @ proj_ss
-            direction = rng.normal(size=fix.shape[1])
-            direction /= np.linalg.norm(direction)
-            a = fix.T @ bm.x_ss + centre + math.sqrt(max(rad_sq, 0.0)) * direction
-            theta[state_offsets[o_idx] : state_offsets[o_idx + 1]] = a
+            point = _sample_sphere(rng, np.zeros(fix.shape[1]), rad_sq)
+            theta[state_offsets[o_idx] : state_offsets[o_idx + 1]] = point
         theta[n_state_params:] = _sample_kappa(n_rate, bm, rng)
         return theta
 
@@ -523,12 +481,15 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
             "n_orbits": len(orbits),
             "orbits": orbits,
         },
-        n_params=n_state_params + n_rate,
-        n_constraints=len(orbits) * (n + 1),
-        _residual=residual,
-        _jacobian=jacobian,
-        _unpack=unpack,
+        lin=bm.l0,
+        drift=bm.b,
+        centre=np.zeros(n),
+        radius_sq=radius_sq,
+        embed=np.eye(n),
+        origin=np.zeros(n),
         _sample=sample,
+        expand=expand,
+        rows=rows,
         graph_consistent=graph_consistent,
         inconsistency_reason=reason,
         notes={"edge_orbits": edge_orbits, "fix_dims": state_dims},

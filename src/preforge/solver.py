@@ -10,19 +10,18 @@ Three routes are implemented.
   whole system to two linear equations for the rates out of one member;
   the nonnegative solution polytope is returned through its vertices.
 * ``solve_numeric``: seeded multistart Levenberg-Marquardt on any
-  assembled constraint system, with acceptance filtering, independent
-  projector-form verification and permutation-aware deduplication.
+  assembled constraint system, all starts iterated as one stack, with
+  acceptance filtering, independent projector-form verification and
+  permutation-aware deduplication.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.spatial import cKDTree
 
 from .algebra import eig_full, pure_radius_sq
 from .constraints import (
@@ -95,12 +94,32 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> fl
 
 
 def dedup(ensembles: list, eps: float = 1e-6, rate_scale: float = 1.0) -> list:
-    """Drop duplicates up to member relabeling; order-stable and idempotent."""
-    kept = []
-    for ens in ensembles:
-        if all(ensemble_distance(ens, other, rate_scale) > eps for other in kept):
-            kept.append(ens)
-    return kept
+    """Drop duplicates up to member relabeling; order-stable and idempotent.
+
+    An ensemble is kept unless an earlier kept one lies within ``eps``.  The
+    member centroid does not depend on the labels and moves by at most the
+    largest member displacement, hence by at most ``ensemble_distance``; a
+    centroid ball query therefore finds every possible duplicate, and only
+    those neighbours are compared exactly.
+    """
+    neighbours = [()] * len(ensembles)
+    groups = {}
+    for i, ens in enumerate(ensembles):
+        groups.setdefault((ens.k, ens.dim), []).append(i)
+    for members in groups.values():
+        centroids = np.array([ensembles[i].states.mean(axis=0) for i in members])
+        # The radius allows for roundoff in the centroids.
+        near = cKDTree(centroids).query_ball_point(centroids, 2 * eps + 1e-12)
+        for i, found in zip(members, near):
+            neighbours[i] = [members[j] for j in found]
+    kept = np.zeros(len(ensembles), dtype=bool)
+    for i, ens in enumerate(ensembles):
+        kept[i] = all(
+            ensemble_distance(ens, ensembles[j], rate_scale) > eps
+            for j in neighbours[i]
+            if j < i and kept[j]
+        )
+    return [ens for ens, keep in zip(ensembles, kept) if keep]
 
 
 def _canonical_sort(ensembles: list) -> list:
@@ -273,21 +292,104 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     return SolutionSet(ensembles=out, diagnostics=diagnostics, family_tags=tags)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("PRE_FORGE_THREADS", "1")
+def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (p, p) system of a stack; an exactly singular one gives NaN."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (mat, vec) in enumerate(zip(lhs, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                continue  # left NaN: the caller counts the start as failed
+        return out
+
+
+def _levenberg_marquardt(cs: ConstraintSystem, theta: np.ndarray, cfg: SolverConfig):
+    """Levenberg-Marquardt on a stack of starts (S, p), all iterated at once.
+
+    Each start keeps its own damping lambda (Nielsen's update from the gain
+    ratio) and leaves the stack when its residual is far below ``cfg.tol``,
+    when no step lowers its cost any more, after ``cfg.max_iter`` residual
+    evaluations, or when its linear model has promised less than a tenth of
+    its cost for 20 iterations in a row: it is then approaching a stationary
+    point that is no root, a local minimum or rates running off to infinity.
+    Square and overdetermined systems use More's scaling (running maximum of
+    the squared Jacobian column norms); underdetermined ones damp
+    isotropically, so steps are minimum-norm and change the rates as little
+    as the equations allow.  Starts do not interact, so each result is the
+    same whatever else is in the stack.  Returns the final parameters, their
+    residuals and a mask of starts whose step became singular or non-finite.
+    """
+    theta = np.array(theta, dtype=float)
+    resid = cs.residual(theta)
+    cost = 0.5 * np.einsum("si,si->s", resid, resid)
+    failed = ~np.isfinite(cost)
+    evals = np.ones(len(theta), dtype=int)
+    active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > 1e-3 * cfg.tol))
+    jac = cs.jacobian(theta[active])
+    scale = np.einsum("smp,smp->sp", jac, jac)
+    scale[scale == 0.0] = 1.0
+    isotropic = cs.n_constraints < cs.n_params
+    if isotropic:
+        scale[:] = scale.max(axis=1, keepdims=True)
+    lam = np.full(len(active), 1e-3)
+    nu = np.full(len(active), 2.0)
+    slow = np.zeros(len(active), dtype=int)
+    eye = np.eye(theta.shape[1])
+    while active.size and cfg.max_iter > 1:
+        jac_t = np.swapaxes(jac, 1, 2)
+        grad = (jac_t @ resid[active][:, :, None])[:, :, 0]
+        damping = lam[:, None] * scale
+        step = _solve_stack(jac_t @ jac + damping[:, :, None] * eye, -grad)
+        trial = theta[active] + step
+        trial_resid = cs.residual(trial)
+        evals[active] += 1
+        trial_cost = 0.5 * np.einsum("si,si->s", trial_resid, trial_resid)
+        finite = np.isfinite(trial_cost) & np.isfinite(step).all(axis=1)
+        # Cost reduction predicted by the linear model, which is positive.
+        predicted = 0.5 * np.einsum("sp,sp->s", step, damping * step - grad)
+        with np.errstate(all="ignore"):  # non-finite starts are dropped below
+            gain = (cost[active] - trial_cost) / predicted
+            good = finite & (gain > 1e-4)
+            lam = np.where(good, lam * np.maximum(1 / 3, 1 - (2 * gain - 1) ** 3), lam * nu)
+        lam = np.maximum(lam, 1e-15)
+        nu = np.where(good, 2.0, 2.0 * nu)
+        slow = np.where(predicted < 0.1 * cost[active], slow + 1, 0)
+        moved = active[good]
+        theta[moved] = trial[good]
+        resid[moved] = trial_resid[good]
+        cost[moved] = trial_cost[good]
+        failed[active[~finite]] = True
+        done = (
+            ~finite
+            | (slow >= 20)
+            | (lam > 1e16)
+            | (np.max(np.abs(resid[active]), axis=1) <= 1e-3 * cfg.tol)
+            | (evals[active] >= cfg.max_iter)
+        )
+        keep = ~done
+        refresh = good[keep]
+        active, jac, scale = active[keep], jac[keep], scale[keep]
+        lam, nu, slow = lam[keep], nu[keep], slow[keep]
+        if refresh.any():
+            jac[refresh] = cs.jacobian(theta[active[refresh]])
+            if not isotropic:
+                norms = np.einsum("smp,smp->sp", jac[refresh], jac[refresh])
+                scale[refresh] = np.maximum(scale[refresh], norms)
+    return theta, resid, failed
 
 
 def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolutionSet:
     """Multistart root finding on an assembled constraint system.
 
     Starts are drawn from the pure-state set (or its subspace slice) with
-    log-uniform rates; converged points are kept when the residual meets
-    ``cfg.tol``, rates are nonnegative up to clamping, the graph stays
-    strongly connected and the independent projector-form check passes.
+    log-uniform rates, start i from ``default_rng([cfg.rng_seed, i])``, and
+    solved together by a batched Levenberg-Marquardt iteration.  Converged
+    points are kept when the residual meets ``cfg.tol``, rates are
+    nonnegative up to clamping, the graph stays strongly connected and the
+    independent projector-form check passes.
     """
     cfg = SolverConfig() if cfg is None else cfg
     diagnostics = {
@@ -304,43 +406,18 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     def reject(reason):
         diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + 1
 
-    # LM needs at least as many rows as parameters; underdetermined systems
-    # (e.g. full transition graphs) fall back to the trust-region solver.
-    method = "lm" if cs.n_constraints >= cs.n_params else "trf"
-
-    def run_start(index):
-        rng = np.random.default_rng([cfg.rng_seed, index])
-        theta0 = cs.sample_start(rng)
-        try:
-            res = least_squares(
-                cs.residual,
-                theta0,
-                jac=cs.jacobian,
-                method=method,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=cfg.max_iter,
-            )
-        except Exception:  # singular jacobians on stray starts
-            return None
-        return res.x
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(run_start, range(cfg.seeds)))
-    else:
-        raw = [run_start(i) for i in range(cfg.seeds)]
+    starts = np.array(
+        [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
+    )
+    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg)
 
     rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
     accepted = []
-    for theta in raw:
-        if theta is None:
+    for theta, resid, fail in zip(thetas, resids, failed):
+        if fail:
             reject("solver failure")
             continue
-        resid = np.max(np.abs(cs.residual(theta)))
-        if resid > cfg.tol:
+        if np.max(np.abs(resid)) > cfg.tol:
             reject("residual above tolerance")
             continue
         diagnostics["n_converged"] += 1

@@ -353,6 +353,26 @@ def test_scheme_synthesis_failure_is_numeric_error(capsys, tmp_path, rf_bm):
     assert "numerical failure" in err
 
 
+def test_singular_generator_is_numeric_error(capsys, tmp_path):
+    # Pure dephasing (H = 0, L = sigma_z) leaves every diagonal state
+    # stationary, so l0 is singular and there is no unique steady state.
+    spec = tmp_path / "dephasing.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "name": "dephasing",
+                "dim": 2,
+                "parameters": {},
+                "hamiltonian": [["0", "0"], ["0", "0"]],
+                "lindblads": [[["1", "0"], ["0", "-1"]]],
+            }
+        )
+    )
+    code, _, err = run(capsys, "analyze", str(spec))
+    assert code == 3
+    assert "numerical failure" in err and "singular" in err
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

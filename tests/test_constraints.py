@@ -4,6 +4,7 @@ import pytest
 from preforge.algebra import build_basis, pure_radius_sq
 from preforge.constraints import (
     Ensemble,
+    _perm_order,
     build_full,
     build_subspace_reduced,
     build_wigner_reduced,
@@ -35,6 +36,13 @@ def test_constraint_counts_sweep(rf_bm):
     assert cs.n_params == 5 * 3 + 20
 
 
+def test_explicit_edge_lists_are_validated():
+    assert transition_edges([(1, 0), (0, 1)], 2) == [(1, 0), (0, 1)]
+    for bad in ([(0, 0)], [(2, 0)], [(1, 0), (1, 0)]):
+        with pytest.raises(ValueError):
+            transition_edges(bad, 2)
+
+
 def test_constraint_count_matches_qutrit_expectation():
     # For D = 3, K = 5 the full system carries 5 * 9 = 45 + 5 rows.
     k, d = 5, 3
@@ -62,6 +70,61 @@ def test_full_jacobian_matches_finite_differences(rf_bm, rng):
         bump[i] += eps
         col = (cs.residual(bump) - cs.residual(theta)) / eps
         assert np.max(np.abs(col - jac[:, i])) < 1e-5
+
+
+def _rf_disc(bm):
+    return subspace_from_span(bm, np.array([[0, 1.0, 0], [0, 0, 1.0]]).T)
+
+
+def _ae_rotation(bm, k):
+    gen = next(w.generator for w in find_wigner_symmetries(bm) if w.generator is not None)
+    return WignerSymmetry(t0=lie_element(gen, 2 * np.pi / k), antiunitary=False)
+
+
+SYSTEMS = {
+    "full-cyclic": lambda rf, ae: build_full(rf, 3, "cyclic"),
+    "full-full": lambda rf, ae: build_full(rf, 3, "full"),
+    "subspace-cyclic": lambda rf, ae: build_subspace_reduced(rf, _rf_disc(rf), 3, "cyclic"),
+    "subspace-full": lambda rf, ae: build_subspace_reduced(rf, _rf_disc(rf), 3, "full"),
+    "wigner-flip": lambda rf, ae: build_wigner_reduced(
+        rf, find_wigner_symmetries(rf)[0], perm=[1, 0], k=2, graph="cyclic"
+    ),
+    "wigner-rotation": lambda rf, ae: build_wigner_reduced(
+        ae, _ae_rotation(ae, 3), perm=[1, 2, 0], k=3, graph="full"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_jacobian_matches_central_differences(name, rf_bm, ae_bm, rng):
+    cs = SYSTEMS[name](rf_bm, ae_bm)
+    stack = np.array([cs.sample_start(rng) for _ in range(8)])
+    jac = cs.jacobian(stack)
+    assert jac.shape == (8, cs.n_constraints, cs.n_params)
+    fd = np.empty_like(jac)
+    for i in range(cs.n_params):
+        h = 1e-6 * np.maximum(1.0, np.abs(stack[:, i]))
+        bump = np.zeros_like(stack)
+        bump[:, i] = h
+        fd[:, :, i] = (cs.residual(stack + bump) - cs.residual(stack - bump)) / (2 * h[:, None])
+    assert np.all(np.abs(jac - fd) <= 1e-6 * np.maximum(np.abs(jac), 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_stacked_evaluation_equals_single_vectors(name, rf_bm, ae_bm, rng):
+    cs = SYSTEMS[name](rf_bm, ae_bm)
+    stack = np.array([cs.sample_start(rng) for _ in range(8)])
+    resid, jac = cs.residual(stack), cs.jacobian(stack)
+    assert resid.shape == (8, cs.n_constraints)
+    for theta, r_row, j_row in zip(stack, resid, jac):
+        assert np.array_equal(cs.residual(theta), r_row)
+        assert np.array_equal(cs.jacobian(theta), j_row)
+
+
+def test_perm_order_is_lcm_of_cycle_lengths():
+    assert _perm_order((1, 2, 0, 4, 5, 6, 3)) == 12  # a 3-cycle and a 4-cycle
+    assert _perm_order((0, 1, 2)) == 1
+    assert _perm_order((1, 0, 2)) == 2
 
 
 def test_subspace_counts_and_equivalence(rf_bm, rng):

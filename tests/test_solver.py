@@ -4,6 +4,7 @@ import pytest
 from preforge.constraints import Ensemble, build_full, build_subspace_reduced, verify
 from preforge.solver import (
     SolverConfig,
+    _levenberg_marquardt,
     analytic_k2,
     dedup,
     ensemble_distance,
@@ -149,16 +150,65 @@ def test_solver_determinism(rf_bm):
         assert np.array_equal(e1.kappa, e2.kappa)
 
 
-def test_worker_cap_does_not_change_results(rf_bm, monkeypatch):
+def test_batch_composition_does_not_change_results(rf_bm):
+    # Each start's final parameter vector is bit-identical whether it is
+    # solved alone, in the full stack, or in reversed stack order.
     cfg = SolverConfig(seeds=48, rng_seed=5)
-    cs = build_full(rf_bm, 2, "cyclic")
-    serial = solve_numeric(cs, cfg)
-    monkeypatch.setenv("PRE_FORGE_THREADS", "4")
-    threaded = solve_numeric(cs, cfg)
-    assert len(serial.ensembles) == len(threaded.ensembles)
-    for e1, e2 in zip(serial.ensembles, threaded.ensembles):
-        assert np.array_equal(e1.states, e2.states)
-        assert np.array_equal(e1.kappa, e2.kappa)
+    for k in (2, 3):
+        cs = build_full(rf_bm, k, "cyclic")
+        starts = np.array(
+            [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
+        )
+        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg)
+        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg)
+        assert np.array_equal(stacked, reversed_order[::-1])
+        for start, theta in zip(starts, stacked):
+            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg)
+            assert np.array_equal(alone[0], theta)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_underdetermined_full_graph_finds_verified_ensembles(rf_bm, rng_seed):
+    cs = build_full(rf_bm, 3, "full")
+    assert cs.n_params > cs.n_constraints
+    sols = solve_numeric(cs, SolverConfig(seeds=64, rng_seed=rng_seed))
+    assert sols.ensembles
+    for ens in sols.ensembles:
+        assert verify(rf_bm, ens).passed
+
+
+def _dedup_reference(ensembles, eps, rate_scale=1.0):
+    """The pairwise definition: keep an ensemble unless a kept one is within eps."""
+    kept = []
+    for ens in ensembles:
+        if all(ensemble_distance(ens, other, rate_scale) > eps for other in kept):
+            kept.append(ens)
+    return kept
+
+
+def test_dedup_matches_pairwise_reference(rng):
+    # Relabeled copies whose members and rates moved by about eps (on both
+    # sides of it), among ensembles of two sizes.
+    eps = 1e-3
+    ensembles = []
+    for _ in range(100):
+        k = int(rng.integers(2, 4))
+        states = rng.normal(size=(k, 3))
+        kappa = rng.uniform(0.1, 1.0, size=(k, k))
+        ensembles.append(Ensemble.from_states_kappa(2, states, kappa, validate=False))
+        for _ in range(int(rng.integers(0, 3))):
+            perm = rng.permutation(k)
+            moved = states[perm] + rng.normal(scale=0.4 * eps, size=(k, 3))
+            rates = kappa[np.ix_(perm, perm)] + rng.uniform(0.0, 0.3 * eps, size=(k, k))
+            ensembles.append(Ensemble.from_states_kappa(2, moved, rates, validate=False))
+    order = rng.permutation(len(ensembles))
+    ensembles = [ensembles[i] for i in order]
+    for scale in (1.0, 0.5):
+        expected = _dedup_reference(ensembles, eps, scale)
+        got = dedup(ensembles, eps, scale)
+        assert 100 < len(got) < len(ensembles)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
 
 
 def test_dedup_is_idempotent_and_permutation_blind(rng):
