@@ -213,6 +213,7 @@ def synthesize(
         targets = [j for j in range(ens.k) if ens.kappa[j, k] > 0]
         found = None
         best_member = np.inf
+        skipped = 0
         for vary_s in (False, True):
             if found:
                 break
@@ -234,7 +235,8 @@ def synthesize(
                     try:
                         res = least_squares(residual, theta0, xtol=1e-15, ftol=1e-15,
                                             gtol=1e-15, max_nfev=400)
-                    except Exception:
+                    except (ValueError, np.linalg.LinAlgError):
+                        skipped += 1  # non-finite residual or singular step
                         continue
                     best_member = min(best_member, float(np.max(np.abs(res.fun))))
                     s, beta = _setting_from_params(res.x, m, n_channels, vary_s)
@@ -245,7 +247,9 @@ def synthesize(
                         break
         if not found:
             raise SynthesisError(
-                f"no setting found for member {k}", best_residual=best_member
+                f"no setting found for member {k} "
+                f"({skipped} starts skipped after a numerical error)",
+                best_residual=best_member,
             )
         setting, routing = found
         settings.append(setting)

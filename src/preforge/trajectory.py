@@ -1,24 +1,30 @@
-"""Piecewise-deterministic jump simulation with adaptive setting switching.
+"""Exact waiting-time jump simulation with adaptive setting switching.
 
-Between detections the pure state follows first-order norm-decay stepping
-under the active setting's no-jump operator (with renormalization); each
-step, detector m clicks with probability ||c'_m psi||^2 dt, collapsing the
-state and switching the active setting according to the scheme's routing
-table.  The stepping chain is evaluated in vectorized blocks through the
-eigendecomposition of the one-step map, which reproduces the per-step
-sequence to floating-point accuracy.
+This is the waiting-time form of the Monte Carlo wavefunction method
+(Dalibard, Castin & Molmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70,
+101 (1998)).  Between detections the unnormalized state follows
+exp(-i H'_eff tau) psi under the active setting's no-jump operator, and
+its squared norm N(tau) is the probability that no detector has clicked
+yet.  Each click is sampled directly: draw u uniform in (0, 1), solve
+N(tau) = u for the waiting time, take the exactly propagated pre-click
+state, pick detector m with weight ||c'_m psi||^2 and switch the active
+setting according to the scheme's routing table.  Propagation uses the
+eigendecomposition H'_eff = V Lambda V^-1, or a matrix exponential when
+H'_eff is defective.  Nothing is stepped, so there is no step size and no
+discretization bias.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
-from .algebra import bloch_to_rho, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, rho_to_bloch
 from .constraints import Ensemble
-from .errors import RealizationError
+from .errors import ConvergenceError, RealizationError
 from .measurement import NO_TARGET, AdaptiveScheme
 from .model import MasterEquation, lindbladian, vectorize
 
@@ -29,25 +35,34 @@ __all__ = [
     "unconditional_check",
 ]
 
+# Eigenvector condition number above which H'_eff counts as defective.
+_DEFECTIVE_COND = 1e8
+# Decay rates below this fraction of ||H'_eff|| count as dark (no decay).
+_DARK_TOL = 1e-12
+# Waiting times beyond this many units of 1/||H'_eff|| count as no click.
+_TAU_CAP = 1e15
+# Root-finder tolerance on log N(tau) - log u, and its iteration budget.
+_LOG_TOL = 1e-13
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Step size, stopping target and bookkeeping options."""
+    """Stopping target and bookkeeping options."""
 
-    dt: float | None = None  # default 1e-3 / ||l0||
     t_max: float | None = None
     n_jumps: int | None = None
     rng_seed: int = 0
     record: str = "jumps-only"  # or "strided"
-    stride: int = 1000
+    stride: int = 1000  # clicks between snapshots
     burn_in_jumps: int = 20
     drift_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.record not in ("jumps-only", "strided"):
             raise ValueError("record policy must be 'jumps-only' or 'strided'")
+        if self.stride < 1:
+            raise ValueError("stride must be a positive click count")
 
 
 @dataclass
@@ -64,64 +79,111 @@ class TrajectoryStats:
     snapshots: list = field(default_factory=list)  # (time, coherence vector)
 
 
-class _MemberEngine:
-    """Precomputed one-step map and click operators for one setting."""
+class _ClickEngine:
+    """Exact no-jump propagation and click sampling for one setting."""
 
-    def __init__(self, me, scheme, k, dt, block=8192):
-        jumps, h_eff = scheme.jumps_and_generator(me, k)
-        self.jump_ops = np.array(jumps)
-        self.routing = scheme.jump_map[k]
-        self.dt = dt
-        self.block = block
-        a = np.eye(me.dim) - 1j * dt * h_eff
-        lam, v = np.linalg.eig(a)
-        self.diagonalizable = np.linalg.cond(v) < 1e8
-        self.a = a
+    def __init__(self, jumps, h_eff):
+        self.jumps = np.asarray(jumps, dtype=complex)
+        self.h = np.asarray(h_eff, dtype=complex)
+        lam, v = np.linalg.eig(self.h)
         self.lam = lam
         self.v = v
-        self.vinv = np.linalg.inv(v) if self.diagonalizable else None
-        if self.diagonalizable:
-            # Eigenvalue powers are state independent: cache the whole block.
-            self._powers = lam[:, None] ** np.arange(block + 1)[None, :]
+        self.vinv = np.linalg.inv(v) if np.linalg.cond(v) <= _DEFECTIVE_COND else None
+        scale = max(np.linalg.norm(self.h, 2), 1e-300)
+        self.tau_unit = 1.0 / scale
+        # Eigenvectors that never decay are annihilated by every jump operator
+        # and orthogonal to all decaying (generalized) eigenvectors, so the
+        # no-jump norm tends to the weight of psi on their span.
+        dark = lam.imag >= -_DARK_TOL * scale
+        self.dark = la.orth(v[:, dark]) if dark.any() else None
 
-    def propagate_block(self, psi, n_steps):
-        """Unnormalized states before steps 0..n_steps (inclusive carry)."""
-        if self.diagonalizable:
-            w0 = self.vinv @ psi
-            return self.v @ (self._powers[:, : n_steps + 1] * w0[:, None])
-        states = np.empty((psi.size, n_steps + 1), dtype=complex)
-        states[:, 0] = psi
-        for s in range(n_steps):  # defective one-step map: plain chain
-            states[:, s + 1] = self.a @ states[:, s]
-        return states
+    def _flow(self, psi):
+        """tau -> exp(-i H'_eff tau) psi, unnormalized."""
+        if self.vinv is None:
+            h = self.h
+            return lambda tau: la.expm(-1j * tau * h) @ psi
+        v, lam, w = self.v, self.lam, self.vinv @ psi
+        return lambda tau: v @ (np.exp(-1j * tau * lam) * w)
+
+    def propagate(self, psi, tau):
+        """exp(-i H'_eff tau) psi, unnormalized."""
+        return self._flow(psi)(tau)
+
+    def limit_norm(self, psi) -> float:
+        """N(infinity): the no-jump norm that never decays."""
+        if self.dark is None:
+            return 0.0
+        overlap = self.dark.conj().T @ psi
+        return float(np.vdot(overlap, overlap).real)
+
+    def wait(self, psi, u: float):
+        """Waiting time tau with N(tau) = u, u in (0, 1], for a unit ket psi.
+
+        Returns ``(tau, phi)`` with ``phi`` the unnormalized state at tau,
+        or ``(inf, None)`` when u is at or below N(infinity) and no click
+        ever happens.  Newton steps on log N(tau), whose slope is
+        2 Im<phi|H'_eff|phi> / N, are kept inside a bracket of the root and
+        replaced by bisection (or doubling, before an upper bound is known)
+        when they leave it.  For a pinned member log N is linear, and the
+        first step gives tau = -ln u / sum_m ||c'_m psi||^2.
+        """
+        if u <= self.limit_norm(psi):
+            return math.inf, None
+        flow = self._flow(psi)
+        log_u = math.log(u)
+        lo, hi = 0.0, math.inf
+        tau, g = 0.0, -log_u
+        slope = 2.0 * np.vdot(psi, self.h @ psi).imag
+        for _ in range(_MAX_ITER):
+            step = tau - g / slope if slope < 0 else math.inf
+            if lo < step < hi:
+                tau = step
+            elif hi < math.inf:
+                tau = 0.5 * (lo + hi)
+            else:
+                tau = max(2.0 * tau, self.tau_unit)
+            if tau > _TAU_CAP * self.tau_unit:
+                return math.inf, None
+            phi = flow(tau)
+            n = float(np.vdot(phi, phi).real)
+            g = math.log(n) - log_u if n > 0 else -math.inf
+            if abs(g) <= _LOG_TOL:
+                return tau, phi
+            if g > 0:
+                lo = tau
+            else:
+                hi = tau
+            if hi < math.inf and hi - lo <= 4e-16 * hi:  # bracket at rounding level
+                return tau, phi
+            slope = 2.0 * np.vdot(phi, self.h @ phi).imag / n if n > 0 else math.nan
+        raise ConvergenceError(f"waiting time for u = {u:.3g} did not converge", residual=g)
+
+    def click(self, pre, r: float):
+        """Detector chosen with weight ||c'_m pre||^2 from r in [0, 1), and the post-click ket.
+
+        ``pre`` need not be normalized: only the relative weights matter.
+        """
+        amps = self.jumps @ pre
+        cumulative = np.cumsum(np.einsum("mi,mi->m", amps.conj(), amps).real)
+        channel = int(np.searchsorted(cumulative, r * cumulative[-1], side="right"))
+        return channel, _unit(amps[channel])
 
 
-def _default_dt(me):
-    return 1e-3 / max(np.linalg.norm(vectorize(me).l0, 2), 1e-300)
+def _norm(v) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
-def _advance(engine, psi, max_steps, rng):
-    """Run the stepping chain until a click or for max_steps.
+def _unit(v):
+    return v / _norm(v)
 
-    Returns (steps_consumed, clicked_channel, pre_click_state, next_state).
-    Channel is None when the block ran out without a click.
-    """
-    states = engine.propagate_block(psi, max_steps)
-    norms_sq = np.einsum("ib,ib->b", states.conj(), states).real
-    amps = engine.jump_ops @ states[:, :-1]
-    rates = np.einsum("mib,mib->mb", amps.conj(), amps).real / norms_sq[:-1]
-    p_click = engine.dt * rates.sum(axis=0)
-    u = rng.random(max_steps)
-    fired = u < p_click
-    if not fired.any():
-        return max_steps, None, None, states[:, -1] / np.sqrt(norms_sq[-1])
-    s = int(np.argmax(fired))
-    pre = states[:, s] / np.sqrt(norms_sq[s])
-    weights = rates[:, s] / rates[:, s].sum()
-    channel = int(rng.choice(len(weights), p=weights))
-    post = engine.jump_ops[channel] @ pre
-    post = post / np.linalg.norm(post)
-    return s + 1, channel, pre, post
+
+def _coherence_distance(psi, phi) -> float:
+    """Coherence-vector distance of two pure unit kets, D * ||psi - phi <phi|psi>||."""
+    return psi.size * _norm(psi - phi * np.vdot(phi, psi))
+
+
+def _engines(me: MasterEquation, scheme: AdaptiveScheme) -> list:
+    return [_ClickEngine(*scheme.jumps_and_generator(me, k)) for k in range(scheme.k)]
 
 
 def simulate(
@@ -134,39 +196,18 @@ def simulate(
 
     Statistics are accumulated after a burn-in of ``cfg.burn_in_jumps``
     detections; a pre-click state further than ``cfg.drift_tol`` (coherence
-    distance) from its nominal member raises :class:`RealizationError`.
+    distance) from its nominal member raises :class:`RealizationError`, and
+    so does a member state that would never click again before the stopping
+    target.
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
-    bm = vectorize(me)
-    dt = _default_dt(me) if cfg.dt is None else cfg.dt
     n_jumps_target = cfg.n_jumps if cfg.n_jumps is not None else 10_000
-    kets = ens.kets()
-
-    # Block sizes around twice the expected steps between clicks.
-    rates = []
-    for k in range(ens.k):
-        jumps, _ = scheme.jumps_and_generator(me, k)
-        amps = np.array(jumps) @ kets[k]
-        rates.append(float(np.einsum("mi,mi->", amps.conj(), amps).real))
-    engines = [
-        _MemberEngine(
-            me,
-            scheme,
-            k,
-            dt,
-            block=int(np.clip(2.0 / (dt * max(rate, 1e-12)), 256, 16384)),
-        )
-        for k, rate in enumerate(rates)
-    ]
-
-    max_rate = max(rates)
-    if dt * max_rate > 0.05:
-        raise ValueError(
-            f"dt too coarse: dt*max_rate = {dt * max_rate:.3g} > 0.05"
-        )
+    kets = ens.kets().astype(complex)
+    engines = _engines(me, scheme)
+    basis = build_basis(me.dim) if cfg.record == "strided" else None
 
     rng = np.random.default_rng([cfg.rng_seed, 0])
-    psi = kets[0].astype(complex)
+    psi = kets[0]
     label = 0
     k_members = ens.k
 
@@ -180,36 +221,33 @@ def simulate(
     n_total_jumps = 0
     t = 0.0
     burning = True
-    steps_since_snapshot = 0
 
     while n_recorded < n_jumps_target:
-        if cfg.t_max is not None and t >= cfg.t_max:
-            break
         engine = engines[label]
-        steps, channel, pre, post = _advance(engine, psi, engine.block, rng)
-        span = steps * dt
-        t += span
-        if not burning:
-            dwell[label] += span
-        if cfg.record == "strided":
-            steps_since_snapshot += steps
-            if steps_since_snapshot >= cfg.stride:
-                snapshots.append((t, rho_to_bloch(np.outer(post, post.conj()), bm.basis)))
-                steps_since_snapshot = 0
-        psi = post
-        if channel is None:
-            continue
-        n_total_jumps += 1
-        drift = float(
-            np.linalg.norm(
-                rho_to_bloch(np.outer(pre, pre.conj()), bm.basis) - ens.states[label]
+        tau, pre = engine.wait(psi, 1.0 - rng.random())
+        if cfg.t_max is not None and t + tau >= cfg.t_max:
+            if not burning:
+                dwell[label] += cfg.t_max - t
+            break
+        if tau == math.inf:
+            raise RealizationError(
+                f"member {label} never clicks after {n_total_jumps} clicks: "
+                "part of its state is dark to every detector"
             )
-        )
+        t += tau
+        if not burning:
+            dwell[label] += tau
+        pre = _unit(pre)
+        drift = _coherence_distance(pre, kets[label])
+        n_total_jumps += 1
         if drift > cfg.drift_tol:
             raise RealizationError(
                 f"pre-click state drifted {drift:.3e} from member {label} "
                 f"after {n_total_jumps} clicks: scheme does not pin the ensemble"
             )
+        channel, psi = engine.click(pre, rng.random())
+        if basis is not None and n_total_jumps % cfg.stride == 0:
+            snapshots.append((t, rho_to_bloch(np.outer(psi, psi.conj()), basis)))
         target = int(scheme.jump_map[label, channel])
         if burning and n_total_jumps >= cfg.burn_in_jumps:
             burning = False
@@ -263,20 +301,22 @@ def unconditional_check(
     """Average many trajectories and compare with exp(L t) propagation.
 
     The initial label is 0 regardless of ``psi0``; any unit ket is allowed.
+    Each checkpoint before the next click records the state propagated
+    exactly from the last click, so checkpoints draw no random numbers and
+    the reported times are the requested ones (sorted, duplicates merged).
     The reference is the exact matrix-exponential propagation of the
     generator in coordinate representation.
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
     bm = vectorize(me)
-    dt = _default_dt(me) if cfg.dt is None else cfg.dt
     t_max = cfg.t_max if cfg.t_max is not None else 2.0 / max(np.linalg.norm(bm.l0, 2), 1e-300)
     if times is None:
         times = np.linspace(0.0, t_max, 5)[1:]
-    times = np.asarray(times, dtype=float)
-    checkpoints = np.unique(np.round(times / dt).astype(int))
-    checkpoints = checkpoints[checkpoints > 0]
+    times = np.unique(np.asarray(times, dtype=float))
+    if times.size == 0 or times[0] < 0:
+        raise ValueError("checkpoint times must be non-empty and non-negative")
 
-    engines = [_MemberEngine(me, scheme, k, dt) for k in range(len(scheme.settings))]
+    engines = _engines(me, scheme)
     dim = me.dim
     if psi0 is None:
         psi0 = np.zeros(dim, complex)
@@ -284,37 +324,36 @@ def unconditional_check(
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    averages = np.zeros((len(checkpoints), dim, dim), dtype=complex)
+    averages = np.zeros((len(times), dim, dim), dtype=complex)
     for traj in range(n_trajectories):
         rng = np.random.default_rng([cfg.rng_seed, 1000 + traj])
-        psi = psi0.copy()
+        psi = psi0
         label = 0
-        step_now = 0
-        for c_idx, step_target in enumerate(checkpoints):
-            while step_now < step_target:
-                engine = engines[label]
-                budget = min(engine.block, step_target - step_now)
-                steps, channel, _, post = _advance(engine, psi, budget, rng)
-                step_now += steps
-                psi = post
-                if channel is not None:
-                    target = int(scheme.jump_map[label, channel])
-                    label = label if target == NO_TARGET else target
-            averages[c_idx] += np.outer(psi, psi.conj())
+        t = 0.0
+        tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+        for c_idx, t_check in enumerate(times):
+            while t + tau <= t_check:
+                channel, psi = engines[label].click(pre, rng.random())
+                target = int(scheme.jump_map[label, channel])
+                label = label if target == NO_TARGET else target
+                t += tau
+                tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+            phi = _unit(engines[label].propagate(psi, t_check - t))
+            averages[c_idx] += np.outer(phi, phi.conj())
     averages /= n_trajectories
 
     liou = lindbladian(me)
     rep = liou.matrix_rep(bm.basis)
     n = bm.n_coords
     r0 = np.concatenate([rho_to_bloch(np.outer(psi0, psi0.conj()), bm.basis), [1.0]])
-    distances = np.empty(len(checkpoints))
+    distances = np.empty(len(times))
     exact = np.empty_like(averages)
-    for c_idx, step_target in enumerate(checkpoints):
-        r_t = la.expm(rep * (step_target * dt)) @ r0
+    for c_idx, t_check in enumerate(times):
+        r_t = la.expm(rep * t_check) @ r0
         exact[c_idx] = bloch_to_rho(r_t[:n] / r_t[n], bm.basis)
         distances[c_idx] = float(np.linalg.norm(averages[c_idx] - exact[c_idx]))
     return UnconditionalReport(
-        times=checkpoints * dt,
+        times=times,
         distances=distances,
         tol=tol,
         passed=bool(np.max(distances) <= tol),

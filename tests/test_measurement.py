@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from preforge import measurement
 from preforge.constraints import Ensemble, build_subspace_reduced
 from preforge.errors import SynthesisError
 from preforge.measurement import (
@@ -107,6 +110,23 @@ def test_synthesis_failure_reports_best_residual(rf_me, rf_k2):
         synthesize(rf_me, broken)
     assert err.value.best_residual is not None
     assert err.value.best_residual > 1e-8
+
+
+def test_synthesis_counts_starts_skipped_after_numerical_errors(rf_me, rf_k2, monkeypatch):
+    monkeypatch.setattr(measurement, "_member_residual", lambda *args: np.full(4, np.nan))
+    with pytest.raises(SynthesisError) as err:
+        synthesize(rf_me, rf_k2[-0.5])
+    skipped = re.search(r"\((\d+) starts skipped", str(err.value))
+    assert skipped and int(skipped.group(1)) > 0
+
+
+def test_synthesis_programming_error_propagates(rf_me, rf_k2, monkeypatch):
+    def broken(*args):
+        raise TypeError("residual called with the wrong arguments")
+
+    monkeypatch.setattr(measurement, "_member_residual", broken)
+    with pytest.raises(TypeError):
+        synthesize(rf_me, rf_k2[-0.5])
 
 
 def test_axis_scheme_violates_axis_slice(rf_me, rf_bm, axis_scheme):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -210,3 +212,27 @@ def test_apply_wigner_pairs_the_axis_ensemble(rf_bm):
 def test_subspace_from_span_rejects_non_invariant(rf_bm):
     with pytest.raises(SubspaceError):
         subspace_from_span(rf_bm, np.array([[0, 1.0, 0]]).T)  # drive mixes y into z
+
+
+def test_state_set_sampled_only_after_algebraic_checks():
+    from preforge.model import MasterEquation, vectorize
+
+    # driven three-level cascade 0 -> 1 -> 2 -> 0, drive between levels 1 and 2
+    ham = np.zeros((3, 3))
+    ham[1, 2] = ham[2, 1] = 0.2
+    jumps = [np.zeros((3, 3)) for _ in range(3)]
+    jumps[0][1, 0], jumps[1][2, 1], jumps[2][0, 2] = 1.0, 0.6, 0.3
+    bm = vectorize(MasterEquation(3, ham, jumps))
+    n = bm.n_coords
+    algebraic = 0
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        report = certify_wigner(bm, np.diag(signs))
+        passed = (
+            report["orthogonality"] <= 1e-10
+            and max(report["commutation"], report["drift"], report["steady_state"]) <= 1e-8
+        )
+        algebraic += passed
+        assert np.isnan(report["state_set"]) != passed
+        assert report["certified"] == (passed and report["state_set"] <= 1e-8)
+    assert algebraic == 8  # the identity and 7 sign flips
+    assert len(find_wigner_symmetries(bm)) == 4

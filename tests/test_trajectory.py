@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from preforge.algebra import build_basis, random_pure_ket, rho_to_bloch
+from preforge.constraints import Ensemble
 from preforge.errors import RealizationError
 from preforge.measurement import AdaptiveScheme, synthesize
-from preforge.model import UnravellingSetting, vectorize
+from preforge.model import MasterEquation, UnravellingSetting
 from preforge.solver import analytic_k2
 from preforge.trajectory import (
     TrajectoryConfig,
-    _MemberEngine,
+    _ClickEngine,
+    _coherence_distance,
     simulate,
     unconditional_check,
 )
@@ -88,32 +92,99 @@ def test_wrong_amplitude_sign_fails_to_pin(rf_me, axis_pair, axis_scheme):
         simulate(rf_me, flipped, axis_pair, TrajectoryConfig(n_jumps=1000, rng_seed=0))
 
 
-def test_norm_decays_monotonically_between_clicks(rf_me, axis_scheme, axis_pair, rng):
-    dt = 1e-3 / np.linalg.norm(vectorize(rf_me).l0, 2)
-    engine = _MemberEngine(rf_me, axis_scheme, 0, dt, block=512)
+def test_norm_decays_monotonically_between_clicks(rf_me, axis_scheme, rng):
+    jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, 0)
+    engine = _ClickEngine(jumps, h_eff)
+    taus = np.linspace(0.0, 20.0, 401)
     for _ in range(5):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        states = engine.propagate_block(psi, 512)
-        norms = np.linalg.norm(states, axis=0)
+        norms = np.array([np.linalg.norm(engine.propagate(psi, tau)) ** 2 for tau in taus])
         assert np.all(np.diff(norms) <= 1e-12)
+        exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
+        assert np.max(np.abs(norms - exact)) <= 1e-12
 
 
-def test_half_step_changes_little(ae_me, poles, poles_scheme):
-    base_dt = 1e-3 / np.linalg.norm(vectorize(ae_me).l0, 2)
-    runs = {}
-    for dt in (base_dt, base_dt / 2):
-        stats = simulate(
-            ae_me, poles_scheme, poles, TrajectoryConfig(dt=dt, n_jumps=4000, rng_seed=21)
-        )
-        runs[dt] = stats.occupancy[0]
-    sigma = np.sqrt(poles.occupations.prod() / 4000)
-    assert abs(runs[base_dt] - runs[base_dt / 2]) < 6 * sigma
+def test_pinned_member_waits_closed_form(rf_me, axis_scheme, axis_pair):
+    kets = axis_pair.kets()
+    for k in range(2):
+        jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, k)
+        engine = _ClickEngine(jumps, h_eff)
+        rate = sum(np.linalg.norm(c @ kets[k]) ** 2 for c in jumps)
+        for u in (0.9, 0.3, 1e-3):
+            tau, phi = engine.wait(kets[k], u)
+            assert abs(tau - (-np.log(u) / rate)) <= 1e-12 * tau
+            assert abs(np.linalg.norm(phi) ** 2 - u) <= 1e-12
 
 
-def test_dt_guard(ae_me, poles, poles_scheme):
-    with pytest.raises(ValueError):
-        simulate(ae_me, poles_scheme, poles, TrajectoryConfig(dt=1.0, n_jumps=10))
+def test_jordan_block_wait_solves_norm_equation(rng):
+    gamma = 1.0
+    h_eff = np.array([[-0.5j * gamma, 0.5 * gamma], [0.0, -0.5j * gamma]])
+    engine = _ClickEngine([np.sqrt(gamma) * np.eye(2)], h_eff)
+    assert engine.vinv is None  # defective: propagated by matrix exponential
+    for _ in range(5):
+        psi = random_pure_ket(2, rng)
+        for u in (0.95, 0.5, 0.01):
+            tau, phi = engine.wait(psi, u)
+            assert np.isfinite(tau) and tau > 0
+            state = la.expm(-1j * h_eff * tau) @ psi
+            assert abs(np.linalg.norm(state) ** 2 - u) <= 1e-12
+            assert np.allclose(phi, state, atol=1e-12)
+
+
+def test_checkpoint_grid_insensitivity(ae_me, poles_scheme):
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    cfg = TrajectoryConfig(rng_seed=21)
+    alone = unconditional_check(
+        ae_me, poles_scheme, cfg, psi0=plus, times=[1.0], n_trajectories=300
+    )
+    grid = unconditional_check(
+        ae_me, poles_scheme, cfg, psi0=plus, times=[0.25, 0.5, 1.0], n_trajectories=300
+    )
+    assert np.array_equal(alone.times, [1.0])
+    assert np.array_equal(grid.times, [0.25, 0.5, 1.0])
+    # checkpoints draw no random numbers: t = 1 sees the same clicks either way
+    assert np.array_equal(alone.averages[0], grid.averages[2])
+    assert alone.distances[0] == grid.distances[2]
+
+
+def test_dark_state_never_clicks_and_fails_bounded():
+    gamma = 0.8
+    decay = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])  # e1 -> e0
+    h_eff = np.diag([0.0, -0.5j * gamma])
+    engine = _ClickEngine([decay], h_eff)
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    for u in (0.999, 0.5, 1e-9):
+        assert engine.wait(e0, u) == (np.inf, None)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    assert abs(engine.limit_norm(plus) - 0.5) <= 1e-12
+    assert engine.wait(plus, 0.4)[0] == np.inf
+    tau, _ = engine.wait(plus, 0.8)
+    assert abs(tau - (-np.log(0.6) / gamma)) <= 1e-12 * tau
+
+    me = MasterEquation(2, np.zeros((2, 2)), [decay])
+    ens = Ensemble.from_states_kappa(2, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0, 1], [1, 0]])
+    identity = UnravellingSetting.identity(1)
+    scheme = AdaptiveScheme(settings=(identity, identity), jump_map=np.array([[1], [0]]))
+    with pytest.raises(RealizationError):
+        simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10))
+    stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10, t_max=5.0))
+    assert stats.n_jumps == 0 and stats.total_time == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_drift_is_coherence_distance(dim, rng):
+    basis = build_basis(dim)
+    for offset in (10.0, 1e-3):  # unrelated kets, then nearby ones
+        for _ in range(10):
+            psi = random_pure_ket(dim, rng)
+            phi = psi + offset * random_pure_ket(dim, rng)
+            phi /= np.linalg.norm(phi)
+            bloch = np.linalg.norm(
+                rho_to_bloch(np.outer(psi, psi.conj()), basis)
+                - rho_to_bloch(np.outer(phi, phi.conj()), basis)
+            )
+            assert abs(_coherence_distance(psi, phi) - bloch) <= 1e-12 * bloch
 
 
 def test_unconditional_average_from_ground(rf_me, axis_scheme):
@@ -174,7 +245,7 @@ def test_event_log_and_snapshots(ae_me, poles, poles_scheme):
         ae_me,
         poles_scheme,
         poles,
-        TrajectoryConfig(n_jumps=200, rng_seed=2, record="strided", stride=500),
+        TrajectoryConfig(n_jumps=200, rng_seed=2, record="strided", stride=50),
     )
     assert len(stats.events) == 200
     t_prev = 0.0
