@@ -17,13 +17,13 @@ from .errors import ConvergenceError, DimensionError, NormalizationError, ShapeE
 
 __all__ = [
     "OperatorBasis",
-    "Superoperator",
     "Spectrum",
     "EigenCluster",
     "build_basis",
     "rho_to_bloch",
     "bloch_to_rho",
     "pure_radius_sq",
+    "coordinate_rep",
     "eig_full",
 ]
 
@@ -121,32 +121,17 @@ def random_pure_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-class Superoperator:
-    """Linear map on D x D matrices, held as its images on basis elements."""
+def coordinate_rep(sop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Real D^2 x D^2 representation of a superoperator on row-major vec(rho).
 
-    def __init__(self, action, dim: int):
-        self._action = action
-        self.dim = dim
-        self._rep = None
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        return self._action(np.asarray(mat, dtype=complex))
-
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        return self.apply(mat)
-
-    def matrix_rep(self, basis: OperatorBasis) -> np.ndarray:
-        """Real D^2 x D^2 representation acting on the coordinate vector r
-        (r_j = D Tr[s_j rho] / Tr[s_j^2], identity slot last)."""
-        if self._rep is None:
-            d2 = self.dim * self.dim
-            rep = np.empty((d2, d2))
-            norms = np.array([2.0] * (d2 - 1) + [float(self.dim)])
-            for j in range(d2):
-                img = self.apply(basis.elements[j])
-                rep[:, j] = (np.einsum("kab,ba->k", basis.elements, img) / norms).real
-            self._rep = rep
-        return self._rep
+    It acts on the coordinate vector r (r_j = D Tr[s_j rho] / Tr[s_j^2],
+    identity slot last): entry (i, j) is Tr[s_i L(s_j)] / Tr[s_i^2], and since
+    the s_i are Hermitian, Tr[s_i X] = conj(vec(s_i)) . vec(X).
+    """
+    flat = basis.elements.reshape(len(basis.elements), -1)
+    norms = np.full(len(flat), 2.0)
+    norms[-1] = basis.dim
+    return (flat.conj() @ sop @ flat.T).real / norms[:, None]
 
 
 @dataclass
@@ -190,15 +175,6 @@ class Spectrum:
                 v = v * np.exp(-1j * np.angle(v[k]))
                 if np.max(np.abs(v.imag)) <= self.tol * 10:
                     out.append((c.value.real, v.real / np.linalg.norm(v.real)))
-        return out
-
-    def complex_pairs(self) -> list:
-        """One (value, vector) per conjugate pair, Im(value) > 0."""
-        out = []
-        for c in self.clusters:
-            if c.value.imag > self.tol:
-                for i in range(c.vectors.shape[1]):
-                    out.append((c.value, c.vectors[:, i]))
         return out
 
 

@@ -29,7 +29,7 @@ from .constraints import (
     transition_edges,
     verify,
 )
-from .errors import PreForgeError, ConvergenceError, SteadyStateError
+from .errors import PreForgeError, ConvergenceError, EnsembleError, SteadyStateError
 from .errors import RealizationError, SynthesisError
 from .measurement import synthesize
 from .mespec import MESpecError, UnboundParameterError, catalog_names, load_catalog, load_me_spec
@@ -87,6 +87,11 @@ def _ensemble_to_doc(ens: Ensemble) -> dict:
 
 
 def _ensemble_from_doc(doc: dict) -> Ensemble:
+    if not isinstance(doc, dict):
+        raise EnsembleError(f"ensemble file must hold a JSON object, not a {type(doc).__name__}")
+    missing = [key for key in ("dim", "states", "kappa") if key not in doc]
+    if missing:
+        raise EnsembleError(f"ensemble file lacks {', '.join(map(repr, missing))}")
     return Ensemble.from_states_kappa(
         int(doc["dim"]), np.asarray(doc["states"], float), np.asarray(doc["kappa"], float)
     )

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.sparse.csgraph import connected_components
 
-from .algebra import build_basis, bloch_to_rho, pure_radius_sq
+from .algebra import build_basis, bloch_to_rho, pure_radius_sq, rho_to_bloch
 from .errors import EnsembleError, PermutationError, SubspaceError
 from .model import BlochModel, lindbladian
 
@@ -254,8 +254,7 @@ def _sample_pure_state(bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
     d = bm.dim
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    rho = np.outer(psi, psi.conj())
-    return 0.5 * d * np.einsum("kij,ji->k", bm.basis.traceless, rho).real
+    return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
 
 
 def _sample_kappa(n_edges: int, bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
@@ -534,7 +533,7 @@ def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationRepo
     positivity = np.empty(ens.k)
     radius_sq = pure_radius_sq(bm.dim)
     for k0 in range(ens.k):
-        lhs = liou.apply(projectors[k0])
+        lhs = (liou @ projectors[k0].ravel()).reshape(bm.dim, bm.dim)
         rhs = sum(
             ens.kappa[j, k0] * (projectors[j] - projectors[k0])
             for j in range(ens.k)

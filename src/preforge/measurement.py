@@ -17,16 +17,17 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .algebra import Superoperator, bloch_to_rho, build_basis, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, coordinate_rep, rho_to_bloch
 from .constraints import Ensemble
 from .errors import SynthesisError
 from .model import (
     MasterEquation,
     UnravellingSetting,
     apply_unravelling,
-    no_jump_generator,
-    unravelled_lindbladian,
     lindbladian,
+    superoperator,
+    transformed_operators,
+    unravelled_lindbladian,
     vectorize,
 )
 
@@ -66,8 +67,7 @@ class AdaptiveScheme:
 
     def jumps_and_generator(self, me: MasterEquation, k: int):
         """Transformed jump operators and no-jump operator of member k."""
-        jumps, _ = apply_unravelling(me, self.settings[k])
-        return jumps, no_jump_generator(me, self.settings[k])
+        return apply_unravelling(me, self.settings[k])
 
 
 def _hermitian_from_params(theta: np.ndarray, m: int) -> np.ndarray:
@@ -98,17 +98,7 @@ def _setting_from_params(theta: np.ndarray, m: int, l: int, vary_s: bool):
 
 def _member_residual(me, kets, k, routing, s, beta, kappa):
     """Stacked real residual of eigenstate, direction, rate and null rows."""
-    dim = me.dim
-    eye = np.eye(dim)
-    jumps = [
-        sum(s[m0, l] * me.lindblads[l] for l in range(me.n_channels)) + beta[m0] * eye
-        for m0 in range(len(beta))
-    ]
-    h = me.hamiltonian.copy()
-    for m0, c in enumerate(jumps):
-        h = h - 0.5j * (np.conj(beta[m0]) * c - beta[m0] * c.conj().T)
-    h_eff = h - 0.5j * sum(c.conj().T @ c for c in jumps)
-
+    jumps, h_eff = transformed_operators(me, s, beta)
     phi = kets[k]
     rows = []
     v = h_eff @ phi
@@ -130,16 +120,7 @@ def _member_residual(me, kets, k, routing, s, beta, kappa):
 
 def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
     """Tolerance verdicts for a candidate setting on one member."""
-    dim = me.dim
-    eye = np.eye(dim)
-    jumps = [
-        sum(s[m0, l] * me.lindblads[l] for l in range(me.n_channels)) + beta[m0] * eye
-        for m0 in range(len(beta))
-    ]
-    h = me.hamiltonian.copy()
-    for m0, c in enumerate(jumps):
-        h = h - 0.5j * (np.conj(beta[m0]) * c - beta[m0] * c.conj().T)
-    h_eff = h - 0.5j * sum(c.conj().T @ c for c in jumps)
+    jumps, h_eff = transformed_operators(me, s, beta)
     phi = kets[k]
     v = h_eff @ phi
     scale = max(np.linalg.norm(h_eff, 2), 1e-300)
@@ -261,7 +242,7 @@ def synthesize(
 
 def _relabel_dark_detectors(me, phi, setting, routing, rate_scale):
     """Route detectors with vanishing click amplitude to NO_TARGET."""
-    jumps, _ = apply_unravelling(me, setting)
+    jumps, _ = transformed_operators(me, setting.s, setting.beta)
     routing = np.asarray(routing, dtype=int).copy()
     for m0, c in enumerate(jumps):
         w = c @ phi
@@ -272,10 +253,10 @@ def _relabel_dark_detectors(me, phi, setting, routing, rate_scale):
 
 def _assert_generator_invariance(me: MasterEquation, scheme: AdaptiveScheme, tol=1e-10):
     basis = build_basis(me.dim)
-    ref = lindbladian(me).matrix_rep(basis)
+    ref = coordinate_rep(lindbladian(me), basis)
     scale = max(np.linalg.norm(ref, 2), 1e-300)
     for setting in scheme.settings:
-        rep = unravelled_lindbladian(me, setting).matrix_rep(basis)
+        rep = coordinate_rep(unravelled_lindbladian(me, setting), basis)
         if np.linalg.norm(rep - ref, 2) > tol * scale:
             raise SynthesisError("setting does not preserve the unconditional generator")
 
@@ -404,14 +385,8 @@ def check_wigner_scheme(me: MasterEquation, scheme: AdaptiveScheme, w, perm) -> 
     nojump_reps = []
     for k in range(scheme.k):
         jumps, h_eff = scheme.jumps_and_generator(me, k)
-        jump_reps.append(
-            [Superoperator(lambda r, c=c: c @ r @ c.conj().T, me.dim).matrix_rep(basis) for c in jumps]
-        )
-        nojump_reps.append(
-            Superoperator(
-                lambda r, h=h_eff: -1j * (h @ r - r @ h.conj().T), me.dim
-            ).matrix_rep(basis)
-        )
+        jump_reps.append([coordinate_rep(np.kron(c, c.conj()), basis) for c in jumps])
+        nojump_reps.append(coordinate_rep(superoperator(h_eff, []), basis))
     scale = max(max(np.linalg.norm(r, 2) for reps in jump_reps for r in reps), 1e-300)
     tol = 1e-8
     jump_distances = np.empty((scheme.k, scheme.n_detectors))

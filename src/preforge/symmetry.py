@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .algebra import bloch_to_rho, build_basis, eig_full, pure_radius_sq
+from .algebra import bloch_to_rho, build_basis, eig_full, pure_radius_sq, rho_to_bloch
 from .constraints import Ensemble
 from .errors import SubspaceError, SymmetryViolationError
 from .model import BlochModel
@@ -350,8 +350,7 @@ def certify_wigner(bm: BlochModel, t0: np.ndarray, n_state_samples: int = 200) -
         for _ in range(n_state_samples):
             psi = rng.normal(size=bm.dim) + 1j * rng.normal(size=bm.dim)
             psi /= np.linalg.norm(psi)
-            rho = np.outer(psi, psi.conj())
-            x = 0.5 * bm.dim * np.einsum("kij,ji->k", bm.basis.traceless, rho).real
+            x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
             image = bloch_to_rho(t0 @ x, bm.basis)
             worst = max(worst, -float(np.min(np.linalg.eigvalsh(image))))
         report["state_set"] = worst

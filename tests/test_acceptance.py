@@ -381,7 +381,8 @@ def test_criterion_10_property_suites(rf, ae):
             other = unravelled_lindbladian(model, setting)
             for _ in range(10):
                 rho = random_density_matrix(2, rng)
-                ok = ok and np.max(np.abs(liou.apply(rho) - other.apply(rho))) <= 1e-10
+                vec = rho.ravel()
+                ok = ok and np.max(np.abs(liou @ vec - other @ vec)) <= 1e-10
                 cases += 1
     ok = ok and cases == 1000
 

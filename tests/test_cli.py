@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from preforge.cli import main
 
 
@@ -156,6 +157,27 @@ def test_verify_passes_good_ensemble(capsys, tmp_path, rf_bm):
     )
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "scheme", "simulate"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]}, "lacks 'kappa'"),
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], "JSON object, not a list"),
+    ],
+    ids=["missing-kappa", "top-level-list"],
+)
+def test_malformed_ensemble_file_is_usage_error(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, command, "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18",
+        "--ensemble", str(path),
+    )
+    assert code == 2
+    assert err.count("error:") == 1 and message in err
+    assert "Traceback" not in err
 
 
 def test_scheme_reports_half_unit_oscillator(capsys, tmp_path, rf_bm):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from preforge import measurement
+from preforge.algebra import coordinate_rep
 from preforge.constraints import Ensemble, build_subspace_reduced
 from preforge.errors import SynthesisError
 from preforge.measurement import (
@@ -85,9 +86,9 @@ def test_thermal_poles_scheme_needs_no_oscillator(ae_me, ae_bm):
 
 def test_scheme_reconstructs_generator(rf_me, rf_bm, axis_scheme):
     basis = rf_bm.basis
-    ref = lindbladian(rf_me).matrix_rep(basis)
+    ref = coordinate_rep(lindbladian(rf_me), basis)
     for setting in axis_scheme.settings:
-        rep = unravelled_lindbladian(rf_me, setting).matrix_rep(basis)
+        rep = coordinate_rep(unravelled_lindbladian(rf_me, setting), basis)
         assert np.linalg.norm(rep - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
 
 

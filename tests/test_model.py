@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
-from preforge.algebra import random_density_matrix
+from preforge.algebra import coordinate_rep, random_density_matrix, rho_to_bloch
 from preforge.errors import InvalidSettingError, SteadyStateError
 from preforge.model import (
     MasterEquation,
     UnravellingSetting,
     apply_unravelling,
     lindbladian,
-    no_jump_generator,
+    superoperator,
     unravelled_lindbladian,
     vectorize,
 )
 
 
+def _apply(sop, rho):
+    """A superoperator matrix applied to a D x D matrix through row-major vec."""
+    return (sop @ rho.ravel()).reshape(rho.shape)
+
+
 def test_generator_annihilates_steady_state(rf_me, rf_bm):
     liou = lindbladian(rf_me)
-    assert np.linalg.norm(liou.apply(rf_bm.steady_rho())) < 1e-10
+    assert np.linalg.norm(_apply(liou, rf_bm.steady_rho())) < 1e-10
 
 
 def test_zero_model_gives_zero_map(rng):
@@ -24,14 +29,52 @@ def test_zero_model_gives_zero_map(rng):
     liou = lindbladian(me)
     for _ in range(5):
         rho = random_density_matrix(2, rng)
-        assert np.linalg.norm(liou.apply(rho)) < 1e-15
+        assert np.linalg.norm(_apply(liou, rho)) < 1e-15
 
 
 def test_trace_preservation_on_random_matrices(ae_me, rng):
     liou = lindbladian(ae_me)
     for _ in range(1000):
         rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert abs(np.trace(liou.apply(rho))) < 1e-12 * max(1.0, np.linalg.norm(rho))
+        assert abs(np.trace(_apply(liou, rho))) < 1e-12 * max(1.0, np.linalg.norm(rho))
+
+
+def _cascade_d3():
+    """Driven three-level cascade: decay 0 -> 1 -> 2 -> 0, drive between levels 1 and 2."""
+    h = np.zeros((3, 3))
+    h[1, 2] = h[2, 1] = 0.2
+    jumps = np.zeros((3, 3, 3))
+    jumps[0, 1, 0], jumps[1, 2, 1], jumps[2, 0, 2] = 1.0, 0.6, 0.3
+    return MasterEquation(3, h, list(jumps))
+
+
+def test_superoperator_matches_operator_form_d3(rng):
+    me = _cascade_d3()
+    h_eff = me.effective_hamiltonian()
+    sop = superoperator(h_eff, me.lindblads)
+    for _ in range(20):
+        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        expected = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+        for c in me.lindblads:
+            expected = expected + c @ rho @ c.conj().T
+        assert np.max(np.abs(_apply(sop, rho) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("model", ["rf", "ae", "cascade_d3"])
+def test_coordinate_rep_is_bloch_reduction(model, request):
+    me = _cascade_d3() if model == "cascade_d3" else request.getfixturevalue(f"{model}_me")
+    bm = vectorize(me)
+    n = bm.n_coords
+    rep = coordinate_rep(lindbladian(me), bm.basis)
+    # Column-by-column reference, Tr[s_i L(s_j)] / Tr[s_i^2], from the operator form.
+    h_eff = me.effective_hamiltonian()
+    reference = np.empty((n + 1, n + 1))
+    for j, s_j in enumerate(bm.basis.elements):
+        img = -1j * (h_eff @ s_j - s_j @ h_eff.conj().T) + sum(c @ s_j @ c.conj().T for c in me.lindblads)
+        reference[:, j] = [np.trace(s_i @ img).real / np.trace(s_i @ s_i).real for s_i in bm.basis.elements]
+    assert np.max(np.abs(rep - reference)) < 1e-14
+    expected = np.block([[bm.l0, bm.b[:, None]], [np.zeros(n + 1)]])
+    assert np.max(np.abs(rep - expected)) < 1e-14
 
 
 def test_vectorize_driven_qubit_matches_closed_form(rf_bm):
@@ -52,13 +95,11 @@ def test_vectorize_thermal_qubit_matches_closed_form(ae_bm):
 def test_vectorize_consistency_on_random_states(rf_me, rf_bm, rng):
     liou = lindbladian(rf_me)
     basis = rf_bm.basis
-    from preforge.algebra import rho_to_bloch
-
     for _ in range(100):
         rho = random_density_matrix(2, rng)
         x = rho_to_bloch(rho, basis)
-        img = liou.apply(rho)
-        lhs = 0.5 * 2 * np.einsum("kij,ji->k", basis.traceless, img).real
+        img = _apply(liou, rho)  # traceless, so rho + img has unit trace
+        lhs = rho_to_bloch(rho + img, basis) - x
         assert np.max(np.abs(lhs - (rf_bm.l0 @ x + rf_bm.b))) < 1e-10
 
 
@@ -80,33 +121,33 @@ def test_traceless_enforcement_keeps_generator(rng):
             -1j * (h_eff @ rho - rho @ h_eff.conj().T)
             + c_traceful @ rho @ c_traceful.conj().T
         )
-        assert np.max(np.abs(liou.apply(rho) - expected)) < 1e-12
+        assert np.max(np.abs(_apply(liou, rho) - expected)) < 1e-12
     assert abs(np.trace(me.lindblads[0])) < 1e-12
 
 
 def test_identity_setting_returns_originals(rf_me):
     setting = UnravellingSetting.identity(1)
-    jumps, h = apply_unravelling(rf_me, setting)
+    jumps, h_eff = apply_unravelling(rf_me, setting)
     assert np.allclose(jumps[0], rf_me.lindblads[0])
-    assert np.allclose(h, rf_me.hamiltonian)
+    assert np.allclose(h_eff, rf_me.effective_hamiltonian())
 
 
 def test_imaginary_amplitude_setting_preserves_generator(rf_me, rf_bm):
     setting = UnravellingSetting(np.eye(1), [0.5j])
     basis = rf_bm.basis
-    ref = lindbladian(rf_me).matrix_rep(basis)
-    rep = unravelled_lindbladian(rf_me, setting).matrix_rep(basis)
+    ref = coordinate_rep(lindbladian(rf_me), basis)
+    rep = coordinate_rep(unravelled_lindbladian(rf_me, setting), basis)
     assert np.linalg.norm(rep - ref, 2) < 1e-10 * np.linalg.norm(ref, 2)
 
 
 def test_random_settings_preserve_generator(ae_me, ae_bm, rng):
     basis = ae_bm.basis
-    ref = lindbladian(ae_me).matrix_rep(basis)
+    ref = coordinate_rep(lindbladian(ae_me), basis)
     for _ in range(10):
         raw = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         q, _ = np.linalg.qr(raw)
         setting = UnravellingSetting(q, rng.normal(size=3) + 1j * rng.normal(size=3))
-        rep = unravelled_lindbladian(ae_me, setting).matrix_rep(basis)
+        rep = coordinate_rep(unravelled_lindbladian(ae_me, setting), basis)
         assert np.linalg.norm(rep - ref, 2) < 1e-10 * np.linalg.norm(ref, 2)
 
 
@@ -123,14 +164,14 @@ def test_generator_invariance_pointwise_cases(rf_me, ae_me, rng):
             other = unravelled_lindbladian(me, setting)
             for _ in range(10):
                 rho = random_density_matrix(2, rng)
-                assert np.max(np.abs(liou.apply(rho) - other.apply(rho))) < 1e-10
+                assert np.max(np.abs(_apply(liou, rho) - _apply(other, rho))) < 1e-10
                 cases += 1
     assert cases == 1000
 
 
 def test_no_jump_generator_with_zero_amplitude(rf_me):
     setting = UnravellingSetting.identity(1)
-    assert np.allclose(no_jump_generator(rf_me, setting), rf_me.effective_hamiltonian())
+    assert np.allclose(apply_unravelling(rf_me, setting)[1], rf_me.effective_hamiltonian())
 
 
 def test_no_jump_generator_pins_a_pure_state(rf_me, rf_bm):
@@ -144,7 +185,7 @@ def test_no_jump_generator_pins_a_pure_state(rf_me, rf_bm):
             members = ens.kets()
     assert members is not None
     for beta in (0.5j, -0.5j):
-        h_eff = no_jump_generator(rf_me, UnravellingSetting(np.eye(1), [beta]))
+        _, h_eff = apply_unravelling(rf_me, UnravellingSetting(np.eye(1), [beta]))
         vals, vecs = np.linalg.eig(h_eff)
         overlaps = [
             max(abs(np.vdot(vecs[:, i], members[0])), abs(np.vdot(vecs[:, i], members[1])))
@@ -155,7 +196,7 @@ def test_no_jump_generator_pins_a_pure_state(rf_me, rf_bm):
 
 def test_no_jump_generator_thermal_poles(ae_me):
     setting = UnravellingSetting.identity(2)
-    h_eff = no_jump_generator(ae_me, setting)
+    _, h_eff = apply_unravelling(ae_me, setting)
     assert np.max(np.abs(h_eff - np.diag(np.diag(h_eff)))) < 1e-14  # diagonal
     for ket in (np.array([1.0, 0]), np.array([0, 1.0])):
         v = h_eff @ ket

@@ -132,6 +132,20 @@ def test_jordan_block_wait_solves_norm_equation(rng):
             assert np.allclose(phi, state, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+def test_norm_near_exceptional_point_matches_expm(eps):
+    # Driven decaying qubit just above its exceptional point Omega = 1/4:
+    # the eigenvectors are nearly parallel (cond(V) about 4e4 and 4e5).
+    omega = 0.25 * (1.0 + eps)
+    h_eff = np.array([[-0.5j, omega], [omega, 0.0]])
+    engine = _ClickEngine([np.array([[0.0, 0.0], [1.0, 0.0]])], h_eff)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    taus = np.linspace(0.0, 30.0, 301)
+    norms = np.array([np.linalg.norm(engine.propagate(psi, tau)) ** 2 for tau in taus])
+    exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
+    assert np.max(np.abs(norms - exact)) <= 1e-13
+
+
 def test_checkpoint_grid_insensitivity(ae_me, poles_scheme):
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     cfg = TrajectoryConfig(rng_seed=21)
