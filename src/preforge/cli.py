@@ -397,7 +397,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_scan(args) -> int:
     params = _parse_params(args.param)
-    start, stop, step = (float(v) for v in args.values.split(":"))
+    fields = args.values.split(":")
+    if len(fields) != 3:
+        raise ValueError(f"--values expects START:STOP:STEP, got '{args.values}'")
+    start, stop, step = (float(v) for v in fields)
+    if not (np.isfinite([start, stop]).all() and 0 < step < np.inf and start <= stop):
+        raise ValueError(f"--values '{args.values}' needs finite START <= STOP and a positive STEP")
     values = np.arange(start, stop + 0.5 * step, step)
 
     span = None

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.sparse.csgraph import connected_components
 
-from .algebra import build_basis, bloch_to_rho, pure_radius_sq, rho_to_bloch
+from .algebra import build_basis, bloch_to_rho, pure_radius_sq, random_pure_ket, rho_to_bloch
 from .errors import EnsembleError, PermutationError, SubspaceError
 from .model import BlochModel, lindbladian
 
@@ -251,9 +251,7 @@ class ConstraintSystem:
 
 def _sample_pure_state(bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
     """Coherence vector of a Haar-random ket."""
-    d = bm.dim
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    psi /= np.linalg.norm(psi)
+    psi = random_pure_ket(bm.dim, rng)
     return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
 
 
@@ -314,13 +312,11 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
     basis_i0 = np.asarray(sub.basis_i0, dtype=float)
     n_sub = basis_i0.shape[1]
     edges = transition_edges(graph, k)
-    x_ss = bm.x_ss
-    proj_ss = basis_i0.T @ x_ss
     # Pure states within the slice sit on a sphere in coefficient space.
-    slice_radius_sq = pure_radius_sq(bm.dim) - x_ss @ x_ss + proj_ss @ proj_ss
+    centre, slice_radius_sq = bm.pure_slice(basis_i0)
 
     def sample(rng):
-        states = [_sample_sphere(rng, -proj_ss, slice_radius_sq) for _ in range(k)]
+        states = [_sample_sphere(rng, centre, slice_radius_sq) for _ in range(k)]
         return np.concatenate(states + [_sample_kappa(len(edges), bm, rng)])
 
     return ConstraintSystem(
@@ -330,10 +326,10 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
         structure={"kind": "subspace", "n": n_sub},
         lin=basis_i0.T @ bm.l0 @ basis_i0,
         drift=np.zeros(n_sub),
-        centre=proj_ss,
+        centre=-centre,
         radius_sq=slice_radius_sq,
         embed=basis_i0,
-        origin=x_ss,
+        origin=bm.x_ss,
         _sample=sample,
     )
 
@@ -446,6 +442,9 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     n_state_params = int(state_offsets[-1])
     n_rate = len(edge_orbits)
     radius_sq = pure_radius_sq(bm.dim)
+    # Representatives are fix @ theta; t0 fixes x_ss, so x_ss lies in every fixed
+    # space and the pure representatives are the sphere |theta|^2 = slice radius_sq.
+    fix_radii_sq = [bm.pure_slice(fix)[1] for fix in fix_bases]
 
     # Member k = perm^p(rep) sits at t0^p x_rep; every edge of an orbit
     # carries the orbit's rate, or zero when the orbit is forced to zero.
@@ -462,9 +461,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
 
     def sample(rng):
         theta = np.empty(n_state_params + n_rate)
-        for o_idx, fix in enumerate(fix_bases):
-            proj_ss = fix.T @ bm.x_ss
-            rad_sq = radius_sq - bm.x_ss @ bm.x_ss + proj_ss @ proj_ss
+        for o_idx, (fix, rad_sq) in enumerate(zip(fix_bases, fix_radii_sq)):
             point = _sample_sphere(rng, np.zeros(fix.shape[1]), rad_sq)
             theta[state_offsets[o_idx] : state_offsets[o_idx + 1]] = point
         theta[n_state_params:] = _sample_kappa(n_rate, bm, rng)

@@ -284,22 +284,13 @@ class PreservationReport:
 
 def _slice_samples(bm, sub, rng, n_pure=6, n_mixed=6):
     """Pure and interior states of the invariant slice."""
-    proj = sub.basis_i0.T @ bm.x_ss
-    centre = -proj
-    r_sq = float(
-        (bm.dim * (bm.dim - 1) / 2.0) - bm.x_ss @ bm.x_ss + proj @ proj
-    )
+    centre, r_sq = bm.pure_slice(sub.basis_i0)
     r = np.sqrt(max(r_sq, 0.0))
     samples = []
-    n_sub = sub.basis_i0.shape[1]
-    for _ in range(n_pure):
-        direction = rng.normal(size=n_sub)
+    for i in range(n_pure + n_mixed):
+        direction = rng.normal(size=sub.n)
         direction /= np.linalg.norm(direction)
-        samples.append(bm.x_ss + sub.basis_i0 @ (centre + r * direction))
-    for _ in range(n_mixed):
-        direction = rng.normal(size=n_sub)
-        direction /= np.linalg.norm(direction)
-        radius = r * rng.uniform(0.2, 0.9)
+        radius = r if i < n_pure else r * rng.uniform(0.2, 0.9)
         samples.append(bm.x_ss + sub.basis_i0 @ (centre + radius * direction))
     if bm.dim > 2:
         basis = bm.basis
@@ -339,7 +330,7 @@ def check_subspace_preservation(me: MasterEquation, scheme: AdaptiveScheme, sub)
                 if tr < 1e-12:
                     continue
                 u_img = rho_to_bloch(image / tr, basis) - bm.x_ss
-                dist = float(np.linalg.norm(u_img - sub.basis_i0 @ (sub.basis_i0.T @ u_img)))
+                dist = sub.distance(u_img)
                 if dist > worst:
                     worst = dist
                     witness = x

@@ -118,7 +118,8 @@ def parse_me_spec(doc: dict, params: dict | None = None) -> MasterEquation:
     """Build a MasterEquation from a parsed spec document.
 
     ``params`` overrides/completes the file's parameter defaults; every
-    parameter referenced by an expression must end up bound.
+    parameter referenced by an expression must end up bound, and every
+    name in ``params`` must be declared or referenced.
     """
     if not isinstance(doc, dict):
         raise MESpecError("spec document must be a JSON object")
@@ -136,6 +137,17 @@ def parse_me_spec(doc: dict, params: dict | None = None) -> MasterEquation:
     if not isinstance(lindblads, list):
         raise MESpecError("'lindblads' must be a list of matrices")
     cs = [_eval_matrix(c, dim, bindings, f"lindblads[{i}]") for i, c in enumerate(lindblads)]
+    unknown = set(params or {}) - set(declared)
+    if unknown:  # names that an expression uses are valid without a declaration
+        entries = [e for m in [doc["hamiltonian"], *lindblads] for row in m for e in row]
+        trees = [ast.parse(e, mode="eval") for e in entries if isinstance(e, str)]
+        names = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+        unknown -= names - set(_FUNCTIONS)  # binding a function name changes nothing
+    if unknown:
+        raise MESpecError(
+            f"unknown parameter(s) {', '.join(map(repr, sorted(unknown)))} "
+            f"(declared: {', '.join(declared) or 'none'})"
+        )
     return MasterEquation(dim, ham, cs)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorBasis, build_basis, bloch_to_rho, coordinate_rep
+from .algebra import OperatorBasis, build_basis, bloch_to_rho, coordinate_rep, pure_radius_sq
 from .errors import (
     AssumptionError,
     InvalidSettingError,
@@ -143,6 +143,16 @@ class BlochModel:
 
     def steady_rho(self) -> np.ndarray:
         return bloch_to_rho(self.x_ss, self.basis)
+
+    def pure_slice(self, span: np.ndarray):
+        """Where the slice x_ss + span(span) cuts the pure-state sphere.
+
+        For orthonormal columns ``span``, x_ss + span @ c is on the sphere
+        |x|^2 = D(D-1)/2 iff |c - centre|^2 = radius_sq; returns
+        ``(centre, radius_sq)``.  A negative radius_sq means the slice misses it.
+        """
+        proj = span.T @ self.x_ss
+        return -proj, pure_radius_sq(self.dim) - self.x_ss @ self.x_ss + proj @ proj
 
 
 def vectorize(me: MasterEquation, basis: OperatorBasis | None = None) -> BlochModel:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .algebra import eig_full, pure_radius_sq
+from .algebra import eig_full
 from .constraints import (
     KAPPA_REJECT,
     ConstraintSystem,
@@ -138,7 +138,6 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
     eigenspaces yield one representative tagged as a rotation family.
     """
     spec = eig_full(bm.l0)
-    radius_sq = pure_radius_sq(bm.dim)
     out = []
     tags = []
     diagnostics = {"eigenvalues": [], "skipped": []}
@@ -155,14 +154,13 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
                 continue
             e = np.real(e)
             e = e / np.linalg.norm(e)
-            # |x_ss + t e|^2 = R^2
-            dot = e @ bm.x_ss
-            disc = dot * dot - (bm.x_ss @ bm.x_ss - radius_sq)
+            # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc)
+            (centre,), disc = bm.pure_slice(e[:, None])
             if disc <= 0:
                 diagnostics["skipped"].append((lam, "line misses the pure sphere"))
                 continue
-            t_plus = -dot + np.sqrt(disc)
-            t_minus = -dot - np.sqrt(disc)
+            t_plus = centre + np.sqrt(disc)
+            t_minus = centre - np.sqrt(disc)
             x1 = bm.x_ss + t_plus * e
             x2 = bm.x_ss + t_minus * e
             eta1, eta2 = t_plus, -t_minus
@@ -221,8 +219,8 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     if frame is None:
         return SolutionSet(ensembles=[], diagnostics={"reason": "no azimuthal symmetry"})
     gen, e1, e2 = frame
-    radius_sq = pure_radius_sq(bm.dim)
-    r_sq = radius_sq - bm.x_ss @ bm.x_ss + (e1 @ bm.x_ss) ** 2 + (e2 @ bm.x_ss) ** 2
+    # The rotation fixes x_ss, so the circle is centred on it.
+    _, r_sq = bm.pure_slice(np.column_stack([e1, e2]))
     if r_sq <= 0:
         return SolutionSet(ensembles=[], diagnostics={"reason": "symmetry circle is empty"})
     r = np.sqrt(r_sq)

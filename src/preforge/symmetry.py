@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .algebra import bloch_to_rho, build_basis, eig_full, pure_radius_sq, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, eig_full, random_pure_ket, rho_to_bloch
 from .constraints import Ensemble
-from .errors import SubspaceError, SymmetryViolationError
+from .errors import ShapeError, SubspaceError, SymmetryViolationError
 from .model import BlochModel
 
 __all__ = [
@@ -65,9 +65,7 @@ class InvariantSubspace:
     def contains(self, u: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether a centred vector u lies in the subspace."""
         u = np.asarray(u, dtype=float)
-        return float(np.linalg.norm(u - self.basis_i0 @ (self.basis_i0.T @ u))) <= tol * max(
-            1.0, np.linalg.norm(u)
-        )
+        return self.distance(u) <= tol * max(1.0, np.linalg.norm(u))
 
     def distance(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
@@ -99,22 +97,18 @@ def _pure_witness(bm: BlochModel, basis_i0: np.ndarray, n_samples: int = 64) -> 
     measure-zero subset of that sphere, so sampled starts are polished by
     maximizing the smallest reconstruction eigenvalue over the sphere.
     """
-    radius_sq = pure_radius_sq(bm.dim)
-    proj = basis_i0.T @ bm.x_ss
-    centre = -proj
-    r_sq = radius_sq - bm.x_ss @ bm.x_ss + proj @ proj
+    centre, r_sq = bm.pure_slice(basis_i0)
     if r_sq <= 0:
         return None
     r = np.sqrt(r_sq)
     n_sub = basis_i0.shape[1]
-    if bm.dim == 2:
-        direction = np.zeros(n_sub)
-        direction[0] = 1.0
-        return bm.x_ss + basis_i0 @ (centre + r * direction)
 
     def point(raw):
         direction = raw / np.linalg.norm(raw)
         return bm.x_ss + basis_i0 @ (centre + r * direction)
+
+    if bm.dim == 2:
+        return point(np.eye(n_sub)[0])
 
     def negativity(raw):
         rho = bloch_to_rho(point(raw), bm.basis)
@@ -144,6 +138,32 @@ def _certificate(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> 
     if basis_r0.size == 0:
         return 0.0
     return float(np.linalg.norm(basis_r0.T @ bm.l0 @ basis_i0, 2) / scale)
+
+
+def _certified_subspace(
+    bm: BlochModel, basis_i0: np.ndarray, family: FamilyTag | None, tags: tuple
+) -> InvariantSubspace:
+    """The subspace with orthonormal basis ``basis_i0``, once certified.
+
+    Raises when the block certificate fails or no pure state lies in the
+    translated slice.
+    """
+    basis_r0 = la.null_space(basis_i0.T)  # (n_coords, 0) for the whole space
+    cert = _certificate(bm, basis_i0, basis_r0)
+    if cert > CERT_TOL:
+        raise SubspaceError(f"span is not invariant: certificate {cert:.3e}")
+    witness = _pure_witness(bm, basis_i0)
+    if witness is None:
+        raise SubspaceError("span admits no pure state")
+    return InvariantSubspace(
+        basis_i0=basis_i0,
+        basis_r0=basis_r0,
+        n=basis_i0.shape[1],
+        certificate=cert,
+        pure_witness=witness,
+        family=family,
+        tags=tags,
+    )
 
 
 def _realify(vectors: list) -> np.ndarray:
@@ -215,46 +235,22 @@ def find_invariant_subspaces(
     results = []
     seen_projectors = []
 
-    def push(columns, tags, family):
-        basis_i0 = _orthonormalize(columns)
-        dim = basis_i0.shape[1]
-        if not (n_min <= dim <= n_max):
-            return
-        proj = basis_i0 @ basis_i0.T
-        for p in seen_projectors:
-            if np.max(np.abs(p - proj)) < 1e-8:
-                return
-        cert = _certificate(bm, basis_i0, _complement(basis_i0))
-        if cert > CERT_TOL:
-            return
-        witness = _pure_witness(bm, basis_i0)
-        if witness is None:
-            return
-        seen_projectors.append(proj)
-        results.append(
-            InvariantSubspace(
-                basis_i0=basis_i0,
-                basis_r0=_complement(basis_i0),
-                n=dim,
-                certificate=cert,
-                pure_witness=witness,
-                family=family,
-                tags=tuple(tags),
-            )
-        )
-
-    def _complement(basis_i0):
-        comp = la.null_space(basis_i0.T)
-        return comp if comp.size else np.zeros((n, 0))
-
     for size in range(1, len(atoms) + 1):
         for combo in itertools.combinations(range(len(atoms)), size):
-            cols = np.column_stack([atoms[i][0] for i in combo])
-            if _orthonormalize(cols).shape[1] > n_max:
+            basis_i0 = _orthonormalize(np.column_stack([atoms[i][0] for i in combo]))
+            if not (n_min <= basis_i0.shape[1] <= n_max):
                 continue
-            tags = [atoms[i][1] for i in combo]
+            proj = basis_i0 @ basis_i0.T
+            if any(np.max(np.abs(p - proj)) < 1e-8 for p in seen_projectors):
+                continue
             families = [atoms[i][2] for i in combo if atoms[i][2] is not None]
-            push(cols, tags, families[0] if families else None)
+            tags = tuple(atoms[i][1] for i in combo)
+            try:
+                sub = _certified_subspace(bm, basis_i0, families[0] if families else None, tags)
+            except SubspaceError:
+                continue
+            seen_projectors.append(proj)
+            results.append(sub)
 
     results.sort(key=lambda s: (s.n, s.tags))
     return results
@@ -263,30 +259,17 @@ def find_invariant_subspaces(
 def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | None = None) -> InvariantSubspace:
     """Certify an explicitly given span as an invariant subspace.
 
-    Raises when the block certificate fails or no pure state lies in the
-    translated slice.
+    ``columns`` holds the spanning vectors as columns (or as rows); each
+    needs D^2 - 1 coordinates.  Raises when the block certificate fails or
+    no pure state lies in the translated slice.
     """
-    basis_i0 = _orthonormalize(np.atleast_2d(np.asarray(columns, dtype=float)))
-    if basis_i0.shape[0] != bm.n_coords:
-        basis_i0 = _orthonormalize(np.asarray(columns, dtype=float).T)
-    basis_r0 = la.null_space(basis_i0.T)
-    if basis_r0.size == 0:
-        basis_r0 = np.zeros((bm.n_coords, 0))
-    cert = _certificate(bm, basis_i0, basis_r0)
-    if cert > CERT_TOL:
-        raise SubspaceError(f"span is not invariant: certificate {cert:.3e}")
-    witness = _pure_witness(bm, basis_i0)
-    if witness is None:
-        raise SubspaceError("span admits no pure state")
-    return InvariantSubspace(
-        basis_i0=basis_i0,
-        basis_r0=basis_r0,
-        n=basis_i0.shape[1],
-        certificate=cert,
-        pure_witness=witness,
-        family=family,
-        tags=("explicit",),
-    )
+    span = np.atleast_2d(np.asarray(columns, dtype=float))
+    span = span if span.shape[0] == bm.n_coords else span.T
+    if span.shape[0] != bm.n_coords:
+        raise ShapeError(
+            f"span vectors need D^2-1 = {bm.n_coords} coordinates; got shape {np.shape(columns)}"
+        )
+    return _certified_subspace(bm, _orthonormalize(span), family, ("explicit",))
 
 
 @dataclass(frozen=True)
@@ -348,8 +331,7 @@ def certify_wigner(bm: BlochModel, t0: np.ndarray, n_state_samples: int = 200) -
         rng = np.random.default_rng(n)
         worst = 0.0
         for _ in range(n_state_samples):
-            psi = rng.normal(size=bm.dim) + 1j * rng.normal(size=bm.dim)
-            psi /= np.linalg.norm(psi)
+            psi = random_pure_ket(bm.dim, rng)
             x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
             image = bloch_to_rho(t0 @ x, bm.basis)
             worst = max(worst, -float(np.min(np.linalg.eigvalsh(image))))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from preforge.mespec import load_catalog
-from preforge.model import vectorize
+from preforge.model import MasterEquation, vectorize
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,21 @@ def ae_me():
 @pytest.fixture(scope="session")
 def ae_bm(ae_me):
     return vectorize(ae_me)
+
+
+@pytest.fixture(scope="session")
+def cascade_d3_me():
+    """Driven three-level cascade: decay 0 -> 1 -> 2 -> 0, drive between levels 1 and 2."""
+    h = np.zeros((3, 3))
+    h[1, 2] = h[2, 1] = 0.2
+    jumps = np.zeros((3, 3, 3))
+    jumps[0, 1, 0], jumps[1, 2, 1], jumps[2, 0, 2] = 1.0, 0.6, 0.3
+    return MasterEquation(3, h, list(jumps))
+
+
+@pytest.fixture(scope="session")
+def cascade_d3_bm(cascade_d3_me):
+    return vectorize(cascade_d3_me)
 
 
 @pytest.fixture()

@@ -430,3 +430,48 @@ def test_scan_small_grid(capsys, tmp_path):
     assert rows["0.04"] == "2"
     assert rows["0.08"] == "0"
     assert "count changes" in err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("0.04:0.05:0", "positive STEP"),
+        ("0.04:0.05:-0.01", "positive STEP"),
+        ("0.05:0.04:0.01", "START <= STOP"),
+        ("0.04:0.05", "START:STOP:STEP"),
+    ],
+)
+def test_scan_rejects_bad_grid(capsys, values, message):
+    code, _, err = run(
+        capsys, "scan", "absorption_emission", "--param", "gamma_minus=1",
+        "--scan-param", "gamma_plus", "--values", values, "--k", "2", "--seeds", "2",
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_scan_rejects_short_subspace_span(capsys):
+    code, _, err = run(
+        capsys, "scan", "resonance_fluorescence", "--param", "gamma=1",
+        "--scan-param", "Omega", "--values", "0.18:0.18:0.01", "--k", "2", "--seeds", "2",
+        "--subspace-span", "1,0",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "D^2-1 = 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["scan", "absorption_emission", "--param", "gamma_minus=1", "--param", "gamma_plus=0.1",
+          "--scan-param", "nosuch", "--values", "0.1:0.1:0.1", "--k", "2", "--seeds", "2"], "nosuch"),
+        (["search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18",
+          "--param", "bogus=3", "--k", "2", "--seeds", "2"], "bogus"),
+    ],
+)
+def test_unknown_parameter_is_usage_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"'{name}'" in err

@@ -87,3 +87,21 @@ def test_invalid_json_reports_line(tmp_path):
     with pytest.raises(MESpecError) as err:
         load_me_spec(path)
     assert "line" in str(err.value)
+
+
+def test_unknown_parameter_is_rejected():
+    doc = {
+        "dim": 2,
+        "parameters": {"g": 1.0},
+        "hamiltonian": [["0", "0"], ["0", "0"]],
+        "lindblads": [[["0", "sqrt(g*h)"], ["0", "0"]]],
+    }
+    with pytest.raises(MESpecError) as err:
+        parse_me_spec(doc, {"h": 1.0, "nosuch": 2.0})
+    assert "'nosuch'" in str(err.value) and "declared: g" in str(err.value)
+    # an undeclared name that an expression uses can be bound
+    me = parse_me_spec(doc, {"h": 4.0})
+    assert np.isclose(np.abs(me.lindblads[0][0, 1]), 2.0)
+    for name in ("nosuch", "sqrt"):  # sqrt is called, not bound, by the catalog entry
+        with pytest.raises(MESpecError, match=f"'{name}'"):
+            load_catalog("resonance_fluorescence", {"gamma": 1.0, "Omega": 0.2, name: 1.0})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preforge.algebra import coordinate_rep, random_density_matrix, rho_to_bloch
+from preforge.algebra import coordinate_rep, pure_radius_sq, random_density_matrix, rho_to_bloch
 from preforge.errors import InvalidSettingError, SteadyStateError
 from preforge.model import (
     MasterEquation,
@@ -39,17 +39,8 @@ def test_trace_preservation_on_random_matrices(ae_me, rng):
         assert abs(np.trace(_apply(liou, rho))) < 1e-12 * max(1.0, np.linalg.norm(rho))
 
 
-def _cascade_d3():
-    """Driven three-level cascade: decay 0 -> 1 -> 2 -> 0, drive between levels 1 and 2."""
-    h = np.zeros((3, 3))
-    h[1, 2] = h[2, 1] = 0.2
-    jumps = np.zeros((3, 3, 3))
-    jumps[0, 1, 0], jumps[1, 2, 1], jumps[2, 0, 2] = 1.0, 0.6, 0.3
-    return MasterEquation(3, h, list(jumps))
-
-
-def test_superoperator_matches_operator_form_d3(rng):
-    me = _cascade_d3()
+def test_superoperator_matches_operator_form_d3(cascade_d3_me, rng):
+    me = cascade_d3_me
     h_eff = me.effective_hamiltonian()
     sop = superoperator(h_eff, me.lindblads)
     for _ in range(20):
@@ -62,8 +53,8 @@ def test_superoperator_matches_operator_form_d3(rng):
 
 @pytest.mark.parametrize("model", ["rf", "ae", "cascade_d3"])
 def test_coordinate_rep_is_bloch_reduction(model, request):
-    me = _cascade_d3() if model == "cascade_d3" else request.getfixturevalue(f"{model}_me")
-    bm = vectorize(me)
+    me = request.getfixturevalue(f"{model}_me")
+    bm = request.getfixturevalue(f"{model}_bm")
     n = bm.n_coords
     rep = coordinate_rep(lindbladian(me), bm.basis)
     # Column-by-column reference, Tr[s_i L(s_j)] / Tr[s_i^2], from the operator form.
@@ -75,6 +66,23 @@ def test_coordinate_rep_is_bloch_reduction(model, request):
     assert np.max(np.abs(rep - reference)) < 1e-14
     expected = np.block([[bm.l0, bm.b[:, None]], [np.zeros(n + 1)]])
     assert np.max(np.abs(rep - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("model", ["rf", "ae", "cascade_d3"])
+def test_pure_slice_cuts_the_pure_sphere(model, request, rng):
+    bm = request.getfixturevalue(f"{model}_bm")
+    radius_sq = pure_radius_sq(bm.dim)
+    for n_sub in range(1, bm.n_coords + 1):
+        span, _ = np.linalg.qr(rng.normal(size=(bm.n_coords, n_sub)))
+        centre, slice_sq = bm.pure_slice(span)
+        # the slice point nearest the origin, and its squared distance from it
+        nearest = bm.x_ss + span @ centre
+        assert np.max(np.abs(span.T @ nearest)) < 1e-12
+        assert abs(slice_sq - (radius_sq - nearest @ nearest)) < 1e-12
+        if slice_sq > 0:
+            direction = rng.normal(size=n_sub)
+            x = bm.x_ss + span @ (centre + np.sqrt(slice_sq) * direction / np.linalg.norm(direction))
+            assert abs(x @ x - radius_sq) < 1e-12
 
 
 def test_vectorize_driven_qubit_matches_closed_form(rf_bm):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from preforge.errors import SubspaceError
+from preforge.algebra import bloch_to_rho, pure_radius_sq
+from preforge.constraints import build_subspace_reduced
+from preforge.errors import ShapeError, SubspaceError
 from preforge.solver import analytic_k2, ensemble_distance
 from preforge.symmetry import (
     apply_wigner,
@@ -214,15 +216,35 @@ def test_subspace_from_span_rejects_non_invariant(rf_bm):
         subspace_from_span(rf_bm, np.array([[0, 1.0, 0]]).T)  # drive mixes y into z
 
 
-def test_state_set_sampled_only_after_algebraic_checks():
-    from preforge.model import MasterEquation, vectorize
+def test_subspace_from_span_checks_vector_length(rf_bm):
+    for span in ([[1.0, 0.0]], [[1.0], [0.0]], [1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ShapeError, match="D\\^2-1 = 3"):
+            subspace_from_span(rf_bm, span)
+    # one spanning vector, given as a row, a column or a flat list
+    for span in ([[1.0, 0.0, 0.0]], [[1.0], [0.0], [0.0]], [1.0, 0.0, 0.0]):
+        assert subspace_from_span(rf_bm, span).n == 1
 
-    # driven three-level cascade 0 -> 1 -> 2 -> 0, drive between levels 1 and 2
-    ham = np.zeros((3, 3))
-    ham[1, 2] = ham[2, 1] = 0.2
-    jumps = [np.zeros((3, 3)) for _ in range(3)]
-    jumps[0][1, 0], jumps[1][2, 1], jumps[2][0, 2] = 1.0, 0.6, 0.3
-    bm = vectorize(MasterEquation(3, ham, jumps))
+
+@pytest.mark.parametrize("model", ["rf", "ae", "cascade_d3"])
+def test_subspace_witnesses_and_starts_are_pure_and_in_slice(model, request):
+    bm = request.getfixturevalue(f"{model}_bm")
+    radius_sq = pure_radius_sq(bm.dim)
+    subs = find_invariant_subspaces(bm)
+    assert subs
+    rng = np.random.default_rng(3)
+    for sub in subs:
+        w = sub.pure_witness
+        assert abs(w @ w - radius_sq) <= 1e-9
+        assert sub.distance(w - bm.x_ss) <= 1e-8
+        assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
+        cs = build_subspace_reduced(bm, sub, 3)
+        for _ in range(4):
+            states, _ = cs.unpack(cs.sample_start(rng))
+            assert np.max(np.abs(np.einsum("kn,kn->k", states, states) - radius_sq)) <= 1e-9
+
+
+def test_state_set_sampled_only_after_algebraic_checks(cascade_d3_bm):
+    bm = cascade_d3_bm
     n = bm.n_coords
     algebraic = 0
     for signs in itertools.product((1.0, -1.0), repeat=n):
