@@ -28,6 +28,7 @@ from .constraints import (
     KAPPA_REJECT,
     ConstraintSystem,
     Ensemble,
+    _levenberg_marquardt,
     is_strongly_connected,
     verify,
 )
@@ -290,95 +291,6 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     return SolutionSet(ensembles=out, diagnostics=diagnostics, family_tags=tags)
 
 
-def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each (p, p) system of a stack; an exactly singular one gives NaN."""
-    try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for i, (mat, vec) in enumerate(zip(lhs, rhs)):
-            try:
-                out[i] = np.linalg.solve(mat, vec)
-            except np.linalg.LinAlgError:
-                continue  # left NaN: the caller counts the start as failed
-        return out
-
-
-def _levenberg_marquardt(cs: ConstraintSystem, theta: np.ndarray, cfg: SolverConfig):
-    """Levenberg-Marquardt on a stack of starts (S, p), all iterated at once.
-
-    Each start keeps its own damping lambda (Nielsen's update from the gain
-    ratio) and leaves the stack when its residual is far below ``cfg.tol``,
-    when no step lowers its cost any more, after ``cfg.max_iter`` residual
-    evaluations, or when its linear model has promised less than a tenth of
-    its cost for 20 iterations in a row: it is then approaching a stationary
-    point that is no root, a local minimum or rates running off to infinity.
-    Square and overdetermined systems use More's scaling (running maximum of
-    the squared Jacobian column norms); underdetermined ones damp
-    isotropically, so steps are minimum-norm and change the rates as little
-    as the equations allow.  Starts do not interact, so each result is the
-    same whatever else is in the stack.  Returns the final parameters, their
-    residuals and a mask of starts whose step became singular or non-finite.
-    """
-    theta = np.array(theta, dtype=float)
-    resid = cs.residual(theta)
-    cost = 0.5 * np.einsum("si,si->s", resid, resid)
-    failed = ~np.isfinite(cost)
-    evals = np.ones(len(theta), dtype=int)
-    active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > 1e-3 * cfg.tol))
-    jac = cs.jacobian(theta[active])
-    scale = np.einsum("smp,smp->sp", jac, jac)
-    scale[scale == 0.0] = 1.0
-    isotropic = cs.n_constraints < cs.n_params
-    if isotropic:
-        scale[:] = scale.max(axis=1, keepdims=True)
-    lam = np.full(len(active), 1e-3)
-    nu = np.full(len(active), 2.0)
-    slow = np.zeros(len(active), dtype=int)
-    eye = np.eye(theta.shape[1])
-    while active.size and cfg.max_iter > 1:
-        jac_t = np.swapaxes(jac, 1, 2)
-        grad = (jac_t @ resid[active][:, :, None])[:, :, 0]
-        damping = lam[:, None] * scale
-        step = _solve_stack(jac_t @ jac + damping[:, :, None] * eye, -grad)
-        trial = theta[active] + step
-        trial_resid = cs.residual(trial)
-        evals[active] += 1
-        trial_cost = 0.5 * np.einsum("si,si->s", trial_resid, trial_resid)
-        finite = np.isfinite(trial_cost) & np.isfinite(step).all(axis=1)
-        # Cost reduction predicted by the linear model, which is positive.
-        predicted = 0.5 * np.einsum("sp,sp->s", step, damping * step - grad)
-        with np.errstate(all="ignore"):  # non-finite starts are dropped below
-            gain = (cost[active] - trial_cost) / predicted
-            good = finite & (gain > 1e-4)
-            lam = np.where(good, lam * np.maximum(1 / 3, 1 - (2 * gain - 1) ** 3), lam * nu)
-        lam = np.maximum(lam, 1e-15)
-        nu = np.where(good, 2.0, 2.0 * nu)
-        slow = np.where(predicted < 0.1 * cost[active], slow + 1, 0)
-        moved = active[good]
-        theta[moved] = trial[good]
-        resid[moved] = trial_resid[good]
-        cost[moved] = trial_cost[good]
-        failed[active[~finite]] = True
-        done = (
-            ~finite
-            | (slow >= 20)
-            | (lam > 1e16)
-            | (np.max(np.abs(resid[active]), axis=1) <= 1e-3 * cfg.tol)
-            | (evals[active] >= cfg.max_iter)
-        )
-        keep = ~done
-        refresh = good[keep]
-        active, jac, scale = active[keep], jac[keep], scale[keep]
-        lam, nu, slow = lam[keep], nu[keep], slow[keep]
-        if refresh.any():
-            jac[refresh] = cs.jacobian(theta[active[refresh]])
-            if not isotropic:
-                norms = np.einsum("smp,smp->sp", jac[refresh], jac[refresh])
-                scale[refresh] = np.maximum(scale[refresh], norms)
-    return theta, resid, failed
-
-
 def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolutionSet:
     """Multistart root finding on an assembled constraint system.
 
@@ -407,7 +319,7 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     starts = np.array(
         [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
     )
-    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg)
+    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
 
     rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
     accepted = []

@@ -12,14 +12,16 @@ Two reductions are supported:
 
 from __future__ import annotations
 
+import collections
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
 from .algebra import bloch_to_rho, build_basis, eig_full, random_pure_ket, rho_to_bloch
-from .constraints import Ensemble
+from .constraints import Ensemble, _levenberg_marquardt
 from .errors import ShapeError, SubspaceError, SymmetryViolationError
 from .model import BlochModel
 
@@ -38,7 +40,12 @@ __all__ = [
     "apply_wigner",
 ]
 
+_log = logging.getLogger("preforge")
+
 CERT_TOL = 1e-8
+WITNESS_STARTS = 8
+WITNESS_TOL = 1e-12
+WITNESS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -89,48 +96,64 @@ def _orthonormalize(columns: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
     return q[:, :rank]
 
 
-def _pure_witness(bm: BlochModel, basis_i0: np.ndarray, n_samples: int = 64) -> np.ndarray | None:
-    """A pure state in the translated slice {x_ss + span(basis_i0)}, if any.
+class _KetSlice:
+    """Residual map of kets psi (stacked as [Re psi, Im psi]) onto a slice.
 
-    Pure candidates sit on a sphere in slice coordinates.  For a qubit every
-    point of it is a valid state; in larger dimension valid points are a
-    measure-zero subset of that sphere, so sampled starts are polished by
-    maximizing the smallest reconstruction eigenvalue over the sphere.
+    Row j is psi^dag M_j psi = r_j^T (x(psi) - x_ss) for unit psi, with
+    M_j = (D/2) sum_i (r0)_ij s_i - (r_j^T x_ss) 1 for each complement
+    column r_j; the last row is psi^dag psi - 1.  Every row is a real
+    quadratic form theta^T Q theta, so the Jacobian 2 Q theta is exact.
+    """
+
+    def __init__(self, bm: BlochModel, basis_r0: np.ndarray):
+        d = bm.dim
+        herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
+        herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
+        herm = np.concatenate([herm, np.eye(d)[None]])
+        re, im = herm.real, herm.imag
+        self.forms = np.block([[re, -im], [im, re]])  # (m, 2D, 2D), symmetric
+        self.shift = np.zeros(len(herm))
+        self.shift[-1] = 1.0
+        self.n_constraints, self.n_params = len(herm), 2 * d
+
+    def residual(self, theta: np.ndarray) -> np.ndarray:
+        return np.einsum("sp,mpq,sq->sm", theta, self.forms, theta) - self.shift
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        return 2.0 * np.einsum("mpq,sq->smp", self.forms, theta)
+
+
+def _pure_witness(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> np.ndarray | None:
+    """A pure state in the translated slice {x_ss + span(basis_i0)}, if one is found.
+
+    The slice misses the pure sphere when its squared radius there is not
+    positive.  For a qubit every point of that sphere is a state.  In larger
+    dimension the witness is the coherence vector of a ket psi solving the
+    quadratic equations of :class:`_KetSlice` (one per complement column
+    plus the norm); a fixed set of seeded Haar starts goes through the
+    batched Levenberg-Marquardt solve, and the first root within
+    ``WITNESS_TOL`` gives an exactly pure witness.  ``None`` then means no
+    root was reached from those starts, which does not prove that the slice
+    holds no pure state.
     """
     centre, r_sq = bm.pure_slice(basis_i0)
     if r_sq <= 0:
         return None
-    r = np.sqrt(r_sq)
-    n_sub = basis_i0.shape[1]
-
-    def point(raw):
-        direction = raw / np.linalg.norm(raw)
-        return bm.x_ss + basis_i0 @ (centre + r * direction)
-
     if bm.dim == 2:
-        return point(np.eye(n_sub)[0])
-
-    def negativity(raw):
-        rho = bloch_to_rho(point(raw), bm.basis)
-        return -float(np.min(np.linalg.eigvalsh(rho)))
-
-    rng = np.random.default_rng(len(bm.x_ss) * 1000 + n_sub)  # deterministic screen
-    best = None
-    for _ in range(n_samples):
-        raw = rng.normal(size=n_sub)
-        value = negativity(raw)
-        if best is None or value < best[0]:
-            best = (value, raw)
-        if value <= 1e-9:
-            return point(raw)
-    from scipy.optimize import minimize
-
-    for start in (best[1], rng.normal(size=n_sub), rng.normal(size=n_sub)):
-        res = minimize(negativity, start, method="Nelder-Mead",
-                       options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 2000})
-        if res.fun <= 1e-9:
-            return point(res.x)
-    return None
+        direction = np.eye(basis_i0.shape[1])[0]
+        return bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction)
+    rng = np.random.default_rng(bm.n_coords)
+    kets = [random_pure_ket(bm.dim, rng) for _ in range(WITNESS_STARTS)]
+    starts = np.array([np.concatenate([psi.real, psi.imag]) for psi in kets])
+    theta, resid, failed = _levenberg_marquardt(
+        _KetSlice(bm, basis_r0), starts, WITNESS_TOL, WITNESS_MAX_ITER
+    )
+    roots = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL))
+    if roots.size == 0:
+        return None
+    psi = theta[roots[0], : bm.dim] + 1j * theta[roots[0], bm.dim :]
+    psi /= np.linalg.norm(psi)
+    return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
 
 
 def _certificate(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> float:
@@ -141,20 +164,34 @@ def _certificate(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> 
 
 
 def _certified_subspace(
-    bm: BlochModel, basis_i0: np.ndarray, family: FamilyTag | None, tags: tuple
+    bm: BlochModel,
+    basis_i0: np.ndarray,
+    family: FamilyTag | None,
+    tags: tuple,
+    witness: np.ndarray | None = None,
+    counts: collections.Counter | None = None,
 ) -> InvariantSubspace:
     """The subspace with orthonormal basis ``basis_i0``, once certified.
 
-    Raises when the block certificate fails or no pure state lies in the
-    translated slice.
+    A ``witness`` already known to lie in the translated slice is reused;
+    otherwise one is solved for.  Raises when the block certificate fails
+    or no pure state is found in the slice.  ``counts`` tallies the outcome.
     """
+    counts = collections.Counter() if counts is None else counts
+    counts["tested"] += 1
     basis_r0 = la.null_space(basis_i0.T)  # (n_coords, 0) for the whole space
     cert = _certificate(bm, basis_i0, basis_r0)
     if cert > CERT_TOL:
+        counts["not invariant"] += 1
         raise SubspaceError(f"span is not invariant: certificate {cert:.3e}")
-    witness = _pure_witness(bm, basis_i0)
-    if witness is None:
-        raise SubspaceError("span admits no pure state")
+    if witness is not None:
+        counts["inherited"] += 1
+    else:
+        witness = _pure_witness(bm, basis_i0, basis_r0)
+        if witness is None:
+            counts["no witness"] += 1
+            raise SubspaceError("span admits no pure state")
+        counts["solved"] += 1
     return InvariantSubspace(
         basis_i0=basis_i0,
         basis_r0=basis_r0,
@@ -188,7 +225,10 @@ def find_invariant_subspaces(
     conjugate pairs, and generalized-eigenvector chain prefixes when l0 is
     defective; unions of atoms fill in the requested dimension range.
     Degenerate eigenspaces stand for continuous families and carry a
-    :class:`FamilyTag` with an in-space rotation generator.
+    :class:`FamilyTag` with an in-space rotation generator.  Candidates
+    are kept when a pure witness is found (see :func:`_pure_witness`), so
+    a missing subspace is not a proof that its slice holds no pure state.
+    The outcome counts go to the ``preforge`` logger at debug level.
     """
     n = bm.n_coords
     n_min = bm.dim - 1 if n_min is None else n_min
@@ -232,8 +272,13 @@ def find_invariant_subspaces(
                 cols = _orthonormalize(_realify(chain[:j]))
                 atoms.append((cols, f"chain(len={j},eig={cluster.value.real:.6g})", None))
 
+    # Witness existence is monotone: a span of atoms holds the slice of
+    # every sub-span, so a candidate reuses the witness of any witnessed
+    # subset of its atoms.  A projector met before is decided already.
     results = []
-    seen_projectors = []
+    seen_projectors = np.empty((0, n, n))
+    witnessed = []  # (atom index set, witness)
+    counts = collections.Counter()
 
     for size in range(1, len(atoms) + 1):
         for combo in itertools.combinations(range(len(atoms)), size):
@@ -241,17 +286,30 @@ def find_invariant_subspaces(
             if not (n_min <= basis_i0.shape[1] <= n_max):
                 continue
             proj = basis_i0 @ basis_i0.T
-            if any(np.max(np.abs(p - proj)) < 1e-8 for p in seen_projectors):
+            if np.any(np.max(np.abs(seen_projectors - proj), axis=(1, 2)) < 1e-8):
+                counts["repeat"] += 1
                 continue
+            seen_projectors = np.concatenate([seen_projectors, proj[None]])
+            members = frozenset(combo)
+            inherited = next((w for held, w in witnessed if held <= members), None)
             families = [atoms[i][2] for i in combo if atoms[i][2] is not None]
             tags = tuple(atoms[i][1] for i in combo)
             try:
-                sub = _certified_subspace(bm, basis_i0, families[0] if families else None, tags)
+                sub = _certified_subspace(
+                    bm, basis_i0, families[0] if families else None, tags, inherited, counts
+                )
             except SubspaceError:
                 continue
-            seen_projectors.append(proj)
+            witnessed.append((members, sub.pure_witness))
             results.append(sub)
 
+    _log.debug(
+        "invariant subspaces: %d candidates tested, %d witnessed by solve, "
+        "%d witness inherited, %d rejected as a repeat, %d no witness found, "
+        "%d not invariant",
+        counts["tested"], counts["solved"], counts["inherited"], counts["repeat"],
+        counts["no witness"], counts["not invariant"],
+    )
     results.sort(key=lambda s: (s.n, s.tags))
     return results
 
@@ -260,8 +318,8 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
     """Certify an explicitly given span as an invariant subspace.
 
     ``columns`` holds the spanning vectors as columns (or as rows); each
-    needs D^2 - 1 coordinates.  Raises when the block certificate fails or
-    no pure state lies in the translated slice.
+    needs D^2 - 1 coordinates.  Raises when the span has rank 0, the block
+    certificate fails or no pure state is found in the translated slice.
     """
     span = np.atleast_2d(np.asarray(columns, dtype=float))
     span = span if span.shape[0] == bm.n_coords else span.T
@@ -269,7 +327,10 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
         raise ShapeError(
             f"span vectors need D^2-1 = {bm.n_coords} coordinates; got shape {np.shape(columns)}"
         )
-    return _certified_subspace(bm, _orthonormalize(span), family, ("explicit",))
+    basis_i0 = _orthonormalize(span)
+    if basis_i0.shape[1] == 0:
+        raise SubspaceError("span has rank 0: it needs at least one nonzero vector")
+    return _certified_subspace(bm, basis_i0, family, ("explicit",))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,22 @@ def cascade_d3_bm(cascade_d3_me):
     return vectorize(cascade_d3_me)
 
 
+@pytest.fixture(scope="session")
+def cascade_d4_me():
+    """Driven four-level cascade: decay 0 -> 1 -> 2 -> 3 -> 0, drives on 1-2 and 2-3."""
+    h = np.zeros((4, 4))
+    h[1, 2] = h[2, 1] = 0.2
+    h[2, 3] = h[3, 2] = 0.15
+    jumps = np.zeros((4, 4, 4))
+    jumps[0, 1, 0], jumps[1, 2, 1], jumps[2, 3, 2], jumps[3, 0, 3] = 1.0, 0.6, 0.45, 0.3
+    return MasterEquation(4, h, list(jumps))
+
+
+@pytest.fixture(scope="session")
+def cascade_d4_bm(cascade_d4_me):
+    return vectorize(cascade_d4_me)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

@@ -34,6 +34,7 @@ from preforge.solver import (
     solve_wigner_family,
 )
 from preforge.symmetry import (
+    CERT_TOL,
     certify_wigner,
     find_invariant_subspaces,
     find_wigner_symmetries,
@@ -427,4 +428,24 @@ def test_criterion_10_property_suites(rf, ae):
         ok,
         f"round-trip, purity-bridge, setting-invariance, residual-equivalence and "
         f"dedup-idempotence suites over 1000 cases each, {elapsed:.0f}s",
+    )
+
+
+def test_criterion_11_d4_subspace_detection(cascade_d4_bm):
+    bm = cascade_d4_bm
+    start = time.perf_counter()
+    subs = find_invariant_subspaces(bm)
+    elapsed = time.perf_counter() - start
+    radius_sq = pure_radius_sq(bm.dim)
+    ok = len(subs) >= 44
+    for sub in subs:
+        w = sub.pure_witness
+        ok = ok and sub.certificate <= CERT_TOL
+        ok = ok and abs(w @ w - radius_sq) <= 1e-9 and sub.distance(w - bm.x_ss) <= 1e-8
+        ok = ok and np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
+    _report(
+        11,
+        ok and elapsed < 60.0,
+        f"D=4 cascade: {len(subs)} invariant subspaces, each certified with a pure "
+        f"witness in its slice, {elapsed:.1f}s",
     )

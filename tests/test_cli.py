@@ -461,6 +461,17 @@ def test_scan_rejects_short_subspace_span(capsys):
     assert err.startswith("error:") and "D^2-1 = 3" in err
 
 
+def test_scan_rejects_rank_zero_subspace_span(capsys):
+    code, out, err = run(
+        capsys, "scan", "resonance_fluorescence", "--param", "gamma=1",
+        "--scan-param", "Omega", "--values", "0.18:0.18:0.01", "--k", "2", "--seeds", "2",
+        "--subspace-span", "0,0,0",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "rank 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

@@ -159,11 +159,11 @@ def test_batch_composition_does_not_change_results(rf_bm):
         starts = np.array(
             [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
         )
-        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg)
-        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg)
+        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
+        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg.tol, cfg.max_iter)
         assert np.array_equal(stacked, reversed_order[::-1])
         for start, theta in zip(starts, stacked):
-            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg)
+            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg.tol, cfg.max_iter)
             assert np.array_equal(alone[0], theta)
 
 

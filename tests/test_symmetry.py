@@ -1,14 +1,17 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from preforge.algebra import bloch_to_rho, pure_radius_sq
+from preforge.algebra import bloch_to_rho, pure_radius_sq, random_pure_ket, rho_to_bloch
 from preforge.constraints import build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
 from preforge.solver import analytic_k2, ensemble_distance
 from preforge.symmetry import (
+    _orthonormalize,
+    _pure_witness,
     apply_wigner,
     block_form,
     certify_wigner,
@@ -241,6 +244,38 @@ def test_subspace_witnesses_and_starts_are_pure_and_in_slice(model, request):
         for _ in range(4):
             states, _ = cs.unpack(cs.sample_start(rng))
             assert np.max(np.abs(np.einsum("kn,kn->k", states, states) - radius_sq)) <= 1e-9
+
+
+@pytest.mark.parametrize("model", ["cascade_d3", "cascade_d4"])
+def test_witness_found_on_slices_through_a_pure_state(model, request):
+    # Every slice x_ss + span(B) below holds the pure state psi by construction.
+    bm = request.getfixturevalue(f"{model}_bm")
+    radius_sq = pure_radius_sq(bm.dim)
+    rng = np.random.default_rng(3)
+    for n_sub in (2, 3, 4):
+        for _ in range(6):
+            psi = random_pure_ket(bm.dim, rng)
+            x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+            cols = np.column_stack([x - bm.x_ss, rng.normal(size=(bm.n_coords, n_sub - 1))])
+            basis_i0 = _orthonormalize(cols)
+            w = _pure_witness(bm, basis_i0, la.null_space(basis_i0.T))
+            assert w is not None
+            assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
+            assert abs(w @ w - radius_sq) <= 1e-9
+            u = w - bm.x_ss
+            assert np.linalg.norm(u - basis_i0 @ (basis_i0.T @ u)) <= 1e-8
+
+
+def test_subspace_search_logs_its_counts(cascade_d3_bm, caplog):
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        subs = find_invariant_subspaces(cascade_d3_bm)
+    (message,) = [r.getMessage() for r in caplog.records if "invariant subspaces" in r.getMessage()]
+    parts = (part.split(" ", 1) for part in message.split(": ", 1)[1].split(", "))
+    counts = {label: int(value) for value, label in parts}
+    reached = counts["witnessed by solve"] + counts["witness inherited"] + counts["no witness found"]
+    assert reached == 28
+    assert counts["no witness found"] == 5
+    assert counts["witnessed by solve"] + counts["witness inherited"] == len(subs) == 23
 
 
 def test_state_set_sampled_only_after_algebraic_checks(cascade_d3_bm):
