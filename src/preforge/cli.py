@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
 def cmd_scheme(args) -> int:
     me = _load_model(args.spec, _parse_params(args.param))
     ens = _load_ensemble(args.ensemble)
-    scheme = synthesize(me, ens, m=args.detectors)
+    scheme = synthesize(me, ens)
     doc = {
         "settings": [
             {
@@ -325,6 +325,7 @@ def cmd_scheme(args) -> int:
                 "beta": [[b.real, b.imag] for b in setting.beta],
                 "s": [[[v.real, v.imag] for v in row] for row in setting.s],
                 "routing": scheme.jump_map[k].tolist(),
+                **scheme.diagnostics[k],
             }
             for k, setting in enumerate(scheme.settings)
         ]
@@ -338,7 +339,6 @@ def cmd_scheme(args) -> int:
             "spec": args.spec,
             "params": _parse_params(args.param),
             "ensemble": args.ensemble,
-            "detectors": args.detectors,
         },
         {"scheme": doc, "ensemble": _ensemble_to_doc(ens)},
     )
@@ -350,7 +350,7 @@ def cmd_scheme(args) -> int:
 def cmd_simulate(args) -> int:
     me = _load_model(args.spec, _parse_params(args.param))
     ens = _load_ensemble(args.ensemble)
-    scheme = synthesize(me, ens, m=args.detectors)
+    scheme = synthesize(me, ens)
     cfg = TrajectoryConfig(n_jumps=args.jumps, rng_seed=args.rng)
     stats = simulate(me, scheme, ens, cfg)
     print(f"jumps recorded: {stats.n_jumps}, total time {stats.total_time:.4g}")
@@ -567,13 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scheme", help="synthesize an adaptive measurement scheme")
     add_common(p)
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--detectors", type=int, default=None)
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("simulate", help="jump-trajectory statistics for a scheme")
     add_common(p)
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--detectors", type=int, default=None)
     p.add_argument("--jumps", type=int, default=10000)
     p.add_argument("--rng", type=int, default=0)
     p.add_argument("--events", help="write per-jump CSV here")

@@ -2,20 +2,20 @@
 
 A scheme holds one detection setting (S_k, beta_k) per ensemble member plus
 a routing table saying which detector click moves the state to which member.
-Member k is pinned by requiring it to be an eigenstate of the setting's
-no-jump operator, while every nonzero outgoing rate kappa_jk must be matched
-by detectors whose jump operators send member k exactly onto member j with
-the right total weight.
+Every physically realizable ensemble has one (Wiseman & Vaccaro, PRL 87,
+240402 (2001)), and it is built in closed form: member phi is an eigenstate
+of the no-jump operator iff a condition linear in the oscillator shift
+holds, after which the click columns [c'_m phi] and the target columns
+[sqrt(kappa_jk) phi_j] have the same Gram matrix, so one SVD gives the
+detector mixing.  The detector count is derived: the most any member needs.
 """
-
 from __future__ import annotations
 
-import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
+from scipy.linalg import expm, null_space
 
 from .algebra import bloch_to_rho, build_basis, coordinate_rep, rho_to_bloch
 from .constraints import Ensemble
@@ -38,6 +38,8 @@ __all__ = [
     "check_wigner_scheme",
 ]
 
+_log = logging.getLogger("preforge")
+
 NO_TARGET = -1
 
 EIGENSTATE_TOL = 1e-8
@@ -52,10 +54,12 @@ class AdaptiveScheme:
     ``jump_map[k, m]`` is the member reached when detector m clicks while
     the system sits in member k; the member's own index marks a self-loop
     and ``NO_TARGET`` a detector whose amplitude vanishes on that member.
+    ``diagnostics`` holds one dict per member from :func:`synthesize`.
     """
 
     settings: tuple
     jump_map: np.ndarray
+    diagnostics: tuple = ()
 
     @property
     def k(self) -> int:
@@ -68,54 +72,6 @@ class AdaptiveScheme:
     def jumps_and_generator(self, me: MasterEquation, k: int):
         """Transformed jump operators and no-jump operator of member k."""
         return apply_unravelling(me, self.settings[k])
-
-
-def _hermitian_from_params(theta: np.ndarray, m: int) -> np.ndarray:
-    h = np.zeros((m, m), dtype=complex)
-    idx = 0
-    for i in range(m):
-        h[i, i] = theta[idx]
-        idx += 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            h[i, j] = theta[idx] + 1j * theta[idx + 1]
-            h[j, i] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
-    return h
-
-
-def _setting_from_params(theta: np.ndarray, m: int, l: int, vary_s: bool):
-    if vary_s:
-        n_s = m * m
-        s = expm(1j * _hermitian_from_params(theta[:n_s], m))[:, :l]
-        rest = theta[n_s:]
-    else:
-        s = np.eye(m, l, dtype=complex)
-        rest = theta
-    beta = rest[:m] + 1j * rest[m:]
-    return s, beta
-
-
-def _member_residual(me, kets, k, routing, s, beta, kappa):
-    """Stacked real residual of eigenstate, direction, rate and null rows."""
-    jumps, h_eff = transformed_operators(me, s, beta)
-    phi = kets[k]
-    rows = []
-    v = h_eff @ phi
-    rows.append(v - (phi.conj() @ v) * phi)  # eigenstate row
-    weights = {}
-    for m0, target in enumerate(routing):
-        w = jumps[m0] @ phi
-        if target == NO_TARGET:
-            rows.append(w)  # detector must stay dark on this member
-            continue
-        tket = kets[target]
-        rows.append(w - (tket.conj() @ w) * tket)
-        if target != k:
-            weights[target] = weights.get(target, 0.0) + float(np.vdot(w, w).real)
-    rate_rows = [weights.get(j, 0.0) - kappa[j, k] for j in range(len(kets)) if kappa[j, k] > 0]
-    flat = np.concatenate([np.concatenate([r.real, r.imag]) for r in rows])
-    return np.concatenate([flat, np.asarray(rate_rows)])
 
 
 def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
@@ -149,106 +105,110 @@ def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
     return True
 
 
-def _routings(targets, k, m):
-    """Detector-to-target assignments covering every required target.
+def _member_fit(me, kets, k, kappa, sigma_tol):
+    """Shift b, self-loop weight sigma, click and target columns of member k.
 
-    Deterministic order, simplest first: direct target assignments, then
-    self-loops, then dark detectors.
+    phi is an eigenvector of H'_eff iff (1 - phi phi^dag)(H_eff - i sum_l
+    conj(b_l) c_l) phi = 0.  On that affine set W W^dag = sum_j kappa_jk
+    phi_j phi_j^dag + sigma phi phi^dag, sigma = |b + a|^2 - rho^2 with
+    a_l = <phi|c_l phi>, for the click columns W = [(c_l + b_l) phi].  A
+    free b goes on the sphere sigma = 0 nearest the min-norm solution or, if
+    the set misses that sphere, to the set's point nearest -a.
     """
-    options = list(targets) + [k, NO_TARGET]
-    for combo in itertools.product(options, repeat=m):
-        if all(any(c == t for c in combo) for t in targets):
-            yield combo
+    phi = kets[k]
+    cphi = np.array([c @ phi for c in me.lindblads]).T
+    proj = np.eye(me.dim) - np.outer(phi, phi.conj())
+    lhs, rhs = -1j * proj @ cphi, -proj @ (me.effective_hamiltonian() @ phi)
+    b_min = np.linalg.lstsq(lhs, rhs, rcond=1e-10)[0].conj()
+    null = null_space(lhs, rcond=1e-10).conj()
+    a = phi.conj() @ cphi
+    rho_sq = kappa[:, k].sum() - np.sum(np.abs(proj @ cphi) ** 2)
+    b = b_min - null @ (null.conj().T @ (b_min + a))
+    gap = rho_sq - np.sum(np.abs(b + a) ** 2)
+    if null.shape[1] and gap > sigma_tol:
+        toward = b_min - b
+        norm = np.linalg.norm(toward)
+        b = b + np.sqrt(gap) * (toward / norm if norm > 1e-12 else null[:, 0])
+    sigma = float(np.sum(np.abs(b + a) ** 2) - rho_sq)
+    sigma = 0.0 if abs(sigma) <= sigma_tol else sigma
+    w = cphi + np.outer(phi, b)
+    if sigma < 0:  # an oscillator-only detector direction
+        w = np.column_stack([w, np.sqrt(-sigma) * phi])
+    labels = [j for j in range(len(kets)) if j != k and kappa[j, k] > 0]
+    cols = [np.sqrt(kappa[j, k]) * kets[j] for j in labels]
+    if sigma > 0:
+        labels.append(k)
+        cols.append(np.sqrt(sigma) * phi)
+    eigen_residual = float(np.linalg.norm(lhs @ b.conj() - rhs))
+    return b, sigma, w, np.array(cols).T.reshape(me.dim, -1), labels, eigen_residual
 
 
-def synthesize(
-    me: MasterEquation,
-    ens: Ensemble,
-    m: int | None = None,
-    beta_cap: float | None = None,
-) -> AdaptiveScheme:
-    """Find per-member settings realizing a verified ensemble.
-
-    For each member the small nonlinear system in beta (and, if the identity
-    mixing fails, in the detector mixing matrix) is solved by multistart
-    least squares over deterministic seeds.  Oscillator amplitudes are
-    capped (default ``|beta|^2 <= 10 max_l ||c_l||^2``) to keep the
-    unravelling jump-like rather than diffusive.  Raises
-    :class:`SynthesisError` carrying the best residual when some member
-    admits no setting at tolerance.
-    """
-    n_channels = me.n_channels
-    m = n_channels if m is None else m
-    if m < n_channels:
-        raise ValueError("need at least as many detectors as decoherence channels")
-    kets = ens.kets()
-    if beta_cap is None:
-        beta_cap = np.sqrt(
-            10.0 * max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads)
-        )
-    rate_scale = float(np.max(ens.kappa))
-
-    settings = []
-    jump_map = np.full((ens.k, m), NO_TARGET, dtype=int)
-    for k in range(ens.k):
-        targets = [j for j in range(ens.k) if ens.kappa[j, k] > 0]
-        found = None
-        best_member = np.inf
-        skipped = 0
-        for vary_s in (False, True):
-            if found:
+def _aligned_targets(w, cols, labels, kets, m):
+    """Target columns padded to m and their routing; a column that a click
+    column already points at is placed and phased to face it."""
+    out = np.zeros((w.shape[0], m), dtype=complex)
+    routing = np.full(m, NO_TARGET, dtype=int)
+    free = list(range(len(labels)))
+    for i, wi in enumerate(w.T):
+        for t in free:
+            ket = kets[labels[t]]
+            overlap = np.vdot(ket, wi)
+            if abs(overlap) > 1e-12 and np.linalg.norm(wi - overlap * ket) <= 1e-6 * abs(overlap):
+                out[:, i], routing[i] = cols[:, t] * overlap / abs(overlap), labels[t]
+                free.remove(t)
                 break
-            n_theta = (m * m if vary_s else 0) + 2 * m
-            for routing in _routings(targets, k, m):
-                if found:
-                    break
-                rng = np.random.default_rng([17, k, int(vary_s), hash(routing) % (2**31)])
-                starts = [np.zeros(n_theta)]
-                for _ in range(24 if not vary_s else 48):
-                    theta = rng.uniform(-1.0, 1.0, size=n_theta)
-                    theta[-2 * m :] *= beta_cap
-                    starts.append(theta)
-                for theta0 in starts:
-                    def residual(theta):
-                        s, beta = _setting_from_params(theta, m, n_channels, vary_s)
-                        return _member_residual(me, kets, k, routing, s, beta, ens.kappa)
+    slots = [i for i in range(m) if routing[i] == NO_TARGET]
+    for i, t in zip(slots, free):
+        out[:, i], routing[i] = cols[:, t], labels[t]
+    return out, routing
 
-                    try:
-                        res = least_squares(residual, theta0, xtol=1e-15, ftol=1e-15,
-                                            gtol=1e-15, max_nfev=400)
-                    except (ValueError, np.linalg.LinAlgError):
-                        skipped += 1  # non-finite residual or singular step
-                        continue
-                    best_member = min(best_member, float(np.max(np.abs(res.fun))))
-                    s, beta = _setting_from_params(res.x, m, n_channels, vary_s)
-                    if np.max(np.abs(beta)) > beta_cap + 1e-9:
-                        continue
-                    if _check_member(me, kets, k, routing, s, beta, ens.kappa, rate_scale):
-                        found = (UnravellingSetting(s, beta), routing)
-                        break
-        if not found:
+
+def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
+    """Per-member settings realizing a verified ensemble, in closed form.
+
+    With the click columns W and target columns Phi of :func:`_member_fit`
+    padded to M columns, the polar factor U of W^dag Phi gives S = U[:L]^T
+    and beta = S b (+ sqrt(-sigma) U[L] for an oscillator-only detector).
+    M is the most detectors any member needs; the rest stay dark and route
+    to ``NO_TARGET``.  Each member must pass :func:`_check_member` with
+    ``|beta|^2 <= 10 max_l ||c_l||^2``, else :class:`SynthesisError` carries
+    its residual.  Per-member eigenvector and Gram residuals, sigma and
+    detector counts go to ``diagnostics`` and the ``preforge`` debug log.
+    """
+    kets = ens.kets()
+    rate_scale = float(np.max(ens.kappa))
+    beta_cap = np.sqrt(10.0 * max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads))
+    sigma_tol = RATE_TOL * max(1.0, rate_scale)
+    fits = [_member_fit(me, kets, k, ens.kappa, sigma_tol) for k in range(ens.k)]
+    m = max(max(w.shape[1], cols.shape[1]) for _, _, w, cols, _, _ in fits)
+    settings, diagnostics = [], []
+    jump_map = np.empty((ens.k, m), dtype=int)
+    for k, (b, sigma, w, cols, labels, eigen_residual) in enumerate(fits):
+        x = np.zeros((me.dim, m), dtype=complex)
+        x[:, : w.shape[1]] = w
+        phi_cols, jump_map[k] = _aligned_targets(w, cols, labels, kets, m)
+        p, _, qh = np.linalg.svd(x.conj().T @ phi_cols)
+        u = p @ qh  # polar factor: x @ u = phi_cols when their Gram matrices agree
+        s = u[: me.n_channels].T
+        beta = s @ b + (np.sqrt(-sigma) * u[me.n_channels] if sigma < 0 else 0)
+        gram = float(np.linalg.norm(x @ x.conj().T - phi_cols @ phi_cols.conj().T, 2))
+        diagnostics.append({"eigen_residual": eigen_residual, "gram_residual": gram,
+                            "sigma": sigma, "detectors": max(w.shape[1], cols.shape[1])})
+        residual, amplitude = max(eigen_residual, gram), np.max(np.abs(beta))
+        if amplitude > beta_cap + 1e-9 or not _check_member(
+            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_scale
+        ):
             raise SynthesisError(
-                f"no setting found for member {k} "
-                f"({skipped} starts skipped after a numerical error)",
-                best_residual=best_member,
+                f"no setting found for member {k}: residual {residual:.3e}, "
+                f"|beta| {amplitude:.3g} (cap {beta_cap:.3g})",
+                best_residual=residual,
             )
-        setting, routing = found
-        settings.append(setting)
-        jump_map[k] = _relabel_dark_detectors(me, kets[k], setting, routing, rate_scale)
-    scheme = AdaptiveScheme(settings=tuple(settings), jump_map=jump_map)
+        settings.append(UnravellingSetting(s, beta))
+    _log.debug("synthesis: %d detectors; per member (eigen residual, Gram residual, sigma, "
+               "detectors): %s", m, [tuple(d.values()) for d in diagnostics])
+    scheme = AdaptiveScheme(tuple(settings), jump_map, tuple(diagnostics))
     _assert_generator_invariance(me, scheme)
     return scheme
-
-
-def _relabel_dark_detectors(me, phi, setting, routing, rate_scale):
-    """Route detectors with vanishing click amplitude to NO_TARGET."""
-    jumps, _ = transformed_operators(me, setting.s, setting.beta)
-    routing = np.asarray(routing, dtype=int).copy()
-    for m0, c in enumerate(jumps):
-        w = c @ phi
-        if float(np.vdot(w, w).real) <= 1e-12 * max(1.0, rate_scale):
-            routing[m0] = NO_TARGET
-    return routing
 
 
 def _assert_generator_invariance(me: MasterEquation, scheme: AdaptiveScheme, tol=1e-10):

@@ -52,6 +52,15 @@ def cascade_d3_bm(cascade_d3_me):
 
 
 @pytest.fixture(scope="session")
+def pump_d3_me():
+    """Three-level cyclic pumping: c1 = |0><1|, c2 = |1><2|, c3 = |2><0| at rates
+    1, 0.6, 0.3 and H = diag(0, 0.3, 0.7); the basis kets form a PRE."""
+    jumps = np.zeros((3, 3, 3))
+    jumps[0, 0, 1], jumps[1, 1, 2], jumps[2, 2, 0] = 1.0, np.sqrt(0.6), np.sqrt(0.3)
+    return MasterEquation(3, np.diag([0.0, 0.3, 0.7]), list(jumps))
+
+
+@pytest.fixture(scope="session")
 def cascade_d4_me():
     """Driven four-level cascade: decay 0 -> 1 -> 2 -> 3 -> 0, drives on 1-2 and 2-3."""
     h = np.zeros((4, 4))

@@ -375,6 +375,41 @@ def test_scheme_synthesis_failure_is_numeric_error(capsys, tmp_path, rf_bm):
     assert "numerical failure" in err
 
 
+def test_full_graph_k3_is_found_realized_and_simulated(capsys, tmp_path, rf_bm):
+    from preforge.constraints import build_full
+    from preforge.solver import SolverConfig, solve_numeric
+
+    ens = solve_numeric(build_full(rf_bm, 3, "full"), SolverConfig(seeds=128, rng_seed=0)).ensembles[0]
+    path = tmp_path / "ens.json"
+    path.write_text(
+        json.dumps({"dim": 2, "states": ens.states.tolist(), "kappa": ens.kappa.tolist()})
+    )
+    model = ["resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18"]
+    bundle_path = tmp_path / "scheme.json"
+    code, _, _ = run(capsys, "scheme", *model, "--ensemble", str(path), "-o", str(bundle_path))
+    assert code == 0
+    settings = json.loads(bundle_path.read_text())["results"]["scheme"]["settings"]
+    for entry in settings:
+        assert entry["detectors"] == 2 and len(entry["routing"]) == 2
+        assert entry["eigen_residual"] < 1e-8 and entry["gram_residual"] < 1e-8
+        assert "sigma" in entry
+
+    sim_path = tmp_path / "sim.json"
+    code, _, _ = run(
+        capsys, "simulate", *model, "--ensemble", str(path), "--jumps", "20000", "-o", str(sim_path)
+    )
+    assert code == 0
+    results = json.loads(sim_path.read_text())["results"]
+    occ, stat = np.array(results["occupancy"]), np.array(results["stationary"])
+    sigma = np.sqrt(stat * (1 - stat) / results["n_jumps"])
+    assert np.all(np.abs(occ - stat) <= 3 * sigma + 5e-3)
+    assert results["max_state_drift"] <= 1e-6
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scheme", *model, "--ensemble", str(path), "--detectors", "2"])
+    assert exit_info.value.code == 2
+
+
 def test_singular_generator_is_numeric_error(capsys, tmp_path):
     # Pure dephasing (H = 0, L = sigma_z) leaves every diagonal state
     # stationary, so l0 is singular and there is no unique steady state.
