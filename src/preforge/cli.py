@@ -5,8 +5,8 @@ Model spec files are JSON documents (see :mod:`preforge.mespec` for the
 schema); bare names resolve against the built-in catalog.  Results are
 written as deterministic JSON bundles that embed the full configuration, so
 re-running a bundle's command reproduces it bit for bit.  Exit codes:
-0 success, 1 failed check or nothing found, 2 usage error, 3 numerical
-failure.
+0 success, 1 failed check or nothing found, 2 usage error (an unusable
+file path included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 
@@ -47,6 +48,8 @@ from .symmetry import find_invariant_subspaces, find_wigner_symmetries
 from .trajectory import TrajectoryConfig, simulate, unconditional_check
 
 SCHEMA_VERSION = 1
+
+_log = logging.getLogger("preforge")
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -246,8 +249,20 @@ def cmd_search(args) -> int:
                 return True
         return False
 
+    routes = []
     for label, system in systems:
         sols = solve_numeric(system, cfg)
+        diag = sols.diagnostics
+        routes.append(
+            {
+                "route": label,
+                **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted", "rejections")},
+            }
+        )
+        _log.debug(
+            "route %s: %d starts, %d converged, %d accepted; rejections %s",
+            label, diag["n_starts"], diag["n_converged"], diag["n_accepted"], diag["rejections"],
+        )
         for ens in sols.ensembles:
             if not seen(ens):
                 found.append(ens)
@@ -265,6 +280,7 @@ def cmd_search(args) -> int:
         ],
         "subspaces": [_subspace_doc(s) for s in subspaces],
         "searched_subspaces": searched_subspaces,
+        "routes": routes,
         "ensembles": [
             dict(_ensemble_to_doc(e), source=src) for e, src in zip(found, sources)
         ],
@@ -619,7 +635,7 @@ def main(argv=None) -> int:
         # generator is a numerical failure, not a usage error.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MESpecError, FileNotFoundError, ValueError) as exc:
+    except (MESpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PreForgeError as exc:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-from scipy.sparse.csgraph import connected_components
 
 from .algebra import build_basis, bloch_to_rho, pure_radius_sq, random_pure_ket, rho_to_bloch
 from .errors import EnsembleError, PermutationError, SubspaceError
@@ -80,9 +79,24 @@ def stationary_occupations(kappa: np.ndarray) -> np.ndarray:
 
 
 def is_strongly_connected(kappa: np.ndarray, tol: float = KAPPA_CLAMP) -> bool:
-    adj = (kappa > tol).astype(int)
-    n_comp, _ = connected_components(adj.T, directed=True, connection="strong")
-    return n_comp == 1
+    """Whether every member reaches every other through rates above ``tol``.
+
+    Squaring the reachability matrix (A | I) doubles the path length it
+    covers, so ceil(log2 K) squarings close it.
+    """
+    k = kappa.shape[0]
+    reach = (kappa > tol) | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
+def clamp_rates(kappa: np.ndarray) -> np.ndarray:
+    """Copy of a rate matrix with rates below ``KAPPA_CLAMP`` and the diagonal zeroed."""
+    kappa = np.array(kappa, dtype=float)
+    kappa[kappa < KAPPA_CLAMP] = 0.0
+    np.fill_diagonal(kappa, 0.0)
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -97,11 +111,10 @@ class Ensemble:
     @classmethod
     def from_states_kappa(cls, dim: int, states, kappa, validate: bool = True) -> "Ensemble":
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        kappa = np.asarray(kappa, dtype=float).copy()
+        kappa = np.asarray(kappa, dtype=float)
         if np.min(kappa) < KAPPA_REJECT:
             raise EnsembleError(f"negative transition rate {np.min(kappa):g}")
-        kappa[kappa < KAPPA_CLAMP] = 0.0
-        np.fill_diagonal(kappa, 0.0)
+        kappa = clamp_rates(kappa)
         if validate:
             radius_sq = pure_radius_sq(dim)
             basis = build_basis(dim)
@@ -346,8 +359,8 @@ def _sample_pure_state(bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
     return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
 
 
-def _sample_kappa(n_edges: int, bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
-    scale = np.linalg.norm(bm.l0, 2)
+def _sample_kappa(n_edges: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Log-uniform rates between 1e-2 and 10 times ``scale`` (the norm of l0)."""
     return scale * 10.0 ** rng.uniform(-2.0, 1.0, size=n_edges)
 
 
@@ -368,10 +381,11 @@ def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
         raise ValueError("need at least two ensemble members")
     n = bm.n_coords
     edges = transition_edges(graph, k)
+    rate_scale = np.linalg.norm(bm.l0, 2)
 
     def sample(rng):
         states = [_sample_pure_state(bm, rng) for _ in range(k)]
-        return np.concatenate(states + [_sample_kappa(len(edges), bm, rng)])
+        return np.concatenate(states + [_sample_kappa(len(edges), rate_scale, rng)])
 
     return ConstraintSystem(
         bm=bm,
@@ -405,10 +419,11 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
     edges = transition_edges(graph, k)
     # Pure states within the slice sit on a sphere in coefficient space.
     centre, slice_radius_sq = bm.pure_slice(basis_i0)
+    rate_scale = np.linalg.norm(bm.l0, 2)
 
     def sample(rng):
         states = [_sample_sphere(rng, centre, slice_radius_sq) for _ in range(k)]
-        return np.concatenate(states + [_sample_kappa(len(edges), bm, rng)])
+        return np.concatenate(states + [_sample_kappa(len(edges), rate_scale, rng)])
 
     return ConstraintSystem(
         bm=bm,
@@ -536,6 +551,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     # Representatives are fix @ theta; t0 fixes x_ss, so x_ss lies in every fixed
     # space and the pure representatives are the sphere |theta|^2 = slice radius_sq.
     fix_radii_sq = [bm.pure_slice(fix)[1] for fix in fix_bases]
+    rate_scale = np.linalg.norm(bm.l0, 2)
 
     # Member k = perm^p(rep) sits at t0^p x_rep; every edge of an orbit
     # carries the orbit's rate, or zero when the orbit is forced to zero.
@@ -555,7 +571,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         for o_idx, (fix, rad_sq) in enumerate(zip(fix_bases, fix_radii_sq)):
             point = _sample_sphere(rng, np.zeros(fix.shape[1]), rad_sq)
             theta[state_offsets[o_idx] : state_offsets[o_idx + 1]] = point
-        theta[n_state_params:] = _sample_kappa(n_rate, bm, rng)
+        theta[n_state_params:] = _sample_kappa(n_rate, rate_scale, rng)
         return theta
 
     return ConstraintSystem(

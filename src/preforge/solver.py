@@ -10,18 +10,19 @@ Three routes are implemented.
   whole system to two linear equations for the rates out of one member;
   the nonnegative solution polytope is returned through its vertices.
 * ``solve_numeric``: seeded multistart Levenberg-Marquardt on any
-  assembled constraint system, all starts iterated as one stack, with
-  acceptance filtering, independent projector-form verification and
-  permutation-aware deduplication.
+  assembled constraint system, all starts iterated as one stack, then
+  permutation-aware deduplication of the converged points, with
+  validation and independent projector-form verification of the distinct
+  ones only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .algebra import eig_full
 from .constraints import (
@@ -29,6 +30,7 @@ from .constraints import (
     ConstraintSystem,
     Ensemble,
     _levenberg_marquardt,
+    clamp_rates,
     is_strongly_connected,
     verify,
 )
@@ -94,33 +96,57 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> fl
     return float(best)
 
 
+class _Candidate(NamedTuple):
+    """A converged start before validation, comparable by ``ensemble_distance``."""
+
+    dim: int
+    states: np.ndarray
+    kappa: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.states.shape[0]
+
+
+def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
+    """Walk ``candidates`` in order and keep those no kept one lies within ``eps`` of.
+
+    ``accept(candidate)`` gives the object to keep for a distinct candidate,
+    or None to drop it; a dropped candidate does not hide later ones.
+    Returns the kept objects and the number of duplicates skipped.  The
+    member centroid does not depend on the labels and moves by at most the
+    largest member displacement, hence by at most ``ensemble_distance``; only
+    kept objects whose centroid lies that close are compared exactly.
+    """
+    kept = []
+    groups = {}  # (dim, k) -> centroids and objects kept so far
+    duplicates = 0
+    for cand in candidates:
+        centroid = cand.states.mean(axis=0)
+        centroids, members = groups.get((cand.dim, cand.k), (np.empty((0, centroid.size)), []))
+        # The radius allows for roundoff in the centroids.
+        near = np.linalg.norm(centroids - centroid, axis=1) <= 2 * eps + 1e-12
+        if not all(
+            ensemble_distance(cand, members[j], rate_scale) > eps for j in np.flatnonzero(near)
+        ):
+            duplicates += 1
+            continue
+        obj = accept(cand)
+        if obj is None:
+            continue
+        kept.append(obj)
+        groups[cand.dim, cand.k] = (np.vstack([centroids, centroid]), members + [obj])
+    return kept, duplicates
+
+
 def dedup(ensembles: list, eps: float = 1e-6, rate_scale: float = 1.0) -> list:
     """Drop duplicates up to member relabeling; order-stable and idempotent.
 
-    An ensemble is kept unless an earlier kept one lies within ``eps``.  The
-    member centroid does not depend on the labels and moves by at most the
-    largest member displacement, hence by at most ``ensemble_distance``; a
-    centroid ball query therefore finds every possible duplicate, and only
-    those neighbours are compared exactly.
+    An ensemble is kept unless an earlier kept one lies within ``eps``.  This
+    is the walk ``solve_numeric`` makes over its converged points, with
+    every distinct ensemble accepted.
     """
-    neighbours = [()] * len(ensembles)
-    groups = {}
-    for i, ens in enumerate(ensembles):
-        groups.setdefault((ens.k, ens.dim), []).append(i)
-    for members in groups.values():
-        centroids = np.array([ensembles[i].states.mean(axis=0) for i in members])
-        # The radius allows for roundoff in the centroids.
-        near = cKDTree(centroids).query_ball_point(centroids, 2 * eps + 1e-12)
-        for i, found in zip(members, near):
-            neighbours[i] = [members[j] for j in found]
-    kept = np.zeros(len(ensembles), dtype=bool)
-    for i, ens in enumerate(ensembles):
-        kept[i] = all(
-            ensemble_distance(ens, ensembles[j], rate_scale) > eps
-            for j in neighbours[i]
-            if j < i and kept[j]
-        )
-    return [ens for ens, keep in zip(ensembles, kept) if keep]
+    return _distinct(ensembles, eps, rate_scale, lambda ens: ens)[0]
 
 
 def _canonical_sort(ensembles: list) -> list:
@@ -297,9 +323,13 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     Starts are drawn from the pure-state set (or its subspace slice) with
     log-uniform rates, start i from ``default_rng([cfg.rng_seed, i])``, and
     solved together by a batched Levenberg-Marquardt iteration.  Converged
-    points are kept when the residual meets ``cfg.tol``, rates are
-    nonnegative up to clamping, the graph stays strongly connected and the
-    independent projector-form check passes.
+    points whose residual meets ``cfg.tol`` and whose rates are nonnegative
+    up to clamping are sorted canonically and deduplicated first; each
+    distinct one is then validated as an ``Ensemble`` (pure members,
+    strongly connected graph) and kept only if the independent
+    projector-form check passes.  On a graph-consistent system every start
+    ends up either kept (``n_accepted``) or counted once under
+    ``rejections``, ``"duplicate"`` included.
     """
     cfg = SolverConfig() if cfg is None else cfg
     diagnostics = {
@@ -313,16 +343,15 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         diagnostics["reason"] = cs.inconsistency_reason
         return SolutionSet(ensembles=[], diagnostics=diagnostics)
 
-    def reject(reason):
-        diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + 1
+    def reject(reason, count=1):
+        diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + count
 
     starts = np.array(
         [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
     )
     thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
 
-    rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
-    accepted = []
+    candidates = []
     for theta, resid, fail in zip(thetas, resids, failed):
         if fail:
             reject("solver failure")
@@ -335,17 +364,24 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         if np.min(kappa) < KAPPA_REJECT:
             reject("negative rate")
             continue
+        candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
+
+    def accept(cand):
         try:
-            ens = cs.ensemble(theta)
+            ens = Ensemble.from_states_kappa(cand.dim, cand.states, cand.kappa)
         except EnsembleError as exc:
             reject(str(exc))
-            continue
+            return None
         if not verify(cs.bm, ens, tol=10 * cfg.tol).passed:
             reject("projector-form verification failed")
-            continue
-        accepted.append(ens)
-        diagnostics["n_accepted"] += 1
-    unique = dedup(_canonical_sort(accepted), cfg.dedup_eps, rate_scale)
+            return None
+        return ens
+
+    rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
+    unique, duplicates = _distinct(_canonical_sort(candidates), cfg.dedup_eps, rate_scale, accept)
+    if duplicates:
+        reject("duplicate", duplicates)
+    diagnostics["n_accepted"] = len(unique)
     return SolutionSet(ensembles=unique, diagnostics=diagnostics)
 
 

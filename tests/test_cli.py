@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -88,6 +89,45 @@ def test_search_finds_k2_census_and_bundle_roundtrip(capsys, tmp_path):
     assert len(analytic) == 3
     # numeric routes found nothing new beyond the analytic census
     assert len(ensembles) == 3
+
+
+def test_search_bundle_reports_every_solved_route(capsys, tmp_path, caplog):
+    out = tmp_path / "bundle.json"
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        code, _, _ = run(
+            capsys, "search", "resonance_fluorescence", "--param", "gamma=1", "--param",
+            "Omega=0.18", "--k", "2", "--seeds", "24", "--rng", "1", "-o", str(out),
+        )
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    routes = results["routes"]
+    # One entry per numerically solved route: each searched subspace, then the full space.
+    assert len(routes) == len(results["searched_subspaces"]) + 1
+    assert routes[-1]["route"] == "full"
+    for entry in routes:
+        assert entry["n_starts"] == 24
+        assert entry["n_starts"] == entry["n_accepted"] + sum(entry["rejections"].values())
+        assert entry["n_converged"] <= entry["n_starts"]
+    assert routes[-1]["n_accepted"] == 3 and routes[-1]["rejections"]["duplicate"] > 0
+    records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("route ")]
+    assert len(records) == len(routes)
+    assert records[-1].startswith("route full: 24 starts")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["search", "--k", "2", "--seeds", "2", "--subspace", "none", "-o"], ["verify", "--ensemble"]],
+    ids=["search-output", "verify-ensemble"],
+)
+def test_directory_as_file_path_is_usage_error(capsys, tmp_path, extra):
+    command, *options = extra
+    code, _, err = run(
+        capsys, command, "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18",
+        *options, str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("error:") == 1 and str(tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_search_warns_below_heuristic(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from preforge.constraints import (
     build_full,
     build_subspace_reduced,
     build_wigner_reduced,
+    KAPPA_CLAMP,
     heuristic_min_k,
+    is_strongly_connected,
     transition_edges,
     verify,
 )
@@ -318,3 +322,58 @@ def test_wigner_reduced_validates_permutation(rf_bm):
     w = find_wigner_symmetries(rf_bm)[0]
     with pytest.raises(PermutationError):
         build_wigner_reduced(rf_bm, w, perm=[1, 2, 1], k=3, graph="cyclic")
+
+
+def _strongly_connected_bfs(kappa, tol):
+    """Reference: breadth-first search from member 0 along edges and against them."""
+    adj = kappa > tol
+
+    def reaches_all(step):
+        seen, frontier = {0}, [0]
+        while frontier:
+            node = frontier.pop()
+            for nxt in np.flatnonzero(step[node]):
+                if nxt not in seen:
+                    seen.add(int(nxt))
+                    frontier.append(int(nxt))
+        return len(seen) == len(kappa)
+
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+def test_strong_connectivity_matches_bfs_on_every_small_digraph():
+    for k in range(1, 5):
+        slots = [(j, i) for j in range(k) for i in range(k) if j != i]
+        for mask in itertools.product((0.0, 1.0), repeat=len(slots)):
+            kappa = np.zeros((k, k))
+            for (j, i), rate in zip(slots, mask):
+                kappa[j, i] = rate
+            assert is_strongly_connected(kappa) == _strongly_connected_bfs(kappa, KAPPA_CLAMP)
+
+
+def test_strong_connectivity_matches_bfs_on_random_digraphs():
+    rng = np.random.default_rng(8)
+    found = set()
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        # Rates around the clamp: some entries fall below tol and are no edges.
+        kappa = rng.uniform(0.0, 1.0, size=(k, k)) * (rng.random((k, k)) < rng.uniform(0.1, 0.6))
+        tol = float(rng.choice([KAPPA_CLAMP, 0.3]))
+        expected = _strongly_connected_bfs(kappa, tol)
+        assert is_strongly_connected(kappa, tol) == expected
+        found.add(expected)
+    assert found == {True, False}
+
+
+def test_strong_connectivity_single_member_and_clamp():
+    assert is_strongly_connected(np.zeros((1, 1)))
+    cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert is_strongly_connected(cycle)
+    # A rate at or below tol is no edge; the diagonal never matters.
+    weak = cycle.copy()
+    weak[0, 2] = KAPPA_CLAMP
+    assert not is_strongly_connected(weak)
+    assert is_strongly_connected(weak, tol=0.5 * KAPPA_CLAMP)
+    assert not is_strongly_connected(cycle, tol=1.0)
+    assert is_strongly_connected(cycle + 5.0 * np.eye(3))
+    assert not is_strongly_connected(np.eye(2))

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from preforge.constraints import Ensemble, build_full, build_subspace_reduced, verify
+from preforge.constraints import KAPPA_REJECT, Ensemble, build_full, build_subspace_reduced, verify
+from preforge import solver
+from preforge.errors import EnsembleError
 from preforge.solver import (
     SolverConfig,
+    _canonical_sort,
     _levenberg_marquardt,
     analytic_k2,
     dedup,
@@ -175,6 +180,77 @@ def test_underdetermined_full_graph_finds_verified_ensembles(rf_bm, rng_seed):
     assert sols.ensembles
     for ens in sols.ensembles:
         assert verify(rf_bm, ens).passed
+
+
+def _solve_verify_then_dedup(cs, cfg, check):
+    """The acceptance step before deduplication came first: every converged
+    start is validated and checked, and the survivors are deduplicated."""
+    starts = np.array(
+        [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
+    )
+    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
+    accepted = []
+    for theta, resid, fail in zip(thetas, resids, failed):
+        if fail or np.max(np.abs(resid)) > cfg.tol or np.min(cs.unpack(theta)[1]) < KAPPA_REJECT:
+            continue
+        try:
+            ens = cs.ensemble(theta)
+        except EnsembleError:
+            continue
+        if check(cs.bm, ens, tol=10 * cfg.tol).passed:
+            accepted.append(ens)
+    rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
+    return dedup(_canonical_sort(accepted), cfg.dedup_eps, rate_scale)
+
+
+def _label_dependent_verify(bm, ens, tol):
+    """``verify``, failing also every ensemble whose first member lies above
+    the steady state in z; a relabeled copy of a failed one can pass."""
+    report = verify(bm, ens, tol=tol)
+    return dataclasses.replace(report, passed=report.passed and ens.states[0, 2] <= bm.x_ss[2])
+
+
+@pytest.mark.parametrize("check", [verify, _label_dependent_verify], ids=["verify", "label-dependent"])
+@pytest.mark.parametrize(
+    "k, graph, seeds",
+    [(2, "cyclic", 64), (3, "cyclic", 96), (3, "full", 96), (3, "meridian", 96)],
+    ids=["rf-k2", "rf-k3-cyclic", "rf-k3-full", "ae-k3-meridian"],
+)
+def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, graph, seeds, check):
+    if graph == "meridian":
+        bm = vectorize(
+            load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": 0.05})
+        )
+        sub = subspace_from_span(bm, np.array([[1.0, 0, 0], [0, 0, 1.0]]).T)
+        cs = build_subspace_reduced(bm, sub, k, "cyclic")
+    else:
+        cs = build_full(rf_bm, k, graph)
+    cfg = SolverConfig(seeds=seeds, rng_seed=3)
+    expected = _solve_verify_then_dedup(cs, cfg, check)
+
+    calls = []
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "verify", counting_check)
+    sols = solve_numeric(cs, cfg)
+    assert expected
+    assert len(sols.ensembles) == len(expected)
+    for got, ref in zip(sols.ensembles, expected):
+        assert np.array_equal(got.states, ref.states)
+        assert np.array_equal(got.kappa, ref.kappa)
+        assert np.array_equal(got.occupations, ref.occupations)
+    diag = sols.diagnostics
+    rejections = diag["rejections"]
+    failed = rejections.get("projector-form verification failed", 0)
+    assert len(calls) == len(sols.ensembles) + failed
+    assert (failed > 0) == (check is not verify)
+    assert diag["n_accepted"] == len(sols.ensembles)
+    assert diag["n_starts"] == diag["n_accepted"] + sum(rejections.values())
+    if graph != "full":  # the full graph's solutions form continuous families
+        assert rejections["duplicate"] > len(calls)
 
 
 def _dedup_reference(ensembles, eps, rate_scale=1.0):

@@ -1,6 +1,9 @@
 """Contracts on the package source itself."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import preforge
@@ -18,3 +21,17 @@ def test_no_catch_all_exception_handlers():
         if BROAD_EXCEPT.match(line)
     ]
     assert not offenders, "catch-all exception handlers:\n" + "\n".join(offenders)
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # Start-up cost: the program needs scipy.linalg only.
+    env = dict(os.environ, PYTHONPATH=str(Path(preforge.__file__).parent.parent))
+    probe = (
+        "import sys, preforge.cli; "
+        "print(' '.join(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'spatial'], ['scipy', 'optimize'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split() == []
