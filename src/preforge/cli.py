@@ -115,6 +115,22 @@ def _bundle(command, config, results) -> dict:
     }
 
 
+def _check_writable(path):
+    """Raise ``OSError`` now if ``path`` cannot be opened for writing.
+
+    Opening for append creates no content and keeps an existing file as it
+    is; a file created only by this probe is removed again, so nothing is
+    left behind when the work before ``_emit`` fails.
+    """
+    if not path:
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _emit(doc, path):
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if path:
@@ -191,6 +207,7 @@ def _subspace_doc(sub) -> dict:
 def cmd_search(args) -> int:
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
+    _check_writable(args.output)
     bm = vectorize(me)
     k = args.k
     floor = heuristic_min_k(bm.dim)

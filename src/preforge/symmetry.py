@@ -84,7 +84,7 @@ class WignerSymmetry:
     """Orthogonal coherence-space action of an inner-product-preserving map."""
 
     t0: np.ndarray
-    antiunitary: bool | None  # None when the dichotomy was not decided
+    antiunitary: bool
     generator_tag: str | None = None
     generator: np.ndarray | None = None
 
@@ -360,11 +360,49 @@ def block_form(bm: BlochModel, sub: InvariantSubspace) -> BlockForm:
     )
 
 
-def certify_wigner(bm: BlochModel, t0: np.ndarray, n_state_samples: int = 200) -> dict:
+_WIGNER_LIMITS = {
+    "orthogonality": 1e-10,
+    "commutation": CERT_TOL,
+    "drift": CERT_TOL,
+    "steady_state": CERT_TOL,
+}
+_STRUCTURE = {}  # basis bytes -> T_ijk = Tr(s_i s_j s_k) / 2
+
+
+def _structure_constants(basis) -> np.ndarray:
+    """T_ijk = Tr(s_i s_j s_k)/2 = d_ijk + i f_ijk over the traceless basis.
+
+    Built on first use and kept per basis, so a dimension pays for it once.
+    """
+    key = basis.elements.tobytes()
+    if key not in _STRUCTURE:
+        s = basis.traceless
+        _STRUCTURE[key] = 0.5 * np.einsum("iab,jbc,kca->ijk", s, s, s, optimize=True)
+    return _STRUCTURE[key]
+
+
+def _act_on_tensor(t0: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """t0 applied to all three indices: sum_ijk t0_ai t0_bj t0_ck tensor_ijk."""
+    for _ in range(3):
+        tensor = np.moveaxis(tensor @ t0.T, -1, 0)
+    return tensor
+
+
+def certify_wigner(bm: BlochModel, t0: np.ndarray) -> dict:
     """Residuals of the Wigner-symmetry conditions for a candidate t0.
 
-    The sampled state-set test (D > 2) runs only when the algebraic checks
-    pass; otherwise ``state_set`` is reported as ``nan``.
+    The algebraic checks are orthogonality, commutation with l0 and the
+    fixed drift and steady state.  An orthogonal t0 maps states to states
+    exactly when it is a Jordan automorphism, i.e. when it preserves the
+    symmetric structure tensor d_ijk of the basis (Kadison; Wigner's
+    theorem), so ``state_set`` is max|t0.d - d| with t0 acting on all three
+    indices.  It is computed only when the algebraic checks pass and is
+    ``nan`` otherwise.  d vanishes for a qubit, where every orthogonal t0
+    qualifies.  A certified t0 preserves the antisymmetric tensor f_ijk
+    (unitary) or flips its sign (antiunitary); ``antiunitary`` records
+    which, and is ``None`` when ``state_set`` was not computed.  For a
+    qubit it equals det t0 < 0.  ``failed`` names the first check that
+    fails, in report order, or is ``None``.
     """
     t0 = np.asarray(t0, dtype=float)
     n = bm.n_coords
@@ -378,34 +416,19 @@ def certify_wigner(bm: BlochModel, t0: np.ndarray, n_state_samples: int = 200) -
         "steady_state": float(
             np.linalg.norm(t0 @ bm.x_ss - bm.x_ss) / max(np.linalg.norm(bm.x_ss), 1e-300)
         ),
-        "state_set": 0.0,
+        "state_set": float("nan"),
+        "antiunitary": None,
     }
-    algebraic = (
-        report["orthogonality"] <= 1e-10
-        and report["commutation"] <= CERT_TOL
-        and report["drift"] <= CERT_TOL
-        and report["steady_state"] <= CERT_TOL
-    )
-    if bm.dim > 2 and not algebraic:
-        report["state_set"] = float("nan")
-    elif bm.dim > 2:
-        rng = np.random.default_rng(n)
-        worst = 0.0
-        for _ in range(n_state_samples):
-            psi = random_pure_ket(bm.dim, rng)
-            x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
-            image = bloch_to_rho(t0 @ x, bm.basis)
-            worst = max(worst, -float(np.min(np.linalg.eigvalsh(image))))
-        report["state_set"] = worst
-    report["certified"] = algebraic and report["state_set"] <= 1e-8
+    if all(report[key] <= limit for key, limit in _WIGNER_LIMITS.items()):
+        tensor = _structure_constants(bm.basis)
+        image = _act_on_tensor(t0, tensor)
+        report["state_set"] = float(np.max(np.abs(image.real - tensor.real)))
+        f, f_image = tensor.imag, image.imag
+        report["antiunitary"] = bool(np.linalg.norm(f_image + f) < np.linalg.norm(f_image - f))
+    limits = dict(_WIGNER_LIMITS, state_set=CERT_TOL)
+    report["failed"] = next((key for key, limit in limits.items() if not report[key] <= limit), None)
+    report["certified"] = report["failed"] is None
     return report
-
-
-def _antiunitary_flag(bm: BlochModel, t0: np.ndarray) -> bool | None:
-    """For a qubit the Bloch action decides the dichotomy by orientation."""
-    if bm.dim == 2:
-        return bool(np.linalg.det(t0) < 0)
-    return None
 
 
 def _lie_generators(bm: BlochModel) -> list:
@@ -435,30 +458,48 @@ def lie_element(gen: np.ndarray, angle: float) -> np.ndarray:
     return la.expm(angle * np.asarray(gen, dtype=float))
 
 
-def _signed_permutations(n: int):
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            t = np.zeros((n, n))
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                t[row, col] = s
-            yield t
+def _free_components(bm: BlochModel) -> tuple:
+    """Components of the coupling graph that a sign flip may negate.
 
-
-def _diagonal_signs(n: int):
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        yield np.diag(np.array(signs))
+    Coordinates i and j are linked when max(|l0_ij|, |l0_ji|) exceeds
+    (CERT_TOL/2) ||l0||: a flip across the link moves t0 l0 t0 by twice
+    that entry, which already breaks commutation.  For the same reason a
+    component holding a coordinate with |b_i| or |x_ss,i| above CERT_TOL/2
+    of its norm stays fixed.  Returns the number of components and the
+    free ones, each as the index array of its coordinates, ordered by their
+    first coordinate.
+    """
+    n = bm.n_coords
+    half = 0.5 * CERT_TOL
+    coupled = np.abs(bm.l0) > half * np.linalg.norm(bm.l0, 2)
+    reach = coupled | coupled.T | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    root = np.argmax(reach, axis=1)  # first coordinate of each one's component
+    pinned = (np.abs(bm.b) > half * np.linalg.norm(bm.b)) | (
+        np.abs(bm.x_ss) > half * np.linalg.norm(bm.x_ss)
+    )
+    roots = np.flatnonzero(root == np.arange(n))
+    return len(roots), [np.flatnonzero(root == r) for r in roots if not pinned[root == r].any()]
 
 
 def find_wigner_symmetries(bm: BlochModel, rep_angle: float = np.pi / 3) -> list:
-    """Orthogonal symmetries of the generator.
+    """Orthogonal symmetries of the generator, each certified exactly.
 
     The connected component is found by solving the linear commutant problem
     for antisymmetric generators; each one is reported as a representative
     rotation by ``rep_angle`` carrying its generator.  Discrete candidates
-    are screened from signed permutation matrices (diagonal sign flips only
-    once the coordinate count makes full enumeration unreasonable).
+    are the coordinate sign flips that are constant on each component of
+    the generator's coupling graph and leave the drift and steady state
+    alone (see :func:`_free_components`); every flip that can pass
+    the algebraic checks is among them.  :func:`certify_wigner` decides
+    each one through the structure constants, and sets ``antiunitary`` for
+    every D.  Symmetries outside the rotations and the sign flips, such as
+    the coordinate swaps of a qubit's rotation axis, are not listed; on a
+    qubit with a rotation generator those swaps are products of a reported
+    rotation and a reported flip.  The screen's counts go to the
+    ``preforge`` logger at debug level.
     """
-    n = bm.n_coords
     out = []
     for g_idx, gen in enumerate(_lie_generators(bm)):
         t0 = lie_element(gen, rep_angle)
@@ -467,20 +508,33 @@ def find_wigner_symmetries(bm: BlochModel, rep_angle: float = np.pi / 3) -> list
             out.append(
                 WignerSymmetry(
                     t0=t0,
-                    antiunitary=_antiunitary_flag(bm, t0),
+                    antiunitary=report["antiunitary"],
                     generator_tag=f"rotation[{g_idx}] angle={rep_angle:.6g}",
                     generator=gen,
                 )
             )
-    candidates = _signed_permutations(n) if n <= 3 else _diagonal_signs(n)
-    for t0 in candidates:
-        if np.max(np.abs(t0 - np.eye(n))) < 1e-12:
-            continue
+    # The flips constant on each free component, in product order over the
+    # components and without the identity; for components ordered by their
+    # first coordinate this is the order of a product over coordinates.
+    n_components, free = _free_components(bm)
+    counts = collections.Counter()
+    for signs in itertools.islice(itertools.product((1.0, -1.0), repeat=len(free)), 1, None):
+        diagonal = np.ones(bm.n_coords)
+        for coords, sign in zip(free, signs):
+            diagonal[coords] = sign
+        t0 = np.diag(diagonal)
         report = certify_wigner(bm, t0)
+        counts["tested"] += 1
+        counts[report["failed"] or "certified"] += 1
         if report["certified"]:
-            out.append(
-                WignerSymmetry(t0=t0, antiunitary=_antiunitary_flag(bm, t0))
-            )
+            out.append(WignerSymmetry(t0=t0, antiunitary=report["antiunitary"]))
+    _log.debug(
+        "wigner symmetries: %d coupling components, %d free components, "
+        "%d candidates tested, %d certified, %d rejected by commutation, "
+        "%d rejected by drift, %d rejected by steady state, %d rejected by state set",
+        n_components, len(free), counts["tested"], counts["certified"], counts["commutation"],
+        counts["drift"], counts["steady_state"], counts["state_set"],
+    )
     return out
 
 

@@ -449,3 +449,19 @@ def test_criterion_11_d4_subspace_detection(cascade_d4_bm):
         f"D=4 cascade: {len(subs)} invariant subspaces, each certified with a pure "
         f"witness in its slice, {elapsed:.1f}s",
     )
+
+
+def test_criterion_12_d4_wigner_detection(cascade_d4_bm):
+    bm = cascade_d4_bm
+    start = time.perf_counter()
+    syms = find_wigner_symmetries(bm)
+    elapsed = time.perf_counter() - start
+    ok = len(syms) == 4
+    for w in syms:
+        ok = ok and certify_wigner(bm, w.t0)["certified"] and isinstance(w.antiunitary, bool)
+    _report(
+        12,
+        ok and elapsed <= 2.0,
+        f"D=4 cascade: {len(syms)} Wigner symmetries, each certified with its "
+        f"unitary/antiunitary type decided, {elapsed:.2f}s",
+    )

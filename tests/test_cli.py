@@ -130,6 +130,39 @@ def test_directory_as_file_path_is_usage_error(capsys, tmp_path, extra):
     assert "Traceback" not in err
 
 
+SEARCH_RF = ("search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18", "--k", "2")
+
+
+def test_search_checks_output_path_before_solving(capsys, tmp_path, monkeypatch):
+    import preforge.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_numeric ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve_numeric", no_solve)
+    for target in (tmp_path, tmp_path / "missing" / "bundle.json"):
+        code, _, err = run(capsys, *SEARCH_RF, "-o", str(target))
+        assert code == 2
+        assert err.startswith("error:") and err.count("error:") == 1 and str(target) in err
+
+
+def test_failed_search_leaves_no_output_file(capsys, tmp_path, monkeypatch):
+    import preforge.cli as cli
+    from preforge.errors import ConvergenceError
+
+    def failing_solve(*args, **kwargs):
+        raise ConvergenceError("solver failed")
+
+    monkeypatch.setattr(cli, "solve_numeric", failing_solve)
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier bundle\n")
+    for target in (fresh, kept):
+        code, _, err = run(capsys, *SEARCH_RF, "-o", str(target))
+        assert code == 3 and "numerical failure" in err
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier bundle\n"
+
+
 def test_search_warns_below_heuristic(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -293,3 +293,110 @@ def test_state_set_sampled_only_after_algebraic_checks(cascade_d3_bm):
         assert report["certified"] == (passed and report["state_set"] <= 1e-8)
     assert algebraic == 8  # the identity and 7 sign flips
     assert len(find_wigner_symmetries(bm)) == 4
+
+
+def _sampled_state_set(bm, t0, n_samples=200):
+    """Reference state-set test: worst negative eigenvalue over seeded pure-state images."""
+    rng = np.random.default_rng(bm.n_coords)
+    worst = 0.0
+    for _ in range(n_samples):
+        psi = random_pure_ket(bm.dim, rng)
+        x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+        worst = max(worst, -float(np.min(np.linalg.eigvalsh(bloch_to_rho(t0 @ x, bm.basis)))))
+    return worst
+
+
+def _depolarizing_bm(dim):
+    """l0 proportional to the identity and b = 0: every (anti)unitary map is a symmetry."""
+    from preforge.algebra import build_basis
+    from preforge.model import MasterEquation, vectorize
+
+    return vectorize(MasterEquation(dim, np.zeros((dim, dim)), list(build_basis(dim).traceless)))
+
+
+def _coherence_map(bm, u, antiunitary):
+    """Coherence-space matrix of rho -> U rho U^+ (or U rho* U^+)."""
+    s = bm.basis.traceless
+    images = [u @ (m.conj() if antiunitary else m) @ u.conj().T for m in s]
+    return np.array([[0.5 * np.trace(si @ img).real for img in images] for si in s])
+
+
+def test_structure_certificate_matches_sampled_state_test(cascade_d3_bm):
+    bm = cascade_d3_bm
+    rejected = 0
+    for signs in itertools.product((1.0, -1.0), repeat=bm.n_coords):
+        t0 = np.diag(signs)
+        report = certify_wigner(bm, t0)
+        algebraic = not np.isnan(report["state_set"])
+        reference = algebraic and _sampled_state_set(bm, t0) <= 1e-8
+        assert report["certified"] == reference
+        if algebraic and not reference:
+            rejected += 1
+            assert report["state_set"] >= 0.5 and report["failed"] == "state_set"
+    assert rejected == 4
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_haar_coherence_maps_certify_with_their_dichotomy(dim):
+    bm = _depolarizing_bm(dim)
+    rng = np.random.default_rng(dim)
+    for antiunitary in (False, True, False, True):
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        report = certify_wigner(bm, _coherence_map(bm, u, antiunitary))
+        assert report["certified"], report
+        assert report["state_set"] <= 1e-12
+        assert report["antiunitary"] is antiunitary
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_orthogonal_map_that_is_not_jordan_fails_state_set(dim):
+    bm = _depolarizing_bm(dim)
+    q, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(bm.n_coords, bm.n_coords)))
+    report = certify_wigner(bm, q)
+    assert report["orthogonality"] <= 1e-10 and report["commutation"] <= 1e-8
+    assert report["failed"] == "state_set" and report["state_set"] > 0.1
+    assert not report["certified"]
+    assert _sampled_state_set(bm, q) > 1e-8  # the map really leaves the state set
+
+
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            t = np.zeros((n, n))
+            for row, (col, s) in enumerate(zip(perm, signs)):
+                t[row, col] = s
+            yield t
+
+
+def test_qubit_signed_permutations_lie_in_the_reported_group(ae_bm):
+    syms = find_wigner_symmetries(ae_bm)
+    (gen,) = [w.generator for w in syms if w.generator is not None]
+    flips = [np.eye(3)] + [w.t0 for w in syms if w.generator is None]
+    plane = -gen @ gen  # projector onto the rotation plane
+    certified = 0
+    for t in _signed_permutations(3):
+        if np.array_equal(t, np.eye(3)) or not certify_wigner(ae_bm, t)["certified"]:
+            continue
+        certified += 1
+        matches = []
+        for f in flips:
+            rot = t @ f.T
+            # exp(angle gen) = 1 - plane + cos(angle) plane + sin(angle) gen
+            angle = np.arctan2(-np.trace(gen @ rot), np.trace(plane @ rot))
+            matches.append(np.max(np.abs(lie_element(gen, angle) @ f - t)) <= 1e-12)
+        assert any(matches), t
+    assert certified == 7  # 3 flips and 4 swaps of the x and y axes
+
+
+def test_wigner_screen_logs_its_counts(cascade_d3_bm, caplog):
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        syms = find_wigner_symmetries(cascade_d3_bm)
+    (message,) = [r.getMessage() for r in caplog.records if "wigner symmetries" in r.getMessage()]
+    parts = (part.split(" ", 1) for part in message.split(": ", 1)[1].split(", "))
+    counts = {label: int(value) for value, label in parts}
+    assert counts["coupling components"] == 4 and counts["free components"] == 3
+    assert counts["candidates tested"] == 2**3 - 1
+    assert counts["certified"] == len([w for w in syms if w.generator is None]) == 3
+    assert counts["rejected by state set"] == 4
+    assert counts["rejected by commutation"] + counts["rejected by drift"] == 0
+    assert counts["rejected by steady state"] == 0
