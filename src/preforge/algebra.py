@@ -8,10 +8,10 @@ has squared coherence-vector length ``D(D-1)/2`` and purity obeys
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import ConvergenceError, DimensionError, NormalizationError, ShapeError
 
@@ -25,6 +25,10 @@ __all__ = [
     "pure_radius_sq",
     "coordinate_rep",
     "eig_full",
+    "expm",
+    "exp_flow",
+    "null_space",
+    "orth",
 ]
 
 
@@ -134,6 +138,71 @@ def coordinate_rep(sop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     return (flat.conj() @ sop @ flat.T).real / norms[:, None]
 
 
+def _svd_rank(s: np.ndarray, shape: tuple, rcond: float | None) -> int:
+    """Number of singular values above rcond * s_max (default eps * max(M, N))."""
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(shape)
+    return int(np.sum(s > rcond * np.amax(s, initial=0.0)))
+
+
+def null_space(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``, as columns (one SVD)."""
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_svd_rank(s, a.shape, rcond):].conj().T
+
+
+def orth(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the column span of ``a``, as columns (one SVD)."""
+    a = np.asarray(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _svd_rank(s, a.shape, rcond)]
+
+
+# Taylor degree of exp_flow: at ||x||_1 <= 1/2 the truncated tail of exp(x)
+# is below 2^-19 / 19! (about 2e-23) relative, far under one rounding.
+_TAYLOR_DEGREE = 18
+_TAYLOR_ORDERS = np.arange(_TAYLOR_DEGREE + 1)
+_TAYLOR_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in _TAYLOR_ORDERS])
+
+
+def exp_flow(b: np.ndarray):
+    """``tau -> exp(tau * b)`` by scaling and squaring a degree-18 Taylor sum.
+
+    The powers of b / ||b||_1 are formed once.  For each real tau the step
+    tau * b is halved s times until its 1-norm is at most 1/2; its Taylor sum
+    is then one weighted sum of the stored powers, squared s times.
+    """
+    b = np.asarray(b)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ShapeError(f"expected square matrix, got {b.shape}")
+    n = b.shape[0]
+    norm = float(np.linalg.norm(b, 1))
+    if not np.isfinite(norm):
+        raise ShapeError("matrix has non-finite entries")
+    unit = b / norm if norm > 0 else b
+    powers = [np.eye(n, dtype=unit.dtype)]
+    for _ in range(_TAYLOR_DEGREE):
+        powers.append(powers[-1] @ unit)
+    powers = np.reshape(powers, (_TAYLOR_DEGREE + 1, n * n))
+
+    def at(tau: float) -> np.ndarray:
+        step = abs(tau) * norm
+        squarings = math.ceil(math.log2(2.0 * step)) if step > 0.5 else 0
+        h = tau * norm / 2.0**squarings
+        out = ((h**_TAYLOR_ORDERS * _TAYLOR_INV_FACTORIALS) @ powers).reshape(n, n)
+        for _ in range(squarings):
+            out = out @ out
+        return out
+
+    return at
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential exp(a), see :func:`exp_flow`."""
+    return exp_flow(a)(1.0)
+
+
 @dataclass
 class EigenCluster:
     """One eigenvalue cluster with multiplicities and any Jordan chains."""
@@ -214,7 +283,7 @@ def eig_full(m: np.ndarray, tol_scale: float = 1e-8) -> Spectrum:
             used[j] = True
         value = vals[group].mean()
         shifted = m - value * np.eye(n)
-        null = la.null_space(shifted, rcond=tol / scale)
+        null = null_space(shifted, rcond=tol / scale)
         geometric = null.shape[1] if null.size else 0
         cluster = EigenCluster(
             value=value,

@@ -350,6 +350,7 @@ def cmd_verify(args) -> int:
 def cmd_scheme(args) -> int:
     me = _load_model(args.spec, _parse_params(args.param))
     ens = _load_ensemble(args.ensemble)
+    _check_writable(args.output)
     scheme = synthesize(me, ens)
     doc = {
         "settings": [
@@ -383,8 +384,10 @@ def cmd_scheme(args) -> int:
 def cmd_simulate(args) -> int:
     me = _load_model(args.spec, _parse_params(args.param))
     ens = _load_ensemble(args.ensemble)
-    scheme = synthesize(me, ens)
     cfg = TrajectoryConfig(n_jumps=args.jumps, rng_seed=args.rng)
+    _check_writable(args.events)
+    _check_writable(args.output)
+    scheme = synthesize(me, ens)
     stats = simulate(me, scheme, ens, cfg)
     print(f"jumps recorded: {stats.n_jumps}, total time {stats.total_time:.4g}")
     print("occupancy:", " ".join(f"{v:.6f}" for v in stats.occupancy))
@@ -425,7 +428,7 @@ def cmd_simulate(args) -> int:
     )
     if args.output:
         _emit(bundle, args.output)
-    return EXIT_OK
+    return EXIT_FAILED_CHECK if args.unconditional and not rep.passed else EXIT_OK
 
 
 def cmd_scan(args) -> int:
@@ -442,6 +445,7 @@ def cmd_scan(args) -> int:
     if args.subspace_span:
         rows = [list(map(float, row.split(","))) for row in args.subspace_span.split(";")]
         span = np.asarray(rows, dtype=float).T
+    _check_writable(args.output)
 
     def bm_factory(value):
         bound = dict(params)

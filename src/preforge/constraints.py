@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
-from .algebra import build_basis, bloch_to_rho, pure_radius_sq, random_pure_ket, rho_to_bloch
+from .algebra import build_basis, bloch_to_rho, null_space, pure_radius_sq, random_pure_ket, rho_to_bloch
 from .errors import EnsembleError, PermutationError, SubspaceError
 from .model import BlochModel, lindbladian
 
@@ -68,7 +67,7 @@ def stationary_occupations(kappa: np.ndarray) -> np.ndarray:
     """Stationary distribution of the rate matrix (kappa_jk = rate j <- k)."""
     k = kappa.shape[0]
     gen = kappa - np.diag(kappa.sum(axis=0))
-    null = la.null_space(gen, rcond=1e-10)
+    null = null_space(gen, rcond=1e-10)
     if null.shape[1] != 1:
         raise EnsembleError("rate matrix has no unique stationary distribution")
     w = null[:, 0].real

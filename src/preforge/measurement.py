@@ -15,9 +15,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
-from .algebra import bloch_to_rho, build_basis, coordinate_rep, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, coordinate_rep, expm, null_space, rho_to_bloch
 from .constraints import Ensemble
 from .errors import SynthesisError
 from .model import (

@@ -18,9 +18,17 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from .algebra import bloch_to_rho, build_basis, eig_full, random_pure_ket, rho_to_bloch
+from .algebra import (
+    bloch_to_rho,
+    build_basis,
+    eig_full,
+    expm,
+    null_space,
+    orth,
+    random_pure_ket,
+    rho_to_bloch,
+)
 from .constraints import Ensemble, _levenberg_marquardt
 from .errors import ShapeError, SubspaceError, SymmetryViolationError
 from .model import BlochModel
@@ -87,13 +95,6 @@ class WignerSymmetry:
     antiunitary: bool
     generator_tag: str | None = None
     generator: np.ndarray | None = None
-
-
-def _orthonormalize(columns: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span (SVD-based, rank-revealing)."""
-    q, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > rcond * (s[0] if s.size else 1.0)))
-    return q[:, :rank]
 
 
 class _KetSlice:
@@ -179,7 +180,7 @@ def _certified_subspace(
     """
     counts = collections.Counter() if counts is None else counts
     counts["tested"] += 1
-    basis_r0 = la.null_space(basis_i0.T)  # (n_coords, 0) for the whole space
+    basis_r0 = null_space(basis_i0.T)  # (n_coords, 0) for the whole space
     cert = _certificate(bm, basis_i0, basis_r0)
     if cert > CERT_TOL:
         counts["not invariant"] += 1
@@ -247,7 +248,7 @@ def find_invariant_subspaces(
                     atoms.append((cols, f"pair(re={cluster.value.real:.6g})", None))
         else:
             space = _realify([cluster.vectors[:, i] for i in range(cluster.vectors.shape[1])])
-            space = _orthonormalize(space)
+            space = orth(space, rcond=1e-10)
             m = space.shape[1]
             if m == 1:
                 atoms.append((space, f"eig({cluster.value.real:.6g})", None))
@@ -269,7 +270,7 @@ def find_invariant_subspaces(
                 atoms.append((space, f"eig({cluster.value.real:.6g})-space", None))
         for chain in cluster.jordan_chains:
             for j in range(2, len(chain) + 1):
-                cols = _orthonormalize(_realify(chain[:j]))
+                cols = orth(_realify(chain[:j]), rcond=1e-10)
                 atoms.append((cols, f"chain(len={j},eig={cluster.value.real:.6g})", None))
 
     # Witness existence is monotone: a span of atoms holds the slice of
@@ -282,7 +283,7 @@ def find_invariant_subspaces(
 
     for size in range(1, len(atoms) + 1):
         for combo in itertools.combinations(range(len(atoms)), size):
-            basis_i0 = _orthonormalize(np.column_stack([atoms[i][0] for i in combo]))
+            basis_i0 = orth(np.column_stack([atoms[i][0] for i in combo]), rcond=1e-10)
             if not (n_min <= basis_i0.shape[1] <= n_max):
                 continue
             proj = basis_i0 @ basis_i0.T
@@ -327,7 +328,7 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
         raise ShapeError(
             f"span vectors need D^2-1 = {bm.n_coords} coordinates; got shape {np.shape(columns)}"
         )
-    basis_i0 = _orthonormalize(span)
+    basis_i0 = orth(span, rcond=1e-10)
     if basis_i0.shape[1] == 0:
         raise SubspaceError("span has rank 0: it needs at least one nonzero vector")
     return _certified_subspace(bm, basis_i0, family, ("explicit",))
@@ -441,7 +442,7 @@ def _lie_generators(bm: BlochModel) -> list:
         a[i, j], a[j, i] = 1.0, -1.0
         cols.append(np.concatenate([(a @ bm.l0 - bm.l0 @ a).ravel(), a @ bm.b]))
     system = np.column_stack(cols) if cols else np.zeros((n * n + n, 0))
-    null = la.null_space(system, rcond=1e-10)
+    null = null_space(system, rcond=1e-10)
     gens = []
     for idx in range(null.shape[1]):
         a = np.zeros((n, n))
@@ -455,7 +456,7 @@ def _lie_generators(bm: BlochModel) -> list:
 
 def lie_element(gen: np.ndarray, angle: float) -> np.ndarray:
     """Group element exp(angle * generator)."""
-    return la.expm(angle * np.asarray(gen, dtype=float))
+    return expm(angle * np.asarray(gen, dtype=float))
 
 
 def _free_components(bm: BlochModel) -> tuple:

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
-from .algebra import bloch_to_rho, build_basis, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, exp_flow, expm, orth, rho_to_bloch
 from .constraints import Ensemble
 from .errors import ConvergenceError, RealizationError
 from .measurement import NO_TARGET, AdaptiveScheme
@@ -64,6 +63,8 @@ class TrajectoryConfig:
             raise ValueError("record policy must be 'jumps-only' or 'strided'")
         if self.stride < 1:
             raise ValueError("stride must be a positive click count")
+        if self.n_jumps is not None and self.n_jumps < 1:
+            raise ValueError(f"jump count must be positive, got {self.n_jumps}")
 
 
 @dataclass
@@ -90,19 +91,19 @@ class _ClickEngine:
         self.lam = lam
         self.v = v
         self.vinv = np.linalg.inv(v) if np.linalg.cond(v) <= _DEFECTIVE_COND else None
+        self.exp_h = exp_flow(-1j * self.h) if self.vinv is None else None
         scale = max(np.linalg.norm(self.h, 2), 1e-300)
         self.tau_unit = 1.0 / scale
         # Eigenvectors that never decay are annihilated by every jump operator
         # and orthogonal to all decaying (generalized) eigenvectors, so the
         # no-jump norm tends to the weight of psi on their span.
         dark = lam.imag >= -_DARK_TOL * scale
-        self.dark = la.orth(v[:, dark]) if dark.any() else None
+        self.dark = orth(v[:, dark]) if dark.any() else None
 
     def _flow(self, psi):
         """tau -> exp(-i H'_eff tau) psi, unnormalized."""
         if self.vinv is None:
-            h = self.h
-            return lambda tau: la.expm(-1j * tau * h) @ psi
+            return lambda tau: self.exp_h(tau) @ psi
         v, lam, w = self.v, self.lam, self.vinv @ psi
         return lambda tau: v @ (np.exp(-1j * tau * lam) * w)
 
@@ -308,6 +309,8 @@ def unconditional_check(
     The reference is the exact matrix-exponential propagation of the
     generator in coordinate representation.
     """
+    if n_trajectories < 1:
+        raise ValueError(f"trajectory count must be positive, got {n_trajectories}")
     cfg = TrajectoryConfig() if cfg is None else cfg
     bm = vectorize(me)
     t_max = cfg.t_max if cfg.t_max is not None else 2.0 / max(np.linalg.norm(bm.l0, 2), 1e-300)
@@ -349,7 +352,7 @@ def unconditional_check(
     distances = np.empty(len(times))
     exact = np.empty_like(averages)
     for c_idx, t_check in enumerate(times):
-        r_t = la.expm(rep * t_check) @ r0
+        r_t = expm(rep * t_check) @ r0
         exact[c_idx] = bloch_to_rho(r_t[:n] / r_t[n], bm.basis)
         distances[c_idx] = float(np.linalg.norm(averages[c_idx] - exact[c_idx]))
     return UnconditionalReport(

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from preforge.algebra import (
     build_basis,
     bloch_to_rho,
     eig_full,
+    exp_flow,
+    expm,
+    null_space,
+    orth,
     pure_radius_sq,
     random_density_matrix,
     rho_to_bloch,
@@ -180,3 +185,115 @@ def test_jordan_chain_residuals(rng):
 def test_eig_full_rejects_nonsquare():
     with pytest.raises(ShapeError):
         eig_full(np.zeros((2, 3)))
+
+
+# scipy.linalg is the reference for the numpy-only expm / null_space / orth.
+
+
+def _assert_expm_matches(a, rtol):
+    got, want = expm(a), la.expm(a)
+    assert np.all(np.isfinite(want))
+    # Divided by the largest entry so that norms of entries near 1e300 stay finite.
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.linalg.norm((got - want) / scale) <= rtol * np.linalg.norm(want / scale)
+
+
+def test_expm_matches_scipy_on_rotation_generators(ae_bm):
+    from preforge.symmetry import find_wigner_symmetries
+
+    gens = [w.generator for w in find_wigner_symmetries(ae_bm) if w.generator is not None]
+    assert gens
+    for gen in gens:
+        for angle in (0.1, 2 * np.pi / 3, np.pi, 7.5, 100.0):
+            _assert_expm_matches(angle * gen, 1e-12)
+
+
+@pytest.mark.parametrize("model", ["rf", "ae", "cascade_d3"])
+def test_expm_matches_scipy_on_augmented_generators(model, request):
+    bm = request.getfixturevalue(f"{model}_bm")
+    n = bm.n_coords
+    rep = np.block([[bm.l0, bm.b[:, None]], [np.zeros(n + 1)]])
+    for t in (0.5, 2.0, 20.0):
+        _assert_expm_matches(rep * t, 1e-12)
+
+
+def test_expm_matches_scipy_on_jordan_block():
+    h_eff = np.array([[-0.5j, 0.5], [0.0, -0.5j]])
+    flow = exp_flow(-1j * h_eff)
+    for tau in np.concatenate([[0.0], np.logspace(-6, 6, 49)]):
+        _assert_expm_matches(-1j * tau * h_eff, 1e-12)
+        want = la.expm(-1j * tau * h_eff)
+        assert np.linalg.norm(flow(tau) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_expm_matches_scipy_on_random_complex_matrices(n):
+    rng = np.random.default_rng(100 + n)
+    for norm in np.logspace(-3, 3, 13):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        _assert_expm_matches(a * (norm / np.linalg.norm(a, 2)), 1e-10)
+
+
+def test_expm_of_zero_and_diagonal():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    d = np.array([-2.0, 0.5, 3.0])
+    assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+
+
+def test_expm_rejects_bad_input():
+    with pytest.raises(ShapeError):
+        expm(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _rank_test_matrices():
+    rng = np.random.default_rng(5)
+    full = rng.normal(size=(4, 6))
+    deficient = rng.normal(size=(7, 2)) @ rng.normal(size=(2, 5))
+    cplx = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))) @ (
+        rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    )
+    square = rng.normal(size=(5, 5))
+    return {"full-rank": full, "rank-deficient": deficient, "complex": cplx, "square": square}
+
+
+def _assert_orthonormal_columns(q):
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-14
+
+
+@pytest.mark.parametrize("rcond", [None, 1e-10])
+@pytest.mark.parametrize("name", ["full-rank", "rank-deficient", "complex", "square"])
+def test_null_space_matches_scipy(name, rcond):
+    a = _rank_test_matrices()[name]
+    null, want = null_space(a, rcond), la.null_space(a, rcond)
+    assert null.shape == want.shape
+    _assert_orthonormal_columns(null)
+    assert np.linalg.norm(a @ null) <= 1e-12 * np.linalg.norm(a)
+    # Same subspace: equal orthogonal projectors.
+    assert np.linalg.norm(null @ null.conj().T - want @ want.conj().T) <= 1e-12
+
+
+def test_null_space_of_full_rank_square_matrix_is_empty():
+    a = _rank_test_matrices()["square"]
+    null = null_space(a)
+    assert null.shape == (5, 0)
+    assert la.null_space(a).shape == (5, 0)
+
+
+@pytest.mark.parametrize("rcond", [None, 1e-10])
+@pytest.mark.parametrize("name", ["full-rank", "rank-deficient", "complex", "square"])
+def test_orth_matches_scipy(name, rcond):
+    a = _rank_test_matrices()[name]
+    q, want = orth(a, rcond), la.orth(a, rcond)
+    assert q.shape == want.shape
+    _assert_orthonormal_columns(q)
+    assert np.linalg.norm(a - q @ (q.conj().T @ a)) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(q @ q.conj().T - want @ want.conj().T) <= 1e-12
+
+
+def test_rank_cut_follows_rcond():
+    a = np.diag([1.0, 1e-6, 1e-12])
+    assert null_space(a, rcond=1e-8).shape == (3, 1) == la.null_space(a, rcond=1e-8).shape
+    assert orth(a, rcond=1e-8).shape == (3, 2) == la.orth(a, rcond=1e-8).shape
+    assert null_space(a).shape == (3, 0) == la.null_space(a).shape

@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -594,3 +595,104 @@ def test_unknown_parameter_is_usage_error(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and f"'{name}'" in err
+
+
+RF_MODEL = ("resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18")
+
+
+@pytest.fixture()
+def rf_ensemble_file(tmp_path, rf_bm):
+    from preforge.solver import analytic_k2
+
+    sols = analytic_k2(rf_bm)
+    ens = next(
+        e for e, t in zip(sols.ensembles, sols.family_tags) if abs(t["eigenvalue"] + 0.5) < 1e-9
+    )
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"dim": 2, "states": ens.states.tolist(), "kappa": ens.kappa.tolist()}))
+    return path
+
+
+def _forbid(monkeypatch, name):
+    import preforge.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, name, forbidden)
+
+
+def _assert_unusable_path_error(code, err, target):
+    assert code == 2
+    assert err.startswith("error:") and err.count("error:") == 1 and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_scan_checks_output_path_before_scanning(capsys, tmp_path, monkeypatch):
+    _forbid(monkeypatch, "scan_existence")
+    _forbid(monkeypatch, "find_wigner_symmetries")
+    for target in (tmp_path, tmp_path / "missing" / "scan.csv"):
+        code, _, err = run(
+            capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+            "--values", "0.04:0.08:0.02", "--k", "3", "--quotient", "auto", "-o", str(target),
+        )
+        _assert_unusable_path_error(code, err, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_scheme_checks_output_path_before_synthesis(capsys, tmp_path, monkeypatch, rf_ensemble_file):
+    _forbid(monkeypatch, "synthesize")
+    (tmp_path / "out_dir").mkdir()
+    for target in (tmp_path / "out_dir", tmp_path / "missing" / "scheme.json"):
+        code, _, err = run(capsys, "scheme", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "-o", str(target))
+        _assert_unusable_path_error(code, err, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json", "out_dir"]
+
+
+@pytest.mark.parametrize("bad", ["--events", "-o"])
+def test_simulate_checks_output_paths_before_simulating(capsys, tmp_path, monkeypatch, rf_ensemble_file, bad):
+    _forbid(monkeypatch, "synthesize")
+    _forbid(monkeypatch, "simulate")
+    good = "-o" if bad == "--events" else "--events"
+    fresh = tmp_path / "fresh.out"
+    for target in (tmp_path, tmp_path / "missing" / "file.out"):
+        code, _, err = run(
+            capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "10",
+            good, str(fresh), bad, str(target),
+        )
+        _assert_unusable_path_error(code, err, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
+
+
+def test_failed_unconditional_check_exits_one(capsys, tmp_path, rf_ensemble_file):
+    # One trajectory cannot reproduce the mixed unconditional state.
+    bundle_path = tmp_path / "sim.json"
+    code, out, _ = run(
+        capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "50",
+        "--unconditional", "--trajectories", "1", "-o", str(bundle_path),
+    )
+    assert code == 1
+    assert "unconditional max distance" in out
+    assert json.loads(bundle_path.read_text())["results"]["unconditional"]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--jumps", "0"), "jump count must be positive"),
+        (("--jumps", "-5"), "jump count must be positive"),
+        (("--unconditional", "--trajectories", "0"), "trajectory count must be positive"),
+        (("--unconditional", "--trajectories", "-3"), "trajectory count must be positive"),
+    ],
+)
+def test_simulate_rejects_non_positive_counts(capsys, tmp_path, rf_ensemble_file, flags, message):
+    bundle_path = tmp_path / "sim.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "20", *flags,
+            "-o", str(bundle_path),
+        )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not bundle_path.exists()

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from preforge.algebra import bloch_to_rho, pure_radius_sq, random_pure_ket, rho_to_bloch
+from preforge.algebra import bloch_to_rho, orth, pure_radius_sq, random_pure_ket, rho_to_bloch
 from preforge.constraints import build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
 from preforge.solver import analytic_k2, ensemble_distance
 from preforge.symmetry import (
-    _orthonormalize,
     _pure_witness,
     apply_wigner,
     block_form,
@@ -257,7 +256,7 @@ def test_witness_found_on_slices_through_a_pure_state(model, request):
             psi = random_pure_ket(bm.dim, rng)
             x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
             cols = np.column_stack([x - bm.x_ss, rng.normal(size=(bm.n_coords, n_sub - 1))])
-            basis_i0 = _orthonormalize(cols)
+            basis_i0 = orth(cols, rcond=1e-10)
             w = _pure_witness(bm, basis_i0, la.null_space(basis_i0.T))
             assert w is not None
             assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9

@@ -269,3 +269,15 @@ def test_event_log_and_snapshots(ae_me, poles, poles_scheme):
         t_prev = t
     assert stats.snapshots
     assert all(len(x) == 3 for _, x in stats.snapshots)
+
+
+@pytest.mark.parametrize("n_jumps", [0, -5])
+def test_config_rejects_non_positive_jump_count(n_jumps):
+    with pytest.raises(ValueError, match="jump count must be positive"):
+        TrajectoryConfig(n_jumps=n_jumps)
+
+
+@pytest.mark.parametrize("n_trajectories", [0, -3])
+def test_unconditional_check_rejects_non_positive_trajectory_count(rf_me, axis_scheme, n_trajectories):
+    with pytest.raises(ValueError, match="trajectory count must be positive"):
+        unconditional_check(rf_me, axis_scheme, n_trajectories=n_trajectories)
