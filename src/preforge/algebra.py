@@ -24,6 +24,7 @@ __all__ = [
     "bloch_to_rho",
     "pure_radius_sq",
     "coordinate_rep",
+    "block_leak",
     "eig_full",
     "expm",
     "exp_flow",
@@ -136,6 +137,19 @@ def coordinate_rep(sop: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     norms = np.full(len(flat), 2.0)
     norms[-1] = basis.dim
     return (flat.conj() @ sop @ flat.T).real / norms[:, None]
+
+
+def block_leak(mat: np.ndarray, basis_i0: np.ndarray, basis_r0: np.ndarray) -> float:
+    """Relative block ||basis_r0^T mat basis_i0||_2 / ||mat||_2 carrying span(basis_i0) out.
+
+    For orthonormal columns ``basis_i0`` and an orthonormal basis ``basis_r0``
+    of their orthogonal complement it vanishes exactly when ``mat`` maps
+    span(basis_i0) into itself.  It is 0 when either basis is empty.
+    """
+    if basis_i0.size == 0 or basis_r0.size == 0:
+        return 0.0
+    scale = max(np.linalg.norm(mat, 2), 1e-300)
+    return float(np.linalg.norm(basis_r0.T @ mat @ basis_i0, 2) / scale)
 
 
 def _svd_rank(s: np.ndarray, shape: tuple, rcond: float | None) -> int:

@@ -385,6 +385,8 @@ def cmd_simulate(args) -> int:
     me = _load_model(args.spec, _parse_params(args.param))
     ens = _load_ensemble(args.ensemble)
     cfg = TrajectoryConfig(n_jumps=args.jumps, rng_seed=args.rng)
+    if args.trajectories < 1:
+        raise ValueError(f"trajectory count must be positive, got {args.trajectories}")
     _check_writable(args.events)
     _check_writable(args.output)
     scheme = synthesize(me, ens)

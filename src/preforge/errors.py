@@ -49,10 +49,6 @@ class EnsembleError(PreForgeError, ValueError):
     """An ensemble violates purity, positivity, rates or connectivity."""
 
 
-class SymmetryViolationError(PreForgeError, ValueError):
-    """A symmetry image fails to be a valid state/ensemble."""
-
-
 class SynthesisError(PreForgeError, RuntimeError):
     """No measurement scheme was found at tolerance; carries best residual."""
 

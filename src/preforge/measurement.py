@@ -12,11 +12,11 @@ detector mixing.  The detector count is derived: the most any member needs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bloch_to_rho, build_basis, coordinate_rep, expm, null_space, rho_to_bloch
+from .algebra import block_leak, build_basis, coordinate_rep, null_space, orth
 from .constraints import Ensemble
 from .errors import SynthesisError
 from .model import (
@@ -44,6 +44,7 @@ NO_TARGET = -1
 EIGENSTATE_TOL = 1e-8
 DIRECTION_TOL = 1e-8
 RATE_TOL = 1e-6
+PRESERVATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -225,85 +226,55 @@ class OperationVerdict:
     member: int
     operation: str
     preserves: bool
-    max_distance: float
-    witness: np.ndarray | None = None
+    leak: float  # block_leak of the operation out of the slice's state cone
 
 
 @dataclass
 class PreservationReport:
     """Per-operation verdicts for invariant-subspace preservation."""
 
-    verdicts: list = field(default_factory=list)
-    preserves: bool = True
+    verdicts: list
 
-    def add(self, verdict: OperationVerdict):
-        self.verdicts.append(verdict)
-        self.preserves = self.preserves and verdict.preserves
+    @property
+    def preserves(self) -> bool:
+        return all(v.preserves for v in self.verdicts)
 
 
-def _slice_samples(bm, sub, rng, n_pure=6, n_mixed=6):
-    """Pure and interior states of the invariant slice."""
-    centre, r_sq = bm.pure_slice(sub.basis_i0)
-    r = np.sqrt(max(r_sq, 0.0))
-    samples = []
-    for i in range(n_pure + n_mixed):
-        direction = rng.normal(size=sub.n)
-        direction /= np.linalg.norm(direction)
-        radius = r if i < n_pure else r * rng.uniform(0.2, 0.9)
-        samples.append(bm.x_ss + sub.basis_i0 @ (centre + radius * direction))
-    if bm.dim > 2:
-        basis = bm.basis
-        samples = [
-            x
-            for x in samples
-            if np.min(np.linalg.eigvalsh(bloch_to_rho(x, basis))) >= -1e-9
-        ]
-    return samples
+def _operation_reps(me: MasterEquation, scheme: AdaptiveScheme, basis) -> list:
+    """Per member, the ``coordinate_rep`` of each jump operation c rho c^dag
+    and of the no-jump generator -i(H_eff rho - rho H_eff^dag)."""
+    reps = []
+    for k in range(scheme.k):
+        jumps, h_eff = scheme.jumps_and_generator(me, k)
+        reps.append((
+            [coordinate_rep(np.kron(c, c.conj()), basis) for c in jumps],
+            coordinate_rep(superoperator(h_eff, []), basis),
+        ))
+    return reps
 
 
 def check_subspace_preservation(me: MasterEquation, scheme: AdaptiveScheme, sub) -> PreservationReport:
-    """Whether every measurement operation keeps the invariant slice.
+    """Whether every measurement operation keeps the invariant slice, decided exactly.
 
-    For sampled pure and mixed states of the slice, each jump operation and
-    the finite-time no-jump evolution are applied and the normalized image's
-    distance to the slice compared against 1e-8; violations carry a witness
-    state.
+    In ``coordinate_rep`` coordinates (x, Tr rho) the unnormalized states of
+    the slice x_ss + span(basis_i0) span V = span{(x_ss, 1), (basis_i0, 0)}:
+    the steady state is full rank, so the states near it fill the slice.  A
+    linear operation keeps the slice iff its representation maps V into V.
+    For a jump that is the representation of c kron conj(c); the normalized
+    no-jump evolution keeps it for every waiting time iff its generator
+    does.  Each verdict compares :func:`block_leak` out of V with
+    ``PRESERVATION_TOL``.
     """
     bm = vectorize(me)
-    basis = bm.basis
-    rng = np.random.default_rng(991)
-    samples = _slice_samples(bm, sub, rng)
-    report = PreservationReport()
-    tau = 0.1 / max(np.linalg.norm(bm.l0, 2), 1e-300)
-    for k in range(scheme.k):
-        jumps, h_eff = scheme.jumps_and_generator(me, k)
-        operations = [(f"jump[{m}]", ("jump", c)) for m, c in enumerate(jumps)]
-        operations.append(("no-jump", ("nojump", expm(-1j * h_eff * tau))))
-        for name, (kind, op) in operations:
-            worst = 0.0
-            witness = None
-            for x in samples:
-                rho = bloch_to_rho(x, basis)
-                image = op @ rho @ op.conj().T
-                tr = float(np.trace(image).real)
-                if tr < 1e-12:
-                    continue
-                u_img = rho_to_bloch(image / tr, basis) - bm.x_ss
-                dist = sub.distance(u_img)
-                if dist > worst:
-                    worst = dist
-                    witness = x
-            ok = worst <= 1e-8
-            report.add(
-                OperationVerdict(
-                    member=k,
-                    operation=name,
-                    preserves=ok,
-                    max_distance=worst,
-                    witness=None if ok else witness,
-                )
-            )
-    return report
+    cone = orth(np.vstack([np.column_stack([bm.x_ss, sub.basis_i0]), np.eye(1, sub.n + 1)]))
+    outside = null_space(cone.T)
+    verdicts = []
+    for k, (jump_reps, nojump_rep) in enumerate(_operation_reps(me, scheme, bm.basis)):
+        names = [f"jump[{m}]" for m in range(len(jump_reps))] + ["no-jump"]
+        for name, rep in zip(names, jump_reps + [nojump_rep]):
+            leak = block_leak(rep, cone, outside)
+            verdicts.append(OperationVerdict(k, name, leak <= PRESERVATION_TOL, leak))
+    return PreservationReport(verdicts)
 
 
 @dataclass
@@ -324,19 +295,12 @@ def check_wigner_scheme(me: MasterEquation, scheme: AdaptiveScheme, w, perm) -> 
     t0-conjugated representation of a jump operation at k'; the no-jump
     generators must transfer likewise.
     """
-    basis = build_basis(me.dim)
     n = me.dim * me.dim
     t_full = np.eye(n)
     t_full[: n - 1, : n - 1] = w.t0
     t_inv = np.linalg.inv(t_full)
     perm = [int(p) for p in perm]
-
-    jump_reps = []
-    nojump_reps = []
-    for k in range(scheme.k):
-        jumps, h_eff = scheme.jumps_and_generator(me, k)
-        jump_reps.append([coordinate_rep(np.kron(c, c.conj()), basis) for c in jumps])
-        nojump_reps.append(coordinate_rep(superoperator(h_eff, []), basis))
+    jump_reps, nojump_reps = zip(*_operation_reps(me, scheme, build_basis(me.dim)))
     scale = max(max(np.linalg.norm(r, 2) for reps in jump_reps for r in reps), 1e-300)
     tol = 1e-8
     jump_distances = np.empty((scheme.k, scheme.n_detectors))

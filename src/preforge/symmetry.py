@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    bloch_to_rho,
-    build_basis,
+    block_leak,
     eig_full,
     expm,
     null_space,
@@ -30,7 +29,7 @@ from .algebra import (
     rho_to_bloch,
 )
 from .constraints import Ensemble, _levenberg_marquardt
-from .errors import ShapeError, SubspaceError, SymmetryViolationError
+from .errors import ShapeError, SubspaceError
 from .model import BlochModel
 
 __all__ = [
@@ -157,13 +156,6 @@ def _pure_witness(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) ->
     return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
 
 
-def _certificate(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> float:
-    scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
-    if basis_r0.size == 0:
-        return 0.0
-    return float(np.linalg.norm(basis_r0.T @ bm.l0 @ basis_i0, 2) / scale)
-
-
 def _certified_subspace(
     bm: BlochModel,
     basis_i0: np.ndarray,
@@ -181,7 +173,7 @@ def _certified_subspace(
     counts = collections.Counter() if counts is None else counts
     counts["tested"] += 1
     basis_r0 = null_space(basis_i0.T)  # (n_coords, 0) for the whole space
-    cert = _certificate(bm, basis_i0, basis_r0)
+    cert = block_leak(bm.l0, basis_i0, basis_r0)
     if cert > CERT_TOL:
         counts["not invariant"] += 1
         raise SubspaceError(f"span is not invariant: certificate {cert:.3e}")
@@ -336,28 +328,20 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
 
 @dataclass(frozen=True)
 class BlockForm:
-    """Generator blocks in a subspace-adapted orthonormal basis."""
+    """Restricted generator of a subspace and whether its complement is invariant too."""
 
     l_i0: np.ndarray
-    l_i0r0: np.ndarray
-    l_r0: np.ndarray
     is_dual_invariant: bool
 
 
 def block_form(bm: BlochModel, sub: InvariantSubspace) -> BlockForm:
-    """Blocks of l0 adapted to the subspace; lower-left must vanish."""
-    cert = _certificate(bm, sub.basis_i0, sub.basis_r0)
+    """l0 restricted to the subspace; l0^T must keep the subspace for duality."""
+    cert = block_leak(bm.l0, sub.basis_i0, sub.basis_r0)
     if cert > CERT_TOL:
         raise SubspaceError(f"subspace certificate violated: {cert:.3e}")
-    scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
-    l_i0 = sub.basis_i0.T @ bm.l0 @ sub.basis_i0
-    l_i0r0 = sub.basis_i0.T @ bm.l0 @ sub.basis_r0
-    l_r0 = sub.basis_r0.T @ bm.l0 @ sub.basis_r0
     return BlockForm(
-        l_i0=l_i0,
-        l_i0r0=l_i0r0,
-        l_r0=l_r0,
-        is_dual_invariant=bool(np.linalg.norm(l_i0r0, 2) <= CERT_TOL * scale),
+        l_i0=sub.basis_i0.T @ bm.l0 @ sub.basis_i0,
+        is_dual_invariant=block_leak(bm.l0.T, sub.basis_i0, sub.basis_r0) <= CERT_TOL,
     )
 
 
@@ -563,44 +547,27 @@ class JointReport:
 def check_joint(sub: InvariantSubspace, w: WignerSymmetry, bm: BlochModel) -> JointReport:
     """Check that a symmetry restricts to the subspace.
 
-    Requires the symmetry's off-diagonal blocks (in the subspace-adapted
-    basis) to vanish, the restriction to commute with the restricted
-    generator and the steady state to be fixed.  The full-space flag records
-    whether the symmetry also holds on the complement, which is not needed
-    for searching inside the subspace.
+    Requires t0 and t0^T to keep the subspace (the off-diagonal blocks in
+    the subspace-adapted basis vanish), the restriction to commute with the
+    restricted generator and the steady state to be fixed.  The full-space
+    flag records whether :func:`certify_wigner` certifies t0 on the whole
+    space, which is not needed for searching inside the subspace.
     """
-    bi, br = sub.basis_i0, sub.basis_r0
-    t0 = w.t0
-    t_ir = bi.T @ t0 @ br
-    t_ri = br.T @ t0 @ bi
-    off = float(max(np.max(np.abs(t_ir), initial=0.0), np.max(np.abs(t_ri), initial=0.0)))
+    bi, br, t0 = sub.basis_i0, sub.basis_r0, w.t0
+    off = max(block_leak(t0, bi, br), block_leak(t0.T, bi, br))
     blocks_decouple = off <= CERT_TOL
     t_i = bi.T @ t0 @ bi
     l_i = bi.T @ bm.l0 @ bi
     scale = max(np.linalg.norm(l_i, 2), 1e-300)
-    if blocks_decouple:  # t_i is orthogonal on the subspace, hence invertible
-        restricted = bool(
-            np.linalg.norm(np.linalg.solve(t_i, l_i @ t_i) - l_i, 2) <= CERT_TOL * scale
-        )
-    else:
-        restricted = bool(
-            np.linalg.norm(np.linalg.pinv(t_i) @ l_i @ t_i - l_i, 2) <= CERT_TOL * scale
-        )
-    steady = bool(
-        np.linalg.norm(t0 @ bm.x_ss - bm.x_ss)
-        <= CERT_TOL * max(np.linalg.norm(bm.x_ss), 1.0)
-    )
-    full_scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
-    full = bool(
-        np.linalg.norm(t0.T @ bm.l0 @ t0 - bm.l0, 2) <= CERT_TOL * full_scale
-        and np.linalg.norm(t0 @ bm.b - bm.b) <= CERT_TOL * max(np.linalg.norm(bm.b), 1.0)
-    )
+    restricted = bool(np.linalg.norm(t_i @ l_i - l_i @ t_i, 2) <= CERT_TOL * scale)
+    report = certify_wigner(bm, t0)
+    steady = report["steady_state"] <= CERT_TOL
     return JointReport(
         off_block_norm=off,
         blocks_decouple=blocks_decouple,
         restricted_commutes=restricted,
         steady_state_fixed=steady,
-        full_space_symmetry=full,
+        full_space_symmetry=report["certified"],
         passed=blocks_decouple and restricted and steady,
     )
 
@@ -609,13 +576,7 @@ def apply_wigner(w: WignerSymmetry, ens: Ensemble) -> Ensemble:
     """Map every member through t0, keeping rates and occupations.
 
     A certified symmetry sends solutions of the realizability condition to
-    solutions; the image is revalidated and rejected if any state leaves the
-    state set.
+    solutions; the image is revalidated by :meth:`Ensemble.from_states_kappa`,
+    which raises :class:`EnsembleError` if any state leaves the state set.
     """
-    new_states = ens.states @ w.t0.T
-    basis = build_basis(ens.dim)
-    for x in new_states:
-        rho = bloch_to_rho(x, basis)
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-9:
-            raise SymmetryViolationError("symmetry image leaves the state set")
-    return Ensemble.from_states_kappa(ens.dim, new_states, ens.kappa.copy())
+    return Ensemble.from_states_kappa(ens.dim, ens.states @ w.t0.T, ens.kappa.copy())

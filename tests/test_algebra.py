@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 
 from preforge.algebra import (
+    block_leak,
     build_basis,
     bloch_to_rho,
     eig_full,
@@ -297,3 +298,19 @@ def test_rank_cut_follows_rcond():
     assert null_space(a, rcond=1e-8).shape == (3, 1) == la.null_space(a, rcond=1e-8).shape
     assert orth(a, rcond=1e-8).shape == (3, 2) == la.orth(a, rcond=1e-8).shape
     assert null_space(a).shape == (3, 0) == la.null_space(a).shape
+
+
+def test_block_leak_is_the_relative_lower_left_block():
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.normal(size=(7, 7)))[0]
+    i0, r0 = q[:, :3], q[:, 3:]
+    blocks = rng.normal(size=(7, 7))
+    upper = blocks.copy()
+    upper[3:, :3] = 0.0  # block-upper-triangular in the split (i0, r0)
+    mat = q @ upper @ q.T
+    assert block_leak(mat, i0, r0) <= 1e-15
+    mat = q @ blocks @ q.T
+    want = np.linalg.norm(blocks[3:, :3], 2) / np.linalg.norm(blocks, 2)
+    assert block_leak(mat, i0, r0) == pytest.approx(want, rel=1e-12)
+    assert block_leak(mat, q, np.zeros((7, 0))) == 0.0
+    assert block_leak(mat, np.zeros((7, 0)), q) == 0.0

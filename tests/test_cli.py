@@ -676,6 +676,18 @@ def test_failed_unconditional_check_exits_one(capsys, tmp_path, rf_ensemble_file
     assert json.loads(bundle_path.read_text())["results"]["unconditional"]["passed"] is False
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_checks_trajectory_count_before_any_work(capsys, monkeypatch, rf_ensemble_file, count):
+    # At the default --jumps the whole run would come first.
+    _forbid(monkeypatch, "synthesize")
+    code, _, err = run(
+        capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--unconditional",
+        "--trajectories", count,
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "trajectory count must be positive" in err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -17,6 +17,7 @@ from preforge.solver import SolverConfig, analytic_k2, solve_numeric
 from preforge.symmetry import (
     WignerSymmetry,
     apply_wigner,
+    find_invariant_subspaces,
     find_wigner_symmetries,
     subspace_from_span,
 )
@@ -121,7 +122,7 @@ def test_axis_scheme_violates_axis_slice(rf_me, rf_bm, axis_scheme):
     kinds = {v.operation for v in report.verdicts if not v.preserves}
     assert any(op.startswith("jump") for op in kinds)
     assert "no-jump" in kinds
-    assert all(v.witness is not None for v in report.verdicts if not v.preserves)
+    assert all(v.leak > 1e-8 for v in report.verdicts if not v.preserves)
 
 
 def test_disc_scheme_preserves_disc(rf_me, rf_bm, disc_k3):
@@ -142,6 +143,27 @@ def test_zero_amplitude_scheme_preserves_axis(ae_me, ae_bm):
     scheme = synthesize(ae_me, poles)
     w_axis = subspace_from_span(ae_bm, np.array([[0, 0, 1.0]]).T)
     assert check_subspace_preservation(ae_me, scheme, w_axis).preserves
+
+
+def test_equatorial_scheme_verdicts_on_the_steady_state_disc(ae_me, ae_bm):
+    # The slice x_ss + span(u, v) holds the states with the steady-state
+    # polarization; it does not pass through the maximally mixed state.  On
+    # the equatorial ensemble's scheme the clicking detector and the no-jump
+    # evolution leave it and the dark detector keeps it, as sampling shows.
+    sols = analytic_k2(ae_bm)
+    equatorial = next(
+        e for e, t in zip(sols.ensembles, sols.family_tags) if t["family"] is not None
+    )
+    disc = subspace_from_span(ae_bm, np.array([[1.0, 0, 0], [0, 1.0, 0]]).T)
+    assert disc.distance(ae_bm.x_ss) > 0.5
+    scheme = synthesize(ae_me, equatorial)
+    assert scheme.jump_map.tolist() == [[1, NO_TARGET], [0, NO_TARGET]]
+    report = check_subspace_preservation(ae_me, scheme, disc)
+    assert [(v.operation, v.preserves) for v in report.verdicts] == [
+        ("jump[0]", False), ("jump[1]", True), ("no-jump", False)
+    ] * 2
+    assert all(v.leak <= 1e-12 for v in report.verdicts if v.preserves)
+    assert all(v.leak > 0.1 for v in report.verdicts if not v.preserves)
 
 
 def test_wigner_scheme_verdicts(rf_me, rf_bm, rf_k2, axis_scheme):
@@ -245,13 +267,19 @@ def test_synthesis_logs_member_diagnostics(rf_me, rf_k2, caplog):
     assert len(records) == 1 and "1 detectors" in records[0].getMessage()
 
 
-def test_three_level_pumping_scheme_is_bare_detection(pump_d3_me):
-    bm = vectorize(pump_d3_me)
+def _pump_d3_ensemble():
+    """The basis kets of the three-level pumping model, at its pumping rates."""
     basis = build_basis(3)
     states = [rho_to_bloch(np.diag(np.eye(3)[i]).astype(complex), basis) for i in range(3)]
     kappa = np.zeros((3, 3))
     kappa[0, 1], kappa[1, 2], kappa[2, 0] = 1.0, 0.6, 0.3
-    ens = Ensemble.from_states_kappa(3, states, kappa)
+    return Ensemble.from_states_kappa(3, states, kappa)
+
+
+def test_three_level_pumping_scheme_is_bare_detection(pump_d3_me):
+    bm = vectorize(pump_d3_me)
+    ens = _pump_d3_ensemble()
+    kappa = ens.kappa
     assert verify(bm, ens).passed
     scheme = synthesize(pump_d3_me, ens)
     _assert_realized(pump_d3_me, ens, scheme)
@@ -264,3 +292,33 @@ def test_three_level_pumping_scheme_is_bare_detection(pump_d3_me):
     sigma = np.sqrt(ens.occupations * (1 - ens.occupations) / stats.n_jumps)
     assert np.all(np.abs(stats.occupancy - ens.occupations) <= 3 * sigma + 5e-3)
     assert stats.max_state_drift <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "tags, preserves",
+    [
+        (("pair(re=-0.95)",), True),
+        (("pair(re=-0.95)", "pair(re=-0.45)"), True),
+        (("pair(re=-0.8)", "pair(re=-0.65)", "pair(re=-0.45)"), False),
+    ],
+)
+def test_three_level_bare_detection_slice_verdicts(pump_d3_me, tags, preserves):
+    # The -0.95 pair spans the diagonal slice (the populations), which bare
+    # detection keeps.  The 4-D slice of the -0.95 and -0.45 pairs is kept
+    # too, although random points of it near its pure sphere are mostly not
+    # states; the slice without the -0.95 pair leaks under every operation.
+    bm = vectorize(pump_d3_me)
+    scheme = synthesize(pump_d3_me, _pump_d3_ensemble())
+    subs = {s.tags: s for s in find_invariant_subspaces(bm)}
+    if tags == ("pair(re=-0.95)",):
+        diagonal = subspace_from_span(bm, np.eye(bm.n_coords)[:, -2:])
+        assert np.allclose(subs[tags].basis_i0 @ subs[tags].basis_i0.T,
+                           diagonal.basis_i0 @ diagonal.basis_i0.T, atol=1e-12)
+    report = check_subspace_preservation(pump_d3_me, scheme, subs[tags])
+    assert len(report.verdicts) == scheme.k * (scheme.n_detectors + 1)
+    assert report.preserves is preserves
+    assert all(v.preserves is preserves for v in report.verdicts)
+    if preserves:
+        assert max(v.leak for v in report.verdicts) <= 1e-12
+    else:
+        assert max(v.leak for v in report.verdicts) > 0.5

@@ -1,6 +1,8 @@
 """Contracts on the package source itself."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -40,3 +42,12 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     count, *scipy_modules = done.stdout.split()
     assert int(count) >= 10  # cli, solver, trajectory, ... all imported
     assert scipy_modules == []
+
+
+def test_every_exported_name_resolves():
+    # A deletion must take its name out of __all__ too.
+    missing = []
+    for info in pkgutil.iter_modules(preforge.__path__, "preforge."):
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
