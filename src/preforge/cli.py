@@ -40,6 +40,7 @@ from .solver import (
     analytic_k2,
     ensemble_distance,
     family_equivalent,
+    route_skip_reasons,
     scan_existence,
     solve_numeric,
     solve_wigner_family,
@@ -204,7 +205,24 @@ def _subspace_doc(sub) -> dict:
     }
 
 
+def _coincident_members(ens: Ensemble, eps: float) -> bool:
+    """Whether two members lie within ``eps``: a relabelled smaller ensemble."""
+    gaps = np.linalg.norm(ens.states[:, None] - ens.states[None], axis=-1)
+    return bool(np.min(gaps[np.triu_indices(ens.k, 1)]) <= eps)
+
+
 def cmd_search(args) -> int:
+    """Collect K-member ensembles from every route and write one bundle.
+
+    The closed-form routes come first (the azimuthal Wigner family, and
+    ``analytic_k2`` at K=2), then one multistart route per searched subspace
+    and one for the full space.  A numeric result with two members within
+    ``dedup_eps`` is a relabelled smaller ensemble: it is dropped and counted
+    under the route's ``"coincident members"`` rejections.  A route that
+    ``route_skip_reasons`` proves empty is not solved (at K=2 when
+    ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
+    ``results.routes`` with zero counts and its reason under ``"skipped"``.
+    """
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
     _check_writable(args.output)
@@ -229,25 +247,22 @@ def cmd_search(args) -> int:
             found.append(ens)
             sources.append({"route": "wigner-family", "rates_out": list(map(float, tag["rates_out"]))})
 
-    searched_subspaces = []
-    if args.subspace == "none":
-        systems = [("full", build_full(bm, k, args.graph))]
-    elif args.subspace == "auto":
-        systems = []
+    # (label, subspace) per numeric route; None stands for the full space.
+    plan = []
+    if args.subspace == "auto":
         for idx, sub in enumerate(sorted(subspaces, key=lambda s: s.n)):
             if sub.n >= bm.dim - 1:
-                systems.append((f"subspace[{idx}] dim {sub.n}", build_subspace_reduced(bm, sub, k, args.graph)))
-                searched_subspaces.append(_subspace_doc(sub))
-        systems.append(("full", build_full(bm, k, args.graph)))
-    else:
+                plan.append((f"subspace[{idx}] dim {sub.n}", sub))
+    elif args.subspace != "none":
         idx = int(args.subspace)
         if not 0 <= idx < len(subspaces):
             raise ValueError(
                 f"--subspace {idx} out of range: {len(subspaces)} subspaces detected"
             )
-        sub = subspaces[idx]
-        systems = [(f"subspace[{idx}] dim {sub.n}", build_subspace_reduced(bm, sub, k, args.graph))]
-        searched_subspaces.append(_subspace_doc(sub))
+        plan.append((f"subspace[{idx}] dim {subspaces[idx].n}", subspaces[idx]))
+    if args.subspace in ("auto", "none"):
+        plan.append(("full", None))
+    searched_subspaces = [_subspace_doc(sub) for _, sub in plan if sub is not None]
 
     if k == 2:
         analytic = analytic_k2(bm)
@@ -267,20 +282,33 @@ def cmd_search(args) -> int:
         return False
 
     routes = []
-    for label, system in systems:
+    reasons = route_skip_reasons(bm, k, [None if sub is None else sub.n for _, sub in plan])
+    for (label, sub), reason in zip(plan, reasons):
+        if reason is not None:
+            routes.append(
+                {"route": label, "n_starts": 0, "n_converged": 0, "n_accepted": 0, "rejections": {},
+                 "skipped": reason}
+            )
+            _log.debug("route %s: skipped, %s", label, reason)
+            continue
+        if sub is None:
+            system = build_full(bm, k, args.graph)
+        else:
+            system = build_subspace_reduced(bm, sub, k, args.graph)
         sols = solve_numeric(system, cfg)
         diag = sols.diagnostics
-        routes.append(
-            {
-                "route": label,
-                **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted", "rejections")},
-            }
-        )
+        entry = {"route": label, **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted")}}
+        entry["rejections"] = dict(diag["rejections"])
+        kept = [ens for ens in sols.ensembles if not _coincident_members(ens, cfg.dedup_eps)]
+        if len(kept) < len(sols.ensembles):
+            entry["n_accepted"] = len(kept)
+            entry["rejections"]["coincident members"] = len(sols.ensembles) - len(kept)
+        routes.append(entry)
         _log.debug(
             "route %s: %d starts, %d converged, %d accepted; rejections %s",
-            label, diag["n_starts"], diag["n_converged"], diag["n_accepted"], diag["rejections"],
+            label, entry["n_starts"], entry["n_converged"], entry["n_accepted"], entry["rejections"],
         )
-        for ens in sols.ensembles:
+        for ens in kept:
             if not seen(ens):
                 found.append(ens)
                 sources.append({"route": label})
@@ -409,9 +437,16 @@ def cmd_simulate(args) -> int:
         results["unconditional"] = {
             "times": rep.times.tolist(),
             "distances": rep.distances.tolist(),
+            "sigma": rep.sigma.tolist(),
+            "z": rep.z,
+            "bounds": rep.bounds.tolist(),
             "passed": rep.passed,
         }
-        print(f"unconditional max distance: {max(rep.distances):.3e} (tol {rep.tol})")
+        worst = int(np.argmax(rep.distances - rep.bounds))
+        print(
+            f"unconditional max distance: {max(rep.distances):.3e} (closest to its bound at "
+            f"t={rep.times[worst]:.4g}: {rep.distances[worst]:.3e} vs {rep.bounds[worst]:.3e}, z={rep.z:g})"
+        )
     if args.events:
         with open(args.events, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

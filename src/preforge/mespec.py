@@ -175,9 +175,3 @@ def load_catalog(name: str, params: dict | None = None) -> MasterEquation:
     doc = json.loads(res.read_text(encoding="utf-8"))
     return parse_me_spec(doc, params)
 
-
-def catalog_document(name: str) -> dict:
-    res = resources.files("preforge").joinpath("catalog", f"{name}.json")
-    if not res.is_file():
-        raise MESpecError(f"no catalog entry '{name}'")
-    return json.loads(res.read_text(encoding="utf-8"))

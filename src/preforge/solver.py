@@ -14,6 +14,9 @@ Three routes are implemented.
   permutation-aware deduplication of the converged points, with
   validation and independent projector-form verification of the distinct
   ones only.
+
+``route_skip_reasons`` says when a numeric route provably adds nothing to
+the closed forms, so that it need not be solved.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "SolverConfig",
     "SolutionSet",
     "analytic_k2",
+    "route_skip_reasons",
     "solve_wigner_family",
     "solve_numeric",
     "scan_existence",
@@ -156,6 +160,15 @@ def _canonical_sort(ensembles: list) -> list:
     )
 
 
+def _real_direction(e: np.ndarray):
+    """``e`` as a real unit vector, or None if it has an imaginary part."""
+    e = np.real_if_close(e)
+    if np.max(np.abs(np.imag(e))) > 1e-10:
+        return None
+    e = np.real(e)
+    return e / np.linalg.norm(e)
+
+
 def analytic_k2(bm: BlochModel) -> SolutionSet:
     """Two-member ensembles from the real eigenvectors of l0.
 
@@ -176,11 +189,9 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
         degenerate = cluster.geometric >= 2 and not cluster.defective
         reps = pairs[:1] if degenerate else pairs
         for _, e in reps:
-            e = np.real_if_close(e)
-            if np.max(np.abs(np.imag(e))) > 1e-10:
+            e = _real_direction(e)
+            if e is None:
                 continue
-            e = np.real(e)
-            e = e / np.linalg.norm(e)
             # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc)
             (centre,), disc = bm.pure_slice(e[:, None])
             if disc <= 0:
@@ -213,6 +224,35 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
         diagnostics=diagnostics,
         family_tags=[tags[i] for i in order],
     )
+
+
+def route_skip_reasons(bm: BlochModel, k: int, slice_dims: list) -> list:
+    """For each numeric K-member route, why it provably adds no ensemble, or None to solve it.
+
+    ``slice_dims`` holds each route's invariant-subspace dimension, None for
+    the full space.  Both proofs take for granted that results with two
+    coincident members are dropped, as ``search`` does.
+
+    * K=2: subtracting the two flow rows gives
+      l0 (x1 - x2) = -(kappa_12 + kappa_21) (x1 - x2), and the
+      occupation-weighted average is x_ss, so every two-member ensemble lies
+      on a line through x_ss along a real eigenvector of l0, for any D.  When
+      each real eigenvalue has a one-dimensional eigenspace, those lines are
+      the ones ``analytic_k2`` cuts with the pure-state sphere, so it already
+      lists every K=2 ensemble of every route.
+    * K>=3 on a slice of dimension at most 1: a line meets the pure-state
+      sphere in at most two points, so two members coincide.
+    """
+    if k == 2:
+        spec = eig_full(bm.l0)
+        real = [c for c in spec.clusters if abs(c.value.imag) <= spec.tol]
+        if all(c.geometric == 1 and _real_direction(c.vectors[:, 0]) is not None for c in real):
+            reason = "analytic_k2 lists every K=2 ensemble: each real eigenvalue of l0 has a 1-D eigenspace"
+            return [reason] * len(slice_dims)
+    return [
+        f"a {n}-D slice holds at most 2 distinct pure states" if k >= 3 and n is not None and n <= 1 else None
+        for n in slice_dims
+    ]
 
 
 def _azimuthal_frame(bm: BlochModel, k: int):

@@ -44,6 +44,10 @@ _TAU_CAP = 1e15
 # Root-finder tolerance on log N(tau) - log u, and its iteration budget.
 _LOG_TOL = 1e-13
 _MAX_ITER = 200
+# Width, in standard errors, of the unconditional check's sampling band, and
+# the numerical floor added to it.
+UNCONDITIONAL_Z = 4.0
+_BAND_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -280,13 +284,22 @@ def simulate(
 
 @dataclass
 class UnconditionalReport:
-    """Monte-Carlo average against exact generator propagation."""
+    """Monte-Carlo average against exact generator propagation.
+
+    ``bounds`` holds the largest distance allowed at each time: ``tol`` when
+    one was given, else ``z * sigma / sqrt(n_trajectories)`` plus a
+    numerical floor, where ``sigma`` is the sampled spread of the
+    trajectory states about their average.
+    """
 
     times: np.ndarray
     distances: np.ndarray
-    tol: float
+    tol: float | None
     passed: bool
     n_trajectories: int
+    sigma: np.ndarray
+    z: float
+    bounds: np.ndarray
     averages: np.ndarray | None = None  # (n_times, D, D) sampled means
     exact: np.ndarray | None = None  # (n_times, D, D) reference propagation
 
@@ -298,7 +311,7 @@ def unconditional_check(
     psi0: np.ndarray | None = None,
     times=None,
     n_trajectories: int = 200,
-    tol: float = 5e-3,
+    tol: float | None = None,
 ) -> UnconditionalReport:
     """Average many trajectories and compare with exp(L t) propagation.
 
@@ -308,6 +321,15 @@ def unconditional_check(
     the reported times are the requested ones (sorted, duplicates merged).
     The reference is the exact matrix-exponential propagation of the
     generator in coordinate representation.
+
+    With ``tol=None`` the check passes when every distance lies within the
+    sampling band.  Each sample phi phi^dagger has unit Frobenius norm, so
+    the summed per-entry variance of the samples at time t is
+    sigma(t)^2 = 1 - ||rho_bar(t)||_F^2 and the average's Frobenius error
+    has root mean square sigma(t)/sqrt(N); the band is z times that plus a
+    numerical floor, with z = ``UNCONDITIONAL_Z``.  One trajectory gives a
+    band of zero width.  An explicit ``tol`` is a fixed bound on every
+    distance instead.
     """
     if n_trajectories < 1:
         raise ValueError(f"trajectory count must be positive, got {n_trajectories}")
@@ -355,12 +377,20 @@ def unconditional_check(
         r_t = expm(rep * t_check) @ r0
         exact[c_idx] = bloch_to_rho(r_t[:n] / r_t[n], bm.basis)
         distances[c_idx] = float(np.linalg.norm(averages[c_idx] - exact[c_idx]))
+    sigma = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(averages) ** 2, axis=(1, 2))))
+    if tol is None:
+        bounds = UNCONDITIONAL_Z * sigma / math.sqrt(n_trajectories) + _BAND_FLOOR
+    else:
+        bounds = np.full(len(times), float(tol))
     return UnconditionalReport(
         times=times,
         distances=distances,
         tol=tol,
-        passed=bool(np.max(distances) <= tol),
+        passed=bool(np.all(distances <= bounds)),
         n_trajectories=n_trajectories,
+        sigma=sigma,
+        z=UNCONDITIONAL_Z,
+        bounds=bounds,
         averages=averages,
         exact=exact,
     )

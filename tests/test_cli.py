@@ -92,12 +92,19 @@ def test_search_finds_k2_census_and_bundle_roundtrip(capsys, tmp_path):
     assert len(ensembles) == 3
 
 
+SEARCH_RF_K2 = ("search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18", "--k", "2")
+# At K=2 analytic_k2 settles rf and no route reaches solve_numeric; at K=3 the
+# 2-D subspace routes and the full route do.
+SEARCH_RF = (*SEARCH_RF_K2[:-1], "3")
+
+
 def test_search_bundle_reports_every_solved_route(capsys, tmp_path, caplog):
+    # absorption_emission has a 2-D real eigenspace, so no K=2 route is skipped.
     out = tmp_path / "bundle.json"
     with caplog.at_level(logging.DEBUG, logger="preforge"):
         code, _, _ = run(
-            capsys, "search", "resonance_fluorescence", "--param", "gamma=1", "--param",
-            "Omega=0.18", "--k", "2", "--seeds", "24", "--rng", "1", "-o", str(out),
+            capsys, "search", "absorption_emission", "--param", "gamma_minus=1", "--param",
+            "gamma_plus=0.3", "--k", "2", "--seeds", "24", "--rng", "1", "-o", str(out),
         )
     assert code == 0
     results = json.loads(out.read_text())["results"]
@@ -109,10 +116,87 @@ def test_search_bundle_reports_every_solved_route(capsys, tmp_path, caplog):
         assert entry["n_starts"] == 24
         assert entry["n_starts"] == entry["n_accepted"] + sum(entry["rejections"].values())
         assert entry["n_converged"] <= entry["n_starts"]
-    assert routes[-1]["n_accepted"] == 3 and routes[-1]["rejections"]["duplicate"] > 0
+    assert routes[-1]["n_accepted"] == 13 and routes[-1]["rejections"]["duplicate"] > 0
     records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("route ")]
     assert len(records) == len(routes)
     assert records[-1].startswith("route full: 24 starts")
+
+
+def _record_solves(monkeypatch):
+    """Let ``cli.solve_numeric`` run, and return the list of systems it is given."""
+    import preforge.cli as cli
+
+    systems = []
+    real_solve = cli.solve_numeric
+
+    def recording_solve(system, cfg):
+        systems.append(system)
+        return real_solve(system, cfg)
+
+    monkeypatch.setattr(cli, "solve_numeric", recording_solve)
+    return systems
+
+
+def test_search_rf_k2_skips_every_numeric_route(capsys, tmp_path, caplog, monkeypatch):
+    # Each real eigenvalue of the rf l0 has a 1-D eigenspace, so analytic_k2
+    # is complete and no numeric route is solved.
+    solved = _record_solves(monkeypatch)
+    out = tmp_path / "bundle.json"
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        code, _, _ = run(capsys, *SEARCH_RF_K2, "--seeds", "24", "-o", str(out))
+    assert code == 0 and solved == []
+    results = json.loads(out.read_text())["results"]
+    routes = results["routes"]
+    assert len(routes) == len(results["searched_subspaces"]) + 1 == 7
+    for entry in routes:
+        assert entry["skipped"].startswith("analytic_k2 lists every K=2 ensemble")
+        assert (entry["n_starts"], entry["n_converged"], entry["n_accepted"]) == (0, 0, 0)
+        assert entry["rejections"] == {}
+    assert [e["source"]["route"] for e in results["ensembles"]] == ["analytic-k2"] * 3
+    records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("route ")]
+    assert records == [f"route {e['route']}: skipped, {e['skipped']}" for e in routes]
+
+
+@pytest.fixture(scope="module")
+def rf_k3_full_search(tmp_path_factory):
+    """Seed-7 rf ``--k 3 --graph full`` bundle and the systems handed to the solver."""
+    out = tmp_path_factory.mktemp("k3full") / "bundle.json"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solved = _record_solves(monkeypatch)
+        code = main([*SEARCH_RF, "--graph", "full", "--seeds", "128", "--rng", "7", "-o", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())["results"], solved
+
+
+def _member_gaps(doc):
+    states = np.asarray(doc["states"])
+    return [np.linalg.norm(states[i] - states[j]) for i in range(len(states)) for j in range(i)]
+
+
+def test_search_drops_results_with_coincident_members(rf_k3_full_search):
+    results, _ = rf_k3_full_search
+    # Without the drop this search lists 91 ensembles, 88 of them with two
+    # members within 1e-12: relabelled K=2 ensembles with a free rate split.
+    gaps = [min(_member_gaps(e)) for e in results["ensembles"]]
+    assert len(gaps) == 4
+    assert all(0.008 <= g <= 0.08 for g in gaps)
+    dropped = 0
+    for entry in results["routes"]:
+        assert entry["n_starts"] == entry["n_accepted"] + sum(entry["rejections"].values())
+        dropped += entry["rejections"].get("coincident members", 0)
+    assert dropped > 0
+
+
+def test_search_k3_skips_one_dimensional_slices(rf_k3_full_search):
+    results, solved = rf_k3_full_search
+    routes = results["routes"]
+    skipped = [e for e in routes if "skipped" in e]
+    assert [e["route"] for e in skipped] == [f"subspace[{i}] dim 1" for i in range(3)]
+    assert all(e["skipped"] == "a 1-D slice holds at most 2 distinct pure states" for e in skipped)
+    assert all(e["n_starts"] == 0 and e["rejections"] == {} for e in skipped)
+    # Every other route, and only those, reached the solver.
+    assert len(solved) == len(routes) - len(skipped) == 4
+    assert [s.embed.shape[1] for s in solved] == [2, 2, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -129,9 +213,6 @@ def test_directory_as_file_path_is_usage_error(capsys, tmp_path, extra):
     assert code == 2
     assert err.startswith("error:") and err.count("error:") == 1 and str(tmp_path) in err
     assert "Traceback" not in err
-
-
-SEARCH_RF = ("search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18", "--k", "2")
 
 
 def test_search_checks_output_path_before_solving(capsys, tmp_path, monkeypatch):
@@ -674,6 +755,38 @@ def test_failed_unconditional_check_exits_one(capsys, tmp_path, rf_ensemble_file
     assert code == 1
     assert "unconditional max distance" in out
     assert json.loads(bundle_path.read_text())["results"]["unconditional"]["passed"] is False
+
+
+@pytest.fixture()
+def ae_ensemble_file(tmp_path, ae_bm):
+    from preforge.solver import analytic_k2
+
+    ens = analytic_k2(ae_bm).ensembles[0]
+    path = tmp_path / "ae_ens.json"
+    path.write_text(json.dumps({"dim": 2, "states": ens.states.tolist(), "kappa": ens.kappa.tolist()}))
+    return path
+
+
+AE_MODEL = ("absorption_emission", "--param", "gamma_minus=1", "--param", "gamma_plus=0.3")
+
+
+@pytest.mark.parametrize("model, ensemble", [(RF_MODEL, "rf_ensemble_file"), (AE_MODEL, "ae_ensemble_file")])
+def test_unconditional_check_passes_at_its_defaults(capsys, tmp_path, request, model, ensemble):
+    # The default 200 trajectories leave a sampling error near 5e-2, ten
+    # times a fixed 5e-3; the band scales with it.
+    bundle_path = tmp_path / "sim.json"
+    code, out, _ = run(
+        capsys, "simulate", *model, "--ensemble", str(request.getfixturevalue(ensemble)), "--jumps", "50",
+        "--rng", "7", "--unconditional", "-o", str(bundle_path),
+    )
+    assert code == 0 and "unconditional max distance" in out
+    report = json.loads(bundle_path.read_text())["results"]["unconditional"]
+    assert report["passed"] is True and report["z"] == 4.0
+    sigma, bounds = np.array(report["sigma"]), np.array(report["bounds"])
+    assert np.all((sigma > 0.3) & (sigma <= np.sqrt(0.5) + 1e-12))  # qubit: 1 - ||rho||_F^2 <= 1/2
+    assert np.allclose(bounds, 4.0 * sigma / np.sqrt(200), rtol=0, atol=1e-8)
+    assert np.all(np.array(report["distances"]) <= bounds)
+    assert max(report["distances"]) > 5e-3
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -14,11 +14,12 @@ from preforge.solver import (
     dedup,
     ensemble_distance,
     family_equivalent,
+    route_skip_reasons,
     scan_existence,
     solve_numeric,
     solve_wigner_family,
 )
-from preforge.symmetry import subspace_from_span
+from preforge.symmetry import find_invariant_subspaces, subspace_from_span
 from preforge.mespec import load_catalog
 from preforge.model import vectorize
 
@@ -59,6 +60,49 @@ def test_numeric_k2_census_matches_analytic(rf_bm):
     assert len(sols.ensembles) == 3
     for ens in sols.ensembles:
         assert min(ensemble_distance(ens, ref) for ref in analytic) < 1e-6
+
+
+def _k2_routes(bm):
+    """Slice dimensions (None for the full space) and K=2 systems of the full
+    space and of each detected subspace with a pure state."""
+    subs = [s for s in find_invariant_subspaces(bm) if s.pure_witness is not None]
+    systems = [build_full(bm, 2, "cyclic")] + [build_subspace_reduced(bm, s, 2, "cyclic") for s in subs]
+    return [None] + [s.n for s in subs], systems
+
+
+@pytest.mark.parametrize("model", ["rf_me", "rf_me_fast", "rf_omega_1", "cascade_d3_me", "pump_d3_me"])
+def test_analytic_k2_is_complete_when_real_eigenspaces_are_lines(request, model):
+    # The K=2 proof of route_skip_reasons: every K=2 ensemble lies on a line
+    # through x_ss along a real eigenvector, so with 1-D real eigenspaces
+    # analytic_k2 lists them all and no numeric route finds anything else.
+    if model == "rf_omega_1":
+        me = load_catalog("resonance_fluorescence", {"gamma": 1.0, "Omega": 1.0})
+    else:
+        me = request.getfixturevalue(model)
+    bm = vectorize(me)
+    dims, systems = _k2_routes(bm)
+    assert all(route_skip_reasons(bm, 2, dims))
+    cfg = SolverConfig(seeds=24, rng_seed=5)
+    analytic = analytic_k2(bm).ensembles
+    for cs in systems:
+        for ens in solve_numeric(cs, cfg).ensembles:
+            assert min((ensemble_distance(ens, ref) for ref in analytic), default=np.inf) <= cfg.dedup_eps
+
+
+def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
+    # The equatorial plane is a 2-D eigenspace of l0: analytic_k2 lists one
+    # representative of a rotation family, and the numeric routes find others.
+    dims, _ = _k2_routes(ae_bm)
+    assert route_skip_reasons(ae_bm, 2, dims) == [None] * len(dims)
+    analytic = analytic_k2(ae_bm).ensembles
+    found = solve_numeric(build_full(ae_bm, 2, "cyclic"), SolverConfig(seeds=24, rng_seed=5)).ensembles
+    assert any(min(ensemble_distance(ens, ref) for ref in analytic) > 1e-3 for ens in found)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_skip_helper_skips_one_dimensional_slices_from_three_members(rf_bm, k):
+    reasons = route_skip_reasons(rf_bm, k, [1, 2, None])
+    assert reasons[0] == "a 1-D slice holds at most 2 distinct pure states" and reasons[1:] == [None, None]
 
 
 def test_numeric_finds_single_ensemble_in_complex_regime(rf_bm_fast):

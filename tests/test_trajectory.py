@@ -226,6 +226,22 @@ def test_unconditional_average_near_zero_time(rf_me, axis_scheme, axis_pair):
     assert report.distances.max() < 1e-4  # essentially no evolution yet
 
 
+def test_unconditional_band_scales_with_the_sampled_spread(rf_me, axis_scheme):
+    cfg = TrajectoryConfig(rng_seed=3, t_max=2.0)
+    banded = unconditional_check(rf_me, axis_scheme, cfg, n_trajectories=100)
+    # sigma^2 is the summed entry variance of the unit-norm samples phi phi^dagger.
+    assert np.allclose(banded.sigma ** 2, 1.0 - np.sum(np.abs(banded.averages) ** 2, axis=(1, 2)))
+    assert banded.tol is None and banded.z == 4.0
+    assert np.allclose(banded.bounds, 4.0 * banded.sigma / 10.0, rtol=0, atol=1e-8)
+    assert banded.passed == bool(np.all(banded.distances <= banded.bounds))
+    fixed = unconditional_check(rf_me, axis_scheme, cfg, n_trajectories=100, tol=1e-3)
+    assert np.array_equal(fixed.distances, banded.distances)
+    assert np.all(fixed.bounds == 1e-3) and fixed.passed == bool(np.max(fixed.distances) <= 1e-3)
+    # One trajectory is a pure state at every time: the band has zero width.
+    single = unconditional_check(rf_me, axis_scheme, cfg, n_trajectories=1)
+    assert np.all(single.sigma < 1e-7) and np.all(single.bounds < 1e-6) and not single.passed
+
+
 def test_unconditional_thermal_relaxation(ae_me, ae_bm, poles_scheme):
     # Equatorial start: trajectories roam the continuum before capture, so
     # the sampling error dominates; check the relaxation rates against the
