@@ -46,7 +46,7 @@ from .solver import (
     solve_wigner_family,
 )
 from .symmetry import find_invariant_subspaces, find_wigner_symmetries
-from .trajectory import TrajectoryConfig, simulate, unconditional_check
+from .trajectory import TrajectoryConfig, member_click_rates, simulate, unconditional_check
 
 SCHEMA_VERSION = 1
 
@@ -423,6 +423,8 @@ def cmd_simulate(args) -> int:
     print("occupancy:", " ".join(f"{v:.6f}" for v in stats.occupancy))
     print("stationary:", " ".join(f"{v:.6f}" for v in ens.occupations))
     print(f"max state drift: {stats.max_state_drift:.3e}")
+    sampled, exact = member_click_rates(me, scheme, ens, stats)
+    print("click rates (sampled/exact):", " ".join(f"{s:.6f}/{e:.6f}" for s, e in zip(sampled, exact)))
     results = {
         "occupancy": stats.occupancy.tolist(),
         "stationary": ens.occupations.tolist(),
@@ -431,6 +433,10 @@ def cmd_simulate(args) -> int:
         "max_state_drift": stats.max_state_drift,
         "n_jumps": stats.n_jumps,
         "total_time": stats.total_time,
+        "click_rates": {
+            "sampled": [None if np.isnan(v) else float(v) for v in sampled],
+            "exact": exact.tolist(),
+        },
     }
     if args.unconditional:
         rep = unconditional_check(me, scheme, cfg, n_trajectories=args.trajectories)

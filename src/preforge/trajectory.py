@@ -21,15 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import bloch_to_rho, build_basis, exp_flow, expm, orth, rho_to_bloch
+from .algebra import bloch_to_rho, build_basis, coordinate_rep, exp_flow, expm, orth, rho_to_bloch
 from .constraints import Ensemble
 from .errors import ConvergenceError, RealizationError
 from .measurement import NO_TARGET, AdaptiveScheme
-from .model import MasterEquation, vectorize
+from .model import MasterEquation, lindbladian
 
 __all__ = [
     "TrajectoryConfig",
     "TrajectoryStats",
+    "member_click_rates",
     "simulate",
     "unconditional_check",
 ]
@@ -44,6 +45,13 @@ _TAU_CAP = 1e15
 # Root-finder tolerance on log N(tau) - log u, and its iteration budget.
 _LOG_TOL = 1e-13
 _MAX_ITER = 200
+# Uniform draws taken at once from each unconditional-check trajectory's
+# stream: the first wait and three clicks, each click drawing r and u.
+_DRAW_BLOCK = 8
+# Trajectories run in lockstep at once, which bounds the check's memory, and
+# rows per stacked engine call, which bounds the temporaries of a wait.
+_LOCKSTEP_ROWS = 4096
+_STACK_ROWS = 512
 # Width, in standard errors, of the unconditional check's sampling band, and
 # the numerical floor added to it.
 UNCONDITIONAL_Z = 4.0
@@ -164,6 +172,75 @@ class _ClickEngine:
             slope = 2.0 * np.vdot(phi, self.h @ phi).imag / n if n > 0 else math.nan
         raise ConvergenceError(f"waiting time for u = {u:.3g} did not converge", residual=g)
 
+    def _coefficients(self, psi):
+        """Rows of psi in the form ``_flow_rows`` propagates: eigen-coordinates, or psi itself."""
+        return psi if self.vinv is None else _apply(self.vinv, psi)
+
+    def _flow_rows(self, coeffs, tau):
+        """exp(-i H'_eff tau_n) psi_n for each row n, unnormalized."""
+        if self.vinv is None:
+            return np.array([self.exp_h(t) @ c for t, c in zip(tau, coeffs)]).reshape(coeffs.shape)
+        return _apply(self.v, np.exp(-1j * tau[:, None] * self.lam) * coeffs)
+
+    def propagate_stack(self, psi, tau):
+        """:meth:`propagate` for each row of ``psi`` (n, D) with its own time ``tau[n]``."""
+        return self._flow_rows(self._coefficients(psi), tau)
+
+    def _slopes(self, phi):
+        """2 Im<phi_n|H'_eff|phi_n> for each row n."""
+        return 2.0 * _vdot_rows(phi, _apply(self.h, phi)).imag
+
+    def wait_stack(self, psi, u):
+        """:meth:`wait` for each row of the unit kets ``psi`` (n, D) with its own ``u[n]``.
+
+        Every row runs the scalar rule with its own bracket and leaves the
+        stack at the same exit.  Returns ``(tau, phi)`` with ``tau[n] = inf``
+        and a NaN row ``phi[n]`` where no click ever happens.
+        """
+        tau_out = np.full(len(u), math.inf)
+        phi_out = np.full(psi.shape, np.nan, dtype=complex)
+        limit = 0.0 if self.dark is None else np.sum(np.abs(psi @ self.dark.conj()) ** 2, axis=1)
+        rows = np.flatnonzero(u > limit)
+        coeffs = self._coefficients(psi[rows])
+        log_u = np.log(u[rows])
+        lo, hi = np.zeros(rows.size), np.full(rows.size, math.inf)
+        tau, g = np.zeros(rows.size), -log_u
+        slope = self._slopes(psi[rows])
+        for _ in range(_MAX_ITER):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope < 0, tau - g / slope, math.inf)
+            tau = np.where(
+                (lo < step) & (step < hi),
+                step,
+                np.where(hi < math.inf, 0.5 * (lo + hi), np.maximum(2.0 * tau, self.tau_unit)),
+            )
+            live = tau <= _TAU_CAP * self.tau_unit
+            if not live.all():
+                rows, coeffs, log_u, lo, hi, tau = (a[live] for a in (rows, coeffs, log_u, lo, hi, tau))
+            if rows.size == 0:
+                return tau_out, phi_out
+            phi = self._flow_rows(coeffs, tau)
+            n = _vdot_rows(phi, phi).real
+            with np.errstate(divide="ignore"):
+                g = np.log(n) - log_u
+            above = g > 0
+            lo, hi = np.where(above, tau, lo), np.where(above, hi, tau)
+            done = (np.abs(g) <= _LOG_TOL) | ((hi < math.inf) & (hi - lo <= 4e-16 * hi))
+            tau_out[rows[done]] = tau[done]
+            phi_out[rows[done]] = phi[done]
+            keep = ~done
+            rows, coeffs, log_u, lo, hi, tau, g, phi, n = (
+                a[keep] for a in (rows, coeffs, log_u, lo, hi, tau, g, phi, n)
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.where(n > 0, self._slopes(phi) / n, math.nan)
+        if rows.size == 0:
+            return tau_out, phi_out
+        worst = int(np.argmax(np.abs(g)))
+        raise ConvergenceError(
+            f"waiting time for u = {math.exp(log_u[worst]):.3g} did not converge", residual=float(g[worst])
+        )
+
     def click(self, pre, r: float):
         """Detector chosen with weight ||c'_m pre||^2 from r in [0, 1), and the post-click ket.
 
@@ -173,6 +250,30 @@ class _ClickEngine:
         cumulative = np.cumsum(np.einsum("mi,mi->m", amps.conj(), amps).real)
         channel = int(np.searchsorted(cumulative, r * cumulative[-1], side="right"))
         return channel, _unit(amps[channel])
+
+    def click_stack(self, pre, r):
+        """:meth:`click` for each row of ``pre`` (n, D) with its own ``r[n]``."""
+        amps = _apply(self.jumps[None], pre[:, None])
+        cumulative = np.cumsum(_vdot_rows(amps, amps).real, axis=1)
+        channels = np.sum(cumulative <= (r * cumulative[:, -1])[:, None], axis=1)
+        return channels, _unit_rows(amps[np.arange(len(channels)), channels])
+
+
+# The stacked engine forms its products as matrix-vector and vector-vector
+# matmuls, one per row, so each row rounds exactly as the scalar engine does.
+def _apply(mat, rows):
+    """``mat @ row`` for each row."""
+    return (mat @ rows[..., None])[..., 0]
+
+
+def _vdot_rows(a, b):
+    """``np.vdot(a_n, b_n)`` for each row n."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _unit_rows(rows):
+    """Each row divided by its norm, rounded as :func:`_unit` rounds one ket."""
+    return rows / np.sqrt(_vdot_rows(rows, rows).real)[:, None]
 
 
 def _norm(v) -> float:
@@ -190,6 +291,89 @@ def _coherence_distance(psi, phi) -> float:
 
 def _engines(me: MasterEquation, scheme: AdaptiveScheme) -> list:
     return [_ClickEngine(*scheme.jumps_and_generator(me, k)) for k in range(scheme.k)]
+
+
+def _by_label(labels):
+    """(label, positions) for each distinct value in ``labels``, ``_STACK_ROWS`` positions at most."""
+    groups = []
+    for k in np.unique(labels):
+        at = np.flatnonzero(labels == k)
+        groups += [(int(k), at[i : i + _STACK_ROWS]) for i in range(0, at.size, _STACK_ROWS)]
+    return groups
+
+
+class _Draws:
+    """Uniform draws of trajectories first, ..., first + n - 1, in stream order.
+
+    Trajectory i draws from ``default_rng([seed, 1000 + i])``; its row here
+    is i - first.  Each stream is created, draws a block of ``_DRAW_BLOCK``
+    numbers and is dropped.  A trajectory that uses up its block re-creates
+    its stream and draws one twice as long as it has used so far, which
+    repeats the block.
+    """
+
+    def __init__(self, seed: int, first: int, n: int):
+        self.seed = seed
+        self.first = first
+        self.table = np.empty((n, _DRAW_BLOCK))
+        for row in range(n):
+            self._stream(row).random(out=self.table[row])
+        self.cursor = np.zeros(n, dtype=np.int64)
+        self.longer = {}  # row -> its trajectory's re-drawn longer block
+
+    def _stream(self, row: int):
+        return np.random.default_rng([self.seed, 1000 + self.first + row])
+
+    def next(self, rows):
+        """The next draw of each trajectory in ``rows`` (distinct row indices)."""
+        cursor = self.cursor[rows]
+        out = np.empty(rows.size)
+        near = cursor < _DRAW_BLOCK
+        out[near] = self.table[rows[near], cursor[near]]
+        for j in np.flatnonzero(~near):
+            row, c = int(rows[j]), int(cursor[j])
+            block = self.longer.get(row)
+            if block is None or c >= block.size:
+                block = self.longer[row] = self._stream(row).random(2 * c)
+            out[j] = block[c]
+        self.cursor[rows] += 1
+        return out
+
+
+def _lockstep_sums(engines, jump_map, psi0, times, draws: _Draws):
+    """Sum of phi phi^dagger at each checkpoint over the trajectories of ``draws``, run in lockstep."""
+    n = draws.cursor.size
+    psi = np.tile(psi0, (n, 1))
+    label = np.zeros(n, dtype=np.int64)
+    t = np.zeros(n)
+    tau = np.empty(n)
+    pre = np.empty_like(psi)
+
+    def wait(rows):
+        u = 1.0 - draws.next(rows)
+        for k, idx in _by_label(label[rows]):
+            tau[rows[idx]], pre[rows[idx]] = engines[k].wait_stack(psi[rows[idx]], u[idx])
+
+    wait(np.arange(n))
+    sums = np.empty((len(times), psi0.size, psi0.size), dtype=complex)
+    for c_idx, t_check in enumerate(times):
+        due = np.flatnonzero(t + tau <= t_check)
+        while due.size:
+            r = draws.next(due)
+            for k, idx in _by_label(label[due]):
+                rows = due[idx]
+                channels, psi[rows] = engines[k].click_stack(pre[rows], r[idx])
+                targets = jump_map[k, channels]
+                label[rows] = np.where(targets == NO_TARGET, k, targets)
+            t[due] += tau[due]
+            wait(due)
+            due = due[t[due] + tau[due] <= t_check]
+        phi = np.empty_like(psi)
+        for k, idx in _by_label(label):
+            phi[idx] = engines[k].propagate_stack(psi[idx], t_check - t[idx])
+        phi = _unit_rows(phi)
+        sums[c_idx] = np.einsum("ni,nj->ij", phi, phi.conj())
+    return sums
 
 
 def simulate(
@@ -282,6 +466,25 @@ def simulate(
     )
 
 
+def member_click_rates(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble, stats: TrajectoryStats):
+    """Sampled and exact click rate out of each member, as two (K,) arrays.
+
+    The sampled rate is the number of clicks out of member k (transitions
+    and self-loops) over the time spent in k after burn-in, NaN for a member
+    never visited.  The exact rate is sum_m ||c'_m psi_k||^2 under member
+    k's setting: a pinned member waits an exponential time at that rate.
+    """
+    clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
+    dwell = stats.occupancy * stats.total_time
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sampled = np.where(dwell > 0, clicks / dwell, math.nan)
+    kets = ens.kets().astype(complex)
+    exact = np.array(
+        [np.sum(np.abs(scheme.jumps_and_generator(me, k)[0] @ kets[k]) ** 2) for k in range(ens.k)]
+    )
+    return sampled, exact
+
+
 @dataclass
 class UnconditionalReport:
     """Monte-Carlo average against exact generator propagation.
@@ -315,12 +518,22 @@ def unconditional_check(
 ) -> UnconditionalReport:
     """Average many trajectories and compare with exp(L t) propagation.
 
-    The initial label is 0 regardless of ``psi0``; any unit ket is allowed.
-    Each checkpoint before the next click records the state propagated
-    exactly from the last click, so checkpoints draw no random numbers and
-    the reported times are the requested ones (sorted, duplicates merged).
-    The reference is the exact matrix-exponential propagation of the
-    generator in coordinate representation.
+    The initial label is 0 regardless of ``psi0``; any finite nonzero ket of
+    length D is allowed and is normalized.  Checkpoint times must be finite
+    and non-negative.  Each checkpoint before the next click records the
+    state propagated exactly from the last click, so checkpoints draw no
+    random numbers and the reported times are the requested ones (sorted,
+    duplicates merged).  The reference is the exact matrix-exponential
+    propagation of the generator in coordinate representation, so the model
+    needs no unique or full-rank steady state (a dark state is allowed).
+
+    The trajectories run in lockstep, up to ``_LOCKSTEP_ROWS`` at a time: at
+    each checkpoint the rows whose next click comes first are clicked and
+    sent to their next wait together, one stack per setting, until every
+    row's next click lies beyond the checkpoint.  Trajectory i draws from its own stream
+    ``default_rng([cfg.rng_seed, 1000 + i])`` in the order u of the first
+    wait, then r of the click and u of the next wait per click, so it does
+    not depend on ``n_trajectories`` or on the other rows.
 
     With ``tol=None`` the check passes when every distance lies within the
     sampling band.  Each sample phi phi^dagger has unit Frobenius norm, so
@@ -334,48 +547,43 @@ def unconditional_check(
     if n_trajectories < 1:
         raise ValueError(f"trajectory count must be positive, got {n_trajectories}")
     cfg = TrajectoryConfig() if cfg is None else cfg
-    bm = vectorize(me)
-    t_max = cfg.t_max if cfg.t_max is not None else 2.0 / max(np.linalg.norm(bm.l0, 2), 1e-300)
+    dim = me.dim
+    basis = build_basis(dim)
+    # Generator on (x, 1): the coherence block l0, the drive column b, and a
+    # zero last row, since the trace is preserved.
+    rep = coordinate_rep(lindbladian(me), basis)
+    rep[-1] = 0.0
+    n = dim * dim - 1
+    t_max = cfg.t_max if cfg.t_max is not None else 2.0 / max(np.linalg.norm(rep[:n, :n], 2), 1e-300)
     if times is None:
         times = np.linspace(0.0, t_max, 5)[1:]
     times = np.unique(np.asarray(times, dtype=float))
-    if times.size == 0 or times[0] < 0:
-        raise ValueError("checkpoint times must be non-empty and non-negative")
-
-    engines = _engines(me, scheme)
-    dim = me.dim
+    if times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0:
+        raise ValueError("checkpoint times must be non-empty, finite and non-negative")
     if psi0 is None:
         psi0 = np.zeros(dim, complex)
         psi0[0] = 1.0
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,) or not np.all(np.isfinite(psi0)) or not np.any(psi0):
+        raise ValueError(f"initial state must be a finite nonzero vector of length {dim}")
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    averages = np.zeros((len(times), dim, dim), dtype=complex)
-    for traj in range(n_trajectories):
-        rng = np.random.default_rng([cfg.rng_seed, 1000 + traj])
-        psi = psi0
-        label = 0
-        t = 0.0
-        tau, pre = engines[label].wait(psi, 1.0 - rng.random())
-        for c_idx, t_check in enumerate(times):
-            while t + tau <= t_check:
-                channel, psi = engines[label].click(pre, rng.random())
-                target = int(scheme.jump_map[label, channel])
-                label = label if target == NO_TARGET else target
-                t += tau
-                tau, pre = engines[label].wait(psi, 1.0 - rng.random())
-            phi = _unit(engines[label].propagate(psi, t_check - t))
-            averages[c_idx] += np.outer(phi, phi.conj())
-    averages /= n_trajectories
+    engines = _engines(me, scheme)
+    sums = (
+        _lockstep_sums(
+            engines, scheme.jump_map, psi0, times,
+            _Draws(cfg.rng_seed, first, min(_LOCKSTEP_ROWS, n_trajectories - first)),
+        )
+        for first in range(0, n_trajectories, _LOCKSTEP_ROWS)
+    )
+    averages = sum(sums) / n_trajectories
 
-    n = bm.n_coords
-    rep = np.block([[bm.l0, bm.b[:, None]], [np.zeros(n + 1)]])
-    r0 = np.concatenate([rho_to_bloch(np.outer(psi0, psi0.conj()), bm.basis), [1.0]])
+    r0 = np.concatenate([rho_to_bloch(np.outer(psi0, psi0.conj()), basis), [1.0]])
     distances = np.empty(len(times))
     exact = np.empty_like(averages)
     for c_idx, t_check in enumerate(times):
         r_t = expm(rep * t_check) @ r0
-        exact[c_idx] = bloch_to_rho(r_t[:n] / r_t[n], bm.basis)
+        exact[c_idx] = bloch_to_rho(r_t[:n] / r_t[n], basis)
         distances[c_idx] = float(np.linalg.norm(averages[c_idx] - exact[c_idx]))
     sigma = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(averages) ** 2, axis=(1, 2))))
     if tol is None:

@@ -757,6 +757,20 @@ def test_failed_unconditional_check_exits_one(capsys, tmp_path, rf_ensemble_file
     assert json.loads(bundle_path.read_text())["results"]["unconditional"]["passed"] is False
 
 
+def test_simulate_bundle_has_member_click_rates(capsys, tmp_path, rf_ensemble_file):
+    bundle_path = tmp_path / "sim.json"
+    code, out, _ = run(
+        capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "2000",
+        "--rng", "3", "-o", str(bundle_path),
+    )
+    assert code == 0 and "click rates (sampled/exact)" in out
+    results = json.loads(bundle_path.read_text())["results"]
+    rates = results["click_rates"]
+    clicks = np.sum(results["jump_counts"], axis=0) + np.array(results["self_loop_counts"])
+    for sampled, exact, n in zip(rates["sampled"], rates["exact"], clicks):
+        assert abs(sampled - exact) <= 4.0 / np.sqrt(n) * exact
+
+
 @pytest.fixture()
 def ae_ensemble_file(tmp_path, ae_bm):
     from preforge.solver import analytic_k2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from preforge.algebra import build_basis, coordinate_rep, rho_to_bloch
+from preforge.cli import _coincident_members
 from preforge.constraints import Ensemble, build_full, build_subspace_reduced, verify
 from preforge.errors import SynthesisError
 from preforge.measurement import (
@@ -212,8 +213,14 @@ def test_symmetry_transfers_scheme_conditions(ae_me, ae_bm):
 
 @pytest.fixture(scope="module")
 def rf_k3(rf_bm):
+    """The full-space rf K=3 ensembles as ``search`` keeps them: without coincident members."""
+    cfg = SolverConfig(seeds=128, rng_seed=0)
     return {
-        g: solve_numeric(build_full(rf_bm, 3, g), SolverConfig(seeds=128, rng_seed=0)).ensembles
+        g: [
+            ens
+            for ens in solve_numeric(build_full(rf_bm, 3, g), cfg).ensembles
+            if not _coincident_members(ens, cfg.dedup_eps)
+        ]
         for g in ("cyclic", "full")
     }
 
@@ -229,11 +236,14 @@ def _assert_realized(me, ens, scheme):
     _assert_generator_invariance(me, scheme)
 
 
+RF_K3_COUNTS = {"cyclic": 8, "full": 1}
+
+
 @pytest.mark.parametrize(
-    "graph, index", [("cyclic", i) for i in range(8)] + [("full", i) for i in range(6)]
+    "graph, index", [(g, i) for g, count in RF_K3_COUNTS.items() for i in range(count)]
 )
 def test_rf_k3_ensembles_are_realized(rf_me, rf_k3, graph, index):
-    assert len(rf_k3[graph]) == {"cyclic": 8, "full": 6}[graph]
+    assert len(rf_k3[graph]) == RF_K3_COUNTS[graph]
     ens = rf_k3[graph][index]
     scheme = synthesize(rf_me, ens)
     _assert_realized(rf_me, ens, scheme)

@@ -4,14 +4,18 @@ import scipy.linalg as la
 
 from preforge.algebra import build_basis, random_pure_ket, rho_to_bloch
 from preforge.constraints import Ensemble
-from preforge.errors import RealizationError
-from preforge.measurement import AdaptiveScheme, synthesize
+from preforge.errors import ConvergenceError, RealizationError
+from preforge.measurement import NO_TARGET, AdaptiveScheme, synthesize
+from preforge.mespec import load_catalog
 from preforge.model import MasterEquation, UnravellingSetting
 from preforge.solver import analytic_k2
 from preforge.trajectory import (
+    _DRAW_BLOCK,
     TrajectoryConfig,
     _ClickEngine,
     _coherence_distance,
+    _engines,
+    member_click_rates,
     simulate,
     unconditional_check,
 )
@@ -43,6 +47,55 @@ def axis_pair(rf_bm):
 @pytest.fixture(scope="module")
 def axis_scheme(rf_me, axis_pair):
     return synthesize(rf_me, axis_pair)
+
+
+@pytest.fixture(scope="module")
+def dark_case():
+    """Decay e1 -> e0 with both members on identity settings: e0 never clicks."""
+    decay = np.sqrt(0.8) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = MasterEquation(2, np.zeros((2, 2)), [decay])
+    identity = UnravellingSetting.identity(1)
+    scheme = AdaptiveScheme(settings=(identity, identity), jump_map=np.array([[1], [0]]))
+    return me, scheme
+
+
+@pytest.fixture(scope="module")
+def ep_case():
+    """Driven decaying qubit at the exceptional point of H_eff, one self-looping setting."""
+    me = load_catalog("resonance_fluorescence", {"gamma": 1.0, "Omega": 0.5})
+    scheme = AdaptiveScheme(settings=(UnravellingSetting.identity(1),), jump_map=np.array([[0]]))
+    return me, scheme
+
+
+def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
+    """One trajectory at a time on the scalar engine, as the check ran before lockstep.
+
+    Returns the samples phi phi^dagger, shape (n_trajectories, n_times, D, D),
+    and the number of uniform draws each trajectory took.
+    """
+    engines = _engines(me, scheme)
+    psi0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
+    samples = np.zeros((n_trajectories, len(times), me.dim, me.dim), dtype=complex)
+    n_draws = np.zeros(n_trajectories, dtype=int)
+    for traj in range(n_trajectories):
+        rng = np.random.default_rng([cfg.rng_seed, 1000 + traj])
+        psi = psi0
+        label = 0
+        t = 0.0
+        tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+        n_draws[traj] = 1
+        for c_idx, t_check in enumerate(times):
+            while t + tau <= t_check:
+                channel, psi = engines[label].click(pre, rng.random())
+                target = int(scheme.jump_map[label, channel])
+                label = label if target == NO_TARGET else target
+                t += tau
+                tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+                n_draws[traj] += 2
+            phi = engines[label].propagate(psi, t_check - t)
+            phi = phi / np.linalg.norm(phi)
+            samples[traj, c_idx] = np.outer(phi, phi.conj())
+    return samples, n_draws
 
 
 def _batch_sigma(stats_list):
@@ -297,3 +350,171 @@ def test_config_rejects_non_positive_jump_count(n_jumps):
 def test_unconditional_check_rejects_non_positive_trajectory_count(rf_me, axis_scheme, n_trajectories):
     with pytest.raises(ValueError, match="trajectory count must be positive"):
         unconditional_check(rf_me, axis_scheme, n_trajectories=n_trajectories)
+
+
+LOCKSTEP_CASES = {
+    # name: (model/scheme fixture, psi0, seed, times, trajectories)
+    "rf-axis": ("rf_axis_case", [0.0, 1.0], 5, [0.5, 1.0, 2.0], 200),
+    "ae-poles-roaming": ("ae_poles_case", [1.0, 1.0], 9, [0.4, 1.0, 2.0], 200),
+    "dark-state": ("dark_case", [1.0, 1.0], 4, [0.5, 2.0, 6.0], 200),
+    "exceptional-point": ("ep_case", [1.0, 0.0], 6, [1.0, 3.0], 200),
+    "block-exhausted": ("ae_poles_case", [1.0, 1.0], 2, [2.0, 12.0], 60),
+    "pump-d3-unrouted-clicks": ("pump_d3_case", [1.0, 1.0, 1.0], 8, [0.5, 2.0], 150),
+}
+
+
+@pytest.fixture(scope="module")
+def pump_d3_case(pump_d3_me):
+    """Bare detection on the basis kets.
+
+    From a superposition a click may come from a detector with no target.
+    """
+    basis = build_basis(3)
+    states = [rho_to_bloch(np.diag(np.eye(3)[i]).astype(complex), basis) for i in range(3)]
+    kappa = np.zeros((3, 3))
+    kappa[0, 1], kappa[1, 2], kappa[2, 0] = 1.0, 0.6, 0.3
+    scheme = synthesize(pump_d3_me, Ensemble.from_states_kappa(3, states, kappa))
+    assert np.any(scheme.jump_map == NO_TARGET)
+    return pump_d3_me, scheme
+
+
+@pytest.fixture(scope="module")
+def rf_axis_case(rf_me, axis_scheme):
+    return rf_me, axis_scheme
+
+
+@pytest.fixture(scope="module")
+def ae_poles_case(ae_me, poles_scheme):
+    return ae_me, poles_scheme
+
+
+@pytest.mark.parametrize(
+    "lockstep_rows, stack_rows", [(None, None), (None, 16), (37, 8)],
+    ids=["one-stack", "stacks-of-16", "batches-of-37"],
+)
+@pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+def test_lockstep_matches_one_trajectory_at_a_time(request, monkeypatch, name, lockstep_rows, stack_rows):
+    fixture, psi0, seed, times, n = LOCKSTEP_CASES[name]
+    me, scheme = request.getfixturevalue(fixture)
+    if lockstep_rows is not None:
+        monkeypatch.setattr("preforge.trajectory._LOCKSTEP_ROWS", lockstep_rows)
+    if stack_rows is not None:
+        monkeypatch.setattr("preforge.trajectory._STACK_ROWS", stack_rows)
+    cfg = TrajectoryConfig(rng_seed=seed)
+    report = unconditional_check(me, scheme, cfg, psi0=np.array(psi0), times=times, n_trajectories=n)
+    samples, n_draws = _reference_samples(me, scheme, cfg, psi0, times, n)
+    reference = samples.mean(axis=0)
+    assert np.max(np.abs(report.averages - reference)) <= 1e-12
+    distances = np.linalg.norm(reference - report.exact, axis=(1, 2))
+    assert report.passed == bool(np.all(distances <= report.bounds))
+    if name == "block-exhausted":
+        assert n_draws.max() > _DRAW_BLOCK  # some stream was re-created and drew a longer block
+    if name == "exceptional-point":
+        assert _engines(me, scheme)[0].vinv is None
+
+
+def test_trajectory_does_not_depend_on_the_trajectory_count(ae_me, poles_scheme):
+    plus = np.array([1.0, 1.0])
+    cfg = TrajectoryConfig(rng_seed=13)
+    times = [0.5, 1.5]
+    n = 40
+    full = unconditional_check(ae_me, poles_scheme, cfg, psi0=plus, times=times, n_trajectories=n)
+    fewer = unconditional_check(ae_me, poles_scheme, cfg, psi0=plus, times=times, n_trajectories=n - 1)
+    samples, _ = _reference_samples(ae_me, poles_scheme, cfg, plus, times, n)
+    last = n * full.averages - (n - 1) * fewer.averages
+    assert np.max(np.abs(last - samples[n - 1])) <= 1e-12
+
+
+def _wait_cases(rf_me, axis_scheme, axis_pair, rng):
+    """(engine, kets, draws) covering pinned members, random kets, dark states, a Jordan block and near-EP."""
+    cases = []
+    kets = axis_pair.kets().astype(complex)
+    random = np.array([random_pure_ket(2, rng) for _ in range(12)])
+    for k in range(2):
+        engine = _ClickEngine(*axis_scheme.jumps_and_generator(rf_me, k))
+        cases.append((engine, np.repeat(kets[k : k + 1], 3, axis=0), np.array([0.9, 0.3, 1e-3])))
+        cases.append((engine, random, rng.uniform(1e-6, 1.0, size=len(random))))
+    gamma = 0.8
+    decay = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    dark = _ClickEngine([decay], np.diag([0.0, -0.5j * gamma]))
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    dark_kets = np.array([e0, plus, plus, plus, *random])
+    cases.append((dark, dark_kets, np.array([0.5, 0.4, 0.8, 0.5001, *rng.uniform(size=12)])))
+    jordan = np.array([[-0.5j, 0.5], [0.0, -0.5j]])
+    cases.append((_ClickEngine([np.eye(2)], jordan), random, rng.uniform(0.01, 0.95, size=len(random))))
+    for eps in (1e-9, 1e-11, 1e-6):
+        omega = 0.25 * (1.0 + eps)
+        engine = _ClickEngine([np.array([[0.0, 0.0], [1.0, 0.0]])], np.array([[-0.5j, omega], [omega, 0.0]]))
+        cases.append((engine, random, rng.uniform(1e-4, 1.0, size=len(random))))
+    return cases
+
+
+def test_stacked_wait_matches_scalar_wait_row_by_row(rf_me, axis_scheme, axis_pair, rng):
+    n_inf = 0
+    for engine, kets, draws in _wait_cases(rf_me, axis_scheme, axis_pair, rng):
+        taus, phis = engine.wait_stack(kets, draws)
+        for psi, u, tau, phi in zip(kets, draws, taus, phis):
+            ref_tau, ref_phi = engine.wait(psi, u)
+            if ref_phi is None:
+                n_inf += 1
+                assert tau == np.inf and np.all(np.isnan(phi))
+                continue
+            assert abs(tau - ref_tau) <= 1e-12 * ref_tau
+            assert np.max(np.abs(phi - ref_phi)) <= 1e-12
+    assert n_inf >= 2  # dark kets below their limit norm never click
+
+
+def test_stacked_click_and_propagate_match_scalar(rf_me, axis_scheme, rng):
+    engine = _ClickEngine(*axis_scheme.jumps_and_generator(rf_me, 0))
+    kets = np.array([random_pure_ket(2, rng) for _ in range(20)])
+    r = rng.uniform(size=20)
+    channels, posts = engine.click_stack(kets, r)
+    taus = rng.uniform(0.0, 5.0, size=20)
+    flows = engine.propagate_stack(kets, taus)
+    for psi, ri, ch, post, tau, flow in zip(kets, r, channels, posts, taus, flows):
+        ref_ch, ref_post = engine.click(psi, ri)
+        assert ch == ref_ch and np.max(np.abs(post - ref_post)) <= 1e-12
+        assert np.max(np.abs(flow - engine.propagate(psi, tau))) <= 1e-12
+
+
+def test_stacked_wait_raises_when_a_row_does_not_converge(monkeypatch):
+    engine = _ClickEngine([np.eye(2)], np.array([[-0.5j, 0.5], [0.0, -0.5j]]))
+    monkeypatch.setattr("preforge.trajectory._MAX_ITER", 2)
+    kets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ConvergenceError):
+        engine.wait_stack(kets, np.array([0.5, 0.1]))
+
+
+@pytest.mark.parametrize(
+    "psi0, times, message",
+    [
+        (None, [np.inf], "checkpoint times"),
+        (None, [0.5, np.nan], "checkpoint times"),
+        (np.zeros(2), None, "initial state"),
+        (np.ones(3), None, "initial state"),
+        (np.array([1.0, np.nan]), None, "initial state"),
+    ],
+    ids=["infinite-time", "nan-time", "zero-psi0", "wrong-length-psi0", "non-finite-psi0"],
+)
+def test_unconditional_check_rejects_bad_inputs_before_any_trajectory(
+    monkeypatch, rf_me, axis_scheme, psi0, times, message
+):
+    def no_trajectories(*args):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr("preforge.trajectory._Draws", no_trajectories)
+    with pytest.raises(ValueError, match=message):
+        unconditional_check(rf_me, axis_scheme, psi0=psi0, times=times, n_trajectories=10)
+
+
+def test_member_click_rates_match_pinned_rates(rf_me, axis_scheme, axis_pair):
+    stats = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=4000, rng_seed=17))
+    sampled, exact = member_click_rates(rf_me, axis_scheme, axis_pair, stats)
+    clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
+    kets = axis_pair.kets()
+    for k in range(2):
+        jumps, _ = axis_scheme.jumps_and_generator(rf_me, k)
+        assert exact[k] == pytest.approx(sum(np.linalg.norm(c @ kets[k]) ** 2 for c in jumps), rel=1e-12)
+        assert sampled[k] == clicks[k] / (stats.occupancy[k] * stats.total_time)
+        assert abs(sampled[k] - exact[k]) <= 4.0 / np.sqrt(clicks[k]) * exact[k]
