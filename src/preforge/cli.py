@@ -38,8 +38,7 @@ from .model import vectorize
 from .solver import (
     SolverConfig,
     analytic_k2,
-    ensemble_distance,
-    family_equivalent,
+    new_ensembles,
     route_skip_reasons,
     scan_existence,
     solve_numeric,
@@ -205,22 +204,17 @@ def _subspace_doc(sub) -> dict:
     }
 
 
-def _coincident_members(ens: Ensemble, eps: float) -> bool:
-    """Whether two members lie within ``eps``: a relabelled smaller ensemble."""
-    gaps = np.linalg.norm(ens.states[:, None] - ens.states[None], axis=-1)
-    return bool(np.min(gaps[np.triu_indices(ens.k, 1)]) <= eps)
-
-
 def cmd_search(args) -> int:
     """Collect K-member ensembles from every route and write one bundle.
 
     The closed-form routes come first (the azimuthal Wigner family, and
     ``analytic_k2`` at K=2), then one multistart route per searched subspace
-    and one for the full space.  A numeric result with two members within
-    ``dedup_eps`` is a relabelled smaller ensemble: it is dropped and counted
-    under the route's ``"coincident members"`` rejections.  A route that
-    ``route_skip_reasons`` proves empty is not solved (at K=2 when
-    ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
+    and one for the full space.  Each route's entry in ``results.routes`` is
+    the solver's own start count and rejection histogram.  A route lists the
+    results that ``new_ensembles`` finds new next to those already listed,
+    with the model's continuous Wigner symmetries as the family quotient.
+    A route that ``route_skip_reasons`` proves empty is not solved (at K=2
+    when ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
     ``results.routes`` with zero counts and its reason under ``"skipped"``.
     """
     params = _parse_params(args.param)
@@ -270,17 +264,7 @@ def cmd_search(args) -> int:
             found.append(ens)
             sources.append({"route": "analytic-k2", "eigenvalue": tag["eigenvalue"]})
 
-    # Solutions related by a continuous symmetry count once.
     generators = [w.generator for w in symmetries if w.generator is not None]
-
-    def seen(ens):
-        for prev in found:
-            if ensemble_distance(ens, prev) <= cfg.dedup_eps:
-                return True
-            if any(family_equivalent(prev, ens, g, cfg.dedup_eps) for g in generators):
-                return True
-        return False
-
     routes = []
     reasons = route_skip_reasons(bm, k, [None if sub is None else sub.n for _, sub in plan])
     for (label, sub), reason in zip(plan, reasons):
@@ -298,20 +282,15 @@ def cmd_search(args) -> int:
         sols = solve_numeric(system, cfg)
         diag = sols.diagnostics
         entry = {"route": label, **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted")}}
-        entry["rejections"] = dict(diag["rejections"])
-        kept = [ens for ens in sols.ensembles if not _coincident_members(ens, cfg.dedup_eps)]
-        if len(kept) < len(sols.ensembles):
-            entry["n_accepted"] = len(kept)
-            entry["rejections"]["coincident members"] = len(sols.ensembles) - len(kept)
+        entry["rejections"] = diag["rejections"]
         routes.append(entry)
         _log.debug(
             "route %s: %d starts, %d converged, %d accepted; rejections %s",
             label, entry["n_starts"], entry["n_converged"], entry["n_accepted"], entry["rejections"],
         )
-        for ens in kept:
-            if not seen(ens):
-                found.append(ens)
-                sources.append({"route": label})
+        new = new_ensembles(sols.ensembles, found, generators)
+        found += new
+        sources += [{"route": label} for _ in new]
 
     results = {
         "model": _model_summary(bm),

@@ -109,8 +109,18 @@ class Ensemble:
 
     @classmethod
     def from_states_kappa(cls, dim: int, states, kappa, validate: bool = True) -> "Ensemble":
-        states = np.atleast_2d(np.asarray(states, dtype=float))
+        """States of shape (K, D^2-1) with K >= 2 and a (K, K) ``kappa``, else
+        ``EnsembleError``; ``validate`` adds the purity and connectivity checks."""
+        states = np.asarray(states, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
+        n_coords = dim * dim - 1
+        if states.ndim != 2 or states.shape[1] != n_coords or states.shape[0] < 2:
+            raise EnsembleError(
+                f"states need shape (K, D^2-1) = (K, {n_coords}) with K >= 2, got {states.shape}"
+            )
+        k = states.shape[0]
+        if kappa.shape != (k, k):
+            raise EnsembleError(f"kappa needs shape ({k}, {k}) for {k} members, got {kappa.shape}")
         if np.min(kappa) < KAPPA_REJECT:
             raise EnsembleError(f"negative transition rate {np.min(kappa):g}")
         kappa = clamp_rates(kappa)

@@ -15,13 +15,19 @@ Three routes are implemented.
   validation and independent projector-form verification of the distinct
   ones only.
 
-``route_skip_reasons`` says when a numeric route provably adds nothing to
-the closed forms, so that it need not be solved.
+What counts as a new ensemble is decided here and nowhere else.  A result
+with two members within ``DEDUP_EPS`` is a relabelled smaller ensemble with
+a free rate split, so ``solve_numeric`` rejects it; ``new_ensembles`` then
+drops results within ``DEDUP_EPS`` of one already listed or related to one
+by a continuous symmetry, for ``search`` across its routes and for ``scan``
+at each grid value.  ``route_skip_reasons`` says when a numeric route
+provably adds nothing to the closed forms, so that it need not be solved.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,10 +54,16 @@ __all__ = [
     "route_skip_reasons",
     "solve_wigner_family",
     "solve_numeric",
+    "new_ensembles",
     "scan_existence",
     "ensemble_distance",
     "dedup",
 ]
+
+# Two member states, or two ensembles, closer than this are the same.
+DEDUP_EPS = 1e-6
+# Residual evaluations allowed per multistart start.
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,7 @@ class SolverConfig:
 
     tol: float = 1e-10
     seeds: int = 512
-    max_iter: int = 200
     rng_seed: int = 0
-    dedup_eps: float = 1e-6
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -143,7 +153,7 @@ def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
     return kept, duplicates
 
 
-def dedup(ensembles: list, eps: float = 1e-6, rate_scale: float = 1.0) -> list:
+def dedup(ensembles: list, eps: float = DEDUP_EPS, rate_scale: float = 1.0) -> list:
     """Drop duplicates up to member relabeling; order-stable and idempotent.
 
     An ensemble is kept unless an earlier kept one lies within ``eps``.  This
@@ -231,7 +241,7 @@ def route_skip_reasons(bm: BlochModel, k: int, slice_dims: list) -> list:
 
     ``slice_dims`` holds each route's invariant-subspace dimension, None for
     the full space.  Both proofs take for granted that results with two
-    coincident members are dropped, as ``search`` does.
+    coincident members are dropped, as ``solve_numeric`` does.
 
     * K=2: subtracting the two flow rows gives
       l0 (x1 - x2) = -(kappa_12 + kappa_21) (x1 - x2), and the
@@ -364,12 +374,13 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     log-uniform rates, start i from ``default_rng([cfg.rng_seed, i])``, and
     solved together by a batched Levenberg-Marquardt iteration.  Converged
     points whose residual meets ``cfg.tol`` and whose rates are nonnegative
-    up to clamping are sorted canonically and deduplicated first; each
-    distinct one is then validated as an ``Ensemble`` (pure members,
-    strongly connected graph) and kept only if the independent
-    projector-form check passes.  On a graph-consistent system every start
-    ends up either kept (``n_accepted``) or counted once under
-    ``rejections``, ``"duplicate"`` included.
+    up to clamping are rejected as ``"coincident members"`` when two members
+    lie within ``DEDUP_EPS``; the others are sorted canonically and
+    deduplicated first; each distinct one is then validated as an
+    ``Ensemble`` (pure members, strongly connected graph) and kept only if
+    the independent projector-form check passes.  On a graph-consistent
+    system every start ends up either kept (``n_accepted``) or counted once
+    under ``rejections``, ``"duplicate"`` included.
     """
     cfg = SolverConfig() if cfg is None else cfg
     diagnostics = {
@@ -389,7 +400,7 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     starts = np.array(
         [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
     )
-    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
+    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
 
     candidates = []
     for theta, resid, fail in zip(thetas, resids, failed):
@@ -403,6 +414,9 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         states, kappa = cs.unpack(theta)
         if np.min(kappa) < KAPPA_REJECT:
             reject("negative rate")
+            continue
+        if min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS:
+            reject("coincident members")
             continue
         candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
 
@@ -418,14 +432,14 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         return ens
 
     rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
-    unique, duplicates = _distinct(_canonical_sort(candidates), cfg.dedup_eps, rate_scale, accept)
+    unique, duplicates = _distinct(_canonical_sort(candidates), DEDUP_EPS, rate_scale, accept)
     if duplicates:
         reject("duplicate", duplicates)
     diagnostics["n_accepted"] = len(unique)
     return SolutionSet(ensembles=unique, diagnostics=diagnostics)
 
 
-def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: float = 1e-6) -> bool:
+def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: float = DEDUP_EPS) -> bool:
     """Whether two ensembles differ only by a rotation of the given family."""
     if e1.k != e2.k:
         return False
@@ -448,6 +462,24 @@ def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: fl
             if ensemble_distance(e1, rotated) <= eps:
                 return True
     return False
+
+
+def new_ensembles(candidates: list, earlier=(), generators=()) -> list:
+    """The candidates, in order, that are new next to ``earlier`` and to each other.
+
+    A candidate is not new when it lies within ``DEDUP_EPS`` of an earlier
+    or already kept ensemble, or differs from one only by a rotation of the
+    family of any of ``generators``.
+    """
+    kept = []
+    for ens in candidates:
+        if not any(
+            ensemble_distance(ens, prev) <= DEDUP_EPS
+            or any(family_equivalent(prev, ens, g) for g in generators)
+            for prev in [*earlier, *kept]
+        ):
+            kept.append(ens)
+    return kept
 
 
 @dataclass
@@ -474,26 +506,17 @@ def scan_existence(
     """Count distinct ensembles at each grid value and locate count changes.
 
     ``bm_factory`` maps a grid value to a Bloch model, ``cs_builder`` maps
-    that model to the constraint system to solve.  With a family generator
-    supplied, solutions related by the continuous symmetry are counted once.
+    that model to the constraint system to solve.  The count is that of
+    ``new_ensembles``: with a family generator supplied, solutions related by
+    the continuous symmetry are counted once.
     """
     cfg = SolverConfig() if cfg is None else cfg
+    generators = [] if quotient_generator is None else [quotient_generator]
     values = np.asarray(list(values), dtype=float)
     counts = np.empty(len(values), dtype=int)
     for i, value in enumerate(values):
-        bm = bm_factory(value)
-        solset = solve_numeric(cs_builder(bm), cfg)
-        ensembles = solset.ensembles
-        if quotient_generator is not None:
-            reduced = []
-            for ens in ensembles:
-                if not any(
-                    family_equivalent(kept, ens, quotient_generator, cfg.dedup_eps)
-                    for kept in reduced
-                ):
-                    reduced.append(ens)
-            ensembles = reduced
-        counts[i] = len(ensembles)
+        solset = solve_numeric(cs_builder(bm_factory(value)), cfg)
+        counts[i] = len(new_ensembles(solset.ensembles, generators=generators))
     thresholds = [
         float(0.5 * (values[i] + values[i + 1]))
         for i in range(len(values) - 1)

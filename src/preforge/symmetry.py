@@ -36,14 +36,10 @@ __all__ = [
     "InvariantSubspace",
     "WignerSymmetry",
     "FamilyTag",
-    "JointReport",
     "find_invariant_subspaces",
-    "block_form",
-    "BlockForm",
     "find_wigner_symmetries",
     "certify_wigner",
     "lie_element",
-    "check_joint",
     "apply_wigner",
 ]
 
@@ -53,6 +49,8 @@ CERT_TOL = 1e-8
 WITNESS_STARTS = 8
 WITNESS_TOL = 1e-12
 WITNESS_MAX_ITER = 100
+# Angle of the representative rotation reported for each rotation generator.
+REP_ANGLE = np.pi / 3
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,6 @@ class InvariantSubspace:
     pure_witness: np.ndarray | None  # a pure coherence vector inside the slice
     family: FamilyTag | None = None
     tags: tuple = ()
-
-    def contains(self, u: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether a centred vector u lies in the subspace."""
-        u = np.asarray(u, dtype=float)
-        return self.distance(u) <= tol * max(1.0, np.linalg.norm(u))
 
     def distance(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
@@ -209,14 +202,13 @@ def _realify(vectors: list) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def find_invariant_subspaces(
-    bm: BlochModel, n_min: int | None = None, n_max: int | None = None
-) -> list:
+def find_invariant_subspaces(bm: BlochModel) -> list:
     """Enumerate invariant subspaces containing at least one pure state.
 
     Atomic candidates come from real eigenvectors, realified complex
     conjugate pairs, and generalized-eigenvector chain prefixes when l0 is
-    defective; unions of atoms fill in the requested dimension range.
+    defective; unions of atoms fill in the dimensions from D-1, the least
+    that can hold a pure state, to D^2-2, one below the whole space.
     Degenerate eigenspaces stand for continuous families and carry a
     :class:`FamilyTag` with an in-space rotation generator.  Candidates
     are kept when a pure witness is found (see :func:`_pure_witness`), so
@@ -224,10 +216,6 @@ def find_invariant_subspaces(
     The outcome counts go to the ``preforge`` logger at debug level.
     """
     n = bm.n_coords
-    n_min = bm.dim - 1 if n_min is None else n_min
-    n_max = n - 1 if n_max is None else min(n_max, n - 1)
-    if n_min < bm.dim - 1:
-        raise SubspaceError(f"n_min must be at least D-1 = {bm.dim - 1}")
     spec = eig_full(bm.l0)
 
     atoms = []  # (columns, tag, family)
@@ -276,7 +264,7 @@ def find_invariant_subspaces(
     for size in range(1, len(atoms) + 1):
         for combo in itertools.combinations(range(len(atoms)), size):
             basis_i0 = orth(np.column_stack([atoms[i][0] for i in combo]), rcond=1e-10)
-            if not (n_min <= basis_i0.shape[1] <= n_max):
+            if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
                 continue
             proj = basis_i0 @ basis_i0.T
             if np.any(np.max(np.abs(seen_projectors - proj), axis=(1, 2)) < 1e-8):
@@ -324,25 +312,6 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
     if basis_i0.shape[1] == 0:
         raise SubspaceError("span has rank 0: it needs at least one nonzero vector")
     return _certified_subspace(bm, basis_i0, family, ("explicit",))
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Restricted generator of a subspace and whether its complement is invariant too."""
-
-    l_i0: np.ndarray
-    is_dual_invariant: bool
-
-
-def block_form(bm: BlochModel, sub: InvariantSubspace) -> BlockForm:
-    """l0 restricted to the subspace; l0^T must keep the subspace for duality."""
-    cert = block_leak(bm.l0, sub.basis_i0, sub.basis_r0)
-    if cert > CERT_TOL:
-        raise SubspaceError(f"subspace certificate violated: {cert:.3e}")
-    return BlockForm(
-        l_i0=sub.basis_i0.T @ bm.l0 @ sub.basis_i0,
-        is_dual_invariant=block_leak(bm.l0.T, sub.basis_i0, sub.basis_r0) <= CERT_TOL,
-    )
 
 
 _WIGNER_LIMITS = {
@@ -468,12 +437,12 @@ def _free_components(bm: BlochModel) -> tuple:
     return len(roots), [np.flatnonzero(root == r) for r in roots if not pinned[root == r].any()]
 
 
-def find_wigner_symmetries(bm: BlochModel, rep_angle: float = np.pi / 3) -> list:
+def find_wigner_symmetries(bm: BlochModel) -> list:
     """Orthogonal symmetries of the generator, each certified exactly.
 
     The connected component is found by solving the linear commutant problem
     for antisymmetric generators; each one is reported as a representative
-    rotation by ``rep_angle`` carrying its generator.  Discrete candidates
+    rotation by ``REP_ANGLE`` carrying its generator.  Discrete candidates
     are the coordinate sign flips that are constant on each component of
     the generator's coupling graph and leave the drift and steady state
     alone (see :func:`_free_components`); every flip that can pass
@@ -487,14 +456,14 @@ def find_wigner_symmetries(bm: BlochModel, rep_angle: float = np.pi / 3) -> list
     """
     out = []
     for g_idx, gen in enumerate(_lie_generators(bm)):
-        t0 = lie_element(gen, rep_angle)
+        t0 = lie_element(gen, REP_ANGLE)
         report = certify_wigner(bm, t0)
         if report["certified"]:
             out.append(
                 WignerSymmetry(
                     t0=t0,
                     antiunitary=report["antiunitary"],
-                    generator_tag=f"rotation[{g_idx}] angle={rep_angle:.6g}",
+                    generator_tag=f"rotation[{g_idx}] angle={REP_ANGLE:.6g}",
                     generator=gen,
                 )
             )
@@ -521,55 +490,6 @@ def find_wigner_symmetries(bm: BlochModel, rep_angle: float = np.pi / 3) -> list
         counts["drift"], counts["steady_state"], counts["state_set"],
     )
     return out
-
-
-@dataclass
-class JointReport:
-    """Compatibility of an invariant subspace with a Wigner symmetry."""
-
-    off_block_norm: float
-    blocks_decouple: bool
-    restricted_commutes: bool
-    steady_state_fixed: bool
-    full_space_symmetry: bool
-    passed: bool
-
-    def __str__(self):
-        return (
-            f"{'PASS' if self.passed else 'FAIL'}: "
-            f"off-blocks {self.off_block_norm:.2e}, "
-            f"restricted commutation {self.restricted_commutes}, "
-            f"steady state fixed {self.steady_state_fixed}, "
-            f"full-space symmetry {self.full_space_symmetry}"
-        )
-
-
-def check_joint(sub: InvariantSubspace, w: WignerSymmetry, bm: BlochModel) -> JointReport:
-    """Check that a symmetry restricts to the subspace.
-
-    Requires t0 and t0^T to keep the subspace (the off-diagonal blocks in
-    the subspace-adapted basis vanish), the restriction to commute with the
-    restricted generator and the steady state to be fixed.  The full-space
-    flag records whether :func:`certify_wigner` certifies t0 on the whole
-    space, which is not needed for searching inside the subspace.
-    """
-    bi, br, t0 = sub.basis_i0, sub.basis_r0, w.t0
-    off = max(block_leak(t0, bi, br), block_leak(t0.T, bi, br))
-    blocks_decouple = off <= CERT_TOL
-    t_i = bi.T @ t0 @ bi
-    l_i = bi.T @ bm.l0 @ bi
-    scale = max(np.linalg.norm(l_i, 2), 1e-300)
-    restricted = bool(np.linalg.norm(t_i @ l_i - l_i @ t_i, 2) <= CERT_TOL * scale)
-    report = certify_wigner(bm, t0)
-    steady = report["steady_state"] <= CERT_TOL
-    return JointReport(
-        off_block_norm=off,
-        blocks_decouple=blocks_decouple,
-        restricted_commutes=restricted,
-        steady_state_fixed=steady,
-        full_space_symmetry=report["certified"],
-        passed=blocks_decouple and restricted and steady,
-    )
 
 
 def apply_wigner(w: WignerSymmetry, ens: Ensemble) -> Ensemble:

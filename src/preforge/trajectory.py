@@ -52,6 +52,10 @@ _DRAW_BLOCK = 8
 # rows per stacked engine call, which bounds the temporaries of a wait.
 _LOCKSTEP_ROWS = 4096
 _STACK_ROWS = 512
+# Clicks that ``simulate`` discards before it records statistics, and the
+# largest coherence distance of a pre-click state from its nominal member.
+BURN_IN_JUMPS = 20
+DRIFT_TOL = 1e-4
 # Width, in standard errors, of the unconditional check's sampling band, and
 # the numerical floor added to it.
 UNCONDITIONAL_Z = 4.0
@@ -60,21 +64,13 @@ _BAND_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Stopping target and bookkeeping options."""
+    """Stopping target and random stream."""
 
     t_max: float | None = None
     n_jumps: int | None = None
     rng_seed: int = 0
-    record: str = "jumps-only"  # or "strided"
-    stride: int = 1000  # clicks between snapshots
-    burn_in_jumps: int = 20
-    drift_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.record not in ("jumps-only", "strided"):
-            raise ValueError("record policy must be 'jumps-only' or 'strided'")
-        if self.stride < 1:
-            raise ValueError("stride must be a positive click count")
         if self.n_jumps is not None and self.n_jumps < 1:
             raise ValueError(f"jump count must be positive, got {self.n_jumps}")
 
@@ -90,7 +86,6 @@ class TrajectoryStats:
     n_jumps: int
     total_time: float
     events: list = field(default_factory=list)  # (time, channel, from, to)
-    snapshots: list = field(default_factory=list)  # (time, coherence vector)
 
 
 class _ClickEngine:
@@ -384,8 +379,8 @@ def simulate(
 ) -> TrajectoryStats:
     """Simulate one adaptive trajectory started in member 0.
 
-    Statistics are accumulated after a burn-in of ``cfg.burn_in_jumps``
-    detections; a pre-click state further than ``cfg.drift_tol`` (coherence
+    Statistics are accumulated after a burn-in of ``BURN_IN_JUMPS``
+    detections; a pre-click state further than ``DRIFT_TOL`` (coherence
     distance) from its nominal member raises :class:`RealizationError`, and
     so does a member state that would never click again before the stopping
     target.
@@ -394,7 +389,6 @@ def simulate(
     n_jumps_target = cfg.n_jumps if cfg.n_jumps is not None else 10_000
     kets = ens.kets().astype(complex)
     engines = _engines(me, scheme)
-    basis = build_basis(me.dim) if cfg.record == "strided" else None
 
     rng = np.random.default_rng([cfg.rng_seed, 0])
     psi = kets[0]
@@ -405,7 +399,6 @@ def simulate(
     jump_counts = np.zeros((k_members, k_members), dtype=np.int64)
     self_loops = np.zeros(k_members, dtype=np.int64)
     events = []
-    snapshots = []
     max_drift = 0.0
     n_recorded = 0
     n_total_jumps = 0
@@ -430,16 +423,14 @@ def simulate(
         pre = _unit(pre)
         drift = _coherence_distance(pre, kets[label])
         n_total_jumps += 1
-        if drift > cfg.drift_tol:
+        if drift > DRIFT_TOL:
             raise RealizationError(
                 f"pre-click state drifted {drift:.3e} from member {label} "
                 f"after {n_total_jumps} clicks: scheme does not pin the ensemble"
             )
         channel, psi = engine.click(pre, rng.random())
-        if basis is not None and n_total_jumps % cfg.stride == 0:
-            snapshots.append((t, rho_to_bloch(np.outer(psi, psi.conj()), basis)))
         target = int(scheme.jump_map[label, channel])
-        if burning and n_total_jumps >= cfg.burn_in_jumps:
+        if burning and n_total_jumps >= BURN_IN_JUMPS:
             burning = False
             t = 0.0
         elif not burning:
@@ -462,7 +453,6 @@ def simulate(
         n_jumps=n_recorded,
         total_time=total_time,
         events=events,
-        snapshots=snapshots,
     )
 
 

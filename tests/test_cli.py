@@ -168,8 +168,8 @@ def rf_k3_full_search(tmp_path_factory):
     return json.loads(out.read_text())["results"], solved
 
 
-def _member_gaps(doc):
-    states = np.asarray(doc["states"])
+def _member_gaps(states):
+    states = np.asarray(states)
     return [np.linalg.norm(states[i] - states[j]) for i in range(len(states)) for j in range(i)]
 
 
@@ -177,7 +177,7 @@ def test_search_drops_results_with_coincident_members(rf_k3_full_search):
     results, _ = rf_k3_full_search
     # Without the drop this search lists 91 ensembles, 88 of them with two
     # members within 1e-12: relabelled K=2 ensembles with a free rate split.
-    gaps = [min(_member_gaps(e)) for e in results["ensembles"]]
+    gaps = [min(_member_gaps(e["states"])) for e in results["ensembles"]]
     assert len(gaps) == 4
     assert all(0.008 <= g <= 0.08 for g in gaps)
     dropped = 0
@@ -320,8 +320,17 @@ def test_verify_passes_good_ensemble(capsys, tmp_path, rf_bm):
     [
         ({"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]}, "lacks 'kappa'"),
         ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], "JSON object, not a list"),
+        (
+            {"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]], "kappa": [[0, 1], [1, 0]]},
+            "kappa needs shape (3, 3) for 3 members, got (2, 2)",
+        ),
+        (
+            {"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], "kappa": np.ones((3, 3)).tolist()},
+            "kappa needs shape (2, 2) for 2 members, got (3, 3)",
+        ),
+        ({"dim": 2, "states": [[0.0, 0.0, 1.0]], "kappa": [[0.0]]}, "with K >= 2, got (1, 3)"),
     ],
-    ids=["missing-kappa", "top-level-list"],
+    ids=["missing-kappa", "top-level-list", "three-states-2x2-kappa", "two-states-3x3-kappa", "one-member"],
 )
 def test_malformed_ensemble_file_is_usage_error(capsys, tmp_path, command, doc, message):
     path = tmp_path / "ens.json"
@@ -331,7 +340,7 @@ def test_malformed_ensemble_file_is_usage_error(capsys, tmp_path, command, doc, 
         "--ensemble", str(path),
     )
     assert code == 2
-    assert err.count("error:") == 1 and message in err
+    assert err.startswith("error:") and err.count("error:") == 1 and message in err
     assert "Traceback" not in err
 
 
@@ -620,6 +629,35 @@ def test_scan_small_grid(capsys, tmp_path):
     assert rows["0.04"] == "2"
     assert rows["0.08"] == "0"
     assert "count changes" in err
+
+
+def test_scan_full_graph_counts_no_relabelled_smaller_ensemble(capsys, tmp_path, monkeypatch):
+    # On the full graph many starts end on a K=2 ensemble with one member
+    # listed twice and a free rate split.  Counted as K=3 ensembles, these
+    # made the two points below read 12 and 15.
+    from preforge import solver
+
+    solved = []
+    real_solve = solver.solve_numeric
+
+    def recording_solve(system, cfg):
+        sols = real_solve(system, cfg)
+        solved.append(sols.ensembles)
+        return sols
+
+    monkeypatch.setattr(solver, "solve_numeric", recording_solve)
+    csv_path = tmp_path / "scan.csv"
+    code, _, _ = run(
+        capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+        "--values", "0.05:0.06:0.01", "--k", "3", "--graph", "full", "--subspace-span", "1,0,0;0,0,1",
+        "--seeds", "192", "--rng", "0", "-o", str(csv_path),
+    )
+    assert code == 0
+    counts = [int(line.split(",")[1]) for line in csv_path.read_text().splitlines()[1:]]
+    assert len(counts) == len(solved) == 2
+    for count, ensembles in zip(counts, solved):
+        assert 1 <= count <= len(ensembles)
+        assert all(min(_member_gaps(ens.states)) > 1e-3 for ens in ensembles)
 
 
 @pytest.mark.parametrize(

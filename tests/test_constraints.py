@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ def test_ensemble_validation_rejects_bad_input():
         Ensemble.from_states_kappa(
             2, good_states, np.array([[0.0, 0.0], [1.0, 0.0]])
         )  # one-way graph
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize(
+    "states, kappa, message",
+    [
+        ([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]], [[0, 1.0], [1.0, 0]], "kappa needs shape (3, 3)"),
+        ([[0, 0, 1.0], [0, 0, -1.0]], np.ones((3, 3)), "kappa needs shape (2, 2)"),
+        ([[0, 0, 1.0]], [[0.0]], "K >= 2"),
+        ([0, 0, 1.0], [[0.0]], "K >= 2"),
+        ([[0, 1.0], [0, -1.0]], [[0, 1.0], [1.0, 0]], "(K, 3)"),
+    ],
+    ids=["3-states-2x2-kappa", "2-states-3x3-kappa", "one-member", "flat-states", "short-states"],
+)
+def test_ensemble_shapes_are_checked_without_validation(states, kappa, message, validate):
+    with pytest.raises(EnsembleError, match=re.escape(message)):
+        Ensemble.from_states_kappa(2, np.array(states), np.array(kappa), validate=validate)
 
 
 def test_ensemble_occupations_are_stationary(ae_bm):

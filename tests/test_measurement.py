@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from preforge.algebra import build_basis, coordinate_rep, rho_to_bloch
-from preforge.cli import _coincident_members
 from preforge.constraints import Ensemble, build_full, build_subspace_reduced, verify
 from preforge.errors import SynthesisError
 from preforge.measurement import (
@@ -213,16 +212,9 @@ def test_symmetry_transfers_scheme_conditions(ae_me, ae_bm):
 
 @pytest.fixture(scope="module")
 def rf_k3(rf_bm):
-    """The full-space rf K=3 ensembles as ``search`` keeps them: without coincident members."""
+    """The full-space rf K=3 ensembles of each graph, as ``search`` lists them."""
     cfg = SolverConfig(seeds=128, rng_seed=0)
-    return {
-        g: [
-            ens
-            for ens in solve_numeric(build_full(rf_bm, 3, g), cfg).ensembles
-            if not _coincident_members(ens, cfg.dedup_eps)
-        ]
-        for g in ("cyclic", "full")
-    }
+    return {g: solve_numeric(build_full(rf_bm, 3, g), cfg).ensembles for g in ("cyclic", "full")}
 
 
 def _assert_realized(me, ens, scheme):

@@ -7,6 +7,8 @@ from preforge.constraints import KAPPA_REJECT, Ensemble, build_full, build_subsp
 from preforge import solver
 from preforge.errors import EnsembleError
 from preforge.solver import (
+    DEDUP_EPS,
+    MAX_ITER,
     SolverConfig,
     _canonical_sort,
     _levenberg_marquardt,
@@ -14,6 +16,7 @@ from preforge.solver import (
     dedup,
     ensemble_distance,
     family_equivalent,
+    new_ensembles,
     route_skip_reasons,
     scan_existence,
     solve_numeric,
@@ -86,7 +89,7 @@ def test_analytic_k2_is_complete_when_real_eigenspaces_are_lines(request, model)
     analytic = analytic_k2(bm).ensembles
     for cs in systems:
         for ens in solve_numeric(cs, cfg).ensembles:
-            assert min((ensemble_distance(ens, ref) for ref in analytic), default=np.inf) <= cfg.dedup_eps
+            assert min((ensemble_distance(ens, ref) for ref in analytic), default=np.inf) <= DEDUP_EPS
 
 
 def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
@@ -208,34 +211,44 @@ def test_batch_composition_does_not_change_results(rf_bm):
         starts = np.array(
             [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
         )
-        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
-        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg.tol, cfg.max_iter)
+        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
+        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg.tol, MAX_ITER)
         assert np.array_equal(stacked, reversed_order[::-1])
         for start, theta in zip(starts, stacked):
-            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg.tol, cfg.max_iter)
+            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg.tol, MAX_ITER)
             assert np.array_equal(alone[0], theta)
+
+
+def _min_member_gap(states):
+    return min(np.linalg.norm(states[i] - states[j]) for i in range(len(states)) for j in range(i))
 
 
 @pytest.mark.parametrize("rng_seed", [0, 1, 2])
 def test_underdetermined_full_graph_finds_verified_ensembles(rf_bm, rng_seed):
+    # Most starts end on a relabelled K=2 ensemble, which is rejected; 256
+    # starts reach one with three distinct members at each rng_seed.
     cs = build_full(rf_bm, 3, "full")
     assert cs.n_params > cs.n_constraints
-    sols = solve_numeric(cs, SolverConfig(seeds=64, rng_seed=rng_seed))
+    sols = solve_numeric(cs, SolverConfig(seeds=256, rng_seed=rng_seed))
     assert sols.ensembles
     for ens in sols.ensembles:
         assert verify(rf_bm, ens).passed
+        assert _min_member_gap(ens.states) > 1e-3
 
 
 def _solve_verify_then_dedup(cs, cfg, check):
     """The acceptance step before deduplication came first: every converged
-    start is validated and checked, and the survivors are deduplicated."""
+    start with distinct members is validated and checked, and the survivors
+    are deduplicated."""
     starts = np.array(
         [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
     )
-    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, cfg.max_iter)
+    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
     accepted = []
     for theta, resid, fail in zip(thetas, resids, failed):
         if fail or np.max(np.abs(resid)) > cfg.tol or np.min(cs.unpack(theta)[1]) < KAPPA_REJECT:
+            continue
+        if _min_member_gap(cs.unpack(theta)[0]) <= DEDUP_EPS:
             continue
         try:
             ens = cs.ensemble(theta)
@@ -244,7 +257,7 @@ def _solve_verify_then_dedup(cs, cfg, check):
         if check(cs.bm, ens, tol=10 * cfg.tol).passed:
             accepted.append(ens)
     rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
-    return dedup(_canonical_sort(accepted), cfg.dedup_eps, rate_scale)
+    return dedup(_canonical_sort(accepted), DEDUP_EPS, rate_scale)
 
 
 def _label_dependent_verify(bm, ens, tol):
@@ -257,7 +270,9 @@ def _label_dependent_verify(bm, ens, tol):
 @pytest.mark.parametrize("check", [verify, _label_dependent_verify], ids=["verify", "label-dependent"])
 @pytest.mark.parametrize(
     "k, graph, seeds",
-    [(2, "cyclic", 64), (3, "cyclic", 96), (3, "full", 96), (3, "meridian", 96)],
+    # Few full-graph starts reach three distinct members (the others are
+    # rejected as coincident), hence the larger start count there.
+    [(2, "cyclic", 64), (3, "cyclic", 96), (3, "full", 768), (3, "meridian", 96)],
     ids=["rf-k2", "rf-k3-cyclic", "rf-k3-full", "ae-k3-meridian"],
 )
 def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, graph, seeds, check):
@@ -295,6 +310,32 @@ def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, gr
     assert diag["n_starts"] == diag["n_accepted"] + sum(rejections.values())
     if graph != "full":  # the full graph's solutions form continuous families
         assert rejections["duplicate"] > len(calls)
+
+
+def test_full_graph_rejects_coincident_members_once_per_start(rf_bm):
+    # On the full graph many starts converge to a relabelled K=2 ensemble
+    # with two members at the same point; each is one rejected start.
+    sols = solve_numeric(build_full(rf_bm, 3, "full"), SolverConfig(seeds=64, rng_seed=0))
+    diag = sols.diagnostics
+    assert diag["rejections"]["coincident members"] > 0
+    assert diag["n_starts"] == diag["n_accepted"] + sum(diag["rejections"].values())
+    assert diag["n_accepted"] == len(sols.ensembles)
+    assert all(_min_member_gap(ens.states) > 1e-3 for ens in sols.ensembles)
+
+
+def test_new_ensembles_drops_copies_relabellings_and_rotations(ae_bm):
+    poles, equatorial = analytic_k2(ae_bm).ensembles
+    swapped = Ensemble.from_states_kappa(2, equatorial.states[::-1], equatorial.kappa[::-1, ::-1].copy())
+    quarter_turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    rotated = Ensemble.from_states_kappa(2, equatorial.states @ quarter_turn.T, equatorial.kappa.copy())
+
+    def ids(ensembles):
+        return [id(e) for e in ensembles]
+
+    assert ids(new_ensembles([equatorial, swapped, poles])) == ids([equatorial, poles])
+    assert ids(new_ensembles([rotated, poles], earlier=[equatorial])) == ids([rotated, poles])
+    assert ids(new_ensembles([rotated, poles], [equatorial], [EQUATOR_GEN])) == ids([poles])
+    assert new_ensembles([rotated], [poles, equatorial], [EQUATOR_GEN]) == []
 
 
 def _dedup_reference(ensembles, eps, rate_scale=1.0):

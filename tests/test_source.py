@@ -51,3 +51,19 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(info.name)
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
+
+
+# Only the solver decides whether a result is a new ensemble.
+EQUIVALENCE_CALL = re.compile(r"\b(ensemble_distance|family_equivalent)\(")
+
+
+def test_ensemble_equivalence_is_decided_in_solver_alone():
+    package = Path(preforge.__file__).parent
+    offenders = [
+        f"{path.relative_to(package)}:{lineno}: {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "solver.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if EQUIVALENCE_CALL.search(line)
+    ]
+    assert not offenders, "equivalence decided outside solver.py:\n" + "\n".join(offenders)

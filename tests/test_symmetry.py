@@ -12,9 +12,7 @@ from preforge.solver import analytic_k2, ensemble_distance
 from preforge.symmetry import (
     _pure_witness,
     apply_wigner,
-    block_form,
     certify_wigner,
-    check_joint,
     find_invariant_subspaces,
     find_wigner_symmetries,
     lie_element,
@@ -96,22 +94,6 @@ def test_jordan_chain_subspace_invariant():
         assert sub.distance(u_t) <= 1e-8
 
 
-def test_block_form_dual_invariance(rf_bm, ae_bm):
-    subs = find_invariant_subspaces(rf_bm)
-    u_axis = next(s for s in subs if s.n == 1 and abs(s.basis_i0[0, 0]) > 0.99)
-    blocks = block_form(rf_bm, u_axis)
-    assert np.allclose(blocks.l_i0, [[-0.5]])
-    assert blocks.is_dual_invariant
-    rays = [s for s in subs if s.n == 1 and abs(s.basis_i0[0, 0]) < 1e-12]
-    for ray in rays:
-        assert not block_form(rf_bm, ray).is_dual_invariant
-
-    w_axis = subspace_from_span(ae_bm, np.array([[0, 0, 1.0]]).T)
-    blocks = block_form(ae_bm, w_axis)
-    assert np.allclose(blocks.l_i0, [[-1.3]])
-    assert blocks.is_dual_invariant
-
-
 def test_driven_qubit_wigner_symmetry(rf_bm):
     syms = find_wigner_symmetries(rf_bm)
     assert len(syms) == 1
@@ -150,35 +132,6 @@ def test_group_closure_and_inverse(ae_bm):
         assert certify_wigner(ae_bm, a.T)["certified"]  # inverse (orthogonal)
         for b in mats[:3]:
             assert certify_wigner(ae_bm, a @ b)["certified"]
-
-
-def test_joint_compatibility_driven_qubit(rf_bm):
-    w = find_wigner_symmetries(rf_bm)[0]
-    subs = find_invariant_subspaces(rf_bm)
-    u_axis = next(s for s in subs if s.n == 1 and abs(s.basis_i0[0, 0]) > 0.99)
-    rep = check_joint(u_axis, w, rf_bm)
-    assert rep.passed and rep.full_space_symmetry
-    disc = subspace_from_span(rf_bm, np.array([[0, 1.0, 0], [0, 0, 1.0]]).T)
-    rep = check_joint(disc, w, rf_bm)
-    assert rep.passed
-    t_i = disc.basis_i0.T @ w.t0 @ disc.basis_i0
-    assert np.allclose(t_i, np.eye(2))  # acts as identity on the disc
-
-
-def test_joint_compatibility_rejects_broken_rotation(ae_bm):
-    theta = 0.7
-    t0 = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, np.cos(theta), -np.sin(theta)],
-            [0.0, np.sin(theta), np.cos(theta)],
-        ]
-    )  # rotation about the u-axis does not fix the steady state
-    w = WignerSymmetry(t0=t0, antiunitary=False)
-    sub = subspace_from_span(ae_bm, np.array([[0, 0, 1.0]]).T)
-    rep = check_joint(sub, w, ae_bm)
-    assert not rep.steady_state_fixed
-    assert not rep.passed
 
 
 def test_apply_wigner_rotates_equatorial_ensemble(ae_bm):

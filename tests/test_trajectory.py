@@ -323,21 +323,14 @@ def test_unconditional_thermal_relaxation(ae_me, ae_bm, poles_scheme):
         assert abs(z_exact - (z_ss + (0 - z_ss) * np.exp(-gs * t))) < 1e-9
 
 
-def test_event_log_and_snapshots(ae_me, poles, poles_scheme):
-    stats = simulate(
-        ae_me,
-        poles_scheme,
-        poles,
-        TrajectoryConfig(n_jumps=200, rng_seed=2, record="strided", stride=50),
-    )
+def test_event_log(ae_me, poles, poles_scheme):
+    stats = simulate(ae_me, poles_scheme, poles, TrajectoryConfig(n_jumps=200, rng_seed=2))
     assert len(stats.events) == 200
     t_prev = 0.0
     for t, channel, src, dst in stats.events:
         assert t >= t_prev
         assert dst == 1 - src  # two-member cycle
         t_prev = t
-    assert stats.snapshots
-    assert all(len(x) == 3 for _, x in stats.snapshots)
 
 
 @pytest.mark.parametrize("n_jumps", [0, -5])
