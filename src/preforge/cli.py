@@ -27,10 +27,9 @@ from .constraints import (
     build_full,
     build_subspace_reduced,
     heuristic_min_k,
-    transition_edges,
     verify,
 )
-from .errors import PreForgeError, ConvergenceError, EnsembleError, SteadyStateError
+from .errors import ConvergenceError, EnsembleError, SteadyStateError
 from .errors import RealizationError, SynthesisError
 from .measurement import synthesize
 from .mespec import MESpecError, UnboundParameterError, catalog_names, load_catalog, load_me_spec
@@ -41,7 +40,7 @@ from .solver import (
     new_ensembles,
     route_skip_reasons,
     scan_existence,
-    solve_numeric,
+    solve_systems,
     solve_wigner_family,
 )
 from .symmetry import find_invariant_subspaces, find_wigner_symmetries
@@ -216,6 +215,8 @@ def cmd_search(args) -> int:
     A route that ``route_skip_reasons`` proves empty is not solved (at K=2
     when ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
     ``results.routes`` with zero counts and its reason under ``"skipped"``.
+    The other routes are solved by one ``solve_systems`` call, so routes of
+    one shape share a stack, and are then walked in plan order.
     """
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
@@ -267,6 +268,12 @@ def cmd_search(args) -> int:
     generators = [w.generator for w in symmetries if w.generator is not None]
     routes = []
     reasons = route_skip_reasons(bm, k, [None if sub is None else sub.n for _, sub in plan])
+    systems = [
+        build_full(bm, k, args.graph) if sub is None else build_subspace_reduced(bm, sub, k, args.graph)
+        for (_, sub), reason in zip(plan, reasons)
+        if reason is None
+    ]
+    solsets = iter(solve_systems(systems, cfg))
     for (label, sub), reason in zip(plan, reasons):
         if reason is not None:
             routes.append(
@@ -275,11 +282,7 @@ def cmd_search(args) -> int:
             )
             _log.debug("route %s: skipped, %s", label, reason)
             continue
-        if sub is None:
-            system = build_full(bm, k, args.graph)
-        else:
-            system = build_subspace_reduced(bm, sub, k, args.graph)
-        sols = solve_numeric(system, cfg)
+        sols = next(solsets)
         diag = sols.diagnostics
         entry = {"route": label, **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted")}}
         entry["rejections"] = diag["rejections"]
@@ -491,12 +494,17 @@ def cmd_scan(args) -> int:
     table = scan_existence(
         bm_factory, values, cs_builder, cfg, parameter=args.scan_param, quotient_generator=quotient
     )
+    counts = ("n_starts", "n_converged", "n_accepted")
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow([args.scan_param, "n_ensembles"])
-        for value, count in table.rows():
-            writer.writerow([f"{value:.6g}", count])
+        writer.writerow([args.scan_param, "n_ensembles", *counts])
+        for (value, count), diag in zip(table.rows(), table.diagnostics):
+            writer.writerow([f"{value:.6g}", count, *(diag[key] for key in counts)])
+            _log.debug(
+                "%s = %.6g: %d starts, %d converged, %d accepted; rejections %s",
+                args.scan_param, value, *(diag[key] for key in counts), diag["rejections"],
+            )
     finally:
         if args.output:
             out.close()
@@ -681,9 +689,6 @@ def main(argv=None) -> int:
     except (MESpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PreForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED_CHECK
 
 
 if __name__ == "__main__":

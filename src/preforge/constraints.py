@@ -17,6 +17,7 @@ projector-form residual.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,7 @@ __all__ = [
     "build_full",
     "build_subspace_reduced",
     "build_wigner_reduced",
+    "stack_systems",
     "verify",
     "heuristic_min_k",
 ]
@@ -172,7 +174,9 @@ class ConstraintSystem:
     (``expand``) and keeps a subset of the core rows (``rows``).
     ``residual`` and ``jacobian`` take one parameter vector, giving (m,) and
     (m, p), or a stack of shape (S, p), giving (S, m) and (S, m, p); every
-    start in a stack is evaluated independently of the others.
+    start in a stack is evaluated independently of the others.  Systems
+    with one ``stack_key`` can share a stack (:func:`stack_systems`); then
+    ``which`` gives each row's system, whose L, f, a and r^2 that row uses.
     """
 
     bm: BlochModel
@@ -193,7 +197,7 @@ class ConstraintSystem:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n, k = self.lin.shape[0], self.k
+        k = self.k
         # Edge e = (j, k) carries a rate from member _from[e] = k to member
         # _to[e] = j; _leaving[k, e] marks the edges out of member k and
         # _net = _leaving - (edges into each member).
@@ -201,7 +205,23 @@ class ConstraintSystem:
         self._from = np.array([k0 for _, k0 in self.edges], dtype=int)
         self._leaving = (np.arange(k)[:, None] == self._from).astype(float)
         self._net = self._leaving - (np.arange(k)[:, None] == self._to)
-        self._lin_blocks = np.kron(np.eye(k), self.lin).reshape(k, n, k, n)
+        # L, f, a and r^2 with a leading system axis, shaped to broadcast
+        # against member coordinates (S, K, n) once gathered per row.
+        self._models = (
+            self.lin[None],
+            self.drift[None, None],
+            self.centre[None, None],
+            np.array([[self.radius_sq]], dtype=float),
+        )
+
+    @property
+    def stack_key(self) -> tuple:
+        """What systems sharing a stack agree on: K, edges, n and the reduction."""
+
+        def key(a):
+            return None if a is None else (a.shape, a.tobytes())
+
+        return (self.k, tuple(self.edges), self.lin.shape[0], key(self.expand), key(self.rows))
 
     @property
     def n_params(self) -> int:
@@ -223,28 +243,37 @@ class ConstraintSystem:
         y = theta[:, : self.k * n].reshape(-1, self.k, n)
         return y, theta[:, self.k * n :]
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
+    def _model(self, which, s: int) -> tuple:
+        """L (S, n, n), f and a (S, 1, n), r^2 (S, 1) of each row's system."""
+        which = np.zeros(s, dtype=int) if which is None else which
+        return tuple(a[which] for a in self._models)
+
+    def residual(self, theta: np.ndarray, which=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         y, rates = self._core(np.atleast_2d(theta))
-        flow = y @ self.lin.T + self.drift
+        lin, drift, centre, radius_sq = self._model(which, len(y))
+        flow = y @ np.swapaxes(lin, 1, 2) + drift
         flow -= self._leaving @ (rates[:, :, None] * (y[:, self._to] - y[:, self._from]))
-        shifted = y + self.centre
-        purity = np.einsum("skn,skn->sk", shifted, shifted) - self.radius_sq
+        shifted = y + centre
+        purity = np.einsum("skn,skn->sk", shifted, shifted) - radius_sq
         out = np.concatenate([flow.reshape(len(y), -1), purity], axis=1)
         if self.rows is not None:
             out = out[:, self.rows]
         return out if theta.ndim > 1 else out[0]
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, which=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         y, rates = self._core(np.atleast_2d(theta))
         s, k, n = y.shape
+        lin, _, centre, _ = self._model(which, s)
         # d(flow_k)/d(y_j) = L delta_kj + G[k, j] I_n with G from the rates.
         gmat = (self._leaving * rates[:, None, :]) @ self._net.T
-        d_states = self._lin_blocks + gmat[:, :, None, :, None] * np.eye(n)[:, None, :]
+        d_states = gmat[:, :, None, :, None] * np.eye(n)[:, None, :]
+        for i in range(k):
+            d_states[:, i, :, i] += lin
         diff = y[:, self._to] - y[:, self._from]
         d_rates = -self._leaving[None, :, None, :] * np.swapaxes(diff, 1, 2)[:, None]
-        d_purity = 2.0 * np.eye(k)[:, :, None] * (y + self.centre)[:, :, None, :]
+        d_purity = 2.0 * np.eye(k)[:, :, None] * (y + centre)[:, :, None, :]
         jac = np.zeros((s, k * (n + 1), k * n + rates.shape[1]))
         jac[:, : k * n, : k * n] = d_states.reshape(s, k * n, k * n)
         jac[:, : k * n, k * n :] = d_rates.reshape(s, k * n, -1)
@@ -271,6 +300,20 @@ class ConstraintSystem:
         return Ensemble.from_states_kappa(self.bm.dim, states, kappa, validate=validate)
 
 
+def stack_systems(systems: list) -> ConstraintSystem:
+    """One system for a stack holding starts of every system in ``systems``.
+
+    All of them need the same ``stack_key``.  The result is the first
+    system, except that ``residual`` and ``jacobian`` evaluate row i
+    against ``systems[which[i]]``.
+    """
+    if len({cs.stack_key for cs in systems}) != 1:
+        raise ValueError("only systems with one stack_key can share a stack")
+    out = copy.copy(systems[0])
+    out._models = tuple(np.concatenate(parts) for parts in zip(*(cs._models for cs in systems)))
+    return out
+
+
 def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve each (p, p) system of a stack; an exactly singular one gives NaN."""
     try:
@@ -285,12 +328,15 @@ def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int):
+def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which=None):
     """Levenberg-Marquardt on a stack of starts (S, p), all iterated at once.
 
-    ``cs`` needs only ``residual`` and ``jacobian`` on stacks (as
-    :class:`ConstraintSystem` provides them), ``n_constraints`` and
-    ``n_params``.  Each start keeps its own damping lambda (Nielsen's update from the gain
+    ``cs`` needs only ``residual(theta, which)`` and ``jacobian(theta,
+    which)`` on stacks (as :class:`ConstraintSystem` provides them),
+    ``n_constraints`` and ``n_params``.  ``which`` (S,) gives each start's
+    system in a stack of same-shape systems (:func:`stack_systems`), and
+    goes along with every row handed to ``cs``; None means one system.
+    Each start keeps its own damping lambda (Nielsen's update from the gain
     ratio) and leaves the stack when its residual is far below ``tol``,
     when no step lowers its cost any more, after ``max_iter`` residual
     evaluations, or when its linear model has promised less than a tenth of
@@ -304,12 +350,13 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int):
     residuals and a mask of starts whose step became singular or non-finite.
     """
     theta = np.array(theta, dtype=float)
-    resid = cs.residual(theta)
+    which = np.zeros(len(theta), dtype=int) if which is None else np.asarray(which)
+    resid = cs.residual(theta, which)
     cost = 0.5 * np.einsum("si,si->s", resid, resid)
     failed = ~np.isfinite(cost)
     evals = np.ones(len(theta), dtype=int)
     active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > 1e-3 * tol))
-    jac = cs.jacobian(theta[active])
+    jac = cs.jacobian(theta[active], which[active])
     scale = np.einsum("smp,smp->sp", jac, jac)
     scale[scale == 0.0] = 1.0
     isotropic = cs.n_constraints < cs.n_params
@@ -325,7 +372,7 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int):
         damping = lam[:, None] * scale
         step = _solve_stack(jac_t @ jac + damping[:, :, None] * eye, -grad)
         trial = theta[active] + step
-        trial_resid = cs.residual(trial)
+        trial_resid = cs.residual(trial, which[active])
         evals[active] += 1
         trial_cost = 0.5 * np.einsum("si,si->s", trial_resid, trial_resid)
         finite = np.isfinite(trial_cost) & np.isfinite(step).all(axis=1)
@@ -355,7 +402,8 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int):
         active, jac, scale = active[keep], jac[keep], scale[keep]
         lam, nu, slow = lam[keep], nu[keep], slow[keep]
         if refresh.any():
-            jac[refresh] = cs.jacobian(theta[active[refresh]])
+            rows = active[refresh]
+            jac[refresh] = cs.jacobian(theta[rows], which[rows])
             if not isotropic:
                 norms = np.einsum("smp,smp->sp", jac[refresh], jac[refresh])
                 scale[refresh] = np.maximum(scale[refresh], norms)

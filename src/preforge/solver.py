@@ -13,7 +13,8 @@ Three routes are implemented.
   assembled constraint system, all starts iterated as one stack, then
   permutation-aware deduplication of the converged points, with
   validation and independent projector-form verification of the distinct
-  ones only.
+  ones only.  ``solve_systems`` does the same for a list of systems and
+  iterates the starts of all same-shape systems in one stack.
 
 What counts as a new ensemble is decided here and nowhere else.  A result
 with two members within ``DEDUP_EPS`` is a relabelled smaller ensemble with
@@ -36,11 +37,13 @@ import numpy as np
 from .algebra import eig_full
 from .constraints import (
     KAPPA_REJECT,
+    PURITY_TOL,
     ConstraintSystem,
     Ensemble,
     _levenberg_marquardt,
     clamp_rates,
     is_strongly_connected,
+    stack_systems,
     verify,
 )
 from .errors import EnsembleError
@@ -54,6 +57,7 @@ __all__ = [
     "route_skip_reasons",
     "solve_wigner_family",
     "solve_numeric",
+    "solve_systems",
     "new_ensembles",
     "scan_existence",
     "ensemble_distance",
@@ -64,6 +68,9 @@ __all__ = [
 DEDUP_EPS = 1e-6
 # Residual evaluations allowed per multistart start.
 MAX_ITER = 200
+# Jacobian entries of one Levenberg-Marquardt stack; more starts of one
+# shape are iterated in consecutive stacks of whole starts.
+_STACK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,10 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> fl
     member displacement plus the scaled rate-matrix mismatch."""
     if e1.k != e2.k or e1.dim != e2.dim:
         return np.inf
-    best = np.inf
-    k = e1.k
-    for perm in itertools.permutations(range(k)):
-        perm = list(perm)
-        d_states = np.max(np.linalg.norm(e1.states - e2.states[perm], axis=1))
-        if d_states >= best:
-            continue
-        d_kappa = np.max(np.abs(e1.kappa - e2.kappa[np.ix_(perm, perm)]))
-        best = min(best, d_states + d_kappa / rate_scale)
-    return float(best)
+    perms = np.array(list(itertools.permutations(range(e1.k))))  # one relabeling per row
+    d_states = np.max(np.linalg.norm(e1.states - e2.states[perms], axis=2), axis=1)
+    d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
+    return float(np.min(d_states + d_kappa / rate_scale))
 
 
 class _Candidate(NamedTuple):
@@ -374,15 +375,65 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     log-uniform rates, start i from ``default_rng([cfg.rng_seed, i])``, and
     solved together by a batched Levenberg-Marquardt iteration.  Converged
     points whose residual meets ``cfg.tol`` and whose rates are nonnegative
-    up to clamping are rejected as ``"coincident members"`` when two members
-    lie within ``DEDUP_EPS``; the others are sorted canonically and
+    up to clamping are rejected when a member maps to a non-positive matrix
+    (possible for D > 2 only), then as ``"coincident members"`` when two
+    members lie within ``DEDUP_EPS``; the others are sorted canonically and
     deduplicated first; each distinct one is then validated as an
     ``Ensemble`` (pure members, strongly connected graph) and kept only if
     the independent projector-form check passes.  On a graph-consistent
     system every start ends up either kept (``n_accepted``) or counted once
     under ``rejections``, ``"duplicate"`` included.
     """
+    return solve_systems([cs], cfg)[0]
+
+
+def solve_systems(systems: list, cfg: SolverConfig | None = None) -> list:
+    """:func:`solve_numeric` on each of ``systems``, one SolutionSet per system.
+
+    The starts of all graph-consistent systems with one ``stack_key`` are
+    iterated in one Levenberg-Marquardt stack, each row on its own
+    system's model, in consecutive stacks of at most ``_STACK_ENTRIES``
+    Jacobian entries.  Starts do not interact, so every start ends where it
+    ends when its system is solved alone.
+    """
     cfg = SolverConfig() if cfg is None else cfg
+    groups = {}
+    for i, cs in enumerate(systems):
+        if cs.graph_consistent:
+            groups.setdefault(cs.stack_key, []).append(i)
+    finals = {}
+    for members in groups.values():
+        stack = stack_systems([systems[i] for i in members])
+        which = np.repeat(np.arange(len(members)), cfg.seeds)
+        starts = np.array(
+            [
+                systems[i].sample_start(np.random.default_rng([cfg.rng_seed, j]))
+                for i in members
+                for j in range(cfg.seeds)
+            ]
+        )
+        rows = max(1, _STACK_ENTRIES // (stack.n_constraints * stack.n_params))
+        pieces = [
+            _levenberg_marquardt(stack, starts[a : a + rows], cfg.tol, MAX_ITER, which[a : a + rows])
+            for a in range(0, len(starts), rows)
+        ]
+        thetas, resids, failed = (np.concatenate(parts) for parts in zip(*pieces))
+        for g, i in enumerate(members):
+            own = slice(g * cfg.seeds, (g + 1) * cfg.seeds)
+            finals[i] = thetas[own], resids[own], failed[own]
+    return [_accept(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
+
+
+def _positive_members(bm: BlochModel, states: np.ndarray) -> bool:
+    """Whether every member maps to a matrix with no eigenvalue below ``-PURITY_TOL``."""
+    rho = (np.eye(bm.dim, dtype=complex) + np.tensordot(states, bm.basis.traceless, axes=1)) / bm.dim
+    return bool(np.min(np.linalg.eigvalsh(rho)) >= -PURITY_TOL)
+
+
+def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
+    """The acceptance step of :func:`solve_numeric` on one system's final
+    (parameters, residuals, failed) starts; None when the system is not
+    graph-consistent and was not solved."""
     diagnostics = {
         "n_starts": cfg.seeds,
         "n_converged": 0,
@@ -390,20 +441,15 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         "rejections": {},
         "graph_consistent": cs.graph_consistent,
     }
-    if not cs.graph_consistent:
+    if final is None:
         diagnostics["reason"] = cs.inconsistency_reason
         return SolutionSet(ensembles=[], diagnostics=diagnostics)
 
     def reject(reason, count=1):
         diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + count
 
-    starts = np.array(
-        [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
-    )
-    thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
-
     candidates = []
-    for theta, resid, fail in zip(thetas, resids, failed):
+    for theta, resid, fail in zip(*final):
         if fail:
             reject("solver failure")
             continue
@@ -414,6 +460,9 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
         states, kappa = cs.unpack(theta)
         if np.min(kappa) < KAPPA_REJECT:
             reject("negative rate")
+            continue
+        if not _positive_members(cs.bm, states):
+            reject("member maps to a non-positive matrix")
             continue
         if min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS:
             reject("coincident members")
@@ -484,12 +533,16 @@ def new_ensembles(candidates: list, earlier=(), generators=()) -> list:
 
 @dataclass
 class ExistenceTable:
-    """Distinct-solution counts over a parameter grid plus change points."""
+    """Distinct-solution counts over a parameter grid plus change points.
+
+    ``diagnostics`` holds the solver's diagnostics at each grid value.
+    """
 
     parameter: str
     values: np.ndarray
     counts: np.ndarray
     thresholds: list
+    diagnostics: list = field(default_factory=list)
 
     def rows(self):
         return list(zip(self.values.tolist(), self.counts.tolist()))
@@ -506,20 +559,29 @@ def scan_existence(
     """Count distinct ensembles at each grid value and locate count changes.
 
     ``bm_factory`` maps a grid value to a Bloch model, ``cs_builder`` maps
-    that model to the constraint system to solve.  The count is that of
+    that model to the constraint system to solve.  Every grid value's
+    system is built first and all are solved by one ``solve_systems`` call,
+    so same-shape systems share a stack; each value's result is the one
+    ``solve_numeric`` gives on its system alone.  The count is that of
     ``new_ensembles``: with a family generator supplied, solutions related by
     the continuous symmetry are counted once.
     """
     cfg = SolverConfig() if cfg is None else cfg
     generators = [] if quotient_generator is None else [quotient_generator]
     values = np.asarray(list(values), dtype=float)
-    counts = np.empty(len(values), dtype=int)
-    for i, value in enumerate(values):
-        solset = solve_numeric(cs_builder(bm_factory(value)), cfg)
-        counts[i] = len(new_ensembles(solset.ensembles, generators=generators))
+    solsets = solve_systems([cs_builder(bm_factory(value)) for value in values], cfg)
+    counts = np.array(
+        [len(new_ensembles(solset.ensembles, generators=generators)) for solset in solsets], dtype=int
+    )
     thresholds = [
         float(0.5 * (values[i] + values[i + 1]))
         for i in range(len(values) - 1)
         if counts[i] != counts[i + 1]
     ]
-    return ExistenceTable(parameter=parameter, values=values, counts=counts, thresholds=thresholds)
+    return ExistenceTable(
+        parameter=parameter,
+        values=values,
+        counts=counts,
+        thresholds=thresholds,
+        diagnostics=[solset.diagnostics for solset in solsets],
+    )

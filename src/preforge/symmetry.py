@@ -109,10 +109,11 @@ class _KetSlice:
         self.shift[-1] = 1.0
         self.n_constraints, self.n_params = len(herm), 2 * d
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
+    # ``which`` picks each row's system in a stack; there is only this one.
+    def residual(self, theta: np.ndarray, which=None) -> np.ndarray:
         return np.einsum("sp,mpq,sq->sm", theta, self.forms, theta) - self.shift
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, which=None) -> np.ndarray:
         return 2.0 * np.einsum("mpq,sq->smp", self.forms, theta)
 
 

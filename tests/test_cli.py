@@ -93,7 +93,7 @@ def test_search_finds_k2_census_and_bundle_roundtrip(capsys, tmp_path):
 
 
 SEARCH_RF_K2 = ("search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18", "--k", "2")
-# At K=2 analytic_k2 settles rf and no route reaches solve_numeric; at K=3 the
+# At K=2 analytic_k2 settles rf and no route reaches the solver; at K=3 the
 # 2-D subspace routes and the full route do.
 SEARCH_RF = (*SEARCH_RF_K2[:-1], "3")
 
@@ -123,17 +123,17 @@ def test_search_bundle_reports_every_solved_route(capsys, tmp_path, caplog):
 
 
 def _record_solves(monkeypatch):
-    """Let ``cli.solve_numeric`` run, and return the list of systems it is given."""
+    """Let ``cli.solve_systems`` run, and return the list of systems it is given."""
     import preforge.cli as cli
 
     systems = []
-    real_solve = cli.solve_numeric
+    real_solve = cli.solve_systems
 
-    def recording_solve(system, cfg):
-        systems.append(system)
-        return real_solve(system, cfg)
+    def recording_solve(batch, cfg):
+        systems.extend(batch)
+        return real_solve(batch, cfg)
 
-    monkeypatch.setattr(cli, "solve_numeric", recording_solve)
+    monkeypatch.setattr(cli, "solve_systems", recording_solve)
     return systems
 
 
@@ -219,9 +219,9 @@ def test_search_checks_output_path_before_solving(capsys, tmp_path, monkeypatch)
     import preforge.cli as cli
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("solve_numeric ran before the output path was checked")
+        raise AssertionError("solve_systems ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "solve_numeric", no_solve)
+    monkeypatch.setattr(cli, "solve_systems", no_solve)
     for target in (tmp_path, tmp_path / "missing" / "bundle.json"):
         code, _, err = run(capsys, *SEARCH_RF, "-o", str(target))
         assert code == 2
@@ -235,7 +235,7 @@ def test_failed_search_leaves_no_output_file(capsys, tmp_path, monkeypatch):
     def failing_solve(*args, **kwargs):
         raise ConvergenceError("solver failed")
 
-    monkeypatch.setattr(cli, "solve_numeric", failing_solve)
+    monkeypatch.setattr(cli, "solve_systems", failing_solve)
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier bundle\n")
     for target in (fresh, kept):
@@ -574,21 +574,20 @@ def test_full_graph_k3_is_found_realized_and_simulated(capsys, tmp_path, rf_bm):
     assert exit_info.value.code == 2
 
 
+# Pure dephasing (H = 0, L = sigma_z) leaves every diagonal state
+# stationary, so l0 is singular and there is no unique steady state.
+DEPHASING_SPEC = {
+    "name": "dephasing",
+    "dim": 2,
+    "parameters": {},
+    "hamiltonian": [["0", "0"], ["0", "0"]],
+    "lindblads": [[["1", "0"], ["0", "-1"]]],
+}
+
+
 def test_singular_generator_is_numeric_error(capsys, tmp_path):
-    # Pure dephasing (H = 0, L = sigma_z) leaves every diagonal state
-    # stationary, so l0 is singular and there is no unique steady state.
     spec = tmp_path / "dephasing.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "name": "dephasing",
-                "dim": 2,
-                "parameters": {},
-                "hamiltonian": [["0", "0"], ["0", "0"]],
-                "lindblads": [[["1", "0"], ["0", "-1"]]],
-            }
-        )
-    )
+    spec.write_text(json.dumps(DEPHASING_SPEC))
     code, _, err = run(capsys, "analyze", str(spec))
     assert code == 3
     assert "numerical failure" in err and "singular" in err
@@ -624,11 +623,42 @@ def test_scan_small_grid(capsys, tmp_path):
     )
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "gamma_plus,n_ensembles"
-    rows = dict(line.split(",") for line in lines[1:])
+    assert lines[0] == "gamma_plus,n_ensembles,n_starts,n_converged,n_accepted"
+    rows = dict(line.split(",")[:2] for line in lines[1:])
     assert rows["0.04"] == "2"
     assert rows["0.08"] == "0"
     assert "count changes" in err
+
+
+def test_scan_csv_has_each_points_solver_counts(capsys, tmp_path, caplog):
+    from preforge.constraints import build_subspace_reduced
+    from preforge.mespec import load_catalog
+    from preforge.model import vectorize
+    from preforge.solver import SolverConfig, solve_numeric
+    from preforge.symmetry import subspace_from_span
+
+    csv_path = tmp_path / "scan.csv"
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        code, _, _ = run(
+            capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+            "--values", "0.05:0.07:0.01", "--k", "3", "--subspace-span", "1,0,0;0,0,1",
+            "--seeds", "32", "--rng", "2", "-o", str(csv_path),
+        )
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "gamma_plus,n_ensembles,n_starts,n_converged,n_accepted"
+    records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gamma_plus = ")]
+    assert len(records) == len(lines) - 1 == 3
+    for line, record in zip(lines[1:], records):
+        value, _, *counts = line.split(",")
+        bm = vectorize(load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": float(value)}))
+        cs = build_subspace_reduced(bm, subspace_from_span(bm, np.array([[1.0, 0, 0], [0, 0, 1.0]]).T), 3, "cyclic")
+        diag = solve_numeric(cs, SolverConfig(seeds=32, rng_seed=2)).diagnostics
+        assert [int(c) for c in counts] == [diag["n_starts"], diag["n_converged"], diag["n_accepted"]]
+        assert record == (
+            f"gamma_plus = {value}: {diag['n_starts']} starts, {diag['n_converged']} converged, "
+            f"{diag['n_accepted']} accepted; rejections {diag['rejections']}"
+        )
 
 
 def test_scan_full_graph_counts_no_relabelled_smaller_ensemble(capsys, tmp_path, monkeypatch):
@@ -638,14 +668,14 @@ def test_scan_full_graph_counts_no_relabelled_smaller_ensemble(capsys, tmp_path,
     from preforge import solver
 
     solved = []
-    real_solve = solver.solve_numeric
+    real_solve = solver.solve_systems
 
-    def recording_solve(system, cfg):
-        sols = real_solve(system, cfg)
-        solved.append(sols.ensembles)
-        return sols
+    def recording_solve(systems, cfg):
+        solsets = real_solve(systems, cfg)
+        solved.extend(sols.ensembles for sols in solsets)
+        return solsets
 
-    monkeypatch.setattr(solver, "solve_numeric", recording_solve)
+    monkeypatch.setattr(solver, "solve_systems", recording_solve)
     csv_path = tmp_path / "scan.csv"
     code, _, _ = run(
         capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
@@ -873,3 +903,89 @@ def test_simulate_rejects_non_positive_counts(capsys, tmp_path, rf_ensemble_file
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not bundle_path.exists()
+
+
+def _exit_case_argv(case, tmp_path, rf_bm):
+    """Command line of one documented exit code's case."""
+    if case == "ok":
+        return ["catalog"]
+    if case == "failed-check":
+        from preforge.solver import analytic_k2
+
+        ens = analytic_k2(rf_bm).ensembles[0]
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"dim": 2, "states": ens.states.tolist(), "kappa": (ens.kappa * 1.15).tolist()}))
+        return ["verify", *RF_MODEL, "--ensemble", str(path)]
+    if case == "usage":
+        return ["analyze", "resonance_fluorescence", "--param", "gamma=1"]
+    spec = tmp_path / "dephasing.json"
+    spec.write_text(json.dumps(DEPHASING_SPEC))
+    return ["analyze", str(spec)]
+
+
+@pytest.mark.parametrize(
+    "case, code, error",
+    [
+        ("ok", 0, None),
+        ("failed-check", 1, None),
+        ("usage", 2, "UnboundParameterError"),
+        ("numeric", 3, "SteadyStateError"),
+    ],
+)
+def test_documented_exit_code(capsys, tmp_path, monkeypatch, rf_bm, case, code, error):
+    # Exit codes 0 and 1 are returned by the command; 2 and 3 are what main
+    # maps the named error class to.
+    import preforge.cli as cli
+
+    raised = []
+
+    def recording(command):
+        def call(args):
+            try:
+                return command(args)
+            except Exception as exc:
+                raised.append(type(exc).__name__)
+                raise
+
+        return call
+
+    for name in ("cmd_catalog", "cmd_verify", "cmd_analyze"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    got, _, err = run(capsys, *_exit_case_argv(case, tmp_path, rf_bm))
+    assert got == code
+    assert raised == ([] if error is None else [error])
+    if code >= 2:
+        assert err.startswith("numerical failure:" if code == 3 else "error:") and err.count("\n") == 1
+
+
+def _package_errors():
+    from preforge import errors, mespec  # noqa: F401  (mespec defines MESpecError)
+
+    found, todo = [], [errors.PreForgeError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo += cls.__subclasses__()
+    return sorted(found[1:], key=lambda c: c.__name__)
+
+
+NUMERIC_ERRORS = ("ConvergenceError", "RealizationError", "SteadyStateError", "SynthesisError")
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda c: c.__name__)
+def test_every_package_error_exits_usage_or_numeric(capsys, monkeypatch, error):
+    # The numerical failures exit 3; every other package error is a
+    # ValueError and exits 2.  None reaches the caller as a traceback.
+    import preforge.cli as cli
+
+    def failing(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_catalog", failing)
+    code, _, err = run(capsys, "catalog")
+    if error.__name__ in NUMERIC_ERRORS:
+        assert code == 3 and err.startswith("numerical failure:")
+    else:
+        assert issubclass(error, ValueError)
+        assert code == 2 and err.startswith("error:")
+    assert "planted" in err

@@ -1,9 +1,17 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from preforge.constraints import KAPPA_REJECT, Ensemble, build_full, build_subspace_reduced, verify
+from preforge.constraints import (
+    KAPPA_REJECT,
+    Ensemble,
+    build_full,
+    build_subspace_reduced,
+    stack_systems,
+    verify,
+)
 from preforge import solver
 from preforge.errors import EnsembleError
 from preforge.solver import (
@@ -20,6 +28,7 @@ from preforge.solver import (
     route_skip_reasons,
     scan_existence,
     solve_numeric,
+    solve_systems,
     solve_wigner_family,
 )
 from preforge.symmetry import find_invariant_subspaces, subspace_from_span
@@ -202,21 +211,90 @@ def test_solver_determinism(rf_bm):
         assert np.array_equal(e1.kappa, e2.kappa)
 
 
+MERIDIAN_SPAN = np.array([[1.0, 0, 0], [0, 0, 1.0]]).T
+
+
+def _ae_grid_systems(values):
+    """The ``scan`` README systems: K=3 cyclic on the meridian disc at each gamma_plus."""
+    systems = []
+    for value in values:
+        bm = vectorize(load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": value}))
+        systems.append(build_subspace_reduced(bm, subspace_from_span(bm, MERIDIAN_SPAN), 3, "cyclic"))
+    return systems
+
+
+def _rf_k3_disc_systems(rf_bm):
+    """The three 2-D subspace routes of ``search`` on rf at K=3."""
+    subs = [sub for sub in find_invariant_subspaces(rf_bm) if sub.n == 2]
+    assert len(subs) == 3
+    return [build_subspace_reduced(rf_bm, sub, 3, "cyclic") for sub in subs]
+
+
 def test_batch_composition_does_not_change_results(rf_bm):
     # Each start's final parameter vector is bit-identical whether it is
-    # solved alone, in the full stack, or in reversed stack order.
+    # solved alone on its own system, in a stack of one or several
+    # same-shape systems, or in reversed stack order.
     cfg = SolverConfig(seeds=48, rng_seed=5)
-    for k in (2, 3):
-        cs = build_full(rf_bm, k, "cyclic")
+    stacks = [[build_full(rf_bm, k, "cyclic")] for k in (2, 3)]
+    stacks.append(_ae_grid_systems([0.04, 0.05, 0.06, 0.07]))
+    stacks.append(_rf_k3_disc_systems(rf_bm))
+    for systems in stacks:
+        seeds = cfg.seeds // len(systems)
+        stack = stack_systems(systems)
+        which = np.repeat(np.arange(len(systems)), seeds)
         starts = np.array(
-            [cs.sample_start(np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.seeds)]
+            [
+                cs.sample_start(np.random.default_rng([cfg.rng_seed, i]))
+                for cs in systems
+                for i in range(seeds)
+            ]
         )
-        stacked, _, _ = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
-        reversed_order, _, _ = _levenberg_marquardt(cs, starts[::-1], cfg.tol, MAX_ITER)
+        stacked, _, _ = _levenberg_marquardt(stack, starts, cfg.tol, MAX_ITER, which)
+        reversed_order, _, _ = _levenberg_marquardt(stack, starts[::-1], cfg.tol, MAX_ITER, which[::-1])
         assert np.array_equal(stacked, reversed_order[::-1])
-        for start, theta in zip(starts, stacked):
-            alone, _, _ = _levenberg_marquardt(cs, start[None], cfg.tol, MAX_ITER)
+        for start, g, theta in zip(starts, which, stacked):
+            alone, _, _ = _levenberg_marquardt(systems[g], start[None], cfg.tol, MAX_ITER)
             assert np.array_equal(alone[0], theta)
+
+
+def test_stack_needs_one_shape(rf_bm):
+    with pytest.raises(ValueError, match="stack_key"):
+        stack_systems([build_full(rf_bm, 3, "cyclic"), build_full(rf_bm, 3, "full")])
+
+
+def test_solve_systems_equals_solve_numeric_per_system(rf_bm):
+    # Mixed shapes and repeats: the rf disc routes, the rf full route, and
+    # grid points of the scan disc on both sides of the threshold.
+    systems = [
+        *_rf_k3_disc_systems(rf_bm),
+        build_full(rf_bm, 3, "cyclic"),
+        *_ae_grid_systems([0.05, 0.07]),
+        build_full(rf_bm, 3, "cyclic"),
+    ]
+    cfg = SolverConfig(seeds=32, rng_seed=4)
+    together = solve_systems(systems, cfg)
+    assert len(together) == len(systems)
+    assert sum(len(sols.ensembles) for sols in together) > 0
+    for cs, sols in zip(systems, together):
+        alone = solve_numeric(cs, cfg)
+        assert sols.diagnostics == alone.diagnostics
+        assert len(sols.ensembles) == len(alone.ensembles)
+        for e1, e2 in zip(sols.ensembles, alone.ensembles):
+            assert np.array_equal(e1.states, e2.states) and np.array_equal(e1.kappa, e2.kappa)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2, 3])
+def test_converged_non_states_are_filed_as_non_positive(cascade_d3_bm, rng_seed):
+    # On the D=3 cascade at K=6 every converged point is no state and has
+    # two coincident members; positivity is checked first, so each is filed
+    # under its non-positive member.
+    sols = solve_numeric(build_full(cascade_d3_bm, 6, "cyclic"), SolverConfig(seeds=16, rng_seed=rng_seed))
+    diag = sols.diagnostics
+    rejections = diag["rejections"]
+    assert diag["n_converged"] > 0
+    assert rejections["member maps to a non-positive matrix"] == diag["n_converged"]
+    assert "coincident members" not in rejections
+    assert diag["n_starts"] == diag["n_accepted"] + sum(rejections.values())
 
 
 def _min_member_gap(states):
@@ -392,6 +470,44 @@ def test_dedup_is_idempotent_and_permutation_blind(rng):
     assert len(twice) == len(once)
     for e1, e2 in zip(once, twice):
         assert e1 is e2
+
+
+def _ensemble_distance_loop(e1, e2, rate_scale=1.0):
+    """``ensemble_distance`` as one relabelling at a time, skipping those
+    whose member displacement alone is no better."""
+    if e1.k != e2.k or e1.dim != e2.dim:
+        return np.inf
+    best = np.inf
+    for perm in itertools.permutations(range(e1.k)):
+        perm = list(perm)
+        d_states = np.max(np.linalg.norm(e1.states - e2.states[perm], axis=1))
+        if d_states >= best:
+            continue
+        d_kappa = np.max(np.abs(e1.kappa - e2.kappa[np.ix_(perm, perm)]))
+        best = min(best, d_states + d_kappa / rate_scale)
+    return float(best)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ensemble_distance_matches_relabelling_loop(rng, k):
+    def random_ensemble(dim, states=None, kappa=None):
+        states = rng.normal(size=(k, dim * dim - 1)) if states is None else states
+        kappa = rng.uniform(0.0, 2.0, size=(k, k)) if kappa is None else kappa
+        np.fill_diagonal(kappa, 0.0)
+        return Ensemble.from_states_kappa(dim, states, kappa, validate=False)
+
+    for dim in (2, 3):
+        for _ in range(20):
+            e1 = random_ensemble(dim)
+            perm = rng.permutation(k)
+            # A far ensemble, and a relabelled copy of e1 moved a little.
+            near = random_ensemble(
+                dim, e1.states[perm] + 1e-7 * rng.normal(size=e1.states.shape), e1.kappa[np.ix_(perm, perm)].copy()
+            )
+            for e2 in (random_ensemble(dim), near):
+                for rate_scale in (1.0, 0.37):
+                    assert ensemble_distance(e1, e2, rate_scale) == _ensemble_distance_loop(e1, e2, rate_scale)
+    assert ensemble_distance(random_ensemble(2), random_ensemble(3)) == np.inf
 
 
 def test_ensemble_distance_is_relabeling_invariant(rf_bm):
