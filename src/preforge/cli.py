@@ -55,6 +55,14 @@ EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+_SEEDS_HELP = (
+    "multistart starts per system; cyclic systems on 2-D qubit slices are solved "
+    "exactly by the chord map, which neither --seeds nor --rng affects"
+)
+# Solver diagnostics copied into each solved route's entry of a search bundle;
+# the cell counts are there on chord-map routes only.
+_ROUTE_KEYS = ("method", "n_starts", "n_converged", "n_accepted", "rejections", "n_cells", "n_unresolved")
+
 
 def _parse_params(pairs):
     params = {}
@@ -207,16 +215,18 @@ def cmd_search(args) -> int:
     """Collect K-member ensembles from every route and write one bundle.
 
     The closed-form routes come first (the azimuthal Wigner family, and
-    ``analytic_k2`` at K=2), then one multistart route per searched subspace
+    ``analytic_k2`` at K=2), then one numeric route per searched subspace
     and one for the full space.  Each route's entry in ``results.routes`` is
-    the solver's own start count and rejection histogram.  A route lists the
+    the solver's method, its start count (the roots found, on a chord-map
+    route), its counts and its rejection histogram.  A route lists the
     results that ``new_ensembles`` finds new next to those already listed,
     with the model's continuous Wigner symmetries as the family quotient.
     A route that ``route_skip_reasons`` proves empty is not solved (at K=2
     when ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
     ``results.routes`` with zero counts and its reason under ``"skipped"``.
-    The other routes are solved by one ``solve_systems`` call, so routes of
-    one shape share a stack, and are then walked in plan order.
+    The other routes are solved by one ``solve_systems`` call, so cyclic
+    routes on 2-D qubit slices are solved by the chord map and routes of one
+    shape share a stack, and are then walked in plan order.
     """
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
@@ -284,8 +294,7 @@ def cmd_search(args) -> int:
             continue
         sols = next(solsets)
         diag = sols.diagnostics
-        entry = {"route": label, **{key: diag[key] for key in ("n_starts", "n_converged", "n_accepted")}}
-        entry["rejections"] = diag["rejections"]
+        entry = {"route": label, **{key: diag[key] for key in _ROUTE_KEYS if key in diag}}
         routes.append(entry)
         _log.debug(
             "route %s: %d starts, %d converged, %d accepted; rejections %s",
@@ -620,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", choices=["cyclic", "full"], default="cyclic")
     p.add_argument("--subspace", default="auto", help="auto | none | index")
     p.add_argument("--wigner-reduce", choices=["auto", "none"], default="auto")
-    p.add_argument("--seeds", type=int, default=512)
+    p.add_argument("--seeds", type=int, default=512, help=_SEEDS_HELP)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--rng", type=int, default=0)
     p.set_defaults(func=cmd_search)
@@ -657,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated coordinate rows spanning the subspace, e.g. '1,0,0;0,0,1'",
     )
     p.add_argument("--quotient", choices=["auto", "none"], default="auto")
-    p.add_argument("--seeds", type=int, default=192)
+    p.add_argument("--seeds", type=int, default=192, help=_SEEDS_HELP)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--rng", type=int, default=0)
     p.set_defaults(func=cmd_scan)

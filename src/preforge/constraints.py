@@ -266,18 +266,22 @@ class ConstraintSystem:
         y, rates = self._core(np.atleast_2d(theta))
         s, k, n = y.shape
         lin, _, centre, _ = self._model(which, s)
+        jac = np.zeros((s, k * (n + 1), k * n + rates.shape[1]))
+        # Each block is written through a view of jac: rows (member, coordinate)
+        # and columns (member, coordinate) or rates.
+        d_states = jac[:, : k * n, : k * n].reshape(s, k, n, k, n)
+        d_rates = jac[:, : k * n, k * n :].reshape(s, k, n, -1)
+        d_purity = jac[:, k * n :, : k * n].reshape(s, k, k, n)
         # d(flow_k)/d(y_j) = L delta_kj + G[k, j] I_n with G from the rates.
         gmat = (self._leaving * rates[:, None, :]) @ self._net.T
-        d_states = gmat[:, :, None, :, None] * np.eye(n)[:, None, :]
+        for a in range(n):
+            d_states[:, :, a, :, a] = gmat
         for i in range(k):
             d_states[:, i, :, i] += lin
         diff = y[:, self._to] - y[:, self._from]
-        d_rates = -self._leaving[None, :, None, :] * np.swapaxes(diff, 1, 2)[:, None]
-        d_purity = 2.0 * np.eye(k)[:, :, None] * (y + centre)[:, :, None, :]
-        jac = np.zeros((s, k * (n + 1), k * n + rates.shape[1]))
-        jac[:, : k * n, : k * n] = d_states.reshape(s, k * n, k * n)
-        jac[:, : k * n, k * n :] = d_rates.reshape(s, k * n, -1)
-        jac[:, k * n :, : k * n] = d_purity.reshape(s, k, k * n)
+        np.multiply(-self._leaving[None, :, None, :], np.swapaxes(diff, 1, 2)[:, None], out=d_rates)
+        members = np.arange(k)
+        d_purity[:, members, members] = 2.0 * (y + centre)
         if self.rows is not None:
             jac = jac[:, self.rows]
         if self.expand is not None:

@@ -1,6 +1,7 @@
-"""Producing ensembles: closed forms, symmetric linear families, multistart.
+"""Producing ensembles: closed forms, symmetric linear families, chord
+maps, multistart.
 
-Three routes are implemented.
+Four routes are implemented.
 
 * ``analytic_k2``: every real eigenvector of l0 supplies a two-member
   ensemble on the line through the steady state, with rates fixed by the
@@ -9,12 +10,21 @@ Three routes are implemented.
   symmetry, K equally spaced members on the symmetry circle reduce the
   whole system to two linear equations for the rates out of one member;
   the nonnegative solution polytope is returned through its vertices.
-* ``solve_numeric``: seeded multistart Levenberg-Marquardt on any
-  assembled constraint system, all starts iterated as one stack, then
-  permutation-aware deduplication of the converged points, with
-  validation and independent projector-form verification of the distinct
-  ones only.  ``solve_systems`` does the same for a list of systems and
-  iterates the starts of all same-shape systems in one stack.
+* the chord map, for a cyclic system on a 2-D qubit slice: the pure
+  states of the slice form a circle, each member's one outgoing rate makes
+  the next member the second point where the chord along the flow meets
+  the circle, and the ensembles are the K-periodic orbits of that map.  All
+  roots of Phi^K(phi) - phi on the circle are found in certified cells
+  (a census, with no starts), polished by Newton, and become candidates.
+  ``solve_numeric`` and ``solve_systems`` use it for every system it
+  solves, all of them in one array pass.
+* ``solve_numeric``: otherwise seeded multistart Levenberg-Marquardt on
+  any assembled constraint system, all starts iterated as one stack.  On
+  both numeric routes the candidates go through permutation-aware
+  deduplication, with validation and independent projector-form
+  verification of the distinct ones only.  ``solve_systems`` does the same
+  for a list of systems and iterates the starts of all same-shape systems
+  in one stack.
 
 What counts as a new ensemble is decided here and nowhere else.  A result
 with two members within ``DEDUP_EPS`` is a relabelled smaller ensemble with
@@ -44,6 +54,7 @@ from .constraints import (
     clamp_rates,
     is_strongly_connected,
     stack_systems,
+    transition_edges,
     verify,
 )
 from .errors import EnsembleError
@@ -71,6 +82,14 @@ MAX_ITER = 200
 # Jacobian entries of one Levenberg-Marquardt stack; more starts of one
 # shape are iterated in consecutive stacks of whole starts.
 _STACK_ENTRIES = 1 << 21
+# The chord-map route: equal cells per circle to start with, halvings after
+# them, cells one halving may split on one circle before the circle is left
+# to the multistart, and Newton steps per root.
+_CHORD_CELLS = 64
+_CHORD_DEPTH = 40
+_CHORD_BUDGET = 1 << 14
+_NEWTON_STEPS = 60
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -369,20 +388,24 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
 
 
 def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolutionSet:
-    """Multistart root finding on an assembled constraint system.
+    """All ensembles of an assembled constraint system that the solver finds.
 
-    Starts are drawn from the pure-state set (or its subspace slice) with
-    log-uniform rates, start i from ``default_rng([cfg.rng_seed, i])``, and
-    solved together by a batched Levenberg-Marquardt iteration.  Converged
-    points whose residual meets ``cfg.tol`` and whose rates are nonnegative
-    up to clamping are rejected when a member maps to a non-positive matrix
-    (possible for D > 2 only), then as ``"coincident members"`` when two
-    members lie within ``DEDUP_EPS``; the others are sorted canonically and
-    deduplicated first; each distinct one is then validated as an
-    ``Ensemble`` (pure members, strongly connected graph) and kept only if
-    the independent projector-form check passes.  On a graph-consistent
-    system every start ends up either kept (``n_accepted``) or counted once
-    under ``rejections``, ``"duplicate"`` included.
+    A cyclic system on a 2-D qubit slice is solved exactly by the chord map
+    (:func:`_solve_chord`); ``cfg.seeds`` and ``cfg.rng_seed`` do not
+    affect it.  Any other system gets the multistart: starts are drawn from
+    the pure-state set (or its subspace slice) with log-uniform rates, start
+    i from ``default_rng([cfg.rng_seed, i])``, and solved together by a
+    batched Levenberg-Marquardt iteration.  Converged points whose residual
+    meets ``cfg.tol`` and whose rates are nonnegative up to clamping are
+    rejected when a member maps to a non-positive matrix (possible for
+    D > 2 only), then as ``"coincident members"`` when two members lie
+    within ``DEDUP_EPS``.  On both routes the candidates left are sorted
+    canonically and deduplicated first; each distinct one is then validated
+    as an ``Ensemble`` (pure members, strongly connected graph) and kept
+    only if the independent projector-form check passes.  On a
+    graph-consistent system every start (every root, on the chord route)
+    ends up either kept (``n_accepted``) or counted once under
+    ``rejections``, ``"duplicate"`` included.
     """
     return solve_systems([cs], cfg)[0]
 
@@ -390,13 +413,26 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
 def solve_systems(systems: list, cfg: SolverConfig | None = None) -> list:
     """:func:`solve_numeric` on each of ``systems``, one SolutionSet per system.
 
+    The systems the chord map solves are solved together in one array pass;
+    the others get :func:`_multistart`.
+    """
+    cfg = SolverConfig() if cfg is None else cfg
+    chord = [i for i, cs in enumerate(systems) if _chord_qualifies(cs)]
+    solved = dict(zip(chord, _solve_chord([systems[i] for i in chord], cfg)))
+    rest = [i for i in range(len(systems)) if solved.get(i) is None]
+    solved.update(zip(rest, _multistart([systems[i] for i in rest], cfg)))
+    return [solved[i] for i in range(len(systems))]
+
+
+def _multistart(systems: list, cfg: SolverConfig) -> list:
+    """The multistart of :func:`solve_numeric` on each of ``systems``.
+
     The starts of all graph-consistent systems with one ``stack_key`` are
     iterated in one Levenberg-Marquardt stack, each row on its own
     system's model, in consecutive stacks of at most ``_STACK_ENTRIES``
     Jacobian entries.  Starts do not interact, so every start ends where it
     ends when its system is solved alone.
     """
-    cfg = SolverConfig() if cfg is None else cfg
     groups = {}
     for i, cs in enumerate(systems):
         if cs.graph_consistent:
@@ -424,68 +460,424 @@ def solve_systems(systems: list, cfg: SolverConfig | None = None) -> list:
     return [_accept(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
 
 
-def _positive_members(bm: BlochModel, states: np.ndarray) -> bool:
-    """Whether every member maps to a matrix with no eigenvalue below ``-PURITY_TOL``."""
+def _positive_members(bm: BlochModel, states: np.ndarray) -> np.ndarray:
+    """For each ensemble of a stack (C, K, D^2 - 1), whether every member maps
+    to a matrix with no eigenvalue below ``-PURITY_TOL``; one ``eigvalsh`` call."""
+    if not len(states):
+        return np.zeros(0, dtype=bool)
     rho = (np.eye(bm.dim, dtype=complex) + np.tensordot(states, bm.basis.traceless, axes=1)) / bm.dim
-    return bool(np.min(np.linalg.eigvalsh(rho)) >= -PURITY_TOL)
+    return np.min(np.linalg.eigvalsh(rho), axis=(1, 2)) >= -PURITY_TOL
 
 
-def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
-    """The acceptance step of :func:`solve_numeric` on one system's final
-    (parameters, residuals, failed) starts; None when the system is not
-    graph-consistent and was not solved."""
-    diagnostics = {
-        "n_starts": cfg.seeds,
+def _coincident(states: np.ndarray) -> bool:
+    """Whether two members lie within ``DEDUP_EPS`` of each other."""
+    return min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS
+
+
+def _new_diagnostics(method: str, cs: ConstraintSystem, n_starts: int) -> dict:
+    return {
+        "method": method,
+        "n_starts": n_starts,
         "n_converged": 0,
         "n_accepted": 0,
         "rejections": {},
         "graph_consistent": cs.graph_consistent,
     }
+
+
+def _reject(diagnostics: dict, reason: str, count: int = 1):
+    diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + count
+
+
+def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
+    """The acceptance step of the multistart on one system's final
+    (parameters, residuals, failed) starts; None when the system is not
+    graph-consistent and was not solved."""
+    diagnostics = _new_diagnostics("multistart", cs, cfg.seeds)
     if final is None:
         diagnostics["reason"] = cs.inconsistency_reason
         return SolutionSet(ensembles=[], diagnostics=diagnostics)
 
-    def reject(reason, count=1):
-        diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + count
-
-    candidates = []
+    # Per start, its rejection reason or its (states, kappa); positivity is
+    # then checked for all converged starts at once.
+    outcomes = []
     for theta, resid, fail in zip(*final):
         if fail:
-            reject("solver failure")
-            continue
-        if np.max(np.abs(resid)) > cfg.tol:
-            reject("residual above tolerance")
-            continue
-        diagnostics["n_converged"] += 1
-        states, kappa = cs.unpack(theta)
-        if np.min(kappa) < KAPPA_REJECT:
-            reject("negative rate")
-            continue
-        if not _positive_members(cs.bm, states):
-            reject("member maps to a non-positive matrix")
-            continue
-        if min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS:
-            reject("coincident members")
-            continue
-        candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
+            outcomes.append("solver failure")
+        elif np.max(np.abs(resid)) > cfg.tol:
+            outcomes.append("residual above tolerance")
+        else:
+            diagnostics["n_converged"] += 1
+            states, kappa = cs.unpack(theta)
+            outcomes.append("negative rate" if np.min(kappa) < KAPPA_REJECT else (states, kappa))
+    pending = [out for out in outcomes if not isinstance(out, str)]
+    positive = iter(_positive_members(cs.bm, np.array([states for states, _ in pending])))
+    candidates = []
+    for out in outcomes:
+        if isinstance(out, str):
+            _reject(diagnostics, out)
+        elif not next(positive):
+            _reject(diagnostics, "member maps to a non-positive matrix")
+        elif _coincident(out[0]):
+            _reject(diagnostics, "coincident members")
+        else:
+            candidates.append(_Candidate(cs.bm.dim, out[0], clamp_rates(out[1])))
+    return _verified(cs, cfg, candidates, diagnostics)
+
+
+def _verified(cs: ConstraintSystem, cfg: SolverConfig, candidates: list, diagnostics: dict) -> SolutionSet:
+    """The distinct ``candidates`` that pass validation and the projector-form
+    check, with every other one counted in ``diagnostics``."""
 
     def accept(cand):
         try:
             ens = Ensemble.from_states_kappa(cand.dim, cand.states, cand.kappa)
         except EnsembleError as exc:
-            reject(str(exc))
+            _reject(diagnostics, str(exc))
             return None
         if not verify(cs.bm, ens, tol=10 * cfg.tol).passed:
-            reject("projector-form verification failed")
+            _reject(diagnostics, "projector-form verification failed")
             return None
         return ens
 
     rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
     unique, duplicates = _distinct(_canonical_sort(candidates), DEDUP_EPS, rate_scale, accept)
     if duplicates:
-        reject("duplicate", duplicates)
+        _reject(diagnostics, "duplicate", duplicates)
     diagnostics["n_accepted"] = len(unique)
     return SolutionSet(ensembles=unique, diagnostics=diagnostics)
+
+
+def _chord_qualifies(cs: ConstraintSystem) -> bool:
+    """Whether the chord map solves ``cs``: a cyclic system on a 2-D qubit
+    slice whose flow L y + f vanishes nowhere on the circle of pure states."""
+    if not (
+        cs.bm.dim == 2
+        and cs.structure.get("kind") == "subspace"
+        and cs.lin.shape == (2, 2)
+        and cs.expand is None
+        and cs.rows is None
+        and cs.radius_sq > 0
+        and cs.edges == transition_edges("cyclic", cs.k)
+    ):
+        return False
+    try:
+        rest = np.linalg.solve(cs.lin, -cs.drift)  # the one zero of the flow
+    except np.linalg.LinAlgError:
+        return False
+    return abs(np.sum((rest + cs.centre) ** 2) - cs.radius_sq) > 1e-9 * cs.radius_sq
+
+
+def _wrap(angle):
+    """Angles reduced to [-pi, pi)."""
+    return (angle + np.pi) % (2 * np.pi) - np.pi
+
+
+class _Orbits(NamedTuple):
+    """K chord steps from each of P start angles (see :class:`_ChordMaps`)."""
+
+    angles: np.ndarray  # (K + 1, P), phi_0 .. phi_K
+    speed: np.ndarray  # (K, P), |v| at phi_0 .. phi_{K-1}
+    turn: np.ndarray  # (K, P), v x dv/dphi there
+    bend: np.ndarray  # (K, P), d^2 arg(v) / dphi^2 there
+    chord: np.ndarray  # (K, P), the chord parameters t_k
+    gap: np.ndarray  # (P,), g = wrap(phi_K - phi_0)
+    slope: np.ndarray  # (P,), dg/dphi_0
+    noise: np.ndarray  # (P,), bound on the rounding error of gap
+
+
+class _ChordMaps:
+    """The chord maps of circle systems with one K, evaluated on member angles.
+
+    On each system the members are y = c + r u(phi), u = (cos phi, sin phi),
+    with c = -centre and r^2 = radius_sq, and the flow there is
+    v = L y + f = d + r L u with d = L c + f.  The chord from y along v
+    meets the circle again at the mirror image of u in the line normal to
+    v, so the map is Phi(phi) = 2 psi + pi - phi with psi = arg v, and the
+    chord parameter is t = -2 r u.v / |v|^2.  With N = v x dv/dphi,
+    psi' = N / |v|^2, so Phi' = 2 N / |v|^2 - 1 in closed form.
+    """
+
+    def __init__(self, systems: list):
+        self.k = systems[0].k
+        lin = np.array([cs.lin for cs in systems])
+        radius = np.sqrt([cs.radius_sq for cs in systems])
+        drift = np.einsum("sij,sj->si", lin, -np.array([cs.centre for cs in systems]))
+        drift += np.array([cs.drift for cs in systems])
+        lin_r = radius[:, None, None] * lin
+        # Per system: d, r L by rows, and r.
+        self.coef = np.vstack([drift.T, lin_r.reshape(-1, 4).T, radius])
+        # |dv/dphi| <= lip everywhere on the circle.
+        self.lip = np.linalg.norm(lin_r, 2, axis=(1, 2))
+        self.drift_norm = np.linalg.norm(drift, axis=1)
+
+    def orbits(self, which: np.ndarray, phi: np.ndarray) -> _Orbits:
+        """The orbit of angle ``phi[i]`` on system ``which[i]``, for every i.
+
+        ``noise`` follows the rounding error of each angle along the orbit:
+        evaluating v and arg v adds about eps (|d| + lip) / |v| and a few
+        eps pi per step, and the next step multiplies what came before by
+        |Phi'|.
+        """
+        dx, dy, a, b, c, e, radius = self.coef[:, which]
+        v_err = 8 * _EPS * (self.drift_norm + self.lip)[which]
+        angles, speed, turn, bend, chord = [phi], [], [], [], []
+        err = np.zeros_like(phi)
+        for _ in range(self.k):
+            cos, sin = np.cos(phi), np.sin(phi)
+            vx = dx + a * cos + b * sin
+            vy = dy + c * cos + e * sin
+            wx, wy = b * cos - a * sin, e * cos - c * sin  # dv/dphi
+            sq = vx * vx + vy * vy
+            speed.append(np.sqrt(sq))
+            turn.append(vx * wy - vy * wx)
+            bend.append((vx * dy - vy * dx) / sq - 2 * turn[-1] * (vx * wx + vy * wy) / sq**2)
+            chord.append(-2 * radius * (cos * vx + sin * vy) / sq)
+            err = np.abs(2 * turn[-1] / sq - 1) * err + v_err / speed[-1] + 16 * _EPS * np.pi
+            phi = _wrap(2 * np.arctan2(vy, vx) + np.pi - phi)
+            angles.append(phi)
+        angles, speed, turn, bend, chord = map(np.array, (angles, speed, turn, bend, chord))
+        return _Orbits(
+            angles=angles,
+            speed=speed,
+            turn=turn,
+            bend=bend,
+            chord=chord,
+            gap=_wrap(angles[-1] - angles[0]),
+            slope=np.prod(2 * turn / speed**2 - 1, axis=0) - 1,
+            noise=4 * (err + _EPS * np.pi),
+        )
+
+    def cell_bounds(self, which: np.ndarray, mid: _Orbits, rho: np.ndarray):
+        """Bounds on |g'| and |g''| over the cells [m - rho, m + rho] whose
+        midpoints m start the orbits ``mid``.
+
+        The k-th image of a cell lies within rho_k of the k-th angle of the
+        mid orbit, with rho_0 = rho and rho_{k+1} = B_k rho_k, where B_k bounds
+        |Phi'| on that arc.  On it |v| lies within lip rho_k of |v_k|, and
+        dN/dphi = v x d bounds N; that bounds psi' = N / |v|^2 and
+        psi'' = (v x d) / |v|^2 - 2 N (v . dv/dphi) / |v|^4 term by term, or
+        by its value at phi_k plus rho_k times a bound on psi''' got the same
+        way, whichever is smaller; hence |Phi''| <= C_k and
+        B_k <= |Phi'(phi_k)| + C_k rho_k.  By the chain
+        rule |g'| <= prod B_k + 1 and |g''| <= sum_k C_k (prod_{j<k} B_j)^2
+        prod_{j>k} B_j.  An arc on which the bound on |v| reaches 0 gets
+        infinite bounds.
+        """
+        lip, drift_norm = self.lip[which], self.drift_norm[which]
+        reach = rho
+        d1 = np.ones_like(rho)
+        d2 = np.zeros_like(rho)
+        with np.errstate(all="ignore"):
+            for speed, turn, bend in zip(mid.speed, mid.turn, mid.bend):
+                low, high = speed - lip * reach, speed + lip * reach
+                turn_max = np.abs(turn) + reach * high * drift_norm
+                dot_max = high * lip  # |v . dv/dphi|
+                twist = (  # bounds |psi'''|
+                    (lip + 2 * high * dot_max / low**2) * drift_norm / low**2
+                    + 2 * (high * drift_norm * dot_max + turn_max * (lip**2 + high * (drift_norm + high))) / low**4
+                    + 8 * turn_max * dot_max**2 / low**6
+                )
+                curve = 2 * np.minimum(
+                    high * drift_norm / low**2 + 2 * dot_max * turn_max / low**4,
+                    np.abs(bend) + twist * reach,
+                )
+                step = np.minimum(
+                    np.abs(2 * turn / speed**2 - 1) + curve * reach,
+                    2 * np.minimum(turn_max / low**2, lip / low) + 1,
+                )
+                step = np.where(low > 0, step, np.inf)
+                curve = np.where(low > 0, curve, np.inf)
+                d2 = d2 * step + curve * d1 * d1
+                d1 = d1 * step
+                reach = reach * step
+            d1 = np.minimum(d1 + 1, np.abs(mid.slope) + d2 * rho)
+        return np.where(np.isnan(d1), np.inf, d1), np.where(np.isnan(d2), np.inf, d2)
+
+
+def _chord_cells(maps: _ChordMaps, n_systems: int):
+    """Split every circle into cells until each is settled.
+
+    Each circle starts as ``_CHORD_CELLS`` equal cells [a, b), each owning
+    the roots of g in it.  With M >= |g'| on a cell of width h and values
+    lifted across it (exact once M h < pi), a cell is settled as
+
+    * root-free when M h < |g(a)| + |g(b)| less their rounding errors, or
+      when g is provably monotone (|g'(m)| > |g''|max h / 2, with M h < pi)
+      and does not change sign;
+    * holding exactly one simple root when g is monotone and changes sign;
+    * unresolved when g is within rounding of 0 at a, m and b, or after
+      ``_CHORD_DEPTH`` halvings.
+
+    Other cells are halved.  Returns (system, a, b, g(a)) of the one-root
+    cells; the same of the runs of adjacent unresolved cells; the cells
+    examined per system; and a mask of the systems left to the multistart:
+    those on which g vanishes on the whole first grid (T^K is the identity,
+    a continuous family) or that would split more than ``_CHORD_BUDGET``
+    cells in one halving.
+    """
+    grid = np.linspace(-np.pi, np.pi, _CHORD_CELLS + 1)
+    which = np.repeat(np.arange(n_systems), _CHORD_CELLS)
+    start = maps.orbits(which, np.tile(grid[:-1], n_systems))
+    g_grid = start.gap.reshape(n_systems, -1)
+    noise_grid = start.noise.reshape(n_systems, -1)
+    handed = np.max(np.abs(g_grid), axis=1) <= 1e-8
+    a, b = np.tile(grid[:-1], n_systems), np.tile(grid[1:], n_systems)
+    ga, gb = g_grid.ravel(), np.roll(g_grid, -1, axis=1).ravel()
+    na, nb = noise_grid.ravel(), np.roll(noise_grid, -1, axis=1).ravel()
+    n_cells = np.full(n_systems, _CHORD_CELLS)
+    keep = ~handed[which]
+    none = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0)
+    single, loose = [none], [none]
+    for depth in range(_CHORD_DEPTH + 1):
+        which, a, b, ga, gb, na, nb = (x[keep] for x in (which, a, b, ga, gb, na, nb))
+        if not which.size:
+            break
+        width = b - a
+        mid = a + width / 2
+        orb = maps.orbits(which, mid)
+        d1, d2 = maps.cell_bounds(which, orb, width / 2)
+        g_end = ga + _wrap(gb - ga)  # g(a) plus the lifted increment
+        sign_change = (ga == 0) | (ga * g_end < 0)
+        with np.errstate(invalid="ignore"):
+            lipschitz = d1 * width * (1 + 1e-9) < np.abs(ga) - na + np.abs(gb) - nb
+            monotone = (d1 * width * (1 + 1e-9) < np.pi) & (np.abs(orb.slope) > d2 * width / 2 * (1 + 1e-9))
+        free = lipschitz | (monotone & ~sign_change)
+        one = ~lipschitz & monotone & sign_change
+        flat = ~free & ~one
+        if depth < _CHORD_DEPTH:
+            flat &= (np.abs(ga) <= na) & (np.abs(orb.gap) <= orb.noise) & (np.abs(gb) <= nb)
+        single.append((which[one], a[one], b[one], ga[one]))
+        loose.append((which[flat], a[flat], b[flat], ga[flat]))
+        halve = ~(free | one | flat)
+        n_halved = np.bincount(which[halve], minlength=n_systems)
+        handed |= n_halved > _CHORD_BUDGET
+        n_cells += 2 * n_halved
+        keep = np.repeat(halve & ~handed[which], 2)
+        which = np.repeat(which, 2)
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
+        ga, gb = np.column_stack([ga, orb.gap]).ravel(), np.column_stack([orb.gap, gb]).ravel()
+        na, nb = np.column_stack([na, orb.noise]).ravel(), np.column_stack([orb.noise, nb]).ravel()
+    single = tuple(np.concatenate(x) for x in zip(*single))
+    lw, la, lb, lg = (np.concatenate(x) for x in zip(*loose))
+    order = np.lexsort((la, lw))
+    lw, la, lb, lg = lw[order], la[order], lb[order], lg[order]
+    first = np.ones(lw.size, dtype=bool)
+    first[1:] = (lw[1:] != lw[:-1]) | (la[1:] != lb[:-1])
+    last = np.append(first[1:], True)[: lw.size]
+    runs = lw[first], la[first], lb[last], lg[first]
+    return single, runs, n_cells, handed
+
+
+def _chord_polish(maps: _ChordMaps, which, a, b, ga, bracketed) -> np.ndarray:
+    """A root of g in each cell or run [a, b) with g(a) = ``ga``, from its
+    middle: Newton steps with the closed-form slope, up to one step after
+    |g| reaches rounding level.  In a ``bracketed`` cell (one simple root)
+    the steps are kept inside the shrinking bracket by bisection; elsewhere
+    they are clipped to [a, b]."""
+    x = np.where(bracketed & (ga == 0), a, a + (b - a) / 2)
+    left, right = a.copy(), b.copy()
+    active = np.flatnonzero(~bracketed | (ga != 0))
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        orb = maps.orbits(which[active], x[active])
+        shrink = bracketed[active]
+        g_here = np.where(shrink, ga[active] + _wrap(orb.gap - ga[active]), orb.gap)
+        below = np.sign(g_here) == np.sign(ga[active])
+        left[active] = np.where(shrink & below, x[active], left[active])
+        right[active] = np.where(shrink & ~below, x[active], right[active])
+        lo, hi = left[active], right[active]
+        with np.errstate(all="ignore"):
+            newton = x[active] - g_here / orb.slope
+        inside = (newton >= lo) & (newton <= hi)
+        converged = np.abs(g_here) <= orb.noise
+        fallback = np.where(shrink, lo + (hi - lo) / 2, np.clip(newton, lo, hi))
+        step = np.where(inside, newton, np.where(converged, x[active], fallback))
+        done = converged | ~(np.abs(step - x[active]) > 4 * _EPS * np.maximum(1.0, np.abs(x[active])))
+        x[active] = step
+        active = active[~done]
+    return x
+
+
+def _solve_chord(systems: list, cfg: SolverConfig) -> list:
+    """Every cyclic ensemble of each system, as a K-periodic orbit of its chord map.
+
+    A cyclic K-member ensemble on the slice is y_0 .. y_{K-1} on the circle
+    with L y_k + f = kappa_k (y_{k+1} - y_k): each y_{k+1} is where the chord
+    from y_k along the flow meets the circle again, and kappa_k = 1/t_k.
+    So its member angles are roots of g(phi) = wrap(Phi^K(phi) - phi), and
+    :func:`_chord_cells` finds them all, each simple root certified alone in
+    its cell.  Each root (a polished one, or the middle of a run of
+    unresolved cells) is one candidate: its orbit, labelled from it.  The
+    other K - 1 roots of an orbit give relabelled copies, counted as
+    ``"duplicate"``.  A candidate with two members within ``DEDUP_EPS``
+    (a shorter orbit, or a fixed point of the map) is rejected as
+    ``"coincident members"``, one with a chord run backwards (t_k <= 0) as
+    ``"negative rate"``; the others go through the acceptance of the
+    multistart.  ``n_starts`` counts the candidates and ``n_converged``
+    those with |g| at rounding level.  Returns one SolutionSet per system,
+    or None for a system left to the multistart (see :func:`_chord_cells`).
+    """
+    out = [None] * len(systems)
+    by_k = {}
+    for i, cs in enumerate(systems):
+        by_k.setdefault(cs.k, []).append(i)
+    for members in by_k.values():
+        maps = _ChordMaps([systems[i] for i in members])
+        single, runs, n_cells, handed = _chord_cells(maps, len(members))
+        which, a, b, ga = (np.concatenate(pair) for pair in zip(single, runs))
+        roots = _chord_polish(maps, which, a, b, ga, np.arange(len(which)) < len(single[0]))
+        orb = maps.orbits(which, roots)
+        unresolved = np.bincount(runs[0], minlength=len(members))
+        for s, i in enumerate(members):
+            if handed[s]:
+                continue
+            own = np.flatnonzero(which == s)
+            own = own[np.argsort(roots[own], kind="stable")]
+            out[i] = _chord_accept(systems[i], cfg, orb, own)
+            out[i].diagnostics.update(n_cells=int(n_cells[s]), n_unresolved=int(unresolved[s]))
+    return out
+
+
+def _chord_accept(cs: ConstraintSystem, cfg: SolverConfig, orb: _Orbits, own: np.ndarray) -> SolutionSet:
+    """The ensembles of one system from its roots ``own`` in ``orb``.
+
+    A root whose orbit runs through the members of an earlier candidate's,
+    each within ``DEDUP_EPS``, is that candidate relabelled and counts as
+    ``"duplicate"`` at once; the other candidates are deduplicated by
+    :func:`_verified` as the multistart's are.
+    """
+    diagnostics = _new_diagnostics("chord map", cs, len(own))
+    diagnostics["n_converged"] = int(np.sum(np.abs(orb.gap[own]) <= orb.noise[own]))
+    centre, radius = -cs.centre, math.sqrt(cs.radius_sq)
+    candidates, cycles = [], np.empty((0, cs.k))
+    for j in own:
+        angles = orb.angles[:-1, j]
+        if _repeats_cycle(angles, cycles, radius):
+            _reject(diagnostics, "duplicate")
+            continue
+        members = centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        chord = orb.chord[:, j]
+        with np.errstate(divide="ignore"):
+            states, kappa = cs.unpack(np.concatenate([members.ravel(), 1 / chord]))
+        if _coincident(states):
+            _reject(diagnostics, "coincident members")
+        elif np.min(chord) <= 0:
+            _reject(diagnostics, "negative rate")
+        else:
+            candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
+            cycles = np.vstack([cycles, angles])
+    return _verified(cs, cfg, candidates, diagnostics)
+
+
+def _repeats_cycle(angles: np.ndarray, cycles: np.ndarray, radius: float) -> bool:
+    """Whether ``angles`` are the member angles of a row of ``cycles``
+    started elsewhere, each member within ``DEDUP_EPS`` on a circle of
+    ``radius``."""
+    shift = np.argmin(np.abs(_wrap(cycles - angles[0])), axis=1)
+    rolled = np.take_along_axis(cycles, (np.arange(len(angles)) + shift[:, None]) % len(angles), axis=1)
+    return bool(np.any(radius * np.max(np.abs(_wrap(rolled - angles)), axis=1) <= DEDUP_EPS))
 
 
 def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: float = DEDUP_EPS) -> bool:

@@ -112,8 +112,16 @@ def test_search_bundle_reports_every_solved_route(capsys, tmp_path, caplog):
     # One entry per numerically solved route: each searched subspace, then the full space.
     assert len(routes) == len(results["searched_subspaces"]) + 1
     assert routes[-1]["route"] == "full"
+    # The meridian disc is solved by the chord map: its two 2-periodic orbits,
+    # each found from both members.  On the equatorial disc every point lies
+    # on a 2-periodic orbit, a continuous family, which is left to the multistart.
+    assert [e["method"] for e in routes] == ["multistart"] * 3 + ["chord map", "multistart"]
     for entry in routes:
-        assert entry["n_starts"] == 24
+        if entry["method"] == "chord map":
+            assert (entry["n_starts"], entry["n_accepted"], entry["rejections"]) == (4, 2, {"duplicate": 2})
+            assert entry["n_cells"] > 0 and entry["n_unresolved"] == 0
+        else:
+            assert entry["n_starts"] == 24
         assert entry["n_starts"] == entry["n_accepted"] + sum(entry["rejections"].values())
         assert entry["n_converged"] <= entry["n_starts"]
     assert routes[-1]["n_accepted"] == 13 and routes[-1]["rejections"]["duplicate"] > 0
@@ -989,3 +997,39 @@ def test_every_package_error_exits_usage_or_numeric(capsys, monkeypatch, error):
         assert issubclass(error, ValueError)
         assert code == 2 and err.startswith("error:")
     assert "planted" in err
+
+
+def test_scan_and_search_solve_qubit_discs_without_the_multistart(capsys, tmp_path, monkeypatch):
+    # The README scan and the rf K=3 disc routes are cyclic systems on 2-D
+    # qubit slices, which the chord map solves: with the solver's
+    # Levenberg-Marquardt iteration made to raise, both still complete.
+    from preforge import constraints, solver
+    from preforge.mespec import load_catalog
+    from preforge.model import vectorize
+    from preforge.symmetry import find_invariant_subspaces
+
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("the multistart ran")
+
+    monkeypatch.setattr(constraints, "_levenberg_marquardt", no_multistart)
+    monkeypatch.setattr(solver, "_levenberg_marquardt", no_multistart)
+    csv_path = tmp_path / "scan.csv"
+    code, _, _ = run(
+        capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+        "--values", "0.02:0.10:0.005", "--k", "3", "--subspace-span", "1,0,0;0,0,1", "-o", str(csv_path),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 17
+    assert [int(row[1]) for row in rows] == [2 if float(row[0]) < 1 / 18 else 0 for row in rows]
+    bm = vectorize(load_catalog("resonance_fluorescence", {"gamma": 1.0, "Omega": 0.18}))
+    discs = [i for i, sub in enumerate(find_invariant_subspaces(bm)) if sub.n == 2]
+    accepted = []
+    for idx in discs:
+        out = tmp_path / f"disc{idx}.json"
+        code, _, _ = run(capsys, *SEARCH_RF, "--subspace", str(idx), "-o", str(out))
+        (route,) = json.loads(out.read_text())["results"]["routes"]
+        assert route["method"] == "chord map"
+        assert code == (0 if route["n_accepted"] else 1)
+        accepted.append(route["n_accepted"])
+    assert sorted(accepted) == [0, 4, 4]

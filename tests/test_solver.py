@@ -214,12 +214,12 @@ def test_solver_determinism(rf_bm):
 MERIDIAN_SPAN = np.array([[1.0, 0, 0], [0, 0, 1.0]]).T
 
 
-def _ae_grid_systems(values):
-    """The ``scan`` README systems: K=3 cyclic on the meridian disc at each gamma_plus."""
+def _ae_grid_systems(values, k=3):
+    """The ``scan`` README systems: K cyclic on the meridian disc at each gamma_plus."""
     systems = []
     for value in values:
         bm = vectorize(load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": value}))
-        systems.append(build_subspace_reduced(bm, subspace_from_span(bm, MERIDIAN_SPAN), 3, "cyclic"))
+        systems.append(build_subspace_reduced(bm, subspace_from_span(bm, MERIDIAN_SPAN), k, "cyclic"))
     return systems
 
 
@@ -354,6 +354,8 @@ def _label_dependent_verify(bm, ens, tol):
     ids=["rf-k2", "rf-k3-cyclic", "rf-k3-full", "ae-k3-meridian"],
 )
 def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, graph, seeds, check):
+    # The multistart's acceptance step, run directly: the meridian disc is a
+    # chord-map system for solve_numeric.
     if graph == "meridian":
         bm = vectorize(
             load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": 0.05})
@@ -372,7 +374,7 @@ def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, gr
         return check(*args, **kwargs)
 
     monkeypatch.setattr(solver, "verify", counting_check)
-    sols = solve_numeric(cs, cfg)
+    sols = solver._multistart([cs], cfg)[0]
     assert expected
     assert len(sols.ensembles) == len(expected)
     for got, ref in zip(sols.ensembles, expected):
@@ -545,3 +547,158 @@ def test_scan_detects_drive_strength_transition():
     assert list(table.counts) == [3, 3, 1, 1]
     assert len(table.thresholds) == 1
     assert abs(table.thresholds[0] - 0.25) <= 0.011
+
+
+# The chord-map route: cyclic systems on 2-D qubit slices.
+
+README_GRID = np.arange(0.02, 0.1001, 0.005)
+
+
+def _chord_routes(systems):
+    """The chord maps of ``systems``, their candidate roots as (system index,
+    angle), and the runs of unresolved cells as (system, a, b, g(a)), found
+    as ``_solve_chord`` finds them."""
+    maps = solver._ChordMaps(systems)
+    single, runs, _, handed = solver._chord_cells(maps, len(systems))
+    assert not handed.any()
+    which, a, b, ga = (np.concatenate(pair) for pair in zip(single, runs))
+    roots = solver._chord_polish(maps, which, a, b, ga, np.arange(len(which)) < len(single[0]))
+    return maps, which, roots, runs
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_chord_census_equals_multistart_on_the_readme_grid(k):
+    _assert_chord_census_equals_multistart(_ae_grid_systems(README_GRID, k))
+
+
+def test_chord_census_equals_multistart_on_the_rf_discs(rf_bm):
+    _assert_chord_census_equals_multistart(_rf_k3_disc_systems(rf_bm), expected=[0, 4, 4])
+
+
+def _assert_chord_census_equals_multistart(systems, expected=None):
+    cfg = SolverConfig(seeds=512, rng_seed=0)
+    chord = solve_systems(systems, cfg)
+    multistart = solver._multistart(systems, cfg)
+    assert all(sols.diagnostics["method"] == "chord map" for sols in chord)
+    assert all(sols.diagnostics["method"] == "multistart" for sols in multistart)
+    counts = [len(sols.ensembles) for sols in chord]
+    assert counts == [len(sols.ensembles) for sols in multistart]
+    if expected is not None:
+        assert counts == expected
+    for ours, theirs in zip(chord, multistart):
+        for ens in ours.ensembles:
+            assert min(ensemble_distance(ens, other) for other in theirs.ensembles) <= 1e-9
+
+
+def test_chord_misses_no_root_of_a_dense_grid(rf_bm):
+    # Every sign change of g between neighbouring points of a 200k-point grid
+    # (wrap jumps of 2 pi aside) holds a candidate root, or lies in a run of
+    # unresolved cells (about a fixed point where the chord touches the circle).
+    sets = [_rf_k3_disc_systems(rf_bm)] + [_ae_grid_systems([0.03, 0.055, 0.06, 0.1], k) for k in (2, 3, 4)]
+    grid = np.linspace(-np.pi, np.pi, 200_001)
+    for systems in sets:
+        maps, which, roots, (run_which, run_a, run_b, _) = _chord_routes(systems)
+        for s in range(len(systems)):
+            g = maps.orbits(np.full(grid.size, s), grid).gap
+            change = np.flatnonzero((np.sign(g[:-1]) != np.sign(g[1:])) & (np.abs(g[1:] - g[:-1]) < np.pi))
+            own, runs = roots[which == s], np.column_stack([run_a, run_b])[run_which == s]
+            for i in change:
+                lo, hi = grid[i] - 1e-12, grid[i + 1] + 1e-12
+                assert np.any((own >= lo) & (own <= hi)) or np.any((runs[:, 0] <= hi) & (runs[:, 1] >= lo)), (s, grid[i])
+
+
+def test_chord_diagnostics_count_every_root_once(rf_bm):
+    systems = _rf_k3_disc_systems(rf_bm) + _ae_grid_systems([0.04, 0.06])
+    for sols in solve_systems(systems, SolverConfig()):
+        diag = sols.diagnostics
+        assert diag["method"] == "chord map" and diag["n_cells"] >= solver._CHORD_CELLS
+        assert diag["n_starts"] == diag["n_accepted"] + sum(diag["rejections"].values())
+        assert diag["n_converged"] <= diag["n_starts"] and diag["n_accepted"] == len(sols.ensembles)
+        # The other K - 1 roots of an accepted orbit are relabelled copies.
+        assert diag["rejections"].get("duplicate", 0) >= 2 * diag["n_accepted"]
+
+
+def test_chord_hands_one_candidate_per_orbit_to_the_acceptance(rf_bm, monkeypatch):
+    # The K roots of an orbit are one ensemble relabelled: K - 1 of them are
+    # counted as duplicates before the pairwise comparison of _distinct.
+    seen = []
+    real = solver._verified
+
+    def recording(cs, cfg, candidates, diagnostics):
+        seen.append(len(candidates))
+        return real(cs, cfg, candidates, diagnostics)
+
+    monkeypatch.setattr(solver, "_verified", recording)
+    solsets = solve_systems(_rf_k3_disc_systems(rf_bm), SolverConfig())
+    assert seen == [len(sols.ensembles) for sols in solsets] == [0, 4, 4]
+    assert [sols.diagnostics["rejections"].get("duplicate", 0) for sols in solsets] == [0, 8, 8]
+
+
+def test_chord_candidate_that_is_no_root_fails_verification(rf_bm):
+    # A steep cell next to a root of g: its middle is no root, and the orbit
+    # from it does not close.  It is a candidate like the roots and is
+    # filed by the projector-form check, not dropped.
+    cs = _rf_k3_disc_systems(rf_bm)[2]
+    maps, which, roots, _ = _chord_routes([cs])
+    steep = roots[np.argmax(np.abs(maps.orbits(which, roots).slope))]
+    angles = np.sort(np.append(roots, steep + 1e-4))
+    orb = maps.orbits(np.zeros(angles.size, dtype=int), angles)
+    sols = solver._chord_accept(cs, SolverConfig(), orb, np.arange(angles.size))
+    diag = sols.diagnostics
+    assert np.abs(orb.gap[angles == steep + 1e-4]) > 1e-3
+    assert diag["rejections"]["projector-form verification failed"] == 1
+    assert diag["n_converged"] == len(roots) and diag["n_starts"] == len(roots) + 1
+    assert diag["n_starts"] == diag["n_accepted"] + sum(diag["rejections"].values())
+    assert len(sols.ensembles) == 4
+
+
+def test_chord_cells_left_unresolved_are_candidates_verify_decides(rf_bm, monkeypatch):
+    # With no halving allowed, every cell the first grid cannot settle is a
+    # candidate; those whose orbits do not close fail verification.
+    monkeypatch.setattr(solver, "_CHORD_DEPTH", 0)
+    systems = _rf_k3_disc_systems(rf_bm)
+    solsets = solve_systems(systems, SolverConfig())
+    failed = 0
+    for cs, sols in zip(systems, solsets):
+        diag = sols.diagnostics
+        assert diag["n_unresolved"] > 0 and diag["n_cells"] == solver._CHORD_CELLS
+        assert diag["n_starts"] == diag["n_accepted"] + sum(diag["rejections"].values())
+        failed += diag["rejections"].get("projector-form verification failed", 0)
+        assert all(verify(cs.bm, ens, tol=1e-9).passed for ens in sols.ensembles)
+    assert failed > 0
+
+
+def test_chord_results_do_not_depend_on_seeds_or_rng(rf_bm):
+    systems = _rf_k3_disc_systems(rf_bm) + _ae_grid_systems([0.05])
+    reference = solve_systems(systems, SolverConfig(seeds=512, rng_seed=0))
+    for cfg in (SolverConfig(seeds=1, rng_seed=0), SolverConfig(seeds=48, rng_seed=7)):
+        for sols, ref in zip(solve_systems(systems, cfg), reference):
+            assert sols.diagnostics == ref.diagnostics
+            assert len(sols.ensembles) == len(ref.ensembles)
+            for e1, e2 in zip(sols.ensembles, ref.ensembles):
+                assert np.array_equal(e1.states, e2.states) and np.array_equal(e1.kappa, e2.kappa)
+
+
+def test_only_cyclic_qubit_discs_take_the_chord_route(rf_bm, ae_bm, cascade_d3_bm):
+    d3_slice = next(s for s in find_invariant_subspaces(cascade_d3_bm) if s.n == 2 and s.pure_witness is not None)
+    equator = subspace_from_span(ae_bm, np.array([[1.0, 0, 0], [0, 1.0, 0]]).T)
+    multistart = [
+        *(build_subspace_reduced(rf_bm, sub, 3, "full") for sub in find_invariant_subspaces(rf_bm) if sub.n == 2),
+        build_subspace_reduced(cascade_d3_bm, d3_slice, 3, "cyclic"),
+        build_full(rf_bm, 3, "cyclic"),
+        # Every point of the equator lies on a 2-periodic orbit of the chord
+        # map, a continuous family: the chord route leaves it to the multistart.
+        build_subspace_reduced(ae_bm, equator, 2, "cyclic"),
+    ]
+    assert [solver._chord_qualifies(cs) for cs in multistart] == [False] * 5 + [True]
+    cfg = SolverConfig(seeds=8, rng_seed=0)
+    assert [sols.diagnostics["method"] for sols in solve_systems(multistart, cfg)] == ["multistart"] * 6
+    assert solve_numeric(build_subspace_reduced(ae_bm, equator, 3, "cyclic"), cfg).diagnostics["method"] == "chord map"
+
+
+def test_chord_leaves_a_circle_over_its_cell_budget_to_the_multistart(rf_bm, monkeypatch):
+    # The rf disc with no ensemble settles with few halvings; the two others
+    # need more than 32 cells halved at once and are solved by the multistart.
+    monkeypatch.setattr(solver, "_CHORD_BUDGET", 32)
+    solsets = solve_systems(_rf_k3_disc_systems(rf_bm), SolverConfig(seeds=8, rng_seed=0))
+    assert [sols.diagnostics["method"] for sols in solsets] == ["chord map", "multistart", "multistart"]
