@@ -216,17 +216,21 @@ def cmd_search(args) -> int:
 
     The closed-form routes come first (the azimuthal Wigner family, and
     ``analytic_k2`` at K=2), then one numeric route per searched subspace
-    and one for the full space.  Each route's entry in ``results.routes`` is
-    the solver's method, its start count (the roots found, on a chord-map
-    route), its counts and its rejection histogram.  A route lists the
-    results that ``new_ensembles`` finds new next to those already listed,
-    with the model's continuous Wigner symmetries as the family quotient.
-    A route that ``route_skip_reasons`` proves empty is not solved (at K=2
-    when ``analytic_k2`` is complete, at K>=3 on a 1-D slice); it stays in
-    ``results.routes`` with zero counts and its reason under ``"skipped"``.
-    The other routes are solved by one ``solve_systems`` call, so cyclic
-    routes on 2-D qubit slices are solved by the chord map and routes of one
-    shape share a stack, and are then walked in plan order.
+    and one for the full space.  All four share one screen, one
+    projector-form check and one quotient: a route lists the results that
+    ``new_ensembles`` finds new next to those already listed, with the
+    model's continuous Wigner symmetries as the family quotient.  Under
+    ``--graph cyclic`` a family ensemble counts only when each member has
+    one outgoing rate (a K-cycle up to relabelling).  Each numeric route's
+    entry in ``results.routes`` is the solver's method, its start count
+    (the roots found, on a chord-map route), its counts and its rejection
+    histogram.  A route that ``route_skip_reasons`` proves empty is not
+    solved (at K=2 when ``analytic_k2`` is complete, at K>=3 on a 1-D
+    slice); it stays in ``results.routes`` with zero counts and its reason
+    under ``"skipped"``.  The other routes are solved by one
+    ``solve_systems`` call, so cyclic routes on 2-D qubit slices are solved
+    by the chord map and routes of one shape share a stack, and are then
+    walked in plan order.
     """
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
@@ -244,20 +248,23 @@ def cmd_search(args) -> int:
     symmetries = find_wigner_symmetries(bm)
     subspaces = find_invariant_subspaces(bm)
 
-    found = []
-    sources = []
+    listed = []  # (ensemble, source) of every route's results, closed forms first
     if args.wigner_reduce == "auto":
         family = solve_wigner_family(bm, k)
         for ens, tag in zip(family.ensembles, family.family_tags):
-            found.append(ens)
-            sources.append({"route": "wigner-family", "rates_out": list(map(float, tag["rates_out"]))})
+            if args.graph == "full" or np.all(np.count_nonzero(ens.kappa, axis=0) == 1):
+                source = {"route": "wigner-family", "rates_out": list(map(float, tag["rates_out"]))}
+                listed.append((ens, source))
+    if k == 2:
+        analytic = analytic_k2(bm)
+        for ens, tag in zip(analytic.ensembles, analytic.family_tags):
+            listed.append((ens, {"route": "analytic-k2", "eigenvalue": tag["eigenvalue"]}))
 
     # (label, subspace) per numeric route; None stands for the full space.
     plan = []
     if args.subspace == "auto":
         for idx, sub in enumerate(sorted(subspaces, key=lambda s: s.n)):
-            if sub.n >= bm.dim - 1:
-                plan.append((f"subspace[{idx}] dim {sub.n}", sub))
+            plan.append((f"subspace[{idx}] dim {sub.n}", sub))
     elif args.subspace != "none":
         idx = int(args.subspace)
         if not 0 <= idx < len(subspaces):
@@ -268,12 +275,6 @@ def cmd_search(args) -> int:
     if args.subspace in ("auto", "none"):
         plan.append(("full", None))
     searched_subspaces = [_subspace_doc(sub) for _, sub in plan if sub is not None]
-
-    if k == 2:
-        analytic = analytic_k2(bm)
-        for ens, tag in zip(analytic.ensembles, analytic.family_tags):
-            found.append(ens)
-            sources.append({"route": "analytic-k2", "eigenvalue": tag["eigenvalue"]})
 
     generators = [w.generator for w in symmetries if w.generator is not None]
     routes = []
@@ -300,9 +301,14 @@ def cmd_search(args) -> int:
             "route %s: %d starts, %d converged, %d accepted; rejections %s",
             label, entry["n_starts"], entry["n_converged"], entry["n_accepted"], entry["rejections"],
         )
-        new = new_ensembles(sols.ensembles, found, generators)
-        found += new
-        sources += [{"route": label} for _ in new]
+        listed += [(ens, {"route": label}) for ens in sols.ensembles]
+
+    found = []
+    sources = []
+    for ens, source in listed:
+        if new_ensembles([ens], found, generators):
+            found.append(ens)
+            sources.append(source)
 
     results = {
         "model": _model_summary(bm),
@@ -523,12 +529,12 @@ def cmd_scan(args) -> int:
 
 
 _FIGURES = {
-    "fig1a": {"k": 2, "pre_indices": [0]},
-    "fig1b": {"k": 2, "pre_indices": [1]},
-    "fig1c": {"k": 2, "pre_indices": [2]},
-    "fig2": {"k": 3, "pre_indices": None},
-    "fig3": {"k": 3, "pre_indices": None, "cycling": True},
-    "fig4": {"k": None, "pre_indices": None},
+    "fig1a": {"pre_indices": [0]},
+    "fig1b": {"pre_indices": [1]},
+    "fig1c": {"pre_indices": [2]},
+    "fig2": {"pre_indices": None},
+    "fig3": {"pre_indices": None, "cycling": True},
+    "fig4": {"pre_indices": None},
 }
 
 

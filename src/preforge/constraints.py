@@ -710,7 +710,7 @@ def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationRepo
     connected = is_strongly_connected(ens.kappa)
     avg_err = float(np.linalg.norm(ens.average() - bm.x_ss))
     max_residual = float(residuals.max())
-    passed = (
+    passed = bool(
         max_residual <= tol
         and connected
         and float(np.min(ens.kappa)) >= KAPPA_REJECT

@@ -9,7 +9,8 @@ Four routes are implemented.
 * ``solve_wigner_family``: when the generator admits an azimuthal rotation
   symmetry, K equally spaced members on the symmetry circle reduce the
   whole system to two linear equations for the rates out of one member;
-  the nonnegative solution polytope is returned through its vertices.
+  the vertices of the nonnegative solution polytope, plus one interior
+  point, are the candidates.
 * the chord map, for a cyclic system on a 2-D qubit slice: the pure
   states of the slice form a circle, each member's one outgoing rate makes
   the next member the second point where the chord along the flow meets
@@ -19,20 +20,21 @@ Four routes are implemented.
   ``solve_numeric`` and ``solve_systems`` use it for every system it
   solves, all of them in one array pass.
 * ``solve_numeric``: otherwise seeded multistart Levenberg-Marquardt on
-  any assembled constraint system, all starts iterated as one stack.  On
-  both numeric routes the candidates go through permutation-aware
-  deduplication, with validation and independent projector-form
-  verification of the distinct ones only.  ``solve_systems`` does the same
-  for a list of systems and iterates the starts of all same-shape systems
-  in one stack.
+  any assembled constraint system, all starts iterated as one stack.
+  ``solve_systems`` does the same for a list of systems and iterates the
+  starts of all same-shape systems in one stack.
 
-What counts as a new ensemble is decided here and nowhere else.  A result
-with two members within ``DEDUP_EPS`` is a relabelled smaller ensemble with
-a free rate split, so ``solve_numeric`` rejects it; ``new_ensembles`` then
-drops results within ``DEDUP_EPS`` of one already listed or related to one
-by a continuous symmetry, for ``search`` across its routes and for ``scan``
-at each grid value.  ``route_skip_reasons`` says when a numeric route
-provably adds nothing to the closed forms, so that it need not be solved.
+All four routes share one screen, one projector-form check and one
+quotient.  Each route gives one outcome per start, root or closed-form
+candidate, a rejection reason or a candidate; ``_screen`` files negative
+rates, non-positive members and coincident members (a relabelled smaller
+ensemble with a free rate split), and ``_verified`` validates and verifies
+each distinct candidate.  What counts as a new ensemble is decided here
+and nowhere else: ``new_ensembles`` drops results within ``DEDUP_EPS`` of
+one already listed or related to one by a continuous symmetry, for
+``search`` across all its routes and for ``scan`` at each grid value.
+``route_skip_reasons`` says when a numeric route provably adds nothing to
+the closed forms, so that it need not be solved.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .constraints import (
     Ensemble,
     _levenberg_marquardt,
     clamp_rates,
-    is_strongly_connected,
     stack_systems,
     transition_edges,
     verify,
@@ -121,21 +122,41 @@ class SolutionSet:
 
 def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> float:
     """Label-free distance: minimum over member relabelings of the largest
-    member displacement plus the scaled rate-matrix mismatch."""
+    member displacement plus the scaled rate-matrix mismatch.
+
+    From K=5 on not all K! relabelings are tried.  The labels as they are,
+    and each member's nearest when those are all different, give a bound
+    d; a relabeling below d moves no member by more than d, so only those
+    are tried: one, for ensembles that nearly coincide up to labels.
+    """
     if e1.k != e2.k or e1.dim != e2.dim:
         return np.inf
-    perms = np.array(list(itertools.permutations(range(e1.k))))  # one relabeling per row
-    d_states = np.max(np.linalg.norm(e1.states - e2.states[perms], axis=2), axis=1)
-    d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
-    return float(np.min(d_states + d_kappa / rate_scale))
+    moves = np.linalg.norm(e1.states[:, None] - e2.states[None], axis=2)  # member i to member j
+
+    def distances(perms):  # one relabeling per row
+        perms = np.array(perms)
+        d_states = np.max(moves[np.arange(e1.k), perms], axis=1)
+        d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
+        return d_states + d_kappa / rate_scale
+
+    if e1.k <= 4:  # below that, bounding costs more than it saves
+        return float(np.min(distances(list(itertools.permutations(range(e1.k))))))
+    trials = [np.arange(e1.k), np.argmin(moves, axis=1)]
+    bound = np.min(distances([p for p in trials if len(set(p)) == e1.k]))
+    perms = [()]
+    for row in ~(moves > bound):  # a NaN keeps every relabeling
+        perms = [p + (j,) for p in perms for j in np.flatnonzero(row) if j not in p]
+    return float(np.min(distances(perms)))
 
 
 class _Candidate(NamedTuple):
-    """A converged start before validation, comparable by ``ensemble_distance``."""
+    """A result before validation, comparable by ``ensemble_distance``; a
+    closed form carries its family tag."""
 
     dim: int
     states: np.ndarray
     kappa: np.ndarray
+    tag: dict | None = None
 
     @property
     def k(self) -> int:
@@ -200,60 +221,43 @@ def _real_direction(e: np.ndarray):
 
 
 def analytic_k2(bm: BlochModel) -> SolutionSet:
-    """Two-member ensembles from the real eigenvectors of l0.
+    """Two-member ensembles from the real eigenvectors of l0, by eigenvalue.
 
     The member pair sits where the line through the steady state along an
     eigenvector pierces the pure-state sphere; the rate sum is the negated
     eigenvalue and the split follows the stationary occupations.  Degenerate
-    eigenspaces yield one representative tagged as a rotation family.
+    eigenspaces yield one representative tagged as a rotation family.  Each
+    line is one candidate for the shared acceptance.
     """
     spec = eig_full(bm.l0)
-    out = []
-    tags = []
-    diagnostics = {"eigenvalues": [], "skipped": []}
+    lines = []  # (eigenvalue, real direction or None, degenerate)
     for cluster in spec.clusters:
         if abs(cluster.value.imag) > spec.tol:
             continue
-        lam = cluster.value.real
-        pairs = [(i, cluster.vectors[:, i]) for i in range(cluster.vectors.shape[1])]
         degenerate = cluster.geometric >= 2 and not cluster.defective
-        reps = pairs[:1] if degenerate else pairs
-        for _, e in reps:
-            e = _real_direction(e)
-            if e is None:
-                continue
-            # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc)
-            (centre,), disc = bm.pure_slice(e[:, None])
-            if disc <= 0:
-                diagnostics["skipped"].append((lam, "line misses the pure sphere"))
-                continue
-            t_plus = centre + np.sqrt(disc)
-            t_minus = centre - np.sqrt(disc)
-            x1 = bm.x_ss + t_plus * e
-            x2 = bm.x_ss + t_minus * e
-            eta1, eta2 = t_plus, -t_minus
-            kappa = np.zeros((2, 2))
-            kappa[1, 0] = -lam * eta1 / (eta1 + eta2)  # rate 2 <- 1
-            kappa[0, 1] = -lam * eta2 / (eta1 + eta2)
-            try:
-                ens = Ensemble.from_states_kappa(bm.dim, np.array([x1, x2]), kappa)
-            except EnsembleError as exc:
-                diagnostics["skipped"].append((lam, str(exc)))
-                continue
-            out.append(ens)
-            tags.append(
-                {
-                    "eigenvalue": lam,
-                    "family": "rotation within degenerate eigenspace" if degenerate else None,
-                }
-            )
-            diagnostics["eigenvalues"].append(lam)
-    order = np.argsort([t["eigenvalue"] for t in tags]) if tags else []
-    return SolutionSet(
-        ensembles=[out[i] for i in order],
-        diagnostics=diagnostics,
-        family_tags=[tags[i] for i in order],
-    )
+        vectors = cluster.vectors.T[:1] if degenerate else cluster.vectors.T
+        lines += [(cluster.value.real, _real_direction(e), degenerate) for e in vectors]
+    outcomes = []
+    for lam, e, degenerate in sorted(lines, key=lambda line: line[0]):
+        if e is None:
+            outcomes.append("eigenvector is not real")
+            continue
+        # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc)
+        (centre,), disc = bm.pure_slice(e[:, None])
+        if disc <= 0:
+            outcomes.append("line misses the pure sphere")
+            continue
+        t_plus = centre + np.sqrt(disc)
+        t_minus = centre - np.sqrt(disc)
+        x1 = bm.x_ss + t_plus * e
+        x2 = bm.x_ss + t_minus * e
+        eta1, eta2 = t_plus, -t_minus
+        kappa = np.zeros((2, 2))
+        kappa[1, 0] = -lam * eta1 / (eta1 + eta2)  # rate 2 <- 1
+        kappa[0, 1] = -lam * eta2 / (eta1 + eta2)
+        family = "rotation within degenerate eigenspace" if degenerate else None
+        outcomes.append(_Candidate(bm.dim, np.array([x1, x2]), kappa, {"eigenvalue": lam, "family": family}))
+    return _closed_form("analytic-k2", bm, outcomes)
 
 
 def route_skip_reasons(bm: BlochModel, k: int, slice_dims: list) -> list:
@@ -307,19 +311,20 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     Needs an azimuthal rotation symmetry (certified internally).  Members
     are pinned at angles 2*pi*j/K on the circle of pure states around the
     symmetry axis, one of them on the canonical in-plane axis; the rates
-    out of the first member satisfy two linear equations whose nonnegative
-    polytope is returned via its vertices plus one interior point.
+    out of the first member satisfy two linear equations, and the vertices
+    of their nonnegative polytope plus one interior point are the
+    candidates for the shared acceptance, in that order.
     """
     if k < 2:
         raise ValueError("need at least two ensemble members")
     frame = _azimuthal_frame(bm, k)
     if frame is None:
-        return SolutionSet(ensembles=[], diagnostics={"reason": "no azimuthal symmetry"})
+        return _closed_form("wigner-family", bm, [], reason="no azimuthal symmetry")
     gen, e1, e2 = frame
     # The rotation fixes x_ss, so the circle is centred on it.
     _, r_sq = bm.pure_slice(np.column_stack([e1, e2]))
     if r_sq <= 0:
-        return SolutionSet(ensembles=[], diagnostics={"reason": "symmetry circle is empty"})
+        return _closed_form("wigner-family", bm, [], reason="symmetry circle is empty")
     r = np.sqrt(r_sq)
     angles = 2 * np.pi * np.arange(k) / k
     states = np.array(
@@ -350,41 +355,15 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
         full = np.clip(full, 0.0, None)
         if not any(np.max(np.abs(full - v)) < 1e-10 for v in vertices):
             vertices.append(full)
-    diagnostics = {
-        "linear_system": {"matrix": cols, "rhs": rhs},
-        "vertices": vertices,
-        "radius": r,
-    }
-    candidates = list(vertices)
     if len(vertices) > 1:
-        candidates.append(np.mean(vertices, axis=0))  # interior point
-    out = []
-    tags = []
-    for rates in candidates:
-        kappa = np.zeros((k, k))
-        for shift, value in enumerate(rates, start=1):
-            if value <= 0:
-                continue
-            for k0 in range(k):
-                kappa[(k0 + shift) % k, k0] = value
-        if not is_strongly_connected(kappa):
-            diagnostics.setdefault("dropped", []).append(
-                {"rates": rates, "reason": "not strongly connected"}
-            )
-            continue
-        try:
-            ens = Ensemble.from_states_kappa(bm.dim, states, kappa)
-        except EnsembleError as exc:
-            diagnostics.setdefault("dropped", []).append({"rates": rates, "reason": str(exc)})
-            continue
-        if not verify(bm, ens, tol=1e-8).passed:
-            diagnostics.setdefault("dropped", []).append(
-                {"rates": rates, "reason": "verification failed"}
-            )
-            continue
-        out.append(ens)
-        tags.append({"family": "azimuthal rotation", "generator": gen, "rates_out": rates})
-    return SolutionSet(ensembles=out, diagnostics=diagnostics, family_tags=tags)
+        vertices.append(np.mean(vertices, axis=0))  # interior point
+    outcomes = []
+    for rates in vertices:
+        # Rate rates[s - 1] from each member k0 to member k0 + s.
+        kappa = sum(value * np.roll(np.eye(k), shift, axis=0) for shift, value in enumerate(rates, start=1))
+        tag = {"family": "azimuthal rotation", "generator": gen, "rates_out": rates}
+        outcomes.append(_Candidate(bm.dim, states, kappa, tag))
+    return _closed_form("wigner-family", bm, outcomes)
 
 
 def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -396,16 +375,11 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     the pure-state set (or its subspace slice) with log-uniform rates, start
     i from ``default_rng([cfg.rng_seed, i])``, and solved together by a
     batched Levenberg-Marquardt iteration.  Converged points whose residual
-    meets ``cfg.tol`` and whose rates are nonnegative up to clamping are
-    rejected when a member maps to a non-positive matrix (possible for
-    D > 2 only), then as ``"coincident members"`` when two members lie
-    within ``DEDUP_EPS``.  On both routes the candidates left are sorted
-    canonically and deduplicated first; each distinct one is then validated
-    as an ``Ensemble`` (pure members, strongly connected graph) and kept
-    only if the independent projector-form check passes.  On a
-    graph-consistent system every start (every root, on the chord route)
-    ends up either kept (``n_accepted``) or counted once under
-    ``rejections``, ``"duplicate"`` included.
+    meets ``cfg.tol`` go to the shared screen; on both routes the candidates
+    it leaves are sorted canonically, then deduplicated, validated and
+    verified by ``_verified``.  On a graph-consistent system every start
+    (every root, on the chord route) ends up either kept (``n_accepted``)
+    or counted once under ``rejections``, ``"duplicate"`` included.
     """
     return solve_systems([cs], cfg)[0]
 
@@ -460,28 +434,19 @@ def _multistart(systems: list, cfg: SolverConfig) -> list:
     return [_accept(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
 
 
-def _positive_members(bm: BlochModel, states: np.ndarray) -> np.ndarray:
-    """For each ensemble of a stack (C, K, D^2 - 1), whether every member maps
-    to a matrix with no eigenvalue below ``-PURITY_TOL``; one ``eigvalsh`` call."""
-    if not len(states):
-        return np.zeros(0, dtype=bool)
-    rho = (np.eye(bm.dim, dtype=complex) + np.tensordot(states, bm.basis.traceless, axes=1)) / bm.dim
-    return np.min(np.linalg.eigvalsh(rho), axis=(1, 2)) >= -PURITY_TOL
-
-
 def _coincident(states: np.ndarray) -> bool:
     """Whether two members lie within ``DEDUP_EPS`` of each other."""
     return min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS
 
 
-def _new_diagnostics(method: str, cs: ConstraintSystem, n_starts: int) -> dict:
+def _new_diagnostics(method: str, n_starts: int, **extra) -> dict:
     return {
         "method": method,
         "n_starts": n_starts,
         "n_converged": 0,
         "n_accepted": 0,
         "rejections": {},
-        "graph_consistent": cs.graph_consistent,
+        **extra,
     }
 
 
@@ -493,13 +458,10 @@ def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
     """The acceptance step of the multistart on one system's final
     (parameters, residuals, failed) starts; None when the system is not
     graph-consistent and was not solved."""
-    diagnostics = _new_diagnostics("multistart", cs, cfg.seeds)
+    diagnostics = _new_diagnostics("multistart", cfg.seeds, graph_consistent=cs.graph_consistent)
     if final is None:
         diagnostics["reason"] = cs.inconsistency_reason
         return SolutionSet(ensembles=[], diagnostics=diagnostics)
-
-    # Per start, its rejection reason or its (states, kappa); positivity is
-    # then checked for all converged starts at once.
     outcomes = []
     for theta, resid, fail in zip(*final):
         if fail:
@@ -508,26 +470,53 @@ def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
             outcomes.append("residual above tolerance")
         else:
             diagnostics["n_converged"] += 1
-            states, kappa = cs.unpack(theta)
-            outcomes.append("negative rate" if np.min(kappa) < KAPPA_REJECT else (states, kappa))
-    pending = [out for out in outcomes if not isinstance(out, str)]
-    positive = iter(_positive_members(cs.bm, np.array([states for states, _ in pending])))
+            outcomes.append(_Candidate(cs.bm.dim, *cs.unpack(theta)))
+    return _verified(cs.bm, cfg.tol, _canonical_sort(_screen(cs.bm, outcomes, diagnostics)), diagnostics)
+
+
+def _closed_form(method: str, bm: BlochModel, outcomes: list, **extra) -> SolutionSet:
+    """The acceptance of a closed-form route's ``outcomes``, kept in their
+    order and verified at the default tolerance."""
+    diagnostics = _new_diagnostics(method, len(outcomes), **extra)
+    diagnostics["n_converged"] = sum(not isinstance(out, str) for out in outcomes)
+    return _verified(bm, SolverConfig().tol, _screen(bm, outcomes, diagnostics), diagnostics)
+
+
+def _screen(bm: BlochModel, outcomes: list, diagnostics: dict) -> list:
+    """The ``_Candidate``s among ``outcomes``, in order and with rates clamped,
+    whose rates are nonnegative up to ``KAPPA_REJECT``, whose members map to
+    matrices with no eigenvalue below ``-PURITY_TOL`` (one ``eigvalsh`` call
+    for all) and lie pairwise more than ``DEDUP_EPS`` apart.  Every other
+    outcome, a rejection reason or a candidate failing these checks in that
+    order, is filed in ``diagnostics``.
+    """
+    states = np.array([out.states for out in outcomes if not isinstance(out, str)])
+    positive = iter([])
+    if len(states):
+        rho = (np.eye(bm.dim, dtype=complex) + np.tensordot(states, bm.basis.traceless, axes=1)) / bm.dim
+        positive = iter(np.min(np.linalg.eigvalsh(rho), axis=(1, 2)) >= -PURITY_TOL)
     candidates = []
     for out in outcomes:
+        if not isinstance(out, str):
+            member_positive = next(positive)
+            if np.min(out.kappa) < KAPPA_REJECT:
+                out = "negative rate"
+            elif not member_positive:
+                out = "member maps to a non-positive matrix"
+            elif _coincident(out.states):
+                out = "coincident members"
         if isinstance(out, str):
             _reject(diagnostics, out)
-        elif not next(positive):
-            _reject(diagnostics, "member maps to a non-positive matrix")
-        elif _coincident(out[0]):
-            _reject(diagnostics, "coincident members")
         else:
-            candidates.append(_Candidate(cs.bm.dim, out[0], clamp_rates(out[1])))
-    return _verified(cs, cfg, candidates, diagnostics)
+            candidates.append(out._replace(kappa=clamp_rates(out.kappa)))
+    return candidates
 
 
-def _verified(cs: ConstraintSystem, cfg: SolverConfig, candidates: list, diagnostics: dict) -> SolutionSet:
-    """The distinct ``candidates`` that pass validation and the projector-form
-    check, with every other one counted in ``diagnostics``."""
+def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -> SolutionSet:
+    """The distinct ``candidates``, in order, that pass validation and the
+    projector-form check at ``10 * tol``, with their tags; every other one is
+    counted in ``diagnostics``, and the kept ones as ``n_accepted``."""
+    tags = []
 
     def accept(cand):
         try:
@@ -535,17 +524,18 @@ def _verified(cs: ConstraintSystem, cfg: SolverConfig, candidates: list, diagnos
         except EnsembleError as exc:
             _reject(diagnostics, str(exc))
             return None
-        if not verify(cs.bm, ens, tol=10 * cfg.tol).passed:
+        if not verify(bm, ens, tol=10 * tol).passed:
             _reject(diagnostics, "projector-form verification failed")
             return None
+        tags.append(cand.tag)
         return ens
 
-    rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
-    unique, duplicates = _distinct(_canonical_sort(candidates), DEDUP_EPS, rate_scale, accept)
+    rate_scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
+    unique, duplicates = _distinct(candidates, DEDUP_EPS, rate_scale, accept)
     if duplicates:
         _reject(diagnostics, "duplicate", duplicates)
     diagnostics["n_accepted"] = len(unique)
-    return SolutionSet(ensembles=unique, diagnostics=diagnostics)
+    return SolutionSet(ensembles=unique, diagnostics=diagnostics, family_tags=tags)
 
 
 def _chord_qualifies(cs: ConstraintSystem) -> bool:
@@ -845,30 +835,31 @@ def _chord_accept(cs: ConstraintSystem, cfg: SolverConfig, orb: _Orbits, own: np
 
     A root whose orbit runs through the members of an earlier candidate's,
     each within ``DEDUP_EPS``, is that candidate relabelled and counts as
-    ``"duplicate"`` at once; the other candidates are deduplicated by
-    :func:`_verified` as the multistart's are.
+    ``"duplicate"`` at once; an orbit with coincident members, then one with
+    a chord run backwards, is rejected before it can hide a later root.  The
+    other candidates go through the acceptance of the multistart.
     """
-    diagnostics = _new_diagnostics("chord map", cs, len(own))
+    diagnostics = _new_diagnostics("chord map", len(own), graph_consistent=cs.graph_consistent)
     diagnostics["n_converged"] = int(np.sum(np.abs(orb.gap[own]) <= orb.noise[own]))
     centre, radius = -cs.centre, math.sqrt(cs.radius_sq)
-    candidates, cycles = [], np.empty((0, cs.k))
+    outcomes, cycles = [], np.empty((0, cs.k))
     for j in own:
         angles = orb.angles[:-1, j]
         if _repeats_cycle(angles, cycles, radius):
-            _reject(diagnostics, "duplicate")
+            outcomes.append("duplicate")
             continue
         members = centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
         chord = orb.chord[:, j]
         with np.errstate(divide="ignore"):
             states, kappa = cs.unpack(np.concatenate([members.ravel(), 1 / chord]))
         if _coincident(states):
-            _reject(diagnostics, "coincident members")
+            outcomes.append("coincident members")
         elif np.min(chord) <= 0:
-            _reject(diagnostics, "negative rate")
+            outcomes.append("negative rate")
         else:
-            candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
+            outcomes.append(_Candidate(cs.bm.dim, states, kappa))
             cycles = np.vstack([cycles, angles])
-    return _verified(cs, cfg, candidates, diagnostics)
+    return _verified(cs.bm, cfg.tol, _canonical_sort(_screen(cs.bm, outcomes, diagnostics)), diagnostics)
 
 
 def _repeats_cycle(angles: np.ndarray, cycles: np.ndarray, radius: float) -> bool:

@@ -1033,3 +1033,57 @@ def test_scan_and_search_solve_qubit_discs_without_the_multistart(capsys, tmp_pa
         assert code == (0 if route["n_accepted"] else 1)
         accepted.append(route["n_accepted"])
     assert sorted(accepted) == [0, 4, 4]
+
+
+def test_verify_writes_a_bundle_for_a_passing_ensemble(capsys, tmp_path, rf_bm):
+    from preforge.solver import analytic_k2
+
+    ens = analytic_k2(rf_bm).ensembles[0]
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"dim": 2, "states": ens.states.tolist(), "kappa": ens.kappa.tolist()}))
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", *SEARCH_RF_K2[1:6], "--ensemble", str(path), "-o", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["passed"] is True
+
+
+SEARCH_AE = ("search", "absorption_emission", "--param", "gamma_minus=1", "--param", "gamma_plus=0.3")
+
+
+def _search_ensembles(capsys, tmp_path, *argv):
+    from preforge.cli import _ensemble_from_doc
+
+    out = tmp_path / "bundle.json"
+    run(capsys, *SEARCH_AE, *argv, "-o", str(out))
+    docs = json.loads(out.read_text())["results"]["ensembles"]
+    return [doc["source"] for doc in docs], [_ensemble_from_doc(doc) for doc in docs]
+
+
+def test_search_lists_each_closed_form_ensemble_once(capsys, tmp_path):
+    # The Wigner family and analytic_k2 both give the equatorial K=2
+    # ensemble; it is listed once, from the route that comes first.
+    from preforge.solver import DEDUP_EPS, ensemble_distance, family_equivalent
+
+    sources, ensembles = _search_ensembles(capsys, tmp_path, "--k", "2", "--seeds", "16")
+    assert [src["route"] for src in sources[:2]] == ["wigner-family", "analytic-k2"]
+    equator = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for i, j in [(i, j) for i in range(len(ensembles)) for j in range(i)]:
+        assert ensemble_distance(ensembles[i], ensembles[j]) > DEDUP_EPS
+        assert not family_equivalent(ensembles[j], ensembles[i], equator)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_wigner_family_route_follows_the_graph(capsys, tmp_path, k):
+    # At K=3 and K=4 every family member has rates to two or more others, so
+    # no family ensemble is a K-cycle and only the full graph lists them.
+    listed = {}
+    for graph in ("cyclic", "full"):
+        argv = ("--k", str(k), "--graph", graph, "--subspace", "none", "--seeds", "4")
+        sources, ensembles = _search_ensembles(capsys, tmp_path, *argv)
+        listed[graph] = [e for src, e in zip(sources, ensembles) if src["route"] == "wigner-family"]
+    assert listed["full"]
+    if k == 2:
+        assert len(listed["cyclic"]) == len(listed["full"]) == 1
+    else:
+        assert listed["cyclic"] == []
+        assert all(np.min(np.count_nonzero(e.kappa, axis=0)) >= 2 for e in listed["full"])

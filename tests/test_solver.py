@@ -702,3 +702,48 @@ def test_chord_leaves_a_circle_over_its_cell_budget_to_the_multistart(rf_bm, mon
     monkeypatch.setattr(solver, "_CHORD_BUDGET", 32)
     solsets = solve_systems(_rf_k3_disc_systems(rf_bm), SolverConfig(seeds=8, rng_seed=0))
     assert [sols.diagnostics["method"] for sols in solsets] == ["chord map", "multistart", "multistart"]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("model", ["rf_bm", "ae_bm"])
+def test_closed_forms_count_every_candidate_once(request, model, k):
+    # The closed forms go through the shared acceptance, so their
+    # bookkeeping is the numeric routes': every candidate is kept or filed.
+    bm = request.getfixturevalue(model)
+    for sols in (analytic_k2(bm), solve_wigner_family(bm, k)):
+        diag = sols.diagnostics
+        assert diag["method"] in ("analytic-k2", "wigner-family")
+        assert diag["n_starts"] == diag["n_accepted"] + sum(diag["rejections"].values())
+        assert diag["n_accepted"] == len(sols.ensembles) == len(sols.family_tags)
+
+
+def test_closed_forms_keep_only_what_the_projector_form_check_passes(rf_bm, ae_bm, monkeypatch):
+    assert len(analytic_k2(rf_bm).ensembles) == 3
+    failing = dataclasses.replace(verify(rf_bm, analytic_k2(rf_bm).ensembles[0]), passed=False)
+    monkeypatch.setattr(solver, "verify", lambda *args, **kwargs: failing)
+    for sols in (analytic_k2(rf_bm), analytic_k2(ae_bm), solve_wigner_family(ae_bm, 3)):
+        assert sols.ensembles == []
+        assert sols.diagnostics["rejections"]["projector-form verification failed"] == sols.diagnostics["n_converged"] > 0
+
+
+
+def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
+    # ensemble_distance tries only the relabellings that can beat keeping
+    # the labels; the value is the full K! minimum's, bit for bit.
+    def reference(e1, e2):
+        perms = np.array(list(itertools.permutations(range(e1.k))))
+        d_states = np.max(np.linalg.norm(e1.states - e2.states[perms], axis=2), axis=1)
+        d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
+        return float(np.min(d_states + d_kappa))
+
+    ensembles = analytic_k2(rf_bm).ensembles + analytic_k2(ae_bm).ensembles
+    ensembles += [e for k in (3, 5, 6) for e in solve_wigner_family(ae_bm, k).ensembles]
+    for e1 in ensembles:
+        shuffled = np.random.default_rng(e1.k).permutation(e1.k)
+        moved = Ensemble.from_states_kappa(
+            e1.dim, e1.states[shuffled] + 4e-7, e1.kappa[np.ix_(shuffled, shuffled)], validate=False
+        )
+        for e2 in ensembles + [moved]:
+            if e2.k == e1.k:
+                assert ensemble_distance(e1, e2) == reference(e1, e2)
+        assert ensemble_distance(e1, moved) <= DEDUP_EPS

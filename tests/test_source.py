@@ -1,5 +1,6 @@
 """Contracts on the package source itself."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -67,3 +68,27 @@ def test_ensemble_equivalence_is_decided_in_solver_alone():
         if EQUIVALENCE_CALL.search(line)
     ]
     assert not offenders, "equivalence decided outside solver.py:\n" + "\n".join(offenders)
+
+
+def _checks_ensemble(node) -> bool:
+    """Whether a call runs the projector-form check or validates an Ensemble."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "verify"
+    no_validation = any(
+        kw.arg == "validate" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in node.keywords
+    )
+    return isinstance(func, ast.Attribute) and func.attr == "from_states_kappa" and not no_validation
+
+
+def test_solver_checks_ensembles_only_in_its_shared_acceptance():
+    # Every route hands its candidates to _verified; a route with its own
+    # check would fork the acceptance again.
+    tree = ast.parse((Path(preforge.__file__).parent / "solver.py").read_text(encoding="utf-8"))
+    shared = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_verified")
+    inside = {id(node) for node in ast.walk(shared)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _checks_ensemble(node)]
+    assert [ast.unparse(node.func) for node in calls if id(node) in inside] == ["Ensemble.from_states_kappa", "verify"]
+    offenders = [f"solver.py:{node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
+    assert not offenders, "ensembles checked outside _verified:\n" + "\n".join(offenders)
