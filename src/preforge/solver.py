@@ -29,10 +29,11 @@ quotient.  Each route gives one outcome per start, root or closed-form
 candidate, a rejection reason or a candidate; ``_screen`` files negative
 rates, non-positive members and coincident members (a relabelled smaller
 ensemble with a free rate split), and ``_verified`` validates and verifies
-each distinct candidate.  What counts as a new ensemble is decided here
-and nowhere else: ``new_ensembles`` drops results within ``DEDUP_EPS`` of
-one already listed or related to one by a continuous symmetry, for
-``search`` across all its routes and for ``scan`` at each grid value.
+each distinct candidate; the chord map's orbits are pure, and it makes the
+other two checks itself.  What counts as a new ensemble is decided here and
+nowhere else: ``new_ensembles`` drops results within ``DEDUP_EPS`` of one
+already listed or related to one by a continuous symmetry, for ``search``
+across all its routes and for ``scan`` at each grid value.
 ``route_skip_reasons`` says when a numeric route provably adds nothing to
 the closed forms, so that it need not be solved.
 """
@@ -122,31 +123,26 @@ class SolutionSet:
 
 def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> float:
     """Label-free distance: minimum over member relabelings of the largest
-    member displacement plus the scaled rate-matrix mismatch.
-
-    From K=5 on not all K! relabelings are tried.  The labels as they are,
-    and each member's nearest when those are all different, give a bound
-    d; a relabeling below d moves no member by more than d, so only those
-    are tried: one, for ensembles that nearly coincide up to labels.
-    """
+    member displacement plus the scaled rate-matrix mismatch.  Only the
+    relabelings that move no member beyond the distance under the labels as
+    they are, or under each member's nearest, can attain it and are tried."""
     if e1.k != e2.k or e1.dim != e2.dim:
         return np.inf
     moves = np.linalg.norm(e1.states[:, None] - e2.states[None], axis=2)  # member i to member j
 
     def distances(perms):  # one relabeling per row
         perms = np.array(perms)
-        d_states = np.max(moves[np.arange(e1.k), perms], axis=1)
-        d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
+        d_states = moves[np.arange(e1.k), perms].max(axis=1)
+        d_kappa = np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
         return d_states + d_kappa / rate_scale
 
-    if e1.k <= 4:  # below that, bounding costs more than it saves
-        return float(np.min(distances(list(itertools.permutations(range(e1.k))))))
-    trials = [np.arange(e1.k), np.argmin(moves, axis=1)]
-    bound = np.min(distances([p for p in trials if len(set(p)) == e1.k]))
+    nearest = moves.argmin(axis=1).tolist()
+    trials = [list(range(e1.k))] + [nearest] * (len(set(nearest)) == e1.k)
+    bound = distances(trials).min()
     perms = [()]
-    for row in ~(moves > bound):  # a NaN keeps every relabeling
-        perms = [p + (j,) for p in perms for j in np.flatnonzero(row) if j not in p]
-    return float(np.min(distances(perms)))
+    for row in (~(moves > bound)).tolist():  # a NaN keeps every relabeling
+        perms = [p + (j,) for p in perms for j, near in enumerate(row) if near and j not in p]
+    return float(distances(perms).min())
 
 
 class _Candidate(NamedTuple):
@@ -375,11 +371,12 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     the pure-state set (or its subspace slice) with log-uniform rates, start
     i from ``default_rng([cfg.rng_seed, i])``, and solved together by a
     batched Levenberg-Marquardt iteration.  Converged points whose residual
-    meets ``cfg.tol`` go to the shared screen; on both routes the candidates
-    it leaves are sorted canonically, then deduplicated, validated and
-    verified by ``_verified``.  On a graph-consistent system every start
-    (every root, on the chord route) ends up either kept (``n_accepted``)
-    or counted once under ``rejections``, ``"duplicate"`` included.
+    meets ``cfg.tol`` go to the shared screen.  On both routes the
+    candidates that pass are sorted canonically, then deduplicated,
+    validated and verified by ``_verified``.  On a graph-consistent system
+    every start (every root, on the chord route) ends up either kept
+    (``n_accepted``) or counted once under ``rejections``, ``"duplicate"``
+    included.
     """
     return solve_systems([cs], cfg)[0]
 
@@ -514,9 +511,11 @@ def _screen(bm: BlochModel, outcomes: list, diagnostics: dict) -> list:
 
 def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -> SolutionSet:
     """The distinct ``candidates``, in order, that pass validation and the
-    projector-form check at ``10 * tol``, with their tags; every other one is
-    counted in ``diagnostics``, and the kept ones as ``n_accepted``."""
+    projector-form check, with their tags; every other one is counted in
+    ``diagnostics``, and the kept ones as ``n_accepted``.  The check's
+    residual is a rate, held to ``10 * tol`` times ``||l0||`` if that is > 1."""
     tags = []
+    rate_scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
 
     def accept(cand):
         try:
@@ -524,13 +523,12 @@ def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -
         except EnsembleError as exc:
             _reject(diagnostics, str(exc))
             return None
-        if not verify(bm, ens, tol=10 * tol).passed:
+        if not verify(bm, ens, tol=10 * tol * max(1.0, rate_scale)).passed:
             _reject(diagnostics, "projector-form verification failed")
             return None
         tags.append(cand.tag)
         return ens
 
-    rate_scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
     unique, duplicates = _distinct(candidates, DEDUP_EPS, rate_scale, accept)
     if duplicates:
         _reject(diagnostics, "duplicate", duplicates)
@@ -804,10 +802,10 @@ def _solve_chord(systems: list, cfg: SolverConfig) -> list:
     ``"duplicate"``.  A candidate with two members within ``DEDUP_EPS``
     (a shorter orbit, or a fixed point of the map) is rejected as
     ``"coincident members"``, one with a chord run backwards (t_k <= 0) as
-    ``"negative rate"``; the others go through the acceptance of the
-    multistart.  ``n_starts`` counts the candidates and ``n_converged``
-    those with |g| at rounding level.  Returns one SolutionSet per system,
-    or None for a system left to the multistart (see :func:`_chord_cells`).
+    ``"negative rate"``; the others go straight to ``_verified``.
+    ``n_starts`` counts the candidates and ``n_converged`` those with |g| at
+    rounding level.  Returns one SolutionSet per system, or None for a
+    system left to the multistart (see :func:`_chord_cells`).
     """
     out = [None] * len(systems)
     by_k = {}
@@ -837,29 +835,29 @@ def _chord_accept(cs: ConstraintSystem, cfg: SolverConfig, orb: _Orbits, own: np
     each within ``DEDUP_EPS``, is that candidate relabelled and counts as
     ``"duplicate"`` at once; an orbit with coincident members, then one with
     a chord run backwards, is rejected before it can hide a later root.  The
-    other candidates go through the acceptance of the multistart.
+    other candidates, pure by construction, go straight to ``_verified``.
     """
     diagnostics = _new_diagnostics("chord map", len(own), graph_consistent=cs.graph_consistent)
     diagnostics["n_converged"] = int(np.sum(np.abs(orb.gap[own]) <= orb.noise[own]))
     centre, radius = -cs.centre, math.sqrt(cs.radius_sq)
-    outcomes, cycles = [], np.empty((0, cs.k))
+    candidates, cycles = [], np.empty((0, cs.k))
     for j in own:
         angles = orb.angles[:-1, j]
         if _repeats_cycle(angles, cycles, radius):
-            outcomes.append("duplicate")
+            _reject(diagnostics, "duplicate")
             continue
         members = centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
         chord = orb.chord[:, j]
         with np.errstate(divide="ignore"):
             states, kappa = cs.unpack(np.concatenate([members.ravel(), 1 / chord]))
         if _coincident(states):
-            outcomes.append("coincident members")
+            _reject(diagnostics, "coincident members")
         elif np.min(chord) <= 0:
-            outcomes.append("negative rate")
+            _reject(diagnostics, "negative rate")
         else:
-            outcomes.append(_Candidate(cs.bm.dim, states, kappa))
+            candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
             cycles = np.vstack([cycles, angles])
-    return _verified(cs.bm, cfg.tol, _canonical_sort(_screen(cs.bm, outcomes, diagnostics)), diagnostics)
+    return _verified(cs.bm, cfg.tol, _canonical_sort(candidates), diagnostics)
 
 
 def _repeats_cycle(angles: np.ndarray, cycles: np.ndarray, radius: float) -> bool:

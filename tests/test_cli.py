@@ -165,6 +165,19 @@ def test_search_rf_k2_skips_every_numeric_route(capsys, tmp_path, caplog, monkey
     assert records == [f"route {e['route']}: skipped, {e['skipped']}" for e in routes]
 
 
+def test_search_rf_k2_lists_every_line_ensemble_of_a_fast_model(capsys, tmp_path):
+    # Every numeric route is skipped on the proof that analytic_k2 lists
+    # all K=2 ensembles, so none of its three may fail the projector-form
+    # check on rounding, which grows with the rates.
+    out = tmp_path / "bundle.json"
+    argv = ("search", "resonance_fluorescence", "--param", "gamma=1e7", "--param", "Omega=1.8e6", "--k", "2")
+    code, _, _ = run(capsys, *argv, "-o", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert all("skipped" in entry for entry in results["routes"])
+    assert [e["source"]["route"] for e in results["ensembles"]] == ["analytic-k2"] * 3
+
+
 @pytest.fixture(scope="module")
 def rf_k3_full_search(tmp_path_factory):
     """Seed-7 rf ``--k 3 --graph full`` bundle and the systems handed to the solver."""

@@ -726,6 +726,20 @@ def test_closed_forms_keep_only_what_the_projector_form_check_passes(rf_bm, ae_b
         assert sols.diagnostics["rejections"]["projector-form verification failed"] == sols.diagnostics["n_converged"] > 0
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e12])
+def test_closed_forms_verify_relative_to_the_rate_scale(rf_bm, ae_bm, scale):
+    # Scaling every rate scales the projector-form residual, rounding
+    # included; an exact ensemble of a fast model still passes.
+    rf_fast = vectorize(load_catalog("resonance_fluorescence", {"gamma": scale, "Omega": 0.18 * scale}))
+    ae_fast = vectorize(load_catalog("absorption_emission", {"gamma_minus": scale, "gamma_plus": 0.3 * scale}))
+    pairs = [(analytic_k2(rf_fast), analytic_k2(rf_bm)), (solve_wigner_family(ae_fast, 3), solve_wigner_family(ae_bm, 3))]
+    for fast, slow in pairs:
+        assert fast.diagnostics["rejections"] == {}
+        assert len(fast.ensembles) == len(slow.ensembles) > 0
+        for e_fast, e_slow in zip(fast.ensembles, slow.ensembles):
+            scaled = Ensemble.from_states_kappa(e_slow.dim, e_slow.states, scale * e_slow.kappa, validate=False)
+            assert ensemble_distance(e_fast, scaled, rate_scale=scale) < 1e-9
+
 
 def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
     # ensemble_distance tries only the relabellings that can beat keeping
