@@ -32,7 +32,8 @@ from .constraints import (
 from .errors import ConvergenceError, EnsembleError, SteadyStateError
 from .errors import RealizationError, SynthesisError
 from .measurement import synthesize
-from .mespec import MESpecError, UnboundParameterError, catalog_names, load_catalog, load_me_spec
+from .mespec import MESpecError, UnboundParameterError
+from .mespec import catalog_doc, catalog_names, parse_me_spec, read_me_spec
 from .model import vectorize
 from .solver import (
     SolverConfig,
@@ -78,10 +79,15 @@ def _parse_params(pairs):
 
 
 def _load_model(spec, params):
+    return parse_me_spec(_model_doc(spec), params)
+
+
+def _model_doc(spec) -> dict:
+    """The spec document of a spec file or catalog entry."""
     if os.path.exists(spec):
-        return load_me_spec(spec, params)
+        return read_me_spec(spec)
     if spec in catalog_names():
-        return load_catalog(spec, params)
+        return catalog_doc(spec)
     raise MESpecError(
         f"'{spec}' is neither a file nor a catalog entry (catalog: {', '.join(catalog_names())})"
     )
@@ -487,10 +493,8 @@ def cmd_scan(args) -> int:
         span = np.asarray(rows, dtype=float).T
     _check_writable(args.output)
 
-    def bm_factory(value):
-        bound = dict(params)
-        bound[args.scan_param] = float(value)
-        return vectorize(_load_model(args.spec, bound))
+    doc = _model_doc(args.spec)  # read once, bound to each grid value
+    models = {v: vectorize(parse_me_spec(doc, {**params, args.scan_param: v})) for v in values.tolist()}
 
     def cs_builder(bm):
         if span is not None:
@@ -502,12 +506,12 @@ def cmd_scan(args) -> int:
 
     quotient = None
     if args.quotient == "auto":
-        gens = [w.generator for w in find_wigner_symmetries(bm_factory(values[0])) if w.generator is not None]
+        gens = [w.generator for w in find_wigner_symmetries(models[values[0]]) if w.generator is not None]
         quotient = gens[0] if gens else None
 
     cfg = SolverConfig(tol=args.tol, seeds=args.seeds, rng_seed=args.rng)
     table = scan_existence(
-        bm_factory, values, cs_builder, cfg, parameter=args.scan_param, quotient_generator=quotient
+        models.__getitem__, values, cs_builder, cfg, parameter=args.scan_param, quotient_generator=quotient
     )
     counts = ("n_starts", "n_converged", "n_accepted")
     out = open(args.output, "w", newline="") if args.output else sys.stdout

@@ -29,8 +29,8 @@ from importlib import resources
 from .errors import PreForgeError
 from .model import MasterEquation
 
-__all__ = ["MESpecError", "UnboundParameterError", "load_me_spec", "parse_me_spec",
-           "catalog_names", "load_catalog"]
+__all__ = ["MESpecError", "UnboundParameterError", "read_me_spec", "load_me_spec", "parse_me_spec",
+           "catalog_names", "catalog_doc", "load_catalog"]
 
 
 class MESpecError(PreForgeError, ValueError):
@@ -151,14 +151,18 @@ def parse_me_spec(doc: dict, params: dict | None = None) -> MasterEquation:
     return MasterEquation(dim, ham, cs)
 
 
-def load_me_spec(path, params: dict | None = None) -> MasterEquation:
-    """Load a spec file from disk and bind parameters."""
+def read_me_spec(path) -> dict:
+    """The JSON document of a spec file, for :func:`parse_me_spec`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise MESpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_me_spec(doc, params)
+
+
+def load_me_spec(path, params: dict | None = None) -> MasterEquation:
+    """Load a spec file from disk and bind parameters."""
+    return parse_me_spec(read_me_spec(path), params)
 
 
 def catalog_names() -> list:
@@ -167,11 +171,14 @@ def catalog_names() -> list:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_catalog(name: str, params: dict | None = None) -> MasterEquation:
-    """Load a bundled spec by name."""
+def catalog_doc(name: str) -> dict:
+    """The JSON document of a bundled spec, for :func:`parse_me_spec`."""
     res = resources.files("preforge").joinpath("catalog", f"{name}.json")
     if not res.is_file():
         raise MESpecError(f"no catalog entry '{name}' (have: {', '.join(catalog_names())})")
-    doc = json.loads(res.read_text(encoding="utf-8"))
-    return parse_me_spec(doc, params)
+    return json.loads(res.read_text(encoding="utf-8"))
 
+
+def load_catalog(name: str, params: dict | None = None) -> MasterEquation:
+    """Load a bundled spec by name."""
+    return parse_me_spec(catalog_doc(name), params)

@@ -31,9 +31,11 @@ rates, non-positive members and coincident members (a relabelled smaller
 ensemble with a free rate split), and ``_verified`` validates and verifies
 each distinct candidate; the chord map's orbits are pure, and it makes the
 other two checks itself.  What counts as a new ensemble is decided here and
-nowhere else: ``new_ensembles`` drops results within ``DEDUP_EPS`` of one
-already listed or related to one by a continuous symmetry, for ``search``
-across all its routes and for ``scan`` at each grid value.
+nowhere else, by one eps-test with no K! search, ``same_ensemble``: within a
+route, after each trial rotation of ``family_equivalent``, and in
+``new_ensembles``, which drops results the same as one already listed or
+related to one by a continuous symmetry, for ``search`` across all its
+routes and for ``scan`` at each grid value.
 ``route_skip_reasons`` says when a numeric route provably adds nothing to
 the closed forms, so that it need not be solved.
 """
@@ -73,7 +75,7 @@ __all__ = [
     "solve_systems",
     "new_ensembles",
     "scan_existence",
-    "ensemble_distance",
+    "same_ensemble",
     "dedup",
 ]
 
@@ -121,32 +123,38 @@ class SolutionSet:
         return len(self.ensembles)
 
 
-def ensemble_distance(e1: Ensemble, e2: Ensemble, rate_scale: float = 1.0) -> float:
-    """Label-free distance: minimum over member relabelings of the largest
-    member displacement plus the scaled rate-matrix mismatch.  Only the
-    relabelings that move no member beyond the distance under the labels as
-    they are, or under each member's nearest, can attain it and are tried."""
-    if e1.k != e2.k or e1.dim != e2.dim:
-        return np.inf
+def _mismatches(e1, e2, rate_scale: float, eps: float = np.inf) -> np.ndarray:
+    """The largest member move plus the rate mismatch over ``rate_scale``,
+    for each relabelling of ``e2`` that moves no member beyond ``eps``."""
     moves = np.linalg.norm(e1.states[:, None] - e2.states[None], axis=2)  # member i to member j
-
-    def distances(perms):  # one relabeling per row
-        perms = np.array(perms)
-        d_states = moves[np.arange(e1.k), perms].max(axis=1)
-        d_kappa = np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
-        return d_states + d_kappa / rate_scale
-
-    nearest = moves.argmin(axis=1).tolist()
-    trials = [list(range(e1.k))] + [nearest] * (len(set(nearest)) == e1.k)
-    bound = distances(trials).min()
     perms = [()]
-    for row in (~(moves > bound)).tolist():  # a NaN keeps every relabeling
+    for row in (moves <= eps).tolist():  # a NaN move allows no relabelling
         perms = [p + (j,) for p in perms for j, near in enumerate(row) if near and j not in p]
-    return float(distances(perms).min())
+    perms = np.array(perms, dtype=int).reshape(-1, e1.k)
+    d_states = moves[np.arange(e1.k), perms].max(axis=1)
+    d_kappa = np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
+    return d_states + d_kappa / rate_scale
+
+
+def same_ensemble(e1, e2, eps: float, rate_scale: float = 1.0) -> bool:
+    """The one test of ensemble identity: whether some relabelling of ``e2``
+    has largest member move plus rate mismatch over ``rate_scale`` at most
+    ``eps``.  The rate term is never negative, so only relabellings that
+    move no member beyond ``eps`` are tried, usually one or none, and the
+    answer is that of the minimum over all K!."""
+    same_shape = e1.k == e2.k and e1.dim == e2.dim
+    return same_shape and bool(_mismatches(e1, e2, rate_scale, eps).min(initial=np.inf) <= eps)
+
+
+def ensemble_distance(e1, e2, rate_scale: float = 1.0) -> float:
+    """The ``same_ensemble`` quantity minimized over all K! relabellings; no
+    search or scan decision pays for it, it reports how far apart two are."""
+    same_shape = e1.k == e2.k and e1.dim == e2.dim
+    return float(_mismatches(e1, e2, rate_scale).min(initial=np.inf)) if same_shape else np.inf
 
 
 class _Candidate(NamedTuple):
-    """A result before validation, comparable by ``ensemble_distance``; a
+    """A result before validation, comparable by ``same_ensemble``; a
     closed form carries its family tag."""
 
     dim: int
@@ -166,8 +174,9 @@ def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
     or None to drop it; a dropped candidate does not hide later ones.
     Returns the kept objects and the number of duplicates skipped.  The
     member centroid does not depend on the labels and moves by at most the
-    largest member displacement, hence by at most ``ensemble_distance``; only
-    kept objects whose centroid lies that close are compared exactly.
+    largest member displacement, so a relabelling within ``eps`` moves it at
+    most ``eps``; only kept objects whose centroid lies that close are
+    tested by ``same_ensemble``.
     """
     kept = []
     groups = {}  # (dim, k) -> centroids and objects kept so far
@@ -177,9 +186,7 @@ def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
         centroids, members = groups.get((cand.dim, cand.k), (np.empty((0, centroid.size)), []))
         # The radius allows for roundoff in the centroids.
         near = np.linalg.norm(centroids - centroid, axis=1) <= 2 * eps + 1e-12
-        if not all(
-            ensemble_distance(cand, members[j], rate_scale) > eps for j in np.flatnonzero(near)
-        ):
+        if any(same_ensemble(cand, members[j], eps, rate_scale) for j in np.flatnonzero(near)):
             duplicates += 1
             continue
         obj = accept(cand)
@@ -886,10 +893,7 @@ def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: fl
             continue
         theta = a1 - np.arctan2(p2[1], p2[0])
         for angle in (theta, -theta):
-            rotated = Ensemble.from_states_kappa(
-                e2.dim, e2.states @ lie_element(gen, angle).T, e2.kappa.copy(), validate=False
-            )
-            if ensemble_distance(e1, rotated) <= eps:
+            if same_ensemble(e1, _Candidate(e2.dim, e2.states @ lie_element(gen, angle).T, e2.kappa), eps):
                 return True
     return False
 
@@ -904,7 +908,7 @@ def new_ensembles(candidates: list, earlier=(), generators=()) -> list:
     kept = []
     for ens in candidates:
         if not any(
-            ensemble_distance(ens, prev) <= DEDUP_EPS
+            same_ensemble(ens, prev, DEDUP_EPS)
             or any(family_equivalent(prev, ens, g) for g in generators)
             for prev in [*earlier, *kept]
         ):

@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 import warnings
 
 import numpy as np
@@ -1075,13 +1076,13 @@ def _search_ensembles(capsys, tmp_path, *argv):
 def test_search_lists_each_closed_form_ensemble_once(capsys, tmp_path):
     # The Wigner family and analytic_k2 both give the equatorial K=2
     # ensemble; it is listed once, from the route that comes first.
-    from preforge.solver import DEDUP_EPS, ensemble_distance, family_equivalent
+    from preforge.solver import DEDUP_EPS, family_equivalent, same_ensemble
 
     sources, ensembles = _search_ensembles(capsys, tmp_path, "--k", "2", "--seeds", "16")
     assert [src["route"] for src in sources[:2]] == ["wigner-family", "analytic-k2"]
     equator = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     for i, j in [(i, j) for i in range(len(ensembles)) for j in range(i)]:
-        assert ensemble_distance(ensembles[i], ensembles[j]) > DEDUP_EPS
+        assert not same_ensemble(ensembles[i], ensembles[j], DEDUP_EPS)
         assert not family_equivalent(ensembles[j], ensembles[i], equator)
 
 
@@ -1100,3 +1101,58 @@ def test_wigner_family_route_follows_the_graph(capsys, tmp_path, k):
     else:
         assert listed["cyclic"] == []
         assert all(np.min(np.count_nonzero(e.kappa, axis=0)) >= 2 for e in listed["full"])
+
+
+README_SCAN = (
+    "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+    "--values", "0.02:0.10:0.005", "--subspace-span", "1,0,0;0,0,1",
+)
+
+
+def _assert_pairwise_new(ensembles, generators):
+    from preforge.solver import DEDUP_EPS, family_equivalent, same_ensemble
+
+    for i, j in [(i, j) for i in range(len(ensembles)) for j in range(i)]:
+        assert not same_ensemble(ensembles[i], ensembles[j], DEDUP_EPS)
+        assert not any(family_equivalent(ensembles[j], ensembles[i], gen) for gen in generators)
+
+
+def test_search_rf_k8_finishes_and_lists_each_ensemble_once(capsys, tmp_path):
+    # Deciding identity by the exact minimum over all 8! relabellings of
+    # every pair kept this search running for minutes; the one eps-test
+    # tries only relabellings that move no member beyond eps.
+    from preforge.cli import _ensemble_from_doc
+
+    out = tmp_path / "rf_k8.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *SEARCH_RF_K2[:-1], "8", "--seeds", "16", "-o", str(out))
+    elapsed = time.perf_counter() - start
+    ensembles = [_ensemble_from_doc(doc) for doc in json.loads(out.read_text())["results"]["ensembles"]]
+    assert code == 0 and len(ensembles) > 100
+    assert elapsed < 60.0
+    _assert_pairwise_new(ensembles, [])
+
+
+def test_readme_scan_at_k8_finishes_and_counts_each_ensemble_once(capsys, tmp_path, monkeypatch):
+    from preforge import solver
+
+    counted = []  # (ensembles counted, quotient generators) per grid value
+    original = solver.new_ensembles
+
+    def recording(candidates, earlier=(), generators=()):
+        kept = original(candidates, earlier, generators)
+        counted.append((kept, list(generators)))
+        return kept
+
+    monkeypatch.setattr(solver, "new_ensembles", recording)
+    csv_path = tmp_path / "scan.csv"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *README_SCAN, "--k", "8", "-o", str(csv_path))
+    elapsed = time.perf_counter() - start
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert code == 0 and len(rows) == len(counted) == 17
+    assert elapsed < 60.0
+    assert [int(row[1]) for row in rows] == [len(kept) for kept, _ in counted]
+    assert all(len(gens) == 1 for _, gens in counted)
+    for kept, gens in counted:
+        _assert_pairwise_new(kept, gens)

@@ -253,7 +253,7 @@ def test_ensemble_validation_rejects_bad_input():
         )  # one-way graph
 
 
-@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("as_arrays", [True, False])
 @pytest.mark.parametrize(
     "states, kappa, message",
     [
@@ -265,9 +265,12 @@ def test_ensemble_validation_rejects_bad_input():
     ],
     ids=["3-states-2x2-kappa", "2-states-3x3-kappa", "one-member", "flat-states", "short-states"],
 )
-def test_ensemble_shapes_are_checked_without_validation(states, kappa, message, validate):
+def test_ensemble_shapes_are_checked_without_validation(states, kappa, message, as_arrays):
+    # The shapes are checked before any member or rate, on arrays and
+    # nested lists alike.
+    states, kappa = (np.array(x) if as_arrays else np.array(x).tolist() for x in (states, kappa))
     with pytest.raises(EnsembleError, match=re.escape(message)):
-        Ensemble.from_states_kappa(2, np.array(states), np.array(kappa), validate=validate)
+        Ensemble.from_states_kappa(2, states, kappa)
 
 
 def test_ensemble_occupations_are_stationary(ae_bm):

@@ -8,6 +8,7 @@ from preforge.constraints import (
     KAPPA_REJECT,
     Ensemble,
     build_full,
+    clamp_rates,
     build_subspace_reduced,
     stack_systems,
     verify,
@@ -18,6 +19,7 @@ from preforge.solver import (
     DEDUP_EPS,
     MAX_ITER,
     SolverConfig,
+    _Candidate,
     _canonical_sort,
     _levenberg_marquardt,
     analytic_k2,
@@ -26,6 +28,7 @@ from preforge.solver import (
     family_equivalent,
     new_ensembles,
     route_skip_reasons,
+    same_ensemble,
     scan_existence,
     solve_numeric,
     solve_systems,
@@ -71,7 +74,7 @@ def test_numeric_k2_census_matches_analytic(rf_bm):
     sols = solve_numeric(build_full(rf_bm, 2, "cyclic"), SolverConfig(seeds=128, rng_seed=0))
     assert len(sols.ensembles) == 3
     for ens in sols.ensembles:
-        assert min(ensemble_distance(ens, ref) for ref in analytic) < 1e-6
+        assert any(same_ensemble(ens, ref, 1e-6) for ref in analytic)
 
 
 def _k2_routes(bm):
@@ -98,7 +101,7 @@ def test_analytic_k2_is_complete_when_real_eigenspaces_are_lines(request, model)
     analytic = analytic_k2(bm).ensembles
     for cs in systems:
         for ens in solve_numeric(cs, cfg).ensembles:
-            assert min((ensemble_distance(ens, ref) for ref in analytic), default=np.inf) <= DEDUP_EPS
+            assert any(same_ensemble(ens, ref, DEDUP_EPS) for ref in analytic)
 
 
 def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
@@ -108,7 +111,7 @@ def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
     assert route_skip_reasons(ae_bm, 2, dims) == [None] * len(dims)
     analytic = analytic_k2(ae_bm).ensembles
     found = solve_numeric(build_full(ae_bm, 2, "cyclic"), SolverConfig(seeds=24, rng_seed=5)).ensembles
-    assert any(min(ensemble_distance(ens, ref) for ref in analytic) > 1e-3 for ens in found)
+    assert any(not any(same_ensemble(ens, ref, 1e-3) for ref in analytic) for ens in found)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -436,12 +439,12 @@ def test_dedup_matches_pairwise_reference(rng):
         k = int(rng.integers(2, 4))
         states = rng.normal(size=(k, 3))
         kappa = rng.uniform(0.1, 1.0, size=(k, k))
-        ensembles.append(Ensemble.from_states_kappa(2, states, kappa, validate=False))
+        ensembles.append(_Candidate(2, states, clamp_rates(kappa)))
         for _ in range(int(rng.integers(0, 3))):
             perm = rng.permutation(k)
             moved = states[perm] + rng.normal(scale=0.4 * eps, size=(k, 3))
             rates = kappa[np.ix_(perm, perm)] + rng.uniform(0.0, 0.3 * eps, size=(k, k))
-            ensembles.append(Ensemble.from_states_kappa(2, moved, rates, validate=False))
+            ensembles.append(_Candidate(2, moved, clamp_rates(rates)))
     order = rng.permutation(len(ensembles))
     ensembles = [ensembles[i] for i in order]
     for scale in (1.0, 0.5):
@@ -496,7 +499,7 @@ def test_ensemble_distance_matches_relabelling_loop(rng, k):
         states = rng.normal(size=(k, dim * dim - 1)) if states is None else states
         kappa = rng.uniform(0.0, 2.0, size=(k, k)) if kappa is None else kappa
         np.fill_diagonal(kappa, 0.0)
-        return Ensemble.from_states_kappa(dim, states, kappa, validate=False)
+        return _Candidate(dim, states, clamp_rates(kappa))
 
     for dim in (2, 3):
         for _ in range(20):
@@ -510,6 +513,35 @@ def test_ensemble_distance_matches_relabelling_loop(rng, k):
                 for rate_scale in (1.0, 0.37):
                     assert ensemble_distance(e1, e2, rate_scale) == _ensemble_distance_loop(e1, e2, rate_scale)
     assert ensemble_distance(random_ensemble(2), random_ensemble(3)) == np.inf
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_same_ensemble_decides_the_full_minimum_against_eps(rng, k):
+    # Far pairs, relabelled copies moved a little, and crowded pairs whose
+    # members lie closer to each other than the rates differ, so that every
+    # relabelling passes the member test and the rates decide.  eps runs
+    # through the exact minimum and the float just below it.
+    def candidate(dim, states, kappa):
+        return _Candidate(dim, states, clamp_rates(kappa))
+
+    for dim in (2, 3):
+        for _ in range(6):
+            e1 = candidate(dim, rng.normal(size=(k, dim * dim - 1)), rng.uniform(0.0, 2.0, size=(k, k)))
+            crowd = candidate(dim, 1e-5 * rng.normal(size=e1.states.shape), e1.kappa)
+            pairs = [(e1, candidate(dim, rng.normal(size=e1.states.shape), rng.uniform(0.0, 2.0, size=(k, k))))]
+            for first in (e1, crowd):
+                perm = rng.permutation(k)
+                moved = first.states[perm] + 1e-7 * rng.normal(size=first.states.shape)
+                rates = first.kappa[np.ix_(perm, perm)] + rng.uniform(0.0, 1e-4, size=(k, k))
+                pairs.append((first, candidate(dim, moved, rates)))
+            for pair in pairs + [pair[::-1] for pair in pairs]:
+                for rate_scale in (1.0, 0.37):
+                    minimum = _ensemble_distance_loop(*pair, rate_scale)
+                    for eps in (minimum, np.nextafter(minimum, -np.inf), 0.5 * minimum, 2.0 * minimum, DEDUP_EPS):
+                        assert same_ensemble(*pair, eps, rate_scale) == (minimum <= eps)
+    # Ensembles of another dimension or size are never the same.
+    assert not same_ensemble(e1, candidate(2, rng.normal(size=(k, 3)), e1.kappa), np.inf)
+    assert not same_ensemble(e1, candidate(3, rng.normal(size=(k + 1, 8)), np.ones((k + 1, k + 1))), np.inf)
 
 
 def test_ensemble_distance_is_relabeling_invariant(rf_bm):
@@ -587,7 +619,7 @@ def _assert_chord_census_equals_multistart(systems, expected=None):
         assert counts == expected
     for ours, theirs in zip(chord, multistart):
         for ens in ours.ensembles:
-            assert min(ensemble_distance(ens, other) for other in theirs.ensembles) <= 1e-9
+            assert any(same_ensemble(ens, other, 1e-9) for other in theirs.ensembles)
 
 
 def test_chord_misses_no_root_of_a_dense_grid(rf_bm):
@@ -737,13 +769,14 @@ def test_closed_forms_verify_relative_to_the_rate_scale(rf_bm, ae_bm, scale):
         assert fast.diagnostics["rejections"] == {}
         assert len(fast.ensembles) == len(slow.ensembles) > 0
         for e_fast, e_slow in zip(fast.ensembles, slow.ensembles):
-            scaled = Ensemble.from_states_kappa(e_slow.dim, e_slow.states, scale * e_slow.kappa, validate=False)
-            assert ensemble_distance(e_fast, scaled, rate_scale=scale) < 1e-9
+            scaled = _Candidate(e_slow.dim, e_slow.states, scale * e_slow.kappa)
+            assert same_ensemble(e_fast, scaled, 1e-9, rate_scale=scale)
 
 
 def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
-    # ensemble_distance tries only the relabellings that can beat keeping
-    # the labels; the value is the full K! minimum's, bit for bit.
+    # The value is the full K! minimum's, bit for bit, and same_ensemble,
+    # which tries only the relabellings that move no member beyond eps,
+    # decides it against eps on the closed-form ensembles.
     def reference(e1, e2):
         perms = np.array(list(itertools.permutations(range(e1.k))))
         d_states = np.max(np.linalg.norm(e1.states - e2.states[perms], axis=2), axis=1)
@@ -754,10 +787,11 @@ def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
     ensembles += [e for k in (3, 5, 6) for e in solve_wigner_family(ae_bm, k).ensembles]
     for e1 in ensembles:
         shuffled = np.random.default_rng(e1.k).permutation(e1.k)
-        moved = Ensemble.from_states_kappa(
-            e1.dim, e1.states[shuffled] + 4e-7, e1.kappa[np.ix_(shuffled, shuffled)], validate=False
-        )
+        moved = _Candidate(e1.dim, e1.states[shuffled] + 4e-7, e1.kappa[np.ix_(shuffled, shuffled)])
         for e2 in ensembles + [moved]:
             if e2.k == e1.k:
-                assert ensemble_distance(e1, e2) == reference(e1, e2)
+                minimum = reference(e1, e2)
+                assert ensemble_distance(e1, e2) == minimum
+                assert same_ensemble(e1, e2, minimum) and not same_ensemble(e1, e2, np.nextafter(minimum, -np.inf))
         assert ensemble_distance(e1, moved) <= DEDUP_EPS
+        assert same_ensemble(e1, moved, DEDUP_EPS)

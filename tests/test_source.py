@@ -55,19 +55,30 @@ def test_every_exported_name_resolves():
 
 
 # Only the solver decides whether a result is a new ensemble.
-EQUIVALENCE_CALL = re.compile(r"\b(ensemble_distance|family_equivalent)\(")
+EQUIVALENCE_CALL = re.compile(r"\b(same_ensemble|family_equivalent)\(")
+# The exact relabelling distance costs K! work; no program path may call it.
+DISTANCE_CALL = re.compile(r"(?<!def )\bensemble_distance\(")
+
+
+def _calls(pattern, skip=()):
+    package = Path(preforge.__file__).parent
+    return [
+        f"{path.relative_to(package)}:{lineno}: {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name not in skip
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
 
 
 def test_ensemble_equivalence_is_decided_in_solver_alone():
-    package = Path(preforge.__file__).parent
-    offenders = [
-        f"{path.relative_to(package)}:{lineno}: {line.strip()}"
-        for path in sorted(package.rglob("*.py"))
-        if path.name != "solver.py"
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if EQUIVALENCE_CALL.search(line)
-    ]
+    offenders = _calls(EQUIVALENCE_CALL, skip=("solver.py",))
     assert not offenders, "equivalence decided outside solver.py:\n" + "\n".join(offenders)
+
+
+def test_no_program_path_computes_the_exact_relabelling_distance():
+    offenders = _calls(DISTANCE_CALL)
+    assert not offenders, "ensemble_distance called:\n" + "\n".join(offenders)
 
 
 def _checks_ensemble(node) -> bool:
@@ -75,11 +86,7 @@ def _checks_ensemble(node) -> bool:
     func = node.func
     if isinstance(func, ast.Name):
         return func.id == "verify"
-    no_validation = any(
-        kw.arg == "validate" and isinstance(kw.value, ast.Constant) and kw.value.value is False
-        for kw in node.keywords
-    )
-    return isinstance(func, ast.Attribute) and func.attr == "from_states_kappa" and not no_validation
+    return isinstance(func, ast.Attribute) and func.attr == "from_states_kappa"
 
 
 def test_solver_checks_ensembles_only_in_its_shared_acceptance():

@@ -8,7 +8,7 @@ import scipy.linalg as la
 from preforge.algebra import bloch_to_rho, orth, pure_radius_sq, random_pure_ket, rho_to_bloch
 from preforge.constraints import build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
-from preforge.solver import analytic_k2, ensemble_distance
+from preforge.solver import analytic_k2, same_ensemble
 from preforge.symmetry import (
     _pure_witness,
     apply_wigner,
@@ -146,14 +146,14 @@ def test_apply_wigner_rotates_equatorial_ensemble(ae_bm):
     rotated = apply_wigner(w, equatorial)
     assert verify(ae_bm, rotated, tol=1e-10).passed
     assert np.allclose(rotated.kappa, equatorial.kappa)
-    assert ensemble_distance(rotated, equatorial) > 0.1  # genuinely moved
+    assert not same_ensemble(rotated, equatorial, 0.1)  # genuinely moved
 
 
 def test_apply_wigner_identity_is_noop(rf_bm):
     ens = analytic_k2(rf_bm).ensembles[0]
     w = WignerSymmetry(t0=np.eye(3), antiunitary=False)
     image = apply_wigner(w, ens)
-    assert ensemble_distance(image, ens) < 1e-14
+    assert same_ensemble(image, ens, 1e-14)
 
 
 def test_apply_wigner_pairs_the_axis_ensemble(rf_bm):
@@ -162,7 +162,7 @@ def test_apply_wigner_pairs_the_axis_ensemble(rf_bm):
     e1 = next(e for e, t in zip(sols.ensembles, sols.family_tags) if abs(t["eigenvalue"] + 0.5) < 1e-12)
     w = find_wigner_symmetries(rf_bm)[0]
     image = apply_wigner(w, e1)
-    assert ensemble_distance(image, e1) < 1e-12  # same ensemble up to relabeling
+    assert same_ensemble(image, e1, 1e-12)  # same ensemble up to relabeling
     assert np.max(np.abs(image.states[0] - e1.states[1])) < 1e-12
 
 
