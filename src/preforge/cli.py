@@ -461,17 +461,16 @@ def cmd_simulate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["time", "channel", "from_label", "to_label"])
             writer.writerows(stats.events)
-    bundle = _bundle(
-        "simulate",
-        {
-            "spec": args.spec,
-            "params": _parse_params(args.param),
-            "ensemble": args.ensemble,
-            "jumps": args.jumps,
-            "rng_seed": args.rng,
-        },
-        results,
-    )
+    config = {
+        "spec": args.spec,
+        "params": _parse_params(args.param),
+        "ensemble": args.ensemble,
+        "jumps": args.jumps,
+        "rng_seed": args.rng,
+    }
+    if args.unconditional:  # --trajectories has no effect without the check
+        config.update(unconditional=True, trajectories=args.trajectories)
+    bundle = _bundle("simulate", config, results)
     if args.output:
         _emit(bundle, args.output)
     return EXIT_FAILED_CHECK if args.unconditional and not rep.passed else EXIT_OK

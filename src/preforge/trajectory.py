@@ -16,6 +16,8 @@ size and no discretization bias.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -242,8 +244,8 @@ class _ClickEngine:
         ``pre`` need not be normalized: only the relative weights matter.
         """
         amps = self.jumps @ pre
-        cumulative = np.cumsum(np.einsum("mi,mi->m", amps.conj(), amps).real)
-        channel = int(np.searchsorted(cumulative, r * cumulative[-1], side="right"))
+        cumulative = list(itertools.accumulate(np.einsum("mi,mi->m", amps.conj(), amps).real.tolist()))
+        channel = bisect.bisect_right(cumulative, r * cumulative[-1])
         return channel, _unit(amps[channel])
 
     def click_stack(self, pre, r):
@@ -288,6 +290,12 @@ def _engines(me: MasterEquation, scheme: AdaptiveScheme) -> list:
     return [_ClickEngine(*scheme.jumps_and_generator(me, k)) for k in range(scheme.k)]
 
 
+def _uniforms(rng):
+    """``rng.random()`` values one by one, drawn 1024 at a time from the same stream."""
+    while True:
+        yield from rng.random(1024).tolist()
+
+
 def _by_label(labels):
     """(label, positions) for each distinct value in ``labels``, ``_STACK_ROWS`` positions at most."""
     groups = []
@@ -298,26 +306,22 @@ def _by_label(labels):
 
 
 class _Draws:
-    """Uniform draws of trajectories first, ..., first + n - 1, in stream order.
+    """Uniform draws of trajectories first, ..., first + n - 1 (row i - first), in stream order.
 
-    Trajectory i draws from ``default_rng([seed, 1000 + i])``; its row here
-    is i - first.  Each stream is created, draws a block of ``_DRAW_BLOCK``
-    numbers and is dropped.  A trajectory that uses up its block re-creates
-    its stream and draws one twice as long as it has used so far, which
-    repeats the block.
+    Trajectory i's first ``_DRAW_BLOCK`` draws are block i of one stream
+    ``default_rng([seed, 1000])``, read as one table (PCG64 advances exactly
+    to block ``first``); then it continues on its own stream, child i of
+    ``SeedSequence([seed, 1000])``, created when first needed.
     """
 
     def __init__(self, seed: int, first: int, n: int):
         self.seed = seed
         self.first = first
-        self.table = np.empty((n, _DRAW_BLOCK))
-        for row in range(n):
-            self._stream(row).random(out=self.table[row])
+        rng = np.random.default_rng([seed, 1000])
+        rng.bit_generator.advance(first * _DRAW_BLOCK)
+        self.table = rng.random((n, _DRAW_BLOCK))
         self.cursor = np.zeros(n, dtype=np.int64)
-        self.longer = {}  # row -> its trajectory's re-drawn longer block
-
-    def _stream(self, row: int):
-        return np.random.default_rng([self.seed, 1000 + self.first + row])
+        self.own = {}  # row -> its trajectory's own stream
 
     def next(self, rows):
         """The next draw of each trajectory in ``rows`` (distinct row indices)."""
@@ -326,11 +330,11 @@ class _Draws:
         near = cursor < _DRAW_BLOCK
         out[near] = self.table[rows[near], cursor[near]]
         for j in np.flatnonzero(~near):
-            row, c = int(rows[j]), int(cursor[j])
-            block = self.longer.get(row)
-            if block is None or c >= block.size:
-                block = self.longer[row] = self._stream(row).random(2 * c)
-            out[j] = block[c]
+            row = int(rows[j])
+            if row not in self.own:
+                child = np.random.SeedSequence([self.seed, 1000], spawn_key=(self.first + row,))
+                self.own[row] = np.random.default_rng(child)
+            out[j] = self.own[row].random()
         self.cursor[rows] += 1
         return out
 
@@ -387,17 +391,18 @@ def simulate(
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
     n_jumps_target = cfg.n_jumps if cfg.n_jumps is not None else 10_000
-    kets = ens.kets().astype(complex)
+    kets = list(ens.kets().astype(complex))
     engines = _engines(me, scheme)
+    jump_map = scheme.jump_map.tolist()
 
-    rng = np.random.default_rng([cfg.rng_seed, 0])
+    uniforms = _uniforms(np.random.default_rng([cfg.rng_seed, 0]))
     psi = kets[0]
     label = 0
     k_members = ens.k
 
-    dwell = np.zeros(k_members)
-    jump_counts = np.zeros((k_members, k_members), dtype=np.int64)
-    self_loops = np.zeros(k_members, dtype=np.int64)
+    dwell = [0.0] * k_members
+    jump_counts = [[0] * k_members for _ in range(k_members)]
+    self_loops = [0] * k_members
     events = []
     max_drift = 0.0
     n_recorded = 0
@@ -407,7 +412,7 @@ def simulate(
 
     while n_recorded < n_jumps_target:
         engine = engines[label]
-        tau, pre = engine.wait(psi, 1.0 - rng.random())
+        tau, pre = engine.wait(psi, 1.0 - next(uniforms))
         if cfg.t_max is not None and t + tau >= cfg.t_max:
             if not burning:
                 dwell[label] += cfg.t_max - t
@@ -428,8 +433,8 @@ def simulate(
                 f"pre-click state drifted {drift:.3e} from member {label} "
                 f"after {n_total_jumps} clicks: scheme does not pin the ensemble"
             )
-        channel, psi = engine.click(pre, rng.random())
-        target = int(scheme.jump_map[label, channel])
+        channel, psi = engine.click(pre, next(uniforms))
+        target = jump_map[label][channel]
         if burning and n_total_jumps >= BURN_IN_JUMPS:
             burning = False
             t = 0.0
@@ -439,16 +444,17 @@ def simulate(
             if target == label or target == NO_TARGET:
                 self_loops[label] += 1
             else:
-                jump_counts[target, label] += 1
+                jump_counts[target][label] += 1
             events.append((t, channel, label, label if target == NO_TARGET else target))
         label = label if target == NO_TARGET else target
 
+    dwell = np.array(dwell)
     total_time = float(dwell.sum())
     occupancy = dwell / total_time if total_time > 0 else dwell
     return TrajectoryStats(
         occupancy=occupancy,
-        jump_counts=jump_counts,
-        self_loop_counts=self_loops,
+        jump_counts=np.array(jump_counts, dtype=np.int64),
+        self_loop_counts=np.array(self_loops, dtype=np.int64),
         max_state_drift=max_drift,
         n_jumps=n_recorded,
         total_time=total_time,
@@ -520,10 +526,12 @@ def unconditional_check(
     The trajectories run in lockstep, up to ``_LOCKSTEP_ROWS`` at a time: at
     each checkpoint the rows whose next click comes first are clicked and
     sent to their next wait together, one stack per setting, until every
-    row's next click lies beyond the checkpoint.  Trajectory i draws from its own stream
-    ``default_rng([cfg.rng_seed, 1000 + i])`` in the order u of the first
-    wait, then r of the click and u of the next wait per click, so it does
-    not depend on ``n_trajectories`` or on the other rows.
+    row's next click lies beyond the checkpoint.  Trajectory i draws u of the
+    first wait, then r of the click and u of the next wait per click, from
+    the stream laid out by :class:`_Draws` (its block of
+    ``default_rng([cfg.rng_seed, 1000])``, then its own child stream), so it
+    does not depend on ``n_trajectories``, on the batch sizes or on the
+    other rows.
 
     With ``tol=None`` the check passes when every distance lies within the
     sampling band.  Each sample phi phi^dagger has unit Frobenius norm, so

@@ -847,6 +847,30 @@ def test_failed_unconditional_check_exits_one(capsys, tmp_path, rf_ensemble_file
     assert json.loads(bundle_path.read_text())["results"]["unconditional"]["passed"] is False
 
 
+def _simulate_argv(config):
+    """The ``simulate`` command line that a bundle's embedded config records."""
+    argv = ["simulate", config["spec"], "--ensemble", config["ensemble"]]
+    argv += [arg for name, value in config["params"].items() for arg in ("--param", f"{name}={value!r}")]
+    argv += ["--jumps", str(config["jumps"]), "--rng", str(config["rng_seed"])]
+    if config.get("unconditional"):
+        argv += ["--unconditional", "--trajectories", str(config["trajectories"])]
+    return argv
+
+
+@pytest.mark.parametrize("flags", [(), ("--unconditional", "--trajectories", "120")], ids=["plain", "unconditional"])
+def test_simulate_bundle_config_reproduces_the_bundle(capsys, tmp_path, rf_ensemble_file, flags):
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    code, _, _ = run(
+        capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "300",
+        "--rng", "5", *flags, "-o", str(first),
+    )
+    bundle = json.loads(first.read_text())
+    assert ("unconditional" in bundle["results"]) == bool(flags)
+    argv = _simulate_argv(bundle["config"])
+    assert run(capsys, *argv, "-o", str(again))[0] == code
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_simulate_bundle_has_member_click_rates(capsys, tmp_path, rf_ensemble_file):
     bundle_path = tmp_path / "sim.json"
     code, out, _ = run(

@@ -11,8 +11,11 @@ from preforge.model import MasterEquation, UnravellingSetting
 from preforge.solver import analytic_k2
 from preforge.trajectory import (
     _DRAW_BLOCK,
+    _LOCKSTEP_ROWS,
+    BURN_IN_JUMPS,
     TrajectoryConfig,
     _ClickEngine,
+    _Draws,
     _coherence_distance,
     _engines,
     member_click_rates,
@@ -67,6 +70,19 @@ def ep_case():
     return me, scheme
 
 
+def _trajectory_draws(seed, traj):
+    """Trajectory ``traj``'s uniform draws in the documented layout, one at a time.
+
+    Its first ``_DRAW_BLOCK`` draws are its block of the shared stream,
+    taken here by drawing every earlier block too; then its own child stream.
+    """
+    shared = np.random.default_rng([seed, 1000]).random((traj + 1) * _DRAW_BLOCK)
+    yield from shared[traj * _DRAW_BLOCK :].tolist()
+    own = np.random.default_rng(np.random.SeedSequence([seed, 1000], spawn_key=(traj,)))
+    while True:
+        yield own.random()
+
+
 def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
     """One trajectory at a time on the scalar engine, as the check ran before lockstep.
 
@@ -78,19 +94,19 @@ def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
     samples = np.zeros((n_trajectories, len(times), me.dim, me.dim), dtype=complex)
     n_draws = np.zeros(n_trajectories, dtype=int)
     for traj in range(n_trajectories):
-        rng = np.random.default_rng([cfg.rng_seed, 1000 + traj])
+        draws = _trajectory_draws(cfg.rng_seed, traj)
         psi = psi0
         label = 0
         t = 0.0
-        tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+        tau, pre = engines[label].wait(psi, 1.0 - next(draws))
         n_draws[traj] = 1
         for c_idx, t_check in enumerate(times):
             while t + tau <= t_check:
-                channel, psi = engines[label].click(pre, rng.random())
+                channel, psi = engines[label].click(pre, next(draws))
                 target = int(scheme.jump_map[label, channel])
                 label = label if target == NO_TARGET else target
                 t += tau
-                tau, pre = engines[label].wait(psi, 1.0 - rng.random())
+                tau, pre = engines[label].wait(psi, 1.0 - next(draws))
                 n_draws[traj] += 2
             phi = engines[label].propagate(psi, t_check - t)
             phi = phi / np.linalg.norm(phi)
@@ -469,6 +485,71 @@ def test_stacked_click_and_propagate_match_scalar(rf_me, axis_scheme, rng):
         ref_ch, ref_post = engine.click(psi, ri)
         assert ch == ref_ch and np.max(np.abs(post - ref_post)) <= 1e-12
         assert np.max(np.abs(flow - engine.propagate(psi, tau))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["rf_axis", "ae_poles"])
+def test_stacked_engine_replays_simulate(request, monkeypatch, case):
+    me, scheme = request.getfixturevalue(f"{case}_case")
+    ens = request.getfixturevalue({"rf_axis": "axis_pair", "ae_poles": "poles"}[case])
+    calls = []
+
+    def recording(name):
+        scalar = getattr(_ClickEngine, name)
+
+        def record(engine, *args):
+            out = scalar(engine, *args)
+            calls.append((name, engine, args, out))
+            return out
+
+        return record
+
+    for name in ("wait", "click"):
+        monkeypatch.setattr(_ClickEngine, name, recording(name))
+    simulate(me, scheme, ens, TrajectoryConfig(n_jumps=300 - BURN_IN_JUMPS, rng_seed=7))
+    assert [c[0] for c in calls] == ["wait", "click"] * 300
+    for name, engine, (ket, draw), out in calls:
+        if name == "wait":
+            tau, phi = engine.wait_stack(ket[None], np.array([draw]))
+            assert abs(tau[0] - out[0]) <= 1e-12 * out[0]
+            assert np.max(np.abs(phi[0] - out[1])) <= 1e-12
+        else:
+            channel, post = engine.click_stack(ket[None], np.array([draw]))
+            assert channel[0] == out[0]
+            assert np.max(np.abs(post[0] - out[1])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case, psi0, seed, times, n, lockstep_rows",
+    [
+        ("rf_axis_case", None, 3, None, 2000, None),
+        ("rf_axis_case", None, 3, None, 2000, 512),
+        ("ae_poles_case", [1.0, 1.0], 2, [2.0, 12.0], 60, 16),
+    ],
+    ids=["rf-axis-one-batch", "rf-axis-batches-of-512", "block-exhausted"],
+)
+def test_unconditional_check_creates_a_generator_per_batch_and_overflow(
+    request, monkeypatch, case, psi0, seed, times, n, lockstep_rows
+):
+    if lockstep_rows is not None:
+        monkeypatch.setattr("preforge.trajectory._LOCKSTEP_ROWS", lockstep_rows)
+    created, batches = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: created.append(a) or default_rng(*a))
+
+    class RecordedDraws(_Draws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
+
+    monkeypatch.setattr("preforge.trajectory._Draws", RecordedDraws)
+    me, scheme = request.getfixturevalue(case)
+    psi0 = None if psi0 is None else np.array(psi0)
+    unconditional_check(me, scheme, TrajectoryConfig(rng_seed=seed, t_max=2.0), psi0=psi0, times=times, n_trajectories=n)
+    assert len(batches) == -(-n // (lockstep_rows or _LOCKSTEP_ROWS))
+    overflowed = sum(int(np.sum(d.cursor > _DRAW_BLOCK)) for d in batches)
+    assert len(created) <= len(batches) + overflowed
+    if case == "ae_poles_case":
+        assert overflowed > 0
 
 
 def test_stacked_wait_raises_when_a_row_does_not_converge(monkeypatch):
