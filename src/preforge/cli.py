@@ -646,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an ensemble file")
     add_common(p)
     p.add_argument("--ensemble", required=True, help="ensemble JSON file")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="largest residual, relative to the model's rate unit")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scheme", help="synthesize an adaptive measurement scheme")

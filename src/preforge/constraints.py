@@ -51,6 +51,8 @@ def transition_edges(graph, k: int) -> list:
     ``graph`` is ``'cyclic'`` (the single cycle k -> k+1), ``'full'``
     (all off-diagonal rates) or an explicit list of index pairs.
     """
+    if k < 2:
+        raise ValueError("need at least two ensemble members")
     if isinstance(graph, str):
         if graph == "cyclic":
             return [((k0 + 1) % k, k0) for k0 in range(k)]
@@ -79,24 +81,29 @@ def stationary_occupations(kappa: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum()
 
 
-def is_strongly_connected(kappa: np.ndarray, tol: float = KAPPA_CLAMP) -> bool:
-    """Whether every member reaches every other through rates above ``tol``.
+def is_strongly_connected(kappa: np.ndarray) -> bool:
+    """Whether every member reaches every other through positive rates.
 
     Squaring the reachability matrix (A | I) doubles the path length it
     covers, so ceil(log2 K) squarings close it.
     """
     k = kappa.shape[0]
-    reach = (kappa > tol) | np.eye(k, dtype=bool)
+    reach = (kappa > 0) | np.eye(k, dtype=bool)
     for _ in range((k - 1).bit_length()):
         reach = reach @ reach
     return bool(reach.all())
 
 
+def negative_rate(kappa: np.ndarray) -> bool:
+    """Whether a rate lies below ``KAPPA_REJECT`` times the largest rate."""
+    return bool(np.min(kappa) < KAPPA_REJECT * np.max(kappa))
+
+
 def clamp_rates(kappa: np.ndarray) -> np.ndarray:
-    """Copy of a rate matrix with rates below ``KAPPA_CLAMP`` and the diagonal zeroed."""
+    """Copy of a rate matrix with the diagonal and rates below ``KAPPA_CLAMP`` times the largest zeroed."""
     kappa = np.array(kappa, dtype=float)
-    kappa[kappa < KAPPA_CLAMP] = 0.0
     np.fill_diagonal(kappa, 0.0)
+    kappa[kappa < KAPPA_CLAMP * np.max(kappa)] = 0.0
     return kappa
 
 
@@ -113,7 +120,7 @@ class Ensemble:
     def from_states_kappa(cls, dim: int, states, kappa) -> "Ensemble":
         """States of shape (K, D^2-1) with K >= 2, pure and positive, and a
         (K, K) ``kappa`` with no negative rate and a strongly connected
-        graph, else ``EnsembleError``."""
+        graph, both judged against the largest rate, else ``EnsembleError``."""
         states = np.asarray(states, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
         n_coords = dim * dim - 1
@@ -124,7 +131,7 @@ class Ensemble:
         k = states.shape[0]
         if kappa.shape != (k, k):
             raise EnsembleError(f"kappa needs shape ({k}, {k}) for {k} members, got {kappa.shape}")
-        if np.min(kappa) < KAPPA_REJECT:
+        if negative_rate(kappa):
             raise EnsembleError(f"negative transition rate {np.min(kappa):g}")
         kappa = clamp_rates(kappa)
         radius_sq = pure_radius_sq(dim)
@@ -163,8 +170,8 @@ class Ensemble:
 class ConstraintSystem:
     """Residual map for candidate ensembles over a fixed transition graph.
 
-    Every system solves the same core equations for K member vectors y_k in
-    an n-dimensional coordinate space and one rate per graph edge (j, k):
+    In units of ``bm.rate_unit``, every system solves the same core equations for
+    K member vectors y_k in an n-dimensional space and one rate per graph edge (j, k):
 
         flow rows    L y_k + f - sum_{(j, k) in edges} kappa_jk (y_j - y_k),
         purity rows  |y_k + a|^2 - r^2.
@@ -289,11 +296,10 @@ class ConstraintSystem:
         return jac if theta.ndim > 1 else jac[0]
 
     def unpack(self, theta: np.ndarray):
-        """(states, kappa) for a parameter vector."""
+        """(states, kappa) for a parameter vector, with the rates back in the model's unit."""
         y, rates = self._core(np.asarray(theta, dtype=float)[None])
         kappa = np.zeros((self.k, self.k))
-        for (j, k0), rate in zip(self.edges, rates[0]):
-            kappa[j, k0] = rate
+        kappa[self._to, self._from] = rates[0] * self.bm.rate_unit
         return self.origin + y[0] @ self.embed.T, kappa
 
     def sample_start(self, rng: np.random.Generator) -> np.ndarray:
@@ -420,7 +426,7 @@ def _sample_pure_state(bm: BlochModel, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_kappa(n_edges: int, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Log-uniform rates between 1e-2 and 10 times ``scale`` (the norm of l0)."""
+    """Log-uniform rates between 1e-2 and 10 times ``scale`` (the norm of l0 in the rate unit)."""
     return scale * 10.0 ** rng.uniform(-2.0, 1.0, size=n_edges)
 
 
@@ -437,23 +443,21 @@ def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
     Parameters are the K member vectors plus one rate per graph edge;
     constraints are K Bloch rows of length D^2-1 plus K purity rows.
     """
-    if k < 2:
-        raise ValueError("need at least two ensemble members")
     n = bm.n_coords
     edges = transition_edges(graph, k)
-    rate_scale = np.linalg.norm(bm.l0, 2)
+    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
 
     def sample(rng):
         states = [_sample_pure_state(bm, rng) for _ in range(k)]
-        return np.concatenate(states + [_sample_kappa(len(edges), rate_scale, rng)])
+        return np.concatenate(states + [_sample_kappa(len(edges), scale, rng)])
 
     return ConstraintSystem(
         bm=bm,
         k=k,
         edges=edges,
         structure={"kind": "full"},
-        lin=bm.l0,
-        drift=bm.b,
+        lin=bm.l0 / bm.rate_unit,
+        drift=bm.b / bm.rate_unit,
         centre=np.zeros(n),
         radius_sq=pure_radius_sq(bm.dim),
         embed=np.eye(n),
@@ -470,27 +474,25 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
     K(D^2-1) + K to K(N+1).  The flow rows are exact because
     l0 x_ss + b = 0 and l0 maps the subspace into itself.
     """
-    if k < 2:
-        raise ValueError("need at least two ensemble members")
+    edges = transition_edges(graph, k)
     if sub.pure_witness is None:
         raise SubspaceError("subspace admits no pure state: nothing to search")
     basis_i0 = np.asarray(sub.basis_i0, dtype=float)
     n_sub = basis_i0.shape[1]
-    edges = transition_edges(graph, k)
     # Pure states within the slice sit on a sphere in coefficient space.
     centre, slice_radius_sq = bm.pure_slice(basis_i0)
-    rate_scale = np.linalg.norm(bm.l0, 2)
+    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
 
     def sample(rng):
         states = [_sample_sphere(rng, centre, slice_radius_sq) for _ in range(k)]
-        return np.concatenate(states + [_sample_kappa(len(edges), rate_scale, rng)])
+        return np.concatenate(states + [_sample_kappa(len(edges), scale, rng)])
 
     return ConstraintSystem(
         bm=bm,
         k=k,
         edges=edges,
         structure={"kind": "subspace", "n": n_sub},
-        lin=basis_i0.T @ bm.l0 @ basis_i0,
+        lin=basis_i0.T @ bm.l0 @ basis_i0 / bm.rate_unit,
         drift=np.zeros(n_sub),
         centre=-centre,
         radius_sq=slice_radius_sq,
@@ -540,8 +542,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     The parameters map linearly onto the full system's members and rates,
     and the residual keeps the representatives' rows of the full system.
     """
-    if k < 2:
-        raise ValueError("need at least two ensemble members")
+    edges = transition_edges(graph, k)
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):
         raise PermutationError(f"{perm} is not a permutation of 0..{k - 1}")
@@ -574,7 +575,6 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         fix_bases.append(fix)
 
     # Rate symmetry: orbits of edges under (j, k) -> (perm[j], perm[k]).
-    edges = transition_edges(graph, k)
     edge_set = set(edges)
     edge_orbit_of = {}
     edge_orbits = []
@@ -611,7 +611,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     # Representatives are fix @ theta; t0 fixes x_ss, so x_ss lies in every fixed
     # space and the pure representatives are the sphere |theta|^2 = slice radius_sq.
     fix_radii_sq = [bm.pure_slice(fix)[1] for fix in fix_bases]
-    rate_scale = np.linalg.norm(bm.l0, 2)
+    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
 
     # Member k = perm^p(rep) sits at t0^p x_rep; every edge of an orbit
     # carries the orbit's rate, or zero when the orbit is forced to zero.
@@ -631,7 +631,7 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         for o_idx, (fix, rad_sq) in enumerate(zip(fix_bases, fix_radii_sq)):
             point = _sample_sphere(rng, np.zeros(fix.shape[1]), rad_sq)
             theta[state_offsets[o_idx] : state_offsets[o_idx + 1]] = point
-        theta[n_state_params:] = _sample_kappa(n_rate, rate_scale, rng)
+        theta[n_state_params:] = _sample_kappa(n_rate, scale, rng)
         return theta
 
     return ConstraintSystem(
@@ -644,8 +644,8 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
             "n_orbits": len(orbits),
             "orbits": orbits,
         },
-        lin=bm.l0,
-        drift=bm.b,
+        lin=bm.l0 / bm.rate_unit,
+        drift=bm.b / bm.rate_unit,
         centre=np.zeros(n),
         radius_sq=radius_sq,
         embed=np.eye(n),
@@ -687,8 +687,8 @@ def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationRepo
 
     This path evaluates the generator on the member projectors directly and
     is independent of the coherence-space residual used by the solvers.  It
-    passes when the largest residual is at most ``tol``: purity, positivity,
-    rates and connectivity were checked when the ensemble was built.
+    passes when the largest residual is at most the report's ``tol``, ``tol * bm.rate_unit``:
+    purity, positivity, rates and connectivity were checked when the ensemble was built.
     """
     liou = lindbladian(bm.me)
     projectors = ens.projectors(bm.basis)
@@ -701,7 +701,7 @@ def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationRepo
             if j != k0
         )
         residuals[k0] = np.linalg.norm(lhs - rhs)
-    max_residual = float(residuals.max())
+    max_residual, tol = float(residuals.max()), tol * bm.rate_unit
     return VerificationReport(
         residuals=residuals,
         max_residual=max_residual,

@@ -125,13 +125,14 @@ def lindbladian(me: MasterEquation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochModel:
-    """Coherence-space reduction: xdot = l0 x + b, steady state x_ss."""
+    """Coherence-space reduction xdot = l0 x + b, steady state x_ss, rate unit 2^round(log2 ||l0||_2)."""
 
     me: MasterEquation
     basis: OperatorBasis
     l0: np.ndarray
     b: np.ndarray
     x_ss: np.ndarray
+    rate_unit: float
 
     @property
     def dim(self) -> int:
@@ -158,23 +159,24 @@ class BlochModel:
 def vectorize(me: MasterEquation, basis: OperatorBasis | None = None) -> BlochModel:
     """Build (l0, b, x_ss) with l0_ij = Tr[s_i L(s_j)]/2, b_i = Tr[s_i L(1)]/2.
 
-    Raises if l0 is singular (no unique steady state), if the dynamics is
-    unstable, or if the steady state is rank deficient.
+    Raises if l0 is singular (no unique steady state), if a mode decays
+    slower than 1e-12 ||l0||_2, or if the steady state is rank deficient.
     """
     basis = build_basis(me.dim) if basis is None else basis
     rep = coordinate_rep(lindbladian(me), basis)
     l0 = rep[:-1, :-1].copy()
     b = rep[:-1, -1].copy()
 
-    if np.linalg.cond(l0) > 1e12:
+    sv = np.linalg.svd(l0, compute_uv=False)  # sv[0] = ||l0||_2
+    if sv[0] > 1e12 * sv[-1]:
         raise SteadyStateError("l0 is singular: no unique steady state")
     x_ss = np.linalg.solve(l0, -b)
-    if np.max(np.linalg.eigvals(l0).real) >= -1e-12:
+    if np.max(np.linalg.eigvals(l0).real) >= -1e-12 * sv[0]:
         raise SteadyStateError("l0 has a non-decaying mode: steady state not attracting")
     rho_ss = bloch_to_rho(x_ss, basis)
     if np.min(np.linalg.eigvalsh(rho_ss)) <= 1e-12:
         raise AssumptionError("steady state is rank deficient")
-    return BlochModel(me=me, basis=basis, l0=l0, b=b, x_ss=x_ss)
+    return BlochModel(me=me, basis=basis, l0=l0, b=b, x_ss=x_ss, rate_unit=2.0 ** np.round(np.log2(sv[0])))
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,12 @@ import numpy as np
 
 from .algebra import eig_full
 from .constraints import (
-    KAPPA_REJECT,
     PURITY_TOL,
     ConstraintSystem,
     Ensemble,
     _levenberg_marquardt,
     clamp_rates,
+    negative_rate,
     stack_systems,
     transition_edges,
     verify,
@@ -123,8 +123,8 @@ class SolutionSet:
         return len(self.ensembles)
 
 
-def _mismatches(e1, e2, rate_scale: float, eps: float = np.inf) -> np.ndarray:
-    """The largest member move plus the rate mismatch over ``rate_scale``,
+def _mismatches(e1, e2, eps: float = np.inf) -> np.ndarray:
+    """The largest member move plus the rate mismatch over the largest rate,
     for each relabelling of ``e2`` that moves no member beyond ``eps``."""
     moves = np.linalg.norm(e1.states[:, None] - e2.states[None], axis=2)  # member i to member j
     perms = [()]
@@ -133,24 +133,24 @@ def _mismatches(e1, e2, rate_scale: float, eps: float = np.inf) -> np.ndarray:
     perms = np.array(perms, dtype=int).reshape(-1, e1.k)
     d_states = moves[np.arange(e1.k), perms].max(axis=1)
     d_kappa = np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
-    return d_states + d_kappa / rate_scale
+    return d_states + d_kappa / max(np.max(e1.kappa), np.max(e2.kappa), 1e-300)
 
 
-def same_ensemble(e1, e2, eps: float, rate_scale: float = 1.0) -> bool:
+def same_ensemble(e1, e2, eps: float) -> bool:
     """The one test of ensemble identity: whether some relabelling of ``e2``
-    has largest member move plus rate mismatch over ``rate_scale`` at most
-    ``eps``.  The rate term is never negative, so only relabellings that
-    move no member beyond ``eps`` are tried, usually one or none, and the
-    answer is that of the minimum over all K!."""
+    has largest member move plus rate mismatch over the largest rate of
+    either at most ``eps``.  The rate term is never negative, so only
+    relabellings that move no member beyond ``eps`` are tried, usually one
+    or none, and the answer is that of the minimum over all K!."""
     same_shape = e1.k == e2.k and e1.dim == e2.dim
-    return same_shape and bool(_mismatches(e1, e2, rate_scale, eps).min(initial=np.inf) <= eps)
+    return same_shape and bool(_mismatches(e1, e2, eps).min(initial=np.inf) <= eps)
 
 
-def ensemble_distance(e1, e2, rate_scale: float = 1.0) -> float:
+def ensemble_distance(e1, e2) -> float:
     """The ``same_ensemble`` quantity minimized over all K! relabellings; no
     search or scan decision pays for it, it reports how far apart two are."""
     same_shape = e1.k == e2.k and e1.dim == e2.dim
-    return float(_mismatches(e1, e2, rate_scale).min(initial=np.inf)) if same_shape else np.inf
+    return float(_mismatches(e1, e2).min(initial=np.inf)) if same_shape else np.inf
 
 
 class _Candidate(NamedTuple):
@@ -167,7 +167,7 @@ class _Candidate(NamedTuple):
         return self.states.shape[0]
 
 
-def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
+def _distinct(candidates: list, eps: float, accept) -> tuple:
     """Walk ``candidates`` in order and keep those no kept one lies within ``eps`` of.
 
     ``accept(candidate)`` gives the object to keep for a distinct candidate,
@@ -186,7 +186,7 @@ def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
         centroids, members = groups.get((cand.dim, cand.k), (np.empty((0, centroid.size)), []))
         # The radius allows for roundoff in the centroids.
         near = np.linalg.norm(centroids - centroid, axis=1) <= 2 * eps + 1e-12
-        if any(same_ensemble(cand, members[j], eps, rate_scale) for j in np.flatnonzero(near)):
+        if any(same_ensemble(cand, members[j], eps) for j in np.flatnonzero(near)):
             duplicates += 1
             continue
         obj = accept(cand)
@@ -197,14 +197,14 @@ def _distinct(candidates: list, eps: float, rate_scale: float, accept) -> tuple:
     return kept, duplicates
 
 
-def dedup(ensembles: list, eps: float = DEDUP_EPS, rate_scale: float = 1.0) -> list:
+def dedup(ensembles: list, eps: float = DEDUP_EPS) -> list:
     """Drop duplicates up to member relabeling; order-stable and idempotent.
 
     An ensemble is kept unless an earlier kept one lies within ``eps``.  This
     is the walk ``solve_numeric`` makes over its converged points, with
     every distinct ensemble accepted.
     """
-    return _distinct(ensembles, eps, rate_scale, lambda ens: ens)[0]
+    return _distinct(ensembles, eps, lambda ens: ens)[0]
 
 
 def _canonical_sort(ensembles: list) -> list:
@@ -316,7 +316,7 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     symmetry axis, one of them on the canonical in-plane axis; the rates
     out of the first member satisfy two linear equations, and the vertices
     of their nonnegative polytope plus one interior point are the
-    candidates for the shared acceptance, in that order.
+    candidates for the shared acceptance, in that order, in units of ``bm.rate_unit``.
     """
     if k < 2:
         raise ValueError("need at least two ensemble members")
@@ -336,7 +336,7 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
 
     # Constraint row for member 0 projected on the plane:
     #   sum_j kappa_j0 (cos th_j - 1) = a,  sum_j kappa_j0 sin th_j = c.
-    lhs = bm.l0 @ states[0] + bm.b
+    lhs = (bm.l0 @ states[0] + bm.b) / bm.rate_unit
     a_coef = e1 @ lhs / r
     c_coef = e2 @ lhs / r
     cols = np.array([[np.cos(a) - 1.0, np.sin(a)] for a in angles[1:]]).T  # (2, k-1)
@@ -361,7 +361,7 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
     if len(vertices) > 1:
         vertices.append(np.mean(vertices, axis=0))  # interior point
     outcomes = []
-    for rates in vertices:
+    for rates in np.array(vertices) * bm.rate_unit:
         # Rate rates[s - 1] from each member k0 to member k0 + s.
         kappa = sum(value * np.roll(np.eye(k), shift, axis=0) for shift, value in enumerate(rates, start=1))
         tag = {"family": "azimuthal rotation", "generator": gen, "rates_out": rates}
@@ -488,11 +488,10 @@ def _closed_form(method: str, bm: BlochModel, outcomes: list, **extra) -> Soluti
 
 def _screen(bm: BlochModel, outcomes: list, diagnostics: dict) -> list:
     """The ``_Candidate``s among ``outcomes``, in order and with rates clamped,
-    whose rates are nonnegative up to ``KAPPA_REJECT``, whose members map to
-    matrices with no eigenvalue below ``-PURITY_TOL`` (one ``eigvalsh`` call
-    for all) and lie pairwise more than ``DEDUP_EPS`` apart.  Every other
-    outcome, a rejection reason or a candidate failing these checks in that
-    order, is filed in ``diagnostics``.
+    with no ``negative_rate``, whose members map to matrices with no eigenvalue
+    below ``-PURITY_TOL`` (one ``eigvalsh`` call for all) and lie pairwise more
+    than ``DEDUP_EPS`` apart.  Every other outcome, a rejection reason or a
+    candidate failing these checks in that order, is filed in ``diagnostics``.
     """
     states = np.array([out.states for out in outcomes if not isinstance(out, str)])
     positive = iter([])
@@ -503,7 +502,7 @@ def _screen(bm: BlochModel, outcomes: list, diagnostics: dict) -> list:
     for out in outcomes:
         if not isinstance(out, str):
             member_positive = next(positive)
-            if np.min(out.kappa) < KAPPA_REJECT:
+            if negative_rate(out.kappa):
                 out = "negative rate"
             elif not member_positive:
                 out = "member maps to a non-positive matrix"
@@ -520,9 +519,8 @@ def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -
     """The distinct ``candidates``, in order, that pass validation and the
     projector-form check, with their tags; every other one is counted in
     ``diagnostics``, and the kept ones as ``n_accepted``.  The check's
-    residual is a rate, held to ``10 * tol`` times ``||l0||`` if that is > 1."""
+    residual is a rate, held to ``10 * tol`` in the model's rate unit."""
     tags = []
-    rate_scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
 
     def accept(cand):
         try:
@@ -530,13 +528,13 @@ def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -
         except EnsembleError as exc:
             _reject(diagnostics, str(exc))
             return None
-        if not verify(bm, ens, tol=10 * tol * max(1.0, rate_scale)).passed:
+        if not verify(bm, ens, tol=10 * tol).passed:
             _reject(diagnostics, "projector-form verification failed")
             return None
         tags.append(cand.tag)
         return ens
 
-    unique, duplicates = _distinct(candidates, DEDUP_EPS, rate_scale, accept)
+    unique, duplicates = _distinct(candidates, DEDUP_EPS, accept)
     if duplicates:
         _reject(diagnostics, "duplicate", duplicates)
     diagnostics["n_accepted"] = len(unique)

@@ -12,6 +12,7 @@ from preforge.constraints import (
     build_subspace_reduced,
     build_wigner_reduced,
     KAPPA_CLAMP,
+    clamp_rates,
     heuristic_min_k,
     is_strongly_connected,
     transition_edges,
@@ -369,19 +370,23 @@ def test_strong_connectivity_matches_bfs_on_every_small_digraph():
             kappa = np.zeros((k, k))
             for (j, i), rate in zip(slots, mask):
                 kappa[j, i] = rate
-            assert is_strongly_connected(kappa) == _strongly_connected_bfs(kappa, KAPPA_CLAMP)
+            assert is_strongly_connected(kappa) == _strongly_connected_bfs(kappa, 0.0)
 
 
 def test_strong_connectivity_matches_bfs_on_random_digraphs():
+    # Rates spread over twelve decades and given in three rate units: a rate
+    # below KAPPA_CLAMP times the largest is clamped to zero and is no edge,
+    # in every unit, and every positive rate of the clamped matrix is one.
     rng = np.random.default_rng(8)
     found = set()
     for _ in range(200):
         k = int(rng.integers(2, 9))
-        # Rates around the clamp: some entries fall below tol and are no edges.
-        kappa = rng.uniform(0.0, 1.0, size=(k, k)) * (rng.random((k, k)) < rng.uniform(0.1, 0.6))
-        tol = float(rng.choice([KAPPA_CLAMP, 0.3]))
-        expected = _strongly_connected_bfs(kappa, tol)
-        assert is_strongly_connected(kappa, tol) == expected
+        kappa = 10.0 ** rng.uniform(-12.0, 0.0, size=(k, k)) * (rng.random((k, k)) < rng.uniform(0.1, 0.6))
+        np.fill_diagonal(kappa, 0.0)
+        expected = _strongly_connected_bfs(kappa, KAPPA_CLAMP * kappa.max())
+        assert is_strongly_connected(kappa) == _strongly_connected_bfs(kappa, 0.0)
+        for unit in (2.0**-40, 1.0, 2.0**40):
+            assert is_strongly_connected(clamp_rates(unit * kappa)) == expected
         found.add(expected)
     assert found == {True, False}
 
@@ -390,11 +395,16 @@ def test_strong_connectivity_single_member_and_clamp():
     assert is_strongly_connected(np.zeros((1, 1)))
     cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert is_strongly_connected(cycle)
-    # A rate at or below tol is no edge; the diagonal never matters.
+    # Every positive rate is an edge, until the clamp zeroes those below
+    # KAPPA_CLAMP times the largest rate; the diagonal never matters.
     weak = cycle.copy()
-    weak[0, 2] = KAPPA_CLAMP
-    assert not is_strongly_connected(weak)
-    assert is_strongly_connected(weak, tol=0.5 * KAPPA_CLAMP)
-    assert not is_strongly_connected(cycle, tol=1.0)
+    weak[0, 2] = 0.5 * KAPPA_CLAMP
+    assert is_strongly_connected(weak)
+    for unit in (2.0**-40, 1.0, 2.0**40):
+        assert not is_strongly_connected(clamp_rates(unit * weak))
+        assert is_strongly_connected(clamp_rates(unit * (cycle + 5.0 * np.eye(3))))
+    weak[0, 2] = 2.0 * KAPPA_CLAMP
+    assert is_strongly_connected(clamp_rates(weak))
+    assert not is_strongly_connected(0.0 * cycle)
     assert is_strongly_connected(cycle + 5.0 * np.eye(3))
     assert not is_strongly_connected(np.eye(2))

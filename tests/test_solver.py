@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from preforge.constraints import (
-    KAPPA_REJECT,
     Ensemble,
     build_full,
     clamp_rates,
     build_subspace_reduced,
+    negative_rate,
     stack_systems,
     verify,
 )
@@ -327,7 +327,7 @@ def _solve_verify_then_dedup(cs, cfg, check):
     thetas, resids, failed = _levenberg_marquardt(cs, starts, cfg.tol, MAX_ITER)
     accepted = []
     for theta, resid, fail in zip(thetas, resids, failed):
-        if fail or np.max(np.abs(resid)) > cfg.tol or np.min(cs.unpack(theta)[1]) < KAPPA_REJECT:
+        if fail or np.max(np.abs(resid)) > cfg.tol or negative_rate(cs.unpack(theta)[1]):
             continue
         if _min_member_gap(cs.unpack(theta)[0]) <= DEDUP_EPS:
             continue
@@ -337,8 +337,7 @@ def _solve_verify_then_dedup(cs, cfg, check):
             continue
         if check(cs.bm, ens, tol=10 * cfg.tol).passed:
             accepted.append(ens)
-    rate_scale = max(np.linalg.norm(cs.bm.l0, 2), 1e-300)
-    return dedup(_canonical_sort(accepted), DEDUP_EPS, rate_scale)
+    return dedup(_canonical_sort(accepted), DEDUP_EPS)
 
 
 def _label_dependent_verify(bm, ens, tol):
@@ -421,13 +420,18 @@ def test_new_ensembles_drops_copies_relabellings_and_rotations(ae_bm):
     assert new_ensembles([rotated], [poles, equatorial], [EQUATOR_GEN]) == []
 
 
-def _dedup_reference(ensembles, eps, rate_scale=1.0):
+def _dedup_reference(ensembles, eps):
     """The pairwise definition: keep an ensemble unless a kept one is within eps."""
     kept = []
     for ens in ensembles:
-        if all(ensemble_distance(ens, other, rate_scale) > eps for other in kept):
+        if all(ensemble_distance(ens, other) > eps for other in kept):
             kept.append(ens)
     return kept
+
+
+def _in_unit(ens, unit):
+    """``ens`` with every rate multiplied by ``unit``."""
+    return _Candidate(ens.dim, ens.states, unit * ens.kappa)
 
 
 def test_dedup_matches_pairwise_reference(rng):
@@ -447,12 +451,17 @@ def test_dedup_matches_pairwise_reference(rng):
             ensembles.append(_Candidate(2, moved, clamp_rates(rates)))
     order = rng.permutation(len(ensembles))
     ensembles = [ensembles[i] for i in order]
-    for scale in (1.0, 0.5):
-        expected = _dedup_reference(ensembles, eps, scale)
-        got = dedup(ensembles, eps, scale)
-        assert 100 < len(got) < len(ensembles)
-        assert len(got) == len(expected)
-        assert all(a is b for a, b in zip(got, expected))
+    expected = _dedup_reference(ensembles, eps)
+    got = dedup(ensembles, eps)
+    assert 100 < len(got) < len(ensembles)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+    # The rate term is relative to the rates compared: in another rate unit
+    # the same ensembles are kept.
+    for unit in (2.0**-30, 2.0**23):
+        scaled = [_in_unit(ens, unit) for ens in ensembles]
+        kept = {id(ens) for ens in dedup(scaled, eps)}
+        assert [id(ens) for ens, copy in zip(ensembles, scaled) if id(copy) in kept] == [id(ens) for ens in got]
 
 
 def test_dedup_is_idempotent_and_permutation_blind(rng):
@@ -477,11 +486,13 @@ def test_dedup_is_idempotent_and_permutation_blind(rng):
         assert e1 is e2
 
 
-def _ensemble_distance_loop(e1, e2, rate_scale=1.0):
+def _ensemble_distance_loop(e1, e2):
     """``ensemble_distance`` as one relabelling at a time, skipping those
-    whose member displacement alone is no better."""
+    whose member displacement alone is no better; rate mismatches count
+    relative to the larger of the two largest rates."""
     if e1.k != e2.k or e1.dim != e2.dim:
         return np.inf
+    rate = max(e1.kappa.max(), e2.kappa.max())
     best = np.inf
     for perm in itertools.permutations(range(e1.k)):
         perm = list(perm)
@@ -489,7 +500,7 @@ def _ensemble_distance_loop(e1, e2, rate_scale=1.0):
         if d_states >= best:
             continue
         d_kappa = np.max(np.abs(e1.kappa - e2.kappa[np.ix_(perm, perm)]))
-        best = min(best, d_states + d_kappa / rate_scale)
+        best = min(best, d_states + d_kappa / rate)
     return float(best)
 
 
@@ -510,8 +521,13 @@ def test_ensemble_distance_matches_relabelling_loop(rng, k):
                 dim, e1.states[perm] + 1e-7 * rng.normal(size=e1.states.shape), e1.kappa[np.ix_(perm, perm)].copy()
             )
             for e2 in (random_ensemble(dim), near):
-                for rate_scale in (1.0, 0.37):
-                    assert ensemble_distance(e1, e2, rate_scale) == _ensemble_distance_loop(e1, e2, rate_scale)
+                distance = ensemble_distance(e1, e2)
+                assert distance == _ensemble_distance_loop(e1, e2)
+                for unit in (0.37, 2.0**-30, 2.0**23):
+                    scaled = _in_unit(e1, unit), _in_unit(e2, unit)
+                    assert ensemble_distance(*scaled) == _ensemble_distance_loop(*scaled)
+                    # A power of two scales every rate exactly.
+                    assert unit == 0.37 or ensemble_distance(*scaled) == distance
     assert ensemble_distance(random_ensemble(2), random_ensemble(3)) == np.inf
 
 
@@ -535,10 +551,11 @@ def test_same_ensemble_decides_the_full_minimum_against_eps(rng, k):
                 rates = first.kappa[np.ix_(perm, perm)] + rng.uniform(0.0, 1e-4, size=(k, k))
                 pairs.append((first, candidate(dim, moved, rates)))
             for pair in pairs + [pair[::-1] for pair in pairs]:
-                for rate_scale in (1.0, 0.37):
-                    minimum = _ensemble_distance_loop(*pair, rate_scale)
+                for unit in (1.0, 0.37, 2.0**-30):
+                    pair = _in_unit(pair[0], unit), _in_unit(pair[1], unit)
+                    minimum = _ensemble_distance_loop(*pair)
                     for eps in (minimum, np.nextafter(minimum, -np.inf), 0.5 * minimum, 2.0 * minimum, DEDUP_EPS):
-                        assert same_ensemble(*pair, eps, rate_scale) == (minimum <= eps)
+                        assert same_ensemble(*pair, eps) == (minimum <= eps)
     # Ensembles of another dimension or size are never the same.
     assert not same_ensemble(e1, candidate(2, rng.normal(size=(k, 3)), e1.kappa), np.inf)
     assert not same_ensemble(e1, candidate(3, rng.normal(size=(k + 1, 8)), np.ones((k + 1, k + 1))), np.inf)
@@ -761,16 +778,20 @@ def test_closed_forms_keep_only_what_the_projector_form_check_passes(rf_bm, ae_b
 @pytest.mark.parametrize("scale", [1e7, 1e12])
 def test_closed_forms_verify_relative_to_the_rate_scale(rf_bm, ae_bm, scale):
     # Scaling every rate scales the projector-form residual, rounding
-    # included; an exact ensemble of a fast model still passes.
+    # included; an exact ensemble of a fast model still passes, checked in
+    # the model's rate unit, and matches the slow one with its rates scaled
+    # under the relative rate term.
     rf_fast = vectorize(load_catalog("resonance_fluorescence", {"gamma": scale, "Omega": 0.18 * scale}))
     ae_fast = vectorize(load_catalog("absorption_emission", {"gamma_minus": scale, "gamma_plus": 0.3 * scale}))
+    for bm in (rf_fast, ae_fast):
+        assert bm.rate_unit == 2.0 ** round(np.log2(np.linalg.norm(bm.l0, 2))) > scale / 2
     pairs = [(analytic_k2(rf_fast), analytic_k2(rf_bm)), (solve_wigner_family(ae_fast, 3), solve_wigner_family(ae_bm, 3))]
     for fast, slow in pairs:
         assert fast.diagnostics["rejections"] == {}
         assert len(fast.ensembles) == len(slow.ensembles) > 0
         for e_fast, e_slow in zip(fast.ensembles, slow.ensembles):
-            scaled = _Candidate(e_slow.dim, e_slow.states, scale * e_slow.kappa)
-            assert same_ensemble(e_fast, scaled, 1e-9, rate_scale=scale)
+            assert same_ensemble(e_fast, _in_unit(e_slow, scale), 1e-9)
+            assert not same_ensemble(e_fast, _in_unit(e_slow, 1.01 * scale), 1e-9)
 
 
 def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
@@ -781,7 +802,7 @@ def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
         perms = np.array(list(itertools.permutations(range(e1.k))))
         d_states = np.max(np.linalg.norm(e1.states - e2.states[perms], axis=2), axis=1)
         d_kappa = np.max(np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]), axis=(1, 2))
-        return float(np.min(d_states + d_kappa))
+        return float(np.min(d_states + d_kappa / max(e1.kappa.max(), e2.kappa.max())))
 
     ensembles = analytic_k2(rf_bm).ensembles + analytic_k2(ae_bm).ensembles
     ensembles += [e for k in (3, 5, 6) for e in solve_wigner_family(ae_bm, k).ensembles]

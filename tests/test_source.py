@@ -99,3 +99,17 @@ def test_solver_checks_ensembles_only_in_its_shared_acceptance():
     assert [ast.unparse(node.func) for node in calls if id(node) in inside] == ["Ensemble.from_states_kappa", "verify"]
     offenders = [f"solver.py:{node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
     assert not offenders, "ensembles checked outside _verified:\n" + "\n".join(offenders)
+
+
+def test_no_function_in_constraints_or_solver_takes_a_rate_scale():
+    # The solvers work in the model's rate unit and compare an ensemble's
+    # rates with its own largest rate, so no caller hands a scale in.
+    offenders = []
+    for name in ("constraints.py", "solver.py"):
+        tree = ast.parse((Path(preforge.__file__).parent / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "rate_scale" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, "rate_scale parameters:\n" + "\n".join(offenders)
