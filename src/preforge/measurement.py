@@ -74,7 +74,7 @@ class AdaptiveScheme:
         return apply_unravelling(me, self.settings[k])
 
 
-def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
+def _check_member(me, kets, k, routing, s, beta, kappa, rate_tol):
     """Tolerance verdicts for a candidate setting on one member."""
     jumps, h_eff = transformed_operators(me, s, beta)
     phi = kets[k]
@@ -87,7 +87,7 @@ def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
         w = jumps[m0] @ phi
         wn = np.linalg.norm(w)
         if target == NO_TARGET:
-            if wn * wn > RATE_TOL * max(1.0, rate_scale):
+            if wn * wn > rate_tol:
                 return False
             continue
         tket = kets[target]
@@ -98,9 +98,7 @@ def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
         if target != k:
             weights[target] = weights.get(target, 0.0) + wn * wn
     for j in range(len(kets)):
-        if kappa[j, k] > 0 and abs(weights.get(j, 0.0) - kappa[j, k]) > RATE_TOL * max(
-            1.0, rate_scale
-        ):
+        if kappa[j, k] > 0 and abs(weights.get(j, 0.0) - kappa[j, k]) > rate_tol:
             return False
     return True
 
@@ -172,14 +170,16 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
     M is the most detectors any member needs; the rest stay dark and route
     to ``NO_TARGET``.  Each member must pass :func:`_check_member` with
     ``|beta|^2 <= 10 max_l ||c_l||^2``, else :class:`SynthesisError` carries
-    its residual.  Per-member eigenvector and Gram residuals, sigma and
-    detector counts go to ``diagnostics`` and the ``preforge`` debug log.
+    its residual.  Rates are judged to ``RATE_TOL`` times the larger of
+    max_l ||c_l||^2 and the largest rate, so in the model's own time unit.
+    Per-member eigenvector and Gram residuals, sigma and detector counts go
+    to ``diagnostics`` and the ``preforge`` debug log.
     """
     kets = ens.kets()
-    rate_scale = float(np.max(ens.kappa))
-    beta_cap = np.sqrt(10.0 * max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads))
-    sigma_tol = RATE_TOL * max(1.0, rate_scale)
-    fits = [_member_fit(me, kets, k, ens.kappa, sigma_tol) for k in range(ens.k)]
+    model_scale = max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads)
+    beta_cap = np.sqrt(10.0 * model_scale)
+    rate_tol = RATE_TOL * max(model_scale, float(np.max(ens.kappa)))
+    fits = [_member_fit(me, kets, k, ens.kappa, rate_tol) for k in range(ens.k)]
     m = max(max(w.shape[1], cols.shape[1]) for _, _, w, cols, _, _ in fits)
     settings, diagnostics = [], []
     jump_map = np.empty((ens.k, m), dtype=int)
@@ -196,7 +196,7 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
                             "sigma": sigma, "detectors": max(w.shape[1], cols.shape[1])})
         residual, amplitude = max(eigen_residual, gram), np.max(np.abs(beta))
         if amplitude > beta_cap + 1e-9 or not _check_member(
-            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_scale
+            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_tol
         ):
             raise SynthesisError(
                 f"no setting found for member {k}: residual {residual:.3e}, "

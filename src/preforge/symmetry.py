@@ -90,104 +90,120 @@ class WignerSymmetry:
 
 
 class _KetSlice:
-    """Residual map of kets psi (stacked as [Re psi, Im psi]) onto a slice.
+    """Residual map of kets psi (stacked as [Re psi, Im psi]) onto slices.
 
     Row j is psi^dag M_j psi = r_j^T (x(psi) - x_ss) for unit psi, with
     M_j = (D/2) sum_i (r0)_ij s_i - (r_j^T x_ss) 1 for each complement
     column r_j; the last row is psi^dag psi - 1.  Every row is a real
     quadratic form theta^T Q theta, so the Jacobian 2 Q theta is exact.
+    The forms of slices with equal complement dimension are stacked, and
+    ``which`` picks each row's slice.
     """
 
-    def __init__(self, bm: BlochModel, basis_r0: np.ndarray):
+    def __init__(self, bm: BlochModel, complements: list):
         d = bm.dim
-        herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
-        herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
-        herm = np.concatenate([herm, np.eye(d)[None]])
-        re, im = herm.real, herm.imag
-        self.forms = np.block([[re, -im], [im, re]])  # (m, 2D, 2D), symmetric
-        self.shift = np.zeros(len(herm))
+        forms = []
+        for basis_r0 in complements:
+            herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
+            herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
+            herm = np.concatenate([herm, np.eye(d)[None]])
+            re, im = herm.real, herm.imag
+            forms.append(np.block([[re, -im], [im, re]]))  # (m, 2D, 2D), symmetric
+        self.forms = np.array(forms)
+        self.n_constraints, self.n_params = self.forms.shape[1], 2 * d
+        self.shift = np.zeros(self.n_constraints)
         self.shift[-1] = 1.0
-        self.n_constraints, self.n_params = len(herm), 2 * d
 
-    # ``which`` picks each row's system in a stack; there is only this one.
-    def residual(self, theta: np.ndarray, which=None) -> np.ndarray:
-        return np.einsum("sp,mpq,sq->sm", theta, self.forms, theta) - self.shift
+    def residual(self, theta: np.ndarray, which) -> np.ndarray:
+        return np.einsum("sp,smpq,sq->sm", theta, self.forms[which], theta) - self.shift
 
-    def jacobian(self, theta: np.ndarray, which=None) -> np.ndarray:
-        return 2.0 * np.einsum("mpq,sq->smp", self.forms, theta)
+    def jacobian(self, theta: np.ndarray, which) -> np.ndarray:
+        return 2.0 * np.einsum("smpq,sq->smp", self.forms[which], theta)
 
 
-def _pure_witness(bm: BlochModel, basis_i0: np.ndarray, basis_r0: np.ndarray) -> np.ndarray | None:
-    """A pure state in the translated slice {x_ss + span(basis_i0)}, if one is found.
+def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | None = None) -> list:
+    """A pure state in each translated slice {x_ss + span(basis_i0)}, or None.
 
-    The slice misses the pure sphere when its squared radius there is not
-    positive.  For a qubit every point of that sphere is a state.  In larger
-    dimension the witness is the coherence vector of a ket psi solving the
-    quadratic equations of :class:`_KetSlice` (one per complement column
-    plus the norm); a fixed set of seeded Haar starts goes through the
-    batched Levenberg-Marquardt solve, and the first root within
-    ``WITNESS_TOL`` gives an exactly pure witness.  ``None`` then means no
-    root was reached from those starts, which does not prove that the slice
-    holds no pure state.
+    ``slices`` holds (basis_i0, basis_r0) pairs.  A slice misses the pure
+    sphere when its squared radius there is not positive.  For a qubit every
+    point of that sphere is a state.  In larger dimension the witness is the
+    coherence vector of a ket psi solving the quadratic equations of
+    :class:`_KetSlice` (one per complement column plus the norm).  Each slice
+    gets the same seeded Haar starts, the slices of one complement dimension
+    share one batched Levenberg-Marquardt solve, and a slice's first root
+    within ``WITNESS_TOL`` gives an exactly pure witness.  ``None`` then
+    means no root was reached from those starts, which does not prove that
+    the slice holds no pure state.  ``counts`` tallies the stacks and rows.
     """
-    centre, r_sq = bm.pure_slice(basis_i0)
-    if r_sq <= 0:
-        return None
-    if bm.dim == 2:
-        direction = np.eye(basis_i0.shape[1])[0]
-        return bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction)
+    counts = collections.Counter() if counts is None else counts
+    witnesses = [None] * len(slices)
+    stacks = {}  # complement dimension -> slice indices
+    for i, (basis_i0, basis_r0) in enumerate(slices):
+        centre, r_sq = bm.pure_slice(basis_i0)
+        if r_sq <= 0:
+            continue
+        if bm.dim == 2:
+            direction = np.eye(basis_i0.shape[1])[0]
+            witnesses[i] = bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction)
+        else:
+            stacks.setdefault(basis_r0.shape[1], []).append(i)
+    if not stacks:
+        return witnesses
     rng = np.random.default_rng(bm.n_coords)
     kets = [random_pure_ket(bm.dim, rng) for _ in range(WITNESS_STARTS)]
     starts = np.array([np.concatenate([psi.real, psi.imag]) for psi in kets])
-    theta, resid, failed = _levenberg_marquardt(
-        _KetSlice(bm, basis_r0), starts, WITNESS_TOL, WITNESS_MAX_ITER
-    )
-    roots = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL))
-    if roots.size == 0:
-        return None
-    psi = theta[roots[0], : bm.dim] + 1j * theta[roots[0], bm.dim :]
-    psi /= np.linalg.norm(psi)
-    return rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+    for members in stacks.values():
+        counts["witness stacks"] += 1
+        counts["witness rows"] += len(members) * WITNESS_STARTS
+        theta, resid, failed = _levenberg_marquardt(
+            _KetSlice(bm, [slices[i][1] for i in members]),
+            np.tile(starts, (len(members), 1)),
+            WITNESS_TOL,
+            WITNESS_MAX_ITER,
+            np.repeat(np.arange(len(members)), WITNESS_STARTS),
+        )
+        root = ~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL)
+        for g, i in enumerate(members):
+            own = np.flatnonzero(root[g * WITNESS_STARTS : (g + 1) * WITNESS_STARTS])
+            if own.size:
+                row = theta[g * WITNESS_STARTS + own[0]]
+                psi = row[: bm.dim] + 1j * row[bm.dim :]
+                psi /= np.linalg.norm(psi)
+                witnesses[i] = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+    return witnesses
 
 
-def _certified_subspace(
-    bm: BlochModel,
-    basis_i0: np.ndarray,
-    family: FamilyTag | None,
-    tags: tuple,
-    witness: np.ndarray | None = None,
-    counts: collections.Counter | None = None,
-) -> InvariantSubspace:
-    """The subspace with orthonormal basis ``basis_i0``, once certified.
-
-    A ``witness`` already known to lie in the translated slice is reused;
-    otherwise one is solved for.  Raises when the block certificate fails
-    or no pure state is found in the slice.  ``counts`` tallies the outcome.
+def _certified(bm: BlochModel, candidates: list, counts: collections.Counter) -> list:
+    """Each candidate (basis_i0, family, tags, witness) as a certified subspace,
+    or as the :class:`SubspaceError` of a failed block certificate or of a
+    slice with no pure state found.  A given ``witness`` is reused; the other
+    slices are solved in one :func:`_pure_witnesses` call.  ``counts``
+    tallies the outcomes.
     """
-    counts = collections.Counter() if counts is None else counts
-    counts["tested"] += 1
-    basis_r0 = null_space(basis_i0.T)  # (n_coords, 0) for the whole space
-    cert = block_leak(bm.l0, basis_i0, basis_r0)
-    if cert > CERT_TOL:
-        counts["not invariant"] += 1
-        raise SubspaceError(f"span is not invariant: certificate {cert:.3e}")
-    if witness is not None:
-        counts["inherited"] += 1
-    else:
-        witness = _pure_witness(bm, basis_i0, basis_r0)
-        if witness is None:
+    complements = [null_space(c[0].T) for c in candidates]  # (n_coords, 0) for the whole space
+    certs = [block_leak(bm.l0, c[0], r0) for c, r0 in zip(candidates, complements)]
+    pending = [i for i, c in enumerate(candidates) if certs[i] <= CERT_TOL and c[3] is None]
+    slices = [(candidates[i][0], complements[i]) for i in pending]
+    solved = dict(zip(pending, _pure_witnesses(bm, slices, counts)))
+    out = []
+    for i, (basis_i0, family, tags, witness) in enumerate(candidates):
+        counts["tested"] += 1
+        if certs[i] > CERT_TOL:
+            counts["not invariant"] += 1
+            out.append(SubspaceError(f"span is not invariant: certificate {certs[i]:.3e}"))
+            continue
+        if witness is not None:
+            counts["inherited"] += 1
+        elif solved[i] is not None:
+            witness = solved[i]
+            counts["solved"] += 1
+        else:
             counts["no witness"] += 1
-            raise SubspaceError("span admits no pure state")
-        counts["solved"] += 1
-    return InvariantSubspace(
-        basis_i0=basis_i0,
-        basis_r0=basis_r0,
-        n=basis_i0.shape[1],
-        certificate=cert,
-        pure_witness=witness,
-        family=family,
-        tags=tags,
-    )
+            out.append(SubspaceError("span admits no pure state"))
+            continue
+        n = basis_i0.shape[1]
+        out.append(InvariantSubspace(basis_i0, complements[i], n, certs[i], witness, family, tags))
+    return out
 
 
 def _realify(vectors: list) -> np.ndarray:
@@ -219,20 +235,20 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     n = bm.n_coords
     spec = eig_full(bm.l0)
 
-    atoms = []  # (columns, tag, family)
+    atoms = []  # (columns, tag template, eigenvalue, family)
 
     for cluster in spec.clusters:
         if abs(cluster.value.imag) > spec.tol:
             if cluster.value.imag > 0:  # one atom per conjugate pair
                 for i in range(cluster.vectors.shape[1]):
                     cols = _realify([cluster.vectors[:, i]])
-                    atoms.append((cols, f"pair(re={cluster.value.real:.6g})", None))
+                    atoms.append((cols, "pair(re={})", cluster.value.real, None))
         else:
             space = _realify([cluster.vectors[:, i] for i in range(cluster.vectors.shape[1])])
             space = orth(space, rcond=1e-10)
             m = space.shape[1]
             if m == 1:
-                atoms.append((space, f"eig({cluster.value.real:.6g})", None))
+                atoms.append((space, "eig({})", cluster.value.real, None))
             else:
                 # Degenerate eigenspace: every ray inside it is invariant.
                 gen = np.zeros((n, n))
@@ -247,22 +263,28 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
                     ),
                     generator=gen,
                 )
-                atoms.append((space[:, :1], f"eig({cluster.value.real:.6g})-ray", family))
-                atoms.append((space, f"eig({cluster.value.real:.6g})-space", None))
+                atoms.append((space[:, :1], "eig({})-ray", cluster.value.real, family))
+                atoms.append((space, "eig({})-space", cluster.value.real, None))
         for chain in cluster.jordan_chains:
             for j in range(2, len(chain) + 1):
                 cols = orth(_realify(chain[:j]), rcond=1e-10)
-                atoms.append((cols, f"chain(len={j},eig={cluster.value.real:.6g})", None))
+                atoms.append((cols, f"chain(len={j},eig={{}})", cluster.value.real, None))
 
     # Witness existence is monotone: a span of atoms holds the slice of
     # every sub-span, so a candidate reuses the witness of any witnessed
-    # subset of its atoms.  A projector met before is decided already.
-    results = []
+    # subset of its atoms, met at an earlier level (number of atoms).  A
+    # projector met before is decided already.  Tags print eigenvalues in
+    # model units; the order uses the rate unit, so no time unit changes it.
+    def tags(combo, unit=1.0):
+        return tuple(atoms[i][1].format(f"{atoms[i][2] / unit:.6g}") for i in combo)
+
+    results = []  # (order key, subspace)
     seen_projectors = np.empty((0, n, n))
     witnessed = []  # (atom index set, witness)
     counts = collections.Counter()
 
     for size in range(1, len(atoms) + 1):
+        level, candidates = [], []
         for combo in itertools.combinations(range(len(atoms)), size):
             basis_i0 = orth(np.column_stack([atoms[i][0] for i in combo]), rcond=1e-10)
             if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
@@ -274,26 +296,24 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
             seen_projectors = np.concatenate([seen_projectors, proj[None]])
             members = frozenset(combo)
             inherited = next((w for held, w in witnessed if held <= members), None)
-            families = [atoms[i][2] for i in combo if atoms[i][2] is not None]
-            tags = tuple(atoms[i][1] for i in combo)
-            try:
-                sub = _certified_subspace(
-                    bm, basis_i0, families[0] if families else None, tags, inherited, counts
-                )
-            except SubspaceError:
-                continue
-            witnessed.append((members, sub.pure_witness))
-            results.append(sub)
+            family = next((atoms[i][3] for i in combo if atoms[i][3] is not None), None)
+            level.append((members, (basis_i0.shape[1], tags(combo, bm.rate_unit))))
+            candidates.append((basis_i0, family, tags(combo), inherited))
+        for (members, key), sub in zip(level, _certified(bm, candidates, counts)):
+            if isinstance(sub, InvariantSubspace):
+                witnessed.append((members, sub.pure_witness))
+                results.append((key, sub))
 
     _log.debug(
         "invariant subspaces: %d candidates tested, %d witnessed by solve, "
         "%d witness inherited, %d rejected as a repeat, %d no witness found, "
-        "%d not invariant",
+        "%d not invariant, %d witness stacks, %d witness rows",
         counts["tested"], counts["solved"], counts["inherited"], counts["repeat"],
-        counts["no witness"], counts["not invariant"],
+        counts["no witness"], counts["not invariant"], counts["witness stacks"],
+        counts["witness rows"],
     )
-    results.sort(key=lambda s: (s.n, s.tags))
-    return results
+    results.sort(key=lambda item: item[0])
+    return [sub for _, sub in results]
 
 
 def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | None = None) -> InvariantSubspace:
@@ -312,7 +332,10 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
     basis_i0 = orth(span, rcond=1e-10)
     if basis_i0.shape[1] == 0:
         raise SubspaceError("span has rank 0: it needs at least one nonzero vector")
-    return _certified_subspace(bm, basis_i0, family, ("explicit",))
+    (sub,) = _certified(bm, [(basis_i0, family, ("explicit",), None)], collections.Counter())
+    if isinstance(sub, SubspaceError):
+        raise sub
+    return sub
 
 
 _WIGNER_LIMITS = {

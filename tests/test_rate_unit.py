@@ -103,6 +103,47 @@ def test_search_is_the_same_in_any_time_unit(capsys, tmp_path, case, m):
         assert np.max(np.abs(ens.kappa - 2.0**m * want.kappa)) <= DEDUP_EPS * 2.0**m * np.max(want.kappa)
 
 
+@pytest.mark.parametrize("case", ["rf-k3", "ae-k3"])
+def test_subspace_routes_keep_their_labels_in_any_time_unit(capsys, tmp_path, case):
+    # Subspaces are ordered by their eigenvalues in the rate unit, so at
+    # 2^40 each label names the same subspace route as at m = 0.
+    keys = ("route", "n_starts", "n_converged", "n_accepted", "rejections")
+    ref, got = (_search(capsys, tmp_path, case, m)[1]["routes"] for m in (0, 40))
+    assert [{key: r.get(key) for key in keys} for r in got] == [{key: r.get(key) for key in keys} for r in ref]
+    assert sum(r["route"].startswith("subspace") for r in ref) >= 3
+
+
+def _write_ensemble(path, ens, factor=1.0):
+    path.write_text(json.dumps({"dim": ens.dim, "states": ens.states.tolist(), "kappa": (factor * ens.kappa).tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("m", [-30, 0, 23])
+def test_scheme_judges_rates_in_the_model_time_unit(capsys, tmp_path, m):
+    # The exact ensemble has a scheme; with every rate doubled it is no PRE,
+    # and synthesis fails for it in every time unit.
+    ens = analytic_k2(_bm("rf", m)).ensembles[0]
+    codes = [
+        main(["scheme", *_spec_args("rf", m), "--ensemble", _write_ensemble(tmp_path / f"ens_{f}.json", ens, f)])
+        for f in (1.0, 2.0)
+    ]
+    capsys.readouterr()
+    assert codes == [0, 3]
+
+
+def test_simulate_prints_readable_click_rates_in_a_slow_time_unit(capsys, tmp_path):
+    m = -30
+    ens = analytic_k2(_bm("rf", m)).ensembles[0]
+    bundle = tmp_path / "sim.json"
+    args = ["--ensemble", _write_ensemble(tmp_path / "ens.json", ens), "--jumps", "200", "--rng", "3"]
+    assert main(["simulate", *_spec_args("rf", m), *args, "-o", str(bundle)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("click rates")]
+    printed = [float(v) for pair in line.split(": ", 1)[1].split() for v in pair.split("/")]
+    rates = json.loads(bundle.read_text())["results"]["click_rates"]
+    stored = [v for pair in zip(rates["sampled"], rates["exact"]) for v in pair]
+    assert np.allclose(printed, stored, rtol=1e-5, atol=0) and min(printed) > 0
+
+
 def test_verify_judges_residuals_in_the_rate_unit(capsys, tmp_path):
     # At a time unit of 2^30 the rates are about 1e-9: the exact ensemble
     # passes and is connected, the one with doubled rates fails.

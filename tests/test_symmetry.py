@@ -9,8 +9,10 @@ from preforge.algebra import bloch_to_rho, orth, pure_radius_sq, random_pure_ket
 from preforge.constraints import build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
 from preforge.solver import analytic_k2, same_ensemble
+from preforge import symmetry
 from preforge.symmetry import (
-    _pure_witness,
+    WITNESS_STARTS,
+    _pure_witnesses,
     apply_wigner,
     certify_wigner,
     find_invariant_subspaces,
@@ -204,30 +206,99 @@ def test_witness_found_on_slices_through_a_pure_state(model, request):
     bm = request.getfixturevalue(f"{model}_bm")
     radius_sq = pure_radius_sq(bm.dim)
     rng = np.random.default_rng(3)
+    spans = []
     for n_sub in (2, 3, 4):
         for _ in range(6):
             psi = random_pure_ket(bm.dim, rng)
             x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
             cols = np.column_stack([x - bm.x_ss, rng.normal(size=(bm.n_coords, n_sub - 1))])
-            basis_i0 = orth(cols, rcond=1e-10)
-            w = _pure_witness(bm, basis_i0, la.null_space(basis_i0.T))
-            assert w is not None
-            assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
-            assert abs(w @ w - radius_sq) <= 1e-9
-            u = w - bm.x_ss
-            assert np.linalg.norm(u - basis_i0 @ (basis_i0.T @ u)) <= 1e-8
+            spans.append(orth(cols, rcond=1e-10))
+    witnesses = _pure_witnesses(bm, [(basis_i0, la.null_space(basis_i0.T)) for basis_i0 in spans])
+    for basis_i0, w in zip(spans, witnesses):
+        assert w is not None
+        assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
+        assert abs(w @ w - radius_sq) <= 1e-9
+        u = w - bm.x_ss
+        assert np.linalg.norm(u - basis_i0 @ (basis_i0.T @ u)) <= 1e-8
+
+
+def _logged_subspace_search(bm, caplog):
+    with caplog.at_level(logging.DEBUG, logger="preforge"):
+        subs = find_invariant_subspaces(bm)
+    (message,) = [r.getMessage() for r in caplog.records if "invariant subspaces" in r.getMessage()]
+    parts = (part.split(" ", 1) for part in message.split(": ", 1)[1].split(", "))
+    return subs, {label: int(value) for value, label in parts}
 
 
 def test_subspace_search_logs_its_counts(cascade_d3_bm, caplog):
-    with caplog.at_level(logging.DEBUG, logger="preforge"):
-        subs = find_invariant_subspaces(cascade_d3_bm)
-    (message,) = [r.getMessage() for r in caplog.records if "invariant subspaces" in r.getMessage()]
-    parts = (part.split(" ", 1) for part in message.split(": ", 1)[1].split(", "))
-    counts = {label: int(value) for value, label in parts}
+    subs, counts = _logged_subspace_search(cascade_d3_bm, caplog)
     reached = counts["witnessed by solve"] + counts["witness inherited"] + counts["no witness found"]
     assert reached == 28
     assert counts["no witness found"] == 5
     assert counts["witnessed by solve"] + counts["witness inherited"] == len(subs) == 23
+    # The 10 solved slices share 5 stacks, one per level and complement dimension.
+    assert counts["witness stacks"] == 5
+    assert counts["witness rows"] == WITNESS_STARTS * (counts["witnessed by solve"] + counts["no witness found"])
+
+
+def test_d4_subspace_search_logs_its_counts(cascade_d4_bm, caplog):
+    subs, counts = _logged_subspace_search(cascade_d4_bm, caplog)
+    assert {key: counts[key] for key in ("candidates tested", "witnessed by solve", "witness inherited",
+                                         "rejected as a repeat", "no witness found", "not invariant")} == {
+        "candidates tested": 750,
+        "witnessed by solve": 33,
+        "witness inherited": 373,
+        "rejected as a repeat": 254,
+        "no witness found": 344,
+        "not invariant": 0,
+    }
+    assert len(subs) == 406
+    assert counts["witness stacks"] == 19 and counts["witness rows"] == WITNESS_STARTS * 377
+
+
+def _recorded_witness_calls(bm, monkeypatch):
+    """The slice lists and LM stacks of each ``_pure_witnesses`` call of one subspace search."""
+    calls, solve, lm = [], symmetry._pure_witnesses, symmetry._levenberg_marquardt
+
+    def recording_witnesses(bm, slices, counts=None):
+        calls.append((list(slices), []))
+        return solve(bm, slices, counts)
+
+    def recording_lm(cs, starts, tol, max_iter, which=None):
+        calls[-1][1].append((cs.n_constraints, np.array(which)))
+        return lm(cs, starts, tol, max_iter, which)
+
+    monkeypatch.setattr(symmetry, "_pure_witnesses", recording_witnesses)
+    monkeypatch.setattr(symmetry, "_levenberg_marquardt", recording_lm)
+    find_invariant_subspaces(bm)
+    monkeypatch.undo()
+    return calls
+
+
+def test_subspace_search_makes_one_solve_per_level_and_complement_dimension(cascade_d3_bm, monkeypatch):
+    bm = cascade_d3_bm
+    calls = _recorded_witness_calls(bm, monkeypatch)
+    n_solves = 0
+    for slices, stacks in calls:
+        dims = [r0.shape[1] for i0, r0 in slices if bm.pure_slice(i0)[1] > 0]
+        assert sorted(m - 1 for m, _ in stacks) == sorted(set(dims))
+        for _, which in stacks:
+            assert np.array_equal(which, np.repeat(np.arange(len(which) // WITNESS_STARTS), WITNESS_STARTS))
+        n_solves += len(dims)
+    assert sum(len(stacks) for _, stacks in calls) == 5 and n_solves == 10
+
+
+@pytest.mark.parametrize("model", ["cascade_d3", "cascade_d4"])
+def test_stacked_witnesses_equal_per_slice_solves(model, request, monkeypatch):
+    bm = request.getfixturevalue(f"{model}_bm")
+    slices = [sl for sliced, _ in _recorded_witness_calls(bm, monkeypatch) for sl in sliced]
+    slices = slices[:: max(1, len(slices) // 40)]  # a spread over the levels of the search
+    stacked = _pure_witnesses(bm, slices)
+    alone = [_pure_witnesses(bm, [sl])[0] for sl in slices]
+    assert len({r0.shape[1] for _, r0 in slices}) >= 3
+    assert any(w is None for w in stacked) and any(w is not None for w in stacked)
+    for got, want in zip(stacked, alone):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_state_set_sampled_only_after_algebraic_checks(cascade_d3_bm):
