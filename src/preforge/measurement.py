@@ -74,8 +74,17 @@ class AdaptiveScheme:
         return apply_unravelling(me, self.settings[k])
 
 
-def _check_member(me, kets, k, routing, s, beta, kappa, rate_tol):
-    """Tolerance verdicts for a candidate setting on one member."""
+def _model_scale(me) -> float:
+    """max_l ||c_l||_2^2: the model's own rate scale."""
+    return max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads)
+
+
+def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
+    """Tolerance verdicts for a candidate setting on one member.
+
+    Rates are judged to ``RATE_TOL * max(max_l ||c_l||^2, rate_scale)``.
+    """
+    rate_tol = RATE_TOL * max(_model_scale(me), rate_scale)
     jumps, h_eff = transformed_operators(me, s, beta)
     phi = kets[k]
     v = h_eff @ phi
@@ -176,10 +185,10 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
     to ``diagnostics`` and the ``preforge`` debug log.
     """
     kets = ens.kets()
-    model_scale = max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads)
+    model_scale, rate_scale = _model_scale(me), float(np.max(ens.kappa))
     beta_cap = np.sqrt(10.0 * model_scale)
-    rate_tol = RATE_TOL * max(model_scale, float(np.max(ens.kappa)))
-    fits = [_member_fit(me, kets, k, ens.kappa, rate_tol) for k in range(ens.k)]
+    sigma_tol = RATE_TOL * max(model_scale, rate_scale)
+    fits = [_member_fit(me, kets, k, ens.kappa, sigma_tol) for k in range(ens.k)]
     m = max(max(w.shape[1], cols.shape[1]) for _, _, w, cols, _, _ in fits)
     settings, diagnostics = [], []
     jump_map = np.empty((ens.k, m), dtype=int)
@@ -196,7 +205,7 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
                             "sigma": sigma, "detectors": max(w.shape[1], cols.shape[1])})
         residual, amplitude = max(eigen_residual, gram), np.max(np.abs(beta))
         if amplitude > beta_cap + 1e-9 or not _check_member(
-            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_tol
+            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_scale
         ):
             raise SynthesisError(
                 f"no setting found for member {k}: residual {residual:.3e}, "

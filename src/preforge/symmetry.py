@@ -173,12 +173,12 @@ def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | 
     return witnesses
 
 
-def _certified(bm: BlochModel, candidates: list, counts: collections.Counter) -> list:
+def _certified(bm: BlochModel, candidates: list, counts: collections.Counter, strict=False) -> list:
     """Each candidate (basis_i0, family, tags, witness) as a certified subspace,
-    or as the :class:`SubspaceError` of a failed block certificate or of a
-    slice with no pure state found.  A given ``witness`` is reused; the other
-    slices are solved in one :func:`_pure_witnesses` call.  ``counts``
-    tallies the outcomes.
+    or ``None`` when its block certificate fails or no pure state is found in
+    its slice; ``strict`` raises :class:`SubspaceError` instead.  A given
+    ``witness`` is reused; the other slices are solved in one
+    :func:`_pure_witnesses` call.  ``counts`` tallies the outcomes.
     """
     complements = [null_space(c[0].T) for c in candidates]  # (n_coords, 0) for the whole space
     certs = [block_leak(bm.l0, c[0], r0) for c, r0 in zip(candidates, complements)]
@@ -190,7 +190,9 @@ def _certified(bm: BlochModel, candidates: list, counts: collections.Counter) ->
         counts["tested"] += 1
         if certs[i] > CERT_TOL:
             counts["not invariant"] += 1
-            out.append(SubspaceError(f"span is not invariant: certificate {certs[i]:.3e}"))
+            if strict:
+                raise SubspaceError(f"span is not invariant: certificate {certs[i]:.3e}")
+            out.append(None)
             continue
         if witness is not None:
             counts["inherited"] += 1
@@ -199,7 +201,9 @@ def _certified(bm: BlochModel, candidates: list, counts: collections.Counter) ->
             counts["solved"] += 1
         else:
             counts["no witness"] += 1
-            out.append(SubspaceError("span admits no pure state"))
+            if strict:
+                raise SubspaceError("span admits no pure state")
+            out.append(None)
             continue
         n = basis_i0.shape[1]
         out.append(InvariantSubspace(basis_i0, complements[i], n, certs[i], witness, family, tags))
@@ -228,7 +232,7 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     that can hold a pure state, to D^2-2, one below the whole space.
     Degenerate eigenspaces stand for continuous families and carry a
     :class:`FamilyTag` with an in-space rotation generator.  Candidates
-    are kept when a pure witness is found (see :func:`_pure_witness`), so
+    are kept when a pure witness is found (see :func:`_pure_witnesses`), so
     a missing subspace is not a proof that its slice holds no pure state.
     The outcome counts go to the ``preforge`` logger at debug level.
     """
@@ -284,7 +288,7 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     counts = collections.Counter()
 
     for size in range(1, len(atoms) + 1):
-        level, candidates = [], []
+        level = []  # (atom index set, order key, candidate)
         for combo in itertools.combinations(range(len(atoms)), size):
             basis_i0 = orth(np.column_stack([atoms[i][0] for i in combo]), rcond=1e-10)
             if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
@@ -297,10 +301,11 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
             members = frozenset(combo)
             inherited = next((w for held, w in witnessed if held <= members), None)
             family = next((atoms[i][3] for i in combo if atoms[i][3] is not None), None)
-            level.append((members, (basis_i0.shape[1], tags(combo, bm.rate_unit))))
-            candidates.append((basis_i0, family, tags(combo), inherited))
-        for (members, key), sub in zip(level, _certified(bm, candidates, counts)):
-            if isinstance(sub, InvariantSubspace):
+            key = (basis_i0.shape[1], tags(combo, bm.rate_unit))
+            level.append((members, key, (basis_i0, family, tags(combo), inherited)))
+        subs = _certified(bm, [candidate for _, _, candidate in level], counts)
+        for (members, key, _), sub in zip(level, subs):
+            if sub is not None:
                 witnessed.append((members, sub.pure_witness))
                 results.append((key, sub))
 
@@ -332,10 +337,8 @@ def subspace_from_span(bm: BlochModel, columns: np.ndarray, family: FamilyTag | 
     basis_i0 = orth(span, rcond=1e-10)
     if basis_i0.shape[1] == 0:
         raise SubspaceError("span has rank 0: it needs at least one nonzero vector")
-    (sub,) = _certified(bm, [(basis_i0, family, ("explicit",), None)], collections.Counter())
-    if isinstance(sub, SubspaceError):
-        raise sub
-    return sub
+    candidate = (basis_i0, family, ("explicit",), None)
+    return _certified(bm, [candidate], collections.Counter(), strict=True)[0]
 
 
 _WIGNER_LIMITS = {

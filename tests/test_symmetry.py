@@ -301,6 +301,14 @@ def test_stacked_witnesses_equal_per_slice_solves(model, request, monkeypatch):
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
+def test_subspace_from_span_rejects_a_slice_with_no_pure_state(cascade_d3_bm, monkeypatch):
+    bm = cascade_d3_bm
+    slices = [sl for sliced, _ in _recorded_witness_calls(bm, monkeypatch) for sl in sliced]
+    basis_i0 = next(i0 for i0, r0 in slices if _pure_witnesses(bm, [(i0, r0)])[0] is None)
+    with pytest.raises(SubspaceError, match="no pure state"):
+        subspace_from_span(bm, basis_i0)
+
+
 def test_state_set_sampled_only_after_algebraic_checks(cascade_d3_bm):
     bm = cascade_d3_bm
     n = bm.n_coords
