@@ -309,12 +309,9 @@ def cmd_search(args) -> int:
         )
         listed += [(ens, {"route": label}) for ens in sols.ensembles]
 
-    found = []
-    sources = []
-    for ens, source in listed:
-        if new_ensembles([ens], found, generators):
-            found.append(ens)
-            sources.append(source)
+    found = new_ensembles([ens for ens, _ in listed], generators=generators)
+    kept = {id(ens) for ens in found}
+    sources = [source for ens, source in listed if id(ens) in kept]
 
     results = {
         "model": _model_summary(bm),

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import build_basis, bloch_to_rho, null_space, pure_radius_sq, random_pure_ket, rho_to_bloch
+from .algebra import build_basis, pure_radius_sq, random_pure_ket, rho_to_bloch
 from .errors import EnsembleError, PermutationError, SubspaceError
-from .model import BlochModel, lindbladian
+from .model import BlochModel
 
 __all__ = [
     "Ensemble",
@@ -36,6 +36,8 @@ __all__ = [
     "build_subspace_reduced",
     "build_wigner_reduced",
     "stack_systems",
+    "validate_stack",
+    "projector_residuals",
     "verify",
     "heuristic_min_k",
 ]
@@ -67,44 +69,99 @@ def transition_edges(graph, k: int) -> list:
     return edges
 
 
-def stationary_occupations(kappa: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the rate matrix (kappa_jk = rate j <- k)."""
-    k = kappa.shape[0]
-    gen = kappa - np.diag(kappa.sum(axis=0))
-    null = null_space(gen, rcond=1e-10)
-    if null.shape[1] != 1:
-        raise EnsembleError("rate matrix has no unique stationary distribution")
-    w = null[:, 0].real
-    w = w / w.sum()
-    if np.min(w) < -1e-10:
-        raise EnsembleError("stationary distribution has negative entries")
-    return np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum()
-
-
-def is_strongly_connected(kappa: np.ndarray) -> bool:
-    """Whether every member reaches every other through positive rates.
+def is_strongly_connected(kappa: np.ndarray):
+    """Whether every member reaches every other through positive rates, for
+    one rate matrix (K, K) or each of a stack (..., K, K).
 
     Squaring the reachability matrix (A | I) doubles the path length it
     covers, so ceil(log2 K) squarings close it.
     """
-    k = kappa.shape[0]
+    k = kappa.shape[-1]
     reach = (kappa > 0) | np.eye(k, dtype=bool)
     for _ in range((k - 1).bit_length()):
         reach = reach @ reach
-    return bool(reach.all())
+    return reach.all(axis=(-2, -1))
 
 
-def negative_rate(kappa: np.ndarray) -> bool:
-    """Whether a rate lies below ``KAPPA_REJECT`` times the largest rate."""
-    return bool(np.min(kappa) < KAPPA_REJECT * np.max(kappa))
+def negative_rate(kappa: np.ndarray):
+    """Whether a rate lies below ``KAPPA_REJECT`` times the largest rate, for
+    one rate matrix or each of a stack."""
+    return np.min(kappa, axis=(-2, -1)) < KAPPA_REJECT * np.max(kappa, axis=(-2, -1))
 
 
 def clamp_rates(kappa: np.ndarray) -> np.ndarray:
-    """Copy of a rate matrix with the diagonal and rates below ``KAPPA_CLAMP`` times the largest zeroed."""
+    """Copy of a rate matrix, or of each of a stack, with the diagonal and
+    rates below ``KAPPA_CLAMP`` times its largest rate zeroed."""
     kappa = np.array(kappa, dtype=float)
-    np.fill_diagonal(kappa, 0.0)
-    kappa[kappa < KAPPA_CLAMP * np.max(kappa)] = 0.0
+    diagonal = np.arange(kappa.shape[-1])
+    kappa[..., diagonal, diagonal] = 0.0
+    kappa[kappa < KAPPA_CLAMP * np.max(kappa, axis=(-2, -1), keepdims=True)] = 0.0
     return kappa
+
+
+def member_projectors(basis, states: np.ndarray) -> np.ndarray:
+    """Density matrices (..., D, D) of coherence vectors (..., D^2 - 1).
+
+    Each vector is one vector-matrix product, so every matrix rounds as
+    :func:`bloch_to_rho` forms it alone.
+    """
+    d = basis.dim
+    flat = basis.traceless.reshape(d * d - 1, d * d)
+    spans = (np.asarray(states, dtype=complex)[..., None, :] @ flat)[..., 0, :]
+    return (np.eye(d, dtype=complex) + spans.reshape(*spans.shape[:-1], d, d)) / d
+
+
+def validate_stack(basis, states: np.ndarray, kappa: np.ndarray) -> tuple:
+    """Validate N candidate ensembles at once: members ``states`` (N, K, D^2-1)
+    and rates ``kappa`` (N, K, K), kappa[n, j, k] = rate j <- k.
+
+    Returns ``(reasons, kappa, occupations)``: for each row the first reason
+    it fails, or None; the rates with :func:`clamp_rates` applied; and the
+    stationary occupations (N, K), meaningful on rows with no reason.  The
+    checks, in order: every member coordinate and every rate finite; no
+    :func:`negative_rate`; member by member, on the pure-state sphere and
+    mapped to a matrix with no eigenvalue below ``-PURITY_TOL``; a strongly
+    connected graph; a unique stationary distribution, with no entry below
+    -1e-10.  Each row's decisions and occupations are those of that row
+    validated alone.
+    """
+    n_rows, k = kappa.shape[:2]
+    reasons = [None] * n_rows
+    live = np.arange(n_rows)
+
+    def settle(bad, reason):
+        """File ``reason``, one string or one per marked row, on the live rows marked ``bad``."""
+        nonlocal live
+        marked = live[bad].tolist()
+        for i, why in zip(marked, [reason] * len(marked) if isinstance(reason, str) else reason):
+            reasons[i] = why
+        live = live[~bad]
+
+    settle(~np.isfinite(states).all(axis=(1, 2)), "non-finite member coordinate")
+    settle(~np.isfinite(kappa[live]).all(axis=(1, 2)), "non-finite rate")
+    bad = negative_rate(kappa[live])
+    settle(bad, [f"negative transition rate {np.min(kappa[i]):g}" for i in live[bad]])
+    kappa = clamp_rates(kappa)
+    x = states[live]
+    off_sphere = np.abs(np.vecdot(x, x) - pure_radius_sq(basis.dim)) > 1e-6
+    failing = off_sphere | (np.min(np.linalg.eigvalsh(member_projectors(basis, x)), axis=-1) < -PURITY_TOL)
+    bad = failing.any(axis=1)
+    sphere_first = off_sphere[np.arange(len(x)), np.argmax(failing, axis=1)][bad]
+    settle(bad, ["member is not on the pure-state sphere" if first else "member maps to a non-positive matrix"
+                 for first in sphere_first.tolist()])
+    settle(~is_strongly_connected(kappa[live]), "transition graph is not strongly connected")
+    rates = kappa[live]
+    _, s, vh = np.linalg.svd(rates - rates.sum(axis=1)[:, None, :] * np.eye(k))
+    unique = np.sum(s > 1e-10 * np.amax(s, axis=1, initial=0.0, keepdims=True), axis=1) == k - 1
+    settle(~unique, "rate matrix has no unique stationary distribution")
+    w = vh[unique, -1]
+    w = w / w.sum(axis=1, keepdims=True)
+    bad = np.min(w, axis=1) < -1e-10
+    settle(bad, "stationary distribution has negative entries")
+    w = np.clip(w[~bad], 0.0, None)
+    occupations = np.full((n_rows, k), np.nan)
+    occupations[live] = w / w.sum(axis=1, keepdims=True)
+    return reasons, kappa, occupations
 
 
 @dataclass(frozen=True)
@@ -118,9 +175,8 @@ class Ensemble:
 
     @classmethod
     def from_states_kappa(cls, dim: int, states, kappa) -> "Ensemble":
-        """States of shape (K, D^2-1) with K >= 2, pure and positive, and a
-        (K, K) ``kappa`` with no negative rate and a strongly connected
-        graph, both judged against the largest rate, else ``EnsembleError``."""
+        """States of shape (K, D^2-1) with K >= 2 and a (K, K) ``kappa`` that
+        pass :func:`validate_stack`, else ``EnsembleError`` with its reason."""
         states = np.asarray(states, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
         n_coords = dim * dim - 1
@@ -131,28 +187,17 @@ class Ensemble:
         k = states.shape[0]
         if kappa.shape != (k, k):
             raise EnsembleError(f"kappa needs shape ({k}, {k}) for {k} members, got {kappa.shape}")
-        if negative_rate(kappa):
-            raise EnsembleError(f"negative transition rate {np.min(kappa):g}")
-        kappa = clamp_rates(kappa)
-        radius_sq = pure_radius_sq(dim)
-        basis = build_basis(dim)
-        for x in states:
-            if abs(x @ x - radius_sq) > 1e-6:
-                raise EnsembleError("member is not on the pure-state sphere")
-            if np.min(np.linalg.eigvalsh(bloch_to_rho(x, basis))) < -PURITY_TOL:
-                raise EnsembleError("member maps to a non-positive matrix")
-        if not is_strongly_connected(kappa):
-            raise EnsembleError("transition graph is not strongly connected")
-        occupations = stationary_occupations(kappa)
-        return cls(dim=dim, states=states, kappa=kappa, occupations=occupations)
+        (reason,), kappa, occupations = validate_stack(build_basis(dim), states[None], kappa[None])
+        if reason is not None:
+            raise EnsembleError(reason)
+        return cls(dim=dim, states=states, kappa=kappa[0], occupations=occupations[0])
 
     @property
     def k(self) -> int:
         return self.states.shape[0]
 
     def projectors(self, basis=None) -> np.ndarray:
-        basis = build_basis(self.dim) if basis is None else basis
-        return np.array([bloch_to_rho(x, basis) for x in self.states])
+        return member_projectors(build_basis(self.dim) if basis is None else basis, self.states)
 
     def kets(self, basis=None) -> np.ndarray:
         """Member states as kets (largest-eigenvalue vectors of the projectors)."""
@@ -296,11 +341,14 @@ class ConstraintSystem:
         return jac if theta.ndim > 1 else jac[0]
 
     def unpack(self, theta: np.ndarray):
-        """(states, kappa) for a parameter vector, with the rates back in the model's unit."""
-        y, rates = self._core(np.asarray(theta, dtype=float)[None])
-        kappa = np.zeros((self.k, self.k))
-        kappa[self._to, self._from] = rates[0] * self.bm.rate_unit
-        return self.origin + y[0] @ self.embed.T, kappa
+        """(states, kappa) for a parameter vector, with the rates back in the
+        model's unit; for a stack (S, p), states (S, K, D^2-1) and kappa (S, K, K)."""
+        theta = np.asarray(theta, dtype=float)
+        y, rates = self._core(np.atleast_2d(theta))
+        kappa = np.zeros((len(y), self.k, self.k))
+        kappa[:, self._to, self._from] = rates * self.bm.rate_unit
+        states = self.origin + y @ self.embed.T
+        return (states, kappa) if theta.ndim > 1 else (states[0], kappa[0])
 
     def sample_start(self, rng: np.random.Generator) -> np.ndarray:
         return self._sample(rng)
@@ -682,6 +730,26 @@ class VerificationReport:
         )
 
 
+def projector_residuals(basis, liou: np.ndarray, states: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Projector-form residuals of N candidate ensembles, (N, K).
+
+    Entry (n, k) is || L P_k - sum_j kappa_jk (P_j - P_k) ||_F for the
+    member projectors P of row n, with ``liou`` the generator on row-major
+    vec(rho), one (D^2, D^2) for every row or one per row (N, D^2, D^2).
+    Each product L P_k is its own matrix-vector product, the rate terms add
+    up in member order and each norm is two dot products, so every row
+    rounds as it does evaluated alone.
+    """
+    proj = member_projectors(basis, states)
+    n_rows, k, d, _ = proj.shape
+    lhs = (liou[..., None, :, :] @ proj.reshape(n_rows, k, d * d, 1))[..., 0]
+    rhs = np.zeros_like(proj)
+    for j in range(k):
+        rhs = rhs + kappa[:, j, :, None, None] * (proj[:, j, None] - proj)
+    diff = lhs - rhs.reshape(n_rows, k, d * d)
+    return np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+
+
 def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationReport:
     """Check an ensemble against the projector-form condition.
 
@@ -690,23 +758,13 @@ def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationRepo
     passes when the largest residual is at most the report's ``tol``, ``tol * bm.rate_unit``:
     purity, positivity, rates and connectivity were checked when the ensemble was built.
     """
-    liou = lindbladian(bm.me)
-    projectors = ens.projectors(bm.basis)
-    residuals = np.empty(ens.k)
-    for k0 in range(ens.k):
-        lhs = (liou @ projectors[k0].ravel()).reshape(bm.dim, bm.dim)
-        rhs = sum(
-            ens.kappa[j, k0] * (projectors[j] - projectors[k0])
-            for j in range(ens.k)
-            if j != k0
-        )
-        residuals[k0] = np.linalg.norm(lhs - rhs)
+    residuals = projector_residuals(bm.basis, bm.liouvillian, ens.states[None], ens.kappa[None])[0]
     max_residual, tol = float(residuals.max()), tol * bm.rate_unit
     return VerificationReport(
         residuals=residuals,
         max_residual=max_residual,
         kappa_min=float(ens.kappa[~np.eye(ens.k, dtype=bool)].min()),
-        strongly_connected=is_strongly_connected(ens.kappa),
+        strongly_connected=bool(is_strongly_connected(ens.kappa)),
         occupations=ens.occupations,
         ensemble_average_error=float(np.linalg.norm(ens.average() - bm.x_ss)),
         tol=tol,

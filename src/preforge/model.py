@@ -125,7 +125,8 @@ def lindbladian(me: MasterEquation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochModel:
-    """Coherence-space reduction xdot = l0 x + b, steady state x_ss, rate unit 2^round(log2 ||l0||_2)."""
+    """Coherence-space reduction xdot = l0 x + b, steady state x_ss, rate unit
+    2^round(log2 ||l0||_2), and the generator it was reduced from on row-major vec(rho)."""
 
     me: MasterEquation
     basis: OperatorBasis
@@ -133,6 +134,7 @@ class BlochModel:
     b: np.ndarray
     x_ss: np.ndarray
     rate_unit: float
+    liouvillian: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -163,7 +165,8 @@ def vectorize(me: MasterEquation, basis: OperatorBasis | None = None) -> BlochMo
     slower than 1e-12 ||l0||_2, or if the steady state is rank deficient.
     """
     basis = build_basis(me.dim) if basis is None else basis
-    rep = coordinate_rep(lindbladian(me), basis)
+    liou = lindbladian(me)
+    rep = coordinate_rep(liou, basis)
     l0 = rep[:-1, :-1].copy()
     b = rep[:-1, -1].copy()
 
@@ -176,7 +179,8 @@ def vectorize(me: MasterEquation, basis: OperatorBasis | None = None) -> BlochMo
     rho_ss = bloch_to_rho(x_ss, basis)
     if np.min(np.linalg.eigvalsh(rho_ss)) <= 1e-12:
         raise AssumptionError("steady state is rank deficient")
-    return BlochModel(me=me, basis=basis, l0=l0, b=b, x_ss=x_ss, rate_unit=2.0 ** np.round(np.log2(sv[0])))
+    rate_unit = 2.0 ** np.round(np.log2(sv[0]))
+    return BlochModel(me=me, basis=basis, l0=l0, b=b, x_ss=x_ss, rate_unit=rate_unit, liouvillian=liou)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,12 @@ All four routes share one screen, one projector-form check and one
 quotient.  Each route gives one outcome per start, root or closed-form
 candidate, a rejection reason or a candidate; ``_screen`` files negative
 rates, non-positive members and coincident members (a relabelled smaller
-ensemble with a free rate split), and ``_verified`` validates and verifies
-each distinct candidate; the chord map's orbits are pure, and it makes the
-other two checks itself.  What counts as a new ensemble is decided here and
+ensemble with a free rate split) of all of a route's candidates at once;
+the chord map's orbits are pure, and it makes the other two checks itself.
+``_verified`` then validates every candidate of a ``solve_systems`` call
+(or of a closed form) in one ``validate_stack`` call, checks the valid ones
+in one ``projector_residuals`` call, and walks each route's candidates in
+order to drop duplicates of the kept ones.  What counts as a new ensemble is decided here and
 nowhere else, by one eps-test with no K! search, ``same_ensemble``: within a
 route, after each trial rotation of ``family_equivalent``, and in
 ``new_ensembles``, which drops results the same as one already listed or
@@ -55,13 +58,13 @@ from .constraints import (
     ConstraintSystem,
     Ensemble,
     _levenberg_marquardt,
-    clamp_rates,
+    member_projectors,
     negative_rate,
+    projector_residuals,
     stack_systems,
     transition_edges,
-    verify,
+    validate_stack,
 )
-from .errors import EnsembleError
 from .model import BlochModel
 from .symmetry import certify_wigner, lie_element
 
@@ -123,17 +126,49 @@ class SolutionSet:
         return len(self.ensembles)
 
 
-def _mismatches(e1, e2, eps: float = np.inf) -> np.ndarray:
+def _mismatches(s1, k1, s2, k2, eps: float = np.inf) -> np.ndarray:
     """The largest member move plus the rate mismatch over the largest rate,
-    for each relabelling of ``e2`` that moves no member beyond ``eps``."""
-    moves = np.linalg.norm(e1.states[:, None] - e2.states[None], axis=2)  # member i to member j
+    for each relabelling of members ``s2`` and rates ``k2`` that moves no
+    member of ``s1`` beyond ``eps``."""
+    k = len(s1)
+    moves = np.linalg.norm(s1[:, None] - s2[None], axis=2)  # member i to member j
     perms = [()]
     for row in (moves <= eps).tolist():  # a NaN move allows no relabelling
         perms = [p + (j,) for p in perms for j, near in enumerate(row) if near and j not in p]
-    perms = np.array(perms, dtype=int).reshape(-1, e1.k)
-    d_states = moves[np.arange(e1.k), perms].max(axis=1)
-    d_kappa = np.abs(e1.kappa - e2.kappa[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
-    return d_states + d_kappa / max(np.max(e1.kappa), np.max(e2.kappa), 1e-300)
+    if not perms:
+        return np.empty(0)
+    perms = np.array(perms, dtype=int)
+    d_states = moves[np.arange(k), perms].max(axis=1)
+    d_kappa = np.abs(k1 - k2[perms[:, :, None], perms[:, None, :]]).max(axis=(1, 2))
+    return d_states + d_kappa / max(np.max(k1), np.max(k2), 1e-300)
+
+
+def _same_as(states: np.ndarray, kappa: np.ndarray, ref_states: np.ndarray, ref_kappa: np.ndarray, eps: float):
+    """``same_ensemble`` of each of M candidates of one shape, members
+    ``states`` (M, K, n) and rates ``kappa`` (M, K, K), against one reference,
+    with the same arithmetic.
+
+    A candidate each of whose members has exactly one reference member
+    within ``eps``, all different, has one relabelling to try, and all of
+    those are evaluated at once; a candidate with a member that has several
+    goes through :func:`_mismatches`; any other has none.
+    """
+    k = ref_states.shape[0]
+    moves = np.linalg.norm(states[:, :, None] - ref_states, axis=3)  # (M, K, K)
+    near = moves <= eps
+    options = near.sum(axis=2)
+    perm = np.argmax(near, axis=2)
+    rows = np.flatnonzero((options == 1).all(axis=1) & (np.sort(perm, axis=1) == np.arange(k)).all(axis=1))
+    perm = perm[rows]
+    d_states = np.take_along_axis(moves[rows], perm[:, :, None], axis=2).max(axis=(1, 2))
+    d_kappa = np.abs(kappa[rows] - ref_kappa[perm[:, :, None], perm[:, None, :]]).max(axis=(1, 2))
+    scale = np.maximum(np.maximum(kappa[rows].max(axis=(1, 2)), np.max(ref_kappa)), 1e-300)
+    same = np.zeros(len(states), dtype=bool)
+    with np.errstate(invalid="ignore"):  # an infinite rate gives NaN: not the same
+        same[rows] = d_states + d_kappa / scale <= eps
+    for m in np.flatnonzero((options > 1).any(axis=1) & (options > 0).all(axis=1)):
+        same[m] = _mismatches(states[m], kappa[m], ref_states, ref_kappa, eps).min(initial=np.inf) <= eps
+    return same
 
 
 def same_ensemble(e1, e2, eps: float) -> bool:
@@ -143,14 +178,14 @@ def same_ensemble(e1, e2, eps: float) -> bool:
     relabellings that move no member beyond ``eps`` are tried, usually one
     or none, and the answer is that of the minimum over all K!."""
     same_shape = e1.k == e2.k and e1.dim == e2.dim
-    return same_shape and bool(_mismatches(e1, e2, eps).min(initial=np.inf) <= eps)
+    return same_shape and bool(_mismatches(e1.states, e1.kappa, e2.states, e2.kappa, eps).min(initial=np.inf) <= eps)
 
 
 def ensemble_distance(e1, e2) -> float:
     """The ``same_ensemble`` quantity minimized over all K! relabellings; no
     search or scan decision pays for it, it reports how far apart two are."""
     same_shape = e1.k == e2.k and e1.dim == e2.dim
-    return float(_mismatches(e1, e2).min(initial=np.inf)) if same_shape else np.inf
+    return float(_mismatches(e1.states, e1.kappa, e2.states, e2.kappa).min(initial=np.inf)) if same_shape else np.inf
 
 
 class _Candidate(NamedTuple):
@@ -167,51 +202,66 @@ class _Candidate(NamedTuple):
         return self.states.shape[0]
 
 
-def _distinct(candidates: list, eps: float, accept) -> tuple:
-    """Walk ``candidates`` in order and keep those no kept one lies within ``eps`` of.
+class _Batch(NamedTuple):
+    """One route's candidates on one model, in the order its acceptance walks them."""
 
-    ``accept(candidate)`` gives the object to keep for a distinct candidate,
-    or None to drop it; a dropped candidate does not hide later ones.
-    Returns the kept objects and the number of duplicates skipped.  The
-    member centroid does not depend on the labels and moves by at most the
-    largest member displacement, so a relabelling within ``eps`` moves it at
-    most ``eps``; only kept objects whose centroid lies that close are
-    tested by ``same_ensemble``.
+    bm: BlochModel
+    tol: float
+    states: np.ndarray  # (M, K, D^2 - 1)
+    kappa: np.ndarray  # (M, K, K)
+    tags: list  # (M,) a closed form's family tag, or None
+    diagnostics: dict
+
+
+def _distinct(states: np.ndarray, kappa: np.ndarray, eps: float, valid) -> np.ndarray:
+    """Walk M candidates of one shape, members ``states`` (M, K, n) and rates
+    ``kappa`` (M, K, K), in order, and return the mask of duplicates.
+
+    A candidate is a duplicate when a kept one before it is the same within
+    ``eps``; one that is not is kept when ``valid``, and a candidate not
+    kept hides no later one.  Each kept candidate is compared at once with
+    every later one not yet a duplicate whose member centroid lies near its
+    own: the centroid does not depend on the labels and moves by at most
+    the largest member displacement, so by at most ``eps`` between two that
+    are the same (the radius allows for roundoff).
     """
-    kept = []
-    groups = {}  # (dim, k) -> centroids and objects kept so far
-    duplicates = 0
-    for cand in candidates:
-        centroid = cand.states.mean(axis=0)
-        centroids, members = groups.get((cand.dim, cand.k), (np.empty((0, centroid.size)), []))
-        # The radius allows for roundoff in the centroids.
-        near = np.linalg.norm(centroids - centroid, axis=1) <= 2 * eps + 1e-12
-        if any(same_ensemble(cand, members[j], eps) for j in np.flatnonzero(near)):
-            duplicates += 1
+    duplicate = np.zeros(len(states), dtype=bool)
+    centroids = states.mean(axis=1)
+    for i in np.flatnonzero(valid):
+        if duplicate[i]:
             continue
-        obj = accept(cand)
-        if obj is None:
-            continue
-        kept.append(obj)
-        groups[cand.dim, cand.k] = (np.vstack([centroids, centroid]), members + [obj])
-    return kept, duplicates
+        later = i + 1 + np.flatnonzero(~duplicate[i + 1 :])
+        offset = centroids[later] - centroids[i]
+        later = later[np.sqrt(np.vecdot(offset, offset)) <= 2 * eps + 1e-12]
+        if later.size:
+            duplicate[later[_same_as(states[later], kappa[later], states[i], kappa[i], eps)]] = True
+    return duplicate
 
 
 def dedup(ensembles: list, eps: float = DEDUP_EPS) -> list:
     """Drop duplicates up to member relabeling; order-stable and idempotent.
 
     An ensemble is kept unless an earlier kept one lies within ``eps``.  This
-    is the walk ``solve_numeric`` makes over its converged points, with
+    is the walk the acceptance makes over each route's candidates, with
     every distinct ensemble accepted.
     """
-    return _distinct(ensembles, eps, lambda ens: ens)[0]
+    groups = {}
+    for i, ens in enumerate(ensembles):
+        groups.setdefault((ens.dim, ens.k), []).append(i)
+    dropped = set()
+    for members in groups.values():
+        states = np.array([ensembles[i].states for i in members], dtype=float)
+        kappa = np.array([ensembles[i].kappa for i in members], dtype=float)
+        duplicate = _distinct(states, kappa, eps, np.ones(len(members), dtype=bool))
+        dropped.update(np.array(members)[duplicate].tolist())
+    return [ens for i, ens in enumerate(ensembles) if i not in dropped]
 
 
-def _canonical_sort(ensembles: list) -> list:
-    return sorted(
-        ensembles,
-        key=lambda e: np.round(np.sort(e.states, axis=0), 9).tobytes(),
-    )
+def _canonical_order(states: np.ndarray) -> list:
+    """Indices sorting candidates (M, K, n) by their member coordinates,
+    sorted per coordinate and rounded to 9 digits, so labels do not matter."""
+    keys = np.round(np.sort(states, axis=1), 9)
+    return sorted(range(len(keys)), key=lambda i: keys[i].tobytes())
 
 
 def _real_direction(e: np.ndarray):
@@ -392,18 +442,20 @@ def solve_systems(systems: list, cfg: SolverConfig | None = None) -> list:
     """:func:`solve_numeric` on each of ``systems``, one SolutionSet per system.
 
     The systems the chord map solves are solved together in one array pass;
-    the others get :func:`_multistart`.
+    the others get :func:`_multistart`.  The candidates of all of them are
+    accepted by one ``_verified`` call.
     """
     cfg = SolverConfig() if cfg is None else cfg
     chord = [i for i, cs in enumerate(systems) if _chord_qualifies(cs)]
-    solved = dict(zip(chord, _solve_chord([systems[i] for i in chord], cfg)))
-    rest = [i for i in range(len(systems)) if solved.get(i) is None]
-    solved.update(zip(rest, _multistart([systems[i] for i in rest], cfg)))
-    return [solved[i] for i in range(len(systems))]
+    batches = dict(zip(chord, _solve_chord([systems[i] for i in chord], cfg)))
+    rest = [i for i in range(len(systems)) if batches.get(i) is None]
+    batches.update(zip(rest, _multistart([systems[i] for i in rest], cfg)))
+    return _verified([batches[i] for i in range(len(systems))])
 
 
 def _multistart(systems: list, cfg: SolverConfig) -> list:
-    """The multistart of :func:`solve_numeric` on each of ``systems``.
+    """The multistart of :func:`solve_numeric` on each of ``systems``, as
+    one batch of candidates per system for ``_verified``.
 
     The starts of all graph-consistent systems with one ``stack_key`` are
     iterated in one Levenberg-Marquardt stack, each row on its own
@@ -435,12 +487,13 @@ def _multistart(systems: list, cfg: SolverConfig) -> list:
         for g, i in enumerate(members):
             own = slice(g * cfg.seeds, (g + 1) * cfg.seeds)
             finals[i] = thetas[own], resids[own], failed[own]
-    return [_accept(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
+    return [_converged(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
 
 
-def _coincident(states: np.ndarray) -> bool:
-    """Whether two members lie within ``DEDUP_EPS`` of each other."""
-    return min(math.dist(a, b) for a, b in itertools.combinations(states.tolist(), 2)) <= DEDUP_EPS
+def _coincident(states: np.ndarray) -> np.ndarray:
+    """Whether two members of each candidate (M, K, n) lie within ``DEDUP_EPS`` of each other."""
+    first, second = np.triu_indices(states.shape[1], 1)
+    return np.min(np.linalg.norm(states[:, first] - states[:, second], axis=2), axis=1) <= DEDUP_EPS
 
 
 def _new_diagnostics(method: str, n_starts: int, **extra) -> dict:
@@ -458,87 +511,118 @@ def _reject(diagnostics: dict, reason: str, count: int = 1):
     diagnostics["rejections"][reason] = diagnostics["rejections"].get(reason, 0) + count
 
 
-def _accept(cs: ConstraintSystem, cfg: SolverConfig, final) -> SolutionSet:
-    """The acceptance step of the multistart on one system's final
-    (parameters, residuals, failed) starts; None when the system is not
-    graph-consistent and was not solved."""
+def _converged(cs: ConstraintSystem, cfg: SolverConfig, final) -> _Batch:
+    """The multistart's candidates on one system, from its final
+    (parameters, residuals, failed) starts, screened and in canonical order;
+    none when the system is not graph-consistent and ``final`` is None."""
     diagnostics = _new_diagnostics("multistart", cfg.seeds, graph_consistent=cs.graph_consistent)
     if final is None:
         diagnostics["reason"] = cs.inconsistency_reason
-        return SolutionSet(ensembles=[], diagnostics=diagnostics)
-    outcomes = []
-    for theta, resid, fail in zip(*final):
-        if fail:
-            outcomes.append("solver failure")
-        elif np.max(np.abs(resid)) > cfg.tol:
-            outcomes.append("residual above tolerance")
-        else:
-            diagnostics["n_converged"] += 1
-            outcomes.append(_Candidate(cs.bm.dim, *cs.unpack(theta)))
-    return _verified(cs.bm, cfg.tol, _canonical_sort(_screen(cs.bm, outcomes, diagnostics)), diagnostics)
+        return _Batch(cs.bm, cfg.tol, np.empty(0), np.empty(0), [], diagnostics)
+    theta, resid, failed = final
+    above = np.max(np.abs(resid), axis=1) > cfg.tol
+    outcomes = [
+        "solver failure" if fail else "residual above tolerance" if high else None
+        for fail, high in zip(failed.tolist(), above.tolist())
+    ]
+    converged = ~failed & ~above
+    diagnostics["n_converged"] = int(converged.sum())
+    states, kappa = cs.unpack(theta[converged])
+    passed = _screen(cs.bm, outcomes, states, kappa, diagnostics)
+    order = _canonical_order(states[passed])
+    return _Batch(cs.bm, cfg.tol, states[passed][order], kappa[passed][order], [None] * len(order), diagnostics)
 
 
 def _closed_form(method: str, bm: BlochModel, outcomes: list, **extra) -> SolutionSet:
-    """The acceptance of a closed-form route's ``outcomes``, kept in their
-    order and verified at the default tolerance."""
+    """The acceptance of a closed-form route's ``outcomes``, rejection
+    reasons and ``_Candidate``s, kept in their order and verified at the
+    default tolerance."""
     diagnostics = _new_diagnostics(method, len(outcomes), **extra)
-    diagnostics["n_converged"] = sum(not isinstance(out, str) for out in outcomes)
-    return _verified(bm, SolverConfig().tol, _screen(bm, outcomes, diagnostics), diagnostics)
+    candidates = [out for out in outcomes if not isinstance(out, str)]
+    diagnostics["n_converged"] = len(candidates)
+    states = np.array([cand.states for cand in candidates])
+    kappa = np.array([cand.kappa for cand in candidates])
+    passed = _screen(bm, [out if isinstance(out, str) else None for out in outcomes], states, kappa, diagnostics)
+    tags = [cand.tag for cand, ok in zip(candidates, passed) if ok]
+    return _verified([_Batch(bm, SolverConfig().tol, states[passed], kappa[passed], tags, diagnostics)])[0]
 
 
-def _screen(bm: BlochModel, outcomes: list, diagnostics: dict) -> list:
-    """The ``_Candidate``s among ``outcomes``, in order and with rates clamped,
-    with no ``negative_rate``, whose members map to matrices with no eigenvalue
-    below ``-PURITY_TOL`` (one ``eigvalsh`` call for all) and lie pairwise more
-    than ``DEDUP_EPS`` apart.  Every other outcome, a rejection reason or a
-    candidate failing these checks in that order, is filed in ``diagnostics``.
+def _screen(bm: BlochModel, outcomes: list, states: np.ndarray, kappa: np.ndarray, diagnostics: dict) -> np.ndarray:
+    """Screen one route's candidates, members ``states`` (M, K, n) and rates
+    ``kappa`` (M, K, K), one for each None among ``outcomes``; the other
+    outcomes are rejection reasons.
+
+    A candidate fails on a ``negative_rate``, then on a member mapped to a
+    matrix with an eigenvalue below ``-PURITY_TOL``, then on two members
+    within ``DEDUP_EPS`` of each other.  Every reason is filed in
+    ``diagnostics`` in outcome order.  Returns the mask of candidates that pass.
     """
-    states = np.array([out.states for out in outcomes if not isinstance(out, str)])
-    positive = iter([])
+    flaws = iter(())
     if len(states):
-        rho = (np.eye(bm.dim, dtype=complex) + np.tensordot(states, bm.basis.traceless, axes=1)) / bm.dim
-        positive = iter(np.min(np.linalg.eigvalsh(rho), axis=(1, 2)) >= -PURITY_TOL)
-    candidates = []
+        positive = np.min(np.linalg.eigvalsh(member_projectors(bm.basis, states)), axis=(1, 2)) >= -PURITY_TOL
+        checks = [negative_rate(kappa), ~positive, _coincident(states)]
+        reasons = ["negative rate", "member maps to a non-positive matrix", "coincident members"]
+        flaws = iter(np.select(checks, reasons, "").tolist())
+    passed = []
     for out in outcomes:
-        if not isinstance(out, str):
-            member_positive = next(positive)
-            if negative_rate(out.kappa):
-                out = "negative rate"
-            elif not member_positive:
-                out = "member maps to a non-positive matrix"
-            elif _coincident(out.states):
-                out = "coincident members"
-        if isinstance(out, str):
+        if out is None:
+            out = next(flaws) or None
+            passed.append(out is None)
+        if out is not None:
             _reject(diagnostics, out)
-        else:
-            candidates.append(out._replace(kappa=clamp_rates(out.kappa)))
-    return candidates
+    return np.array(passed, dtype=bool)
 
 
-def _verified(bm: BlochModel, tol: float, candidates: list, diagnostics: dict) -> SolutionSet:
-    """The distinct ``candidates``, in order, that pass validation and the
-    projector-form check, with their tags; every other one is counted in
-    ``diagnostics``, and the kept ones as ``n_accepted``.  The check's
-    residual is a rate, held to ``10 * tol`` in the model's rate unit."""
-    tags = []
+def _verified(batches: list) -> list:
+    """One SolutionSet per batch: its distinct candidates, in order, that
+    pass validation and the projector-form check, with their tags.
 
-    def accept(cand):
-        try:
-            ens = Ensemble.from_states_kappa(cand.dim, cand.states, cand.kappa)
-        except EnsembleError as exc:
-            _reject(diagnostics, str(exc))
-            return None
-        if not verify(bm, ens, tol=10 * tol).passed:
-            _reject(diagnostics, "projector-form verification failed")
-            return None
-        tags.append(cand.tag)
-        return ens
-
-    unique, duplicates = _distinct(candidates, DEDUP_EPS, accept)
-    if duplicates:
-        _reject(diagnostics, "duplicate", duplicates)
-    diagnostics["n_accepted"] = len(unique)
-    return SolutionSet(ensembles=unique, diagnostics=diagnostics, family_tags=tags)
+    The candidates of one shape in all batches are validated by one
+    ``validate_stack`` call and checked by one ``projector_residuals`` call,
+    each against its own model; the residual is a rate, held to ``10 * tol``
+    in the model's rate unit.  Then ``_distinct`` walks each batch with the
+    rates as validated: a duplicate of a kept candidate counts as
+    ``"duplicate"`` whatever else it fails, any other failing candidate under
+    its first reason, and the kept ones as ``n_accepted``.
+    """
+    groups = {}
+    for b, batch in enumerate(batches):
+        if len(batch.states):
+            groups.setdefault(batch.states.shape[1:], []).append(b)
+    verdicts = [((), None, None)] * len(batches)  # per batch: reasons, rates, occupations
+    for members in groups.values():
+        sizes = [len(batches[b].states) for b in members]
+        owner = np.repeat(np.arange(len(members)), sizes)
+        basis = batches[members[0]].bm.basis
+        states = np.concatenate([batches[b].states for b in members])
+        reasons, kappa, occupations = validate_stack(basis, states, np.concatenate([batches[b].kappa for b in members]))
+        valid = np.flatnonzero([reason is None for reason in reasons])
+        liou = np.array([batches[b].bm.liouvillian for b in members])[owner[valid]]
+        limit = np.array([10 * batches[b].tol * batches[b].bm.rate_unit for b in members])[owner[valid]]
+        residual = projector_residuals(basis, liou, states[valid], kappa[valid]).max(axis=1)
+        for i in valid[~(residual <= limit)].tolist():
+            reasons[i] = "projector-form verification failed"
+        ends = np.cumsum(sizes).tolist()
+        for b, start, end in zip(members, [0] + ends, ends):
+            verdicts[b] = reasons[start:end], kappa[start:end], occupations[start:end]
+    solsets = []
+    for batch, (reasons, kappa, occupations) in zip(batches, verdicts):
+        ensembles, tags = [], []
+        if reasons:
+            duplicate = _distinct(batch.states, kappa, DEDUP_EPS, [reason is None for reason in reasons])
+            for i, reason in enumerate(reasons):
+                if duplicate[i]:
+                    continue
+                if reason is None:
+                    ensembles.append(Ensemble(batch.bm.dim, batch.states[i], kappa[i], occupations[i]))
+                    tags.append(batch.tags[i])
+                else:
+                    _reject(batch.diagnostics, reason)
+            if duplicate.any():
+                _reject(batch.diagnostics, "duplicate", int(duplicate.sum()))
+        batch.diagnostics["n_accepted"] = len(ensembles)
+        solsets.append(SolutionSet(ensembles=ensembles, diagnostics=batch.diagnostics, family_tags=tags))
+    return solsets
 
 
 def _chord_qualifies(cs: ConstraintSystem) -> bool:
@@ -809,8 +893,8 @@ def _solve_chord(systems: list, cfg: SolverConfig) -> list:
     ``"coincident members"``, one with a chord run backwards (t_k <= 0) as
     ``"negative rate"``; the others go straight to ``_verified``.
     ``n_starts`` counts the candidates and ``n_converged`` those with |g| at
-    rounding level.  Returns one SolutionSet per system, or None for a
-    system left to the multistart (see :func:`_chord_cells`).
+    rounding level.  Returns one batch of candidates per system, or None for
+    a system left to the multistart (see :func:`_chord_cells`).
     """
     out = [None] * len(systems)
     by_k = {}
@@ -823,73 +907,116 @@ def _solve_chord(systems: list, cfg: SolverConfig) -> list:
         roots = _chord_polish(maps, which, a, b, ga, np.arange(len(which)) < len(single[0]))
         orb = maps.orbits(which, roots)
         unresolved = np.bincount(runs[0], minlength=len(members))
-        for s, i in enumerate(members):
-            if handed[s]:
-                continue
-            own = np.flatnonzero(which == s)
-            own = own[np.argsort(roots[own], kind="stable")]
-            out[i] = _chord_accept(systems[i], cfg, orb, own)
-            out[i].diagnostics.update(n_cells=int(n_cells[s]), n_unresolved=int(unresolved[s]))
+        kept = np.flatnonzero(~handed).tolist()
+        owns = [np.flatnonzero(which == s) for s in kept]
+        owns = [own[np.argsort(roots[own], kind="stable")] for own in owns]
+        for s, batch in zip(kept, _chord_accept([systems[members[s]] for s in kept], cfg, orb, owns)):
+            batch.diagnostics.update(n_cells=int(n_cells[s]), n_unresolved=int(unresolved[s]))
+            out[members[s]] = batch
     return out
 
 
-def _chord_accept(cs: ConstraintSystem, cfg: SolverConfig, orb: _Orbits, own: np.ndarray) -> SolutionSet:
-    """The ensembles of one system from its roots ``own`` in ``orb``.
+def _chord_accept(systems: list, cfg: SolverConfig, orb: _Orbits, owns: list) -> list:
+    """The candidates of each system from its roots ``owns[i]`` in ``orb``,
+    one batch per system for ``_verified``.
 
-    A root whose orbit runs through the members of an earlier candidate's,
-    each within ``DEDUP_EPS``, is that candidate relabelled and counts as
-    ``"duplicate"`` at once; an orbit with coincident members, then one with
-    a chord run backwards, is rejected before it can hide a later root.  The
-    other candidates, pure by construction, go straight to ``_verified``.
+    A root whose orbit runs through the members of an earlier kept root's of
+    its system, each within ``DEDUP_EPS``, is that candidate relabelled and
+    counts as ``"duplicate"`` at once; an orbit with coincident members,
+    then one with a chord run backwards, is rejected before it can hide a
+    later root.  The other candidates, pure by construction, are kept in
+    canonical order.  Every test runs on all roots at once; one walk over
+    the roots applies them in order.
     """
-    diagnostics = _new_diagnostics("chord map", len(own), graph_consistent=cs.graph_consistent)
-    diagnostics["n_converged"] = int(np.sum(np.abs(orb.gap[own]) <= orb.noise[own]))
-    centre, radius = -cs.centre, math.sqrt(cs.radius_sq)
-    candidates, cycles = [], np.empty((0, cs.k))
-    for j in own:
-        angles = orb.angles[:-1, j]
-        if _repeats_cycle(angles, cycles, radius):
-            _reject(diagnostics, "duplicate")
-            continue
-        members = centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        chord = orb.chord[:, j]
-        with np.errstate(divide="ignore"):
-            states, kappa = cs.unpack(np.concatenate([members.ravel(), 1 / chord]))
-        if _coincident(states):
-            _reject(diagnostics, "coincident members")
-        elif np.min(chord) <= 0:
-            _reject(diagnostics, "negative rate")
-        else:
-            candidates.append(_Candidate(cs.bm.dim, states, clamp_rates(kappa)))
-            cycles = np.vstack([cycles, angles])
-    return _verified(cs.bm, cfg.tol, _canonical_sort(candidates), diagnostics)
+    if not systems:
+        return []
+    own = np.concatenate(owns).astype(int)
+    system = np.repeat(np.arange(len(systems)), [len(rows) for rows in owns])
+    angles, chord = orb.angles[:-1, own].T, orb.chord[:, own].T
+    radius = np.sqrt([cs.radius_sq for cs in systems])[system]
+    members = -np.array([cs.centre for cs in systems])[system, None] + radius[:, None, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=2
+    )
+    with np.errstate(divide="ignore"):
+        theta = np.concatenate([members.reshape(len(own), 2 * systems[0].k), 1 / chord], axis=1)
+    states = np.empty((len(own), systems[0].k, systems[0].bm.n_coords))
+    kappa = np.empty((len(own), systems[0].k, systems[0].k))
+    bounds = np.cumsum([0] + [len(rows) for rows in owns]).tolist()
+    for cs, start, end in zip(systems, bounds, bounds[1:]):
+        if end > start:
+            states[start:end], kappa[start:end] = cs.unpack(theta[start:end])
+    # Each root against every earlier root of its system.
+    first = np.array(bounds[:-1], dtype=int)[system]
+    n_earlier = np.arange(len(own)) - first
+    later = np.repeat(np.arange(len(own)), n_earlier)
+    earlier = np.arange(len(later)) - np.repeat(np.cumsum(n_earlier) - n_earlier, n_earlier) + first[later]
+    hit = _cycle_repeats(angles, radius, later, earlier)
+    repeats = {}
+    for i, j in zip(later[hit].tolist(), earlier[hit].tolist()):
+        repeats.setdefault(i, []).append(j)
+    coincident, backwards = _coincident(states).tolist(), (np.min(chord, axis=1) <= 0).tolist()
+    converged = np.bincount(system, np.abs(orb.gap[own]) <= orb.noise[own], len(systems)).astype(int).tolist()
+    batches = []
+    for s, cs in enumerate(systems):
+        diagnostics = _new_diagnostics("chord map", len(owns[s]), graph_consistent=cs.graph_consistent)
+        diagnostics["n_converged"] = converged[s]
+        kept = []
+        for i in range(bounds[s], bounds[s + 1]):
+            if any(j in kept for j in repeats.get(i, ())):
+                _reject(diagnostics, "duplicate")
+            elif coincident[i]:
+                _reject(diagnostics, "coincident members")
+            elif backwards[i]:
+                _reject(diagnostics, "negative rate")
+            else:
+                kept.append(i)
+        order = [kept[j] for j in _canonical_order(states[kept])]
+        batches.append(_Batch(cs.bm, cfg.tol, states[order], kappa[order], [None] * len(order), diagnostics))
+    return batches
 
 
-def _repeats_cycle(angles: np.ndarray, cycles: np.ndarray, radius: float) -> bool:
-    """Whether ``angles`` are the member angles of a row of ``cycles``
+def _cycle_repeats(angles: np.ndarray, radius: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """For each pair (first[p], second[p]) of rows of ``angles`` (P, K):
+    whether the member angles of orbit first[p] are those of orbit second[p]
     started elsewhere, each member within ``DEDUP_EPS`` on a circle of
-    ``radius``."""
-    shift = np.argmin(np.abs(_wrap(cycles - angles[0])), axis=1)
-    rolled = np.take_along_axis(cycles, (np.arange(len(angles)) + shift[:, None]) % len(angles), axis=1)
-    return bool(np.any(radius * np.max(np.abs(_wrap(rolled - angles)), axis=1) <= DEDUP_EPS))
+    ``radius[first[p]]``."""
+    a, b = angles[first], angles[second]
+    shift = np.argmin(np.abs(_wrap(b - a[:, :1])), axis=1)
+    rolled = np.take_along_axis(b, (np.arange(angles.shape[1]) + shift[:, None]) % angles.shape[1], axis=1)
+    return radius[first] * np.max(np.abs(_wrap(rolled - a)), axis=1) <= DEDUP_EPS
+
+
+class _Family(NamedTuple):
+    """A rotation family: its generator and the plane it turns, from one SVD."""
+
+    generator: np.ndarray
+    plane: np.ndarray
+
+
+def _family(generator) -> _Family:
+    """The ``_Family`` of a generator; one already built is returned as it is."""
+    if isinstance(generator, _Family):
+        return generator
+    gen = np.asarray(generator, dtype=float)
+    return _Family(gen, np.linalg.svd(gen)[0][:, :2])
 
 
 def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: float = DEDUP_EPS) -> bool:
-    """Whether two ensembles differ only by a rotation of the given family."""
+    """Whether two ensembles differ only by a rotation of the family with
+    this generator, given as an array or as its ``_Family``."""
     if e1.k != e2.k:
         return False
-    gen = np.asarray(generator, dtype=float)
+    gen, plane = _family(generator)
     # Align each member of e2 in turn with member 0 of e1; the plane basis
-    # from the SVD carries no orientation, so both senses are tried.
-    u, _, _ = np.linalg.svd(gen)
-    plane = u[:, :2]
+    # from the SVD carries no orientation, so both senses are tried.  Each
+    # projection is its own matrix-vector product and each length its own
+    # dot product, as for one member alone.
     p1 = plane.T @ e1.states[0]
     a1 = np.arctan2(p1[1], p1[0])
-    for j in range(e2.k):
-        p2 = plane.T @ e2.states[j]
-        if np.linalg.norm(p2) < 1e-12 or abs(np.linalg.norm(p2) - np.linalg.norm(p1)) > eps:
-            continue
-        theta = a1 - np.arctan2(p2[1], p2[0])
+    p2 = (plane.T @ e2.states[:, :, None])[:, :, 0]
+    r2 = np.sqrt(np.vecdot(p2, p2))
+    for j in np.flatnonzero((r2 >= 1e-12) & ~(np.abs(r2 - np.linalg.norm(p1)) > eps)):
+        theta = a1 - np.arctan2(p2[j, 1], p2[j, 0])
         for angle in (theta, -theta):
             if same_ensemble(e1, _Candidate(e2.dim, e2.states @ lie_element(gen, angle).T, e2.kappa), eps):
                 return True
@@ -901,13 +1028,13 @@ def new_ensembles(candidates: list, earlier=(), generators=()) -> list:
 
     A candidate is not new when it lies within ``DEDUP_EPS`` of an earlier
     or already kept ensemble, or differs from one only by a rotation of the
-    family of any of ``generators``.
+    family of any of ``generators``, arrays or their ``_Family``.
     """
+    families = [_family(gen) for gen in generators]
     kept = []
     for ens in candidates:
         if not any(
-            same_ensemble(ens, prev, DEDUP_EPS)
-            or any(family_equivalent(prev, ens, g) for g in generators)
+            same_ensemble(ens, prev, DEDUP_EPS) or any(family_equivalent(prev, ens, fam) for fam in families)
             for prev in [*earlier, *kept]
         ):
             kept.append(ens)
@@ -950,7 +1077,7 @@ def scan_existence(
     the continuous symmetry are counted once.
     """
     cfg = SolverConfig() if cfg is None else cfg
-    generators = [] if quotient_generator is None else [quotient_generator]
+    generators = [] if quotient_generator is None else [_family(quotient_generator)]
     values = np.asarray(list(values), dtype=float)
     solsets = solve_systems([cs_builder(bm_factory(value)) for value in values], cfg)
     counts = np.array(

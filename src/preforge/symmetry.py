@@ -283,7 +283,8 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
         return tuple(atoms[i][1].format(f"{atoms[i][2] / unit:.6g}") for i in combo)
 
     results = []  # (order key, subspace)
-    seen_projectors = np.empty((0, n, n))
+    # Projectors met so far fill the first n_seen rows; the buffer doubles when full.
+    seen_projectors, n_seen = np.empty((16, n, n)), 0
     witnessed = []  # (atom index set, witness)
     counts = collections.Counter()
 
@@ -294,10 +295,13 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
             if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
                 continue
             proj = basis_i0 @ basis_i0.T
-            if np.any(np.max(np.abs(seen_projectors - proj), axis=(1, 2)) < 1e-8):
+            if np.any(np.max(np.abs(seen_projectors[:n_seen] - proj), axis=(1, 2)) < 1e-8):
                 counts["repeat"] += 1
                 continue
-            seen_projectors = np.concatenate([seen_projectors, proj[None]])
+            if n_seen == len(seen_projectors):
+                seen_projectors = np.concatenate([seen_projectors, np.empty_like(seen_projectors)])
+            seen_projectors[n_seen] = proj
+            n_seen += 1
             members = frozenset(combo)
             inherited = next((w for held, w in witnessed if held <= members), None)
             family = next((atoms[i][3] for i in combo if atoms[i][3] is not None), None)

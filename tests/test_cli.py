@@ -351,8 +351,21 @@ def test_verify_passes_good_ensemble(capsys, tmp_path, rf_bm):
             "kappa needs shape (2, 2) for 2 members, got (3, 3)",
         ),
         ({"dim": 2, "states": [[0.0, 0.0, 1.0]], "kappa": [[0.0]]}, "with K >= 2, got (1, 3)"),
+        # A NaN passes every comparison the later checks make, and an infinite
+        # rate leaves the graph looking disconnected: finiteness is checked first.
+        (
+            {"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, float("nan"), -1.0]], "kappa": [[0, 1], [1, 0]]},
+            "non-finite member coordinate",
+        ),
+        (
+            {"dim": 2, "states": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], "kappa": [[0, float("inf")], [1, 0]]},
+            "non-finite rate",
+        ),
     ],
-    ids=["missing-kappa", "top-level-list", "three-states-2x2-kappa", "two-states-3x3-kappa", "one-member"],
+    ids=[
+        "missing-kappa", "top-level-list", "three-states-2x2-kappa", "two-states-3x3-kappa", "one-member",
+        "nan-member", "inf-rate",
+    ],
 )
 def test_malformed_ensemble_file_is_usage_error(capsys, tmp_path, command, doc, message):
     path = tmp_path / "ens.json"

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from preforge.algebra import build_basis, pure_radius_sq
+from preforge.algebra import bloch_to_rho, build_basis, null_space, pure_radius_sq, random_pure_ket, rho_to_bloch
 from preforge.constraints import (
+    PURITY_TOL,
     Ensemble,
     _perm_order,
     build_full,
@@ -15,10 +16,14 @@ from preforge.constraints import (
     clamp_rates,
     heuristic_min_k,
     is_strongly_connected,
+    negative_rate,
+    projector_residuals,
     transition_edges,
+    validate_stack,
     verify,
 )
 from preforge.errors import EnsembleError, PermutationError
+from preforge.model import lindbladian
 from preforge.solver import analytic_k2, solve_wigner_family
 from preforge.symmetry import WignerSymmetry, find_wigner_symmetries, lie_element, subspace_from_span
 
@@ -408,3 +413,164 @@ def test_strong_connectivity_single_member_and_clamp():
     assert not is_strongly_connected(0.0 * cycle)
     assert is_strongly_connected(cycle + 5.0 * np.eye(3))
     assert not is_strongly_connected(np.eye(2))
+
+
+def _validate_alone(dim, states, kappa):
+    """One candidate validated as ``Ensemble.from_states_kappa`` did it, one
+    member at a time: (first reason or None, clamped rates, occupations)."""
+    if not np.isfinite(states).all():
+        return "non-finite member coordinate", None, None
+    if not np.isfinite(kappa).all():
+        return "non-finite rate", None, None
+    if negative_rate(kappa):
+        return f"negative transition rate {np.min(kappa):g}", None, None
+    kappa = clamp_rates(kappa)
+    basis = build_basis(dim)
+    for x in states:
+        if abs(x @ x - pure_radius_sq(dim)) > 1e-6:
+            return "member is not on the pure-state sphere", kappa, None
+        if np.min(np.linalg.eigvalsh(bloch_to_rho(x, basis))) < -PURITY_TOL:
+            return "member maps to a non-positive matrix", kappa, None
+    if not is_strongly_connected(kappa):
+        return "transition graph is not strongly connected", kappa, None
+    null = null_space(kappa - np.diag(kappa.sum(axis=0)), rcond=1e-10)
+    if null.shape[1] != 1:
+        return "rate matrix has no unique stationary distribution", kappa, None
+    w = null[:, 0].real
+    w = w / w.sum()
+    if np.min(w) < -1e-10:
+        return "stationary distribution has negative entries", kappa, None
+    return None, kappa, np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum()
+
+
+def _projector_residuals_alone(bm, states, kappa):
+    """The projector-form residuals of one candidate as ``verify`` formed
+    them, one member at a time."""
+    liou = lindbladian(bm.me)
+    projectors = [bloch_to_rho(x, bm.basis) for x in states]
+    residuals = []
+    for k0 in range(len(states)):
+        lhs = (liou @ projectors[k0].ravel()).reshape(bm.dim, bm.dim)
+        rhs = sum(kappa[j, k0] * (projectors[j] - projectors[k0]) for j in range(len(states)) if j != k0)
+        residuals.append(np.linalg.norm(lhs - rhs))
+    return np.array(residuals)
+
+
+def _random_stack(rng, dim, n_rows, k):
+    """Candidates of every kind: pure members, some moved off the sphere or
+    out of the state set, rates sparse, negative, tiny or non-finite."""
+    states = np.array(
+        [[rho_to_bloch(np.outer(psi, psi.conj()), build_basis(dim)) for psi in (random_pure_ket(dim, rng) for _ in range(k))]
+         for _ in range(n_rows)]
+    )
+    kappa = rng.uniform(0.0, 2.0, size=(n_rows, k, k)) * (rng.random((n_rows, k, k)) < 0.7)
+    for row in range(n_rows):
+        kind = rng.integers(9)
+        member = rng.integers(k)
+        if kind == 0:
+            states[row, member] *= 1.01
+        elif kind == 1:
+            states[row, member] *= np.sqrt(1 + 5e-7)  # on the sphere, just outside the state set
+        elif kind == 2:
+            kappa[row, member, (member + 1) % k] = -0.5
+        elif kind == 3:
+            states[row, member, rng.integers(dim * dim - 1)] = rng.choice([np.nan, np.inf])
+        elif kind == 4:
+            kappa[row, member, (member + 1) % k] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 5:
+            kappa[row] *= 10.0 ** rng.uniform(-12, -8, size=(k, k))
+    return states, kappa
+
+
+def test_stacked_validation_and_check_round_as_one_candidate_alone(rf_bm, ae_bm, cascade_d3_bm, cascade_d4_bm):
+    # 200 random stacks: each row gets the reason, the clamped rates and the
+    # occupations it gets validated alone, one member at a time, bit for bit
+    # (a stacked SVD treats each matrix as alone), and each valid row the
+    # projector-form residuals of the one-member-at-a-time loop, with its
+    # own generator.
+    rng = np.random.default_rng(23)
+    models = {2: [rf_bm, ae_bm], 3: [cascade_d3_bm], 4: [cascade_d4_bm]}
+    counts = {}
+    for _ in range(200):
+        dim = int(rng.choice([2, 2, 3, 4]))
+        k, n_rows = int(rng.integers(2, 9)), int(rng.integers(1, 13))
+        states, kappa = _random_stack(rng, dim, n_rows, k)
+        reasons, clamped, occupations = validate_stack(build_basis(dim), states, kappa)
+        valid = []
+        for row in range(n_rows):
+            reason, ref_kappa, ref_occupations = _validate_alone(dim, states[row], kappa[row])
+            assert reasons[row] == reason
+            counts[reason] = counts.get(reason, 0) + 1
+            if reason is None:
+                assert np.array_equal(clamped[row], ref_kappa)
+                assert np.array_equal(occupations[row], ref_occupations)
+                valid.append(row)
+        if not valid:
+            continue
+        bms = [models[dim][i] for i in rng.integers(len(models[dim]), size=len(valid))]
+        liou = np.array([bm.liouvillian for bm in bms])
+        residuals = projector_residuals(build_basis(dim), liou, states[valid], clamped[valid])
+        for row, bm, got in zip(valid, bms, residuals):
+            assert np.array_equal(got, _projector_residuals_alone(bm, states[row], clamped[row]))
+    # Every reason but the two the rate graph can hardly reach comes up.
+    assert set(counts) >= {
+        None,
+        "non-finite member coordinate",
+        "non-finite rate",
+        "member is not on the pure-state sphere",
+        "member maps to a non-positive matrix",
+        "transition graph is not strongly connected",
+    }
+    assert any(str(reason).startswith("negative transition rate") for reason in counts)
+    assert counts[None] > 100
+
+
+def test_validation_files_the_first_failing_check_of_each_row(ae_bm):
+    # One stack of K=10 rows, each failing one check after passing those
+    # before it, in the order they are made; a row failing two checks gets
+    # the earlier one, and a member's sphere test comes before the next
+    # member's.
+    (ens,) = [e for e in solve_wigner_family(ae_bm, 10).ensembles if np.count_nonzero(e.kappa) == 20][:1]
+    blocks = np.zeros((10, 10))
+    for block in (range(5), range(5, 10)):
+        blocks[np.ix_(block, block)] = 1.0 - np.eye(5)
+    blocks[5, 0] = blocks[0, 5] = 1.0001e-9  # connected, but no unique stationary distribution
+    rows = []
+
+    def row(states=None, kappa=None):
+        rows.append((ens.states.copy() if states is None else states, ens.kappa.copy() if kappa is None else kappa))
+        return rows[-1]
+
+    row()[0][3, 0] = np.nan
+    row()[1][1, 0] = np.inf
+    row()[1][1, 0] = -0.5
+    row()[0][2] *= 1.01
+    row()[0][2] *= np.sqrt(1 + 5e-7)
+    row(kappa=np.where(np.arange(10)[:, None] == 0, 0.0, ens.kappa))
+    row(kappa=blocks)
+    both = row()
+    both[0][3, 0], both[1][1, 0] = np.inf, -0.5
+    order = row()
+    order[0][4] *= np.sqrt(1 + 5e-7)
+    order[0][6] *= 1.01
+    row()
+    reasons, _, occupations = validate_stack(ae_bm.basis, *map(np.array, zip(*rows)))
+    assert reasons == [
+        "non-finite member coordinate",
+        "non-finite rate",
+        "negative transition rate -0.5",
+        "member is not on the pure-state sphere",
+        "member maps to a non-positive matrix",
+        "transition graph is not strongly connected",
+        "rate matrix has no unique stationary distribution",
+        "non-finite member coordinate",
+        "member maps to a non-positive matrix",
+        None,
+    ]
+    assert np.array_equal(occupations[-1], ens.occupations)
+    for (states, kappa), reason in zip(rows, reasons):
+        if reason is None:
+            Ensemble.from_states_kappa(2, states, kappa)
+        else:
+            with pytest.raises(EnsembleError, match=re.escape(reason)):
+                Ensemble.from_states_kappa(2, states, kappa)

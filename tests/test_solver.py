@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from preforge import cli
 from preforge.constraints import (
     Ensemble,
     build_full,
     clamp_rates,
     build_subspace_reduced,
     negative_rate,
+    projector_residuals,
     stack_systems,
     verify,
 )
@@ -18,9 +21,10 @@ from preforge.errors import EnsembleError
 from preforge.solver import (
     DEDUP_EPS,
     MAX_ITER,
+    SolutionSet,
     SolverConfig,
+    _Batch,
     _Candidate,
-    _canonical_sort,
     _levenberg_marquardt,
     analytic_k2,
     dedup,
@@ -317,6 +321,10 @@ def test_underdetermined_full_graph_finds_verified_ensembles(rf_bm, rng_seed):
         assert _min_member_gap(ens.states) > 1e-3
 
 
+def _canonical_sort(ensembles):
+    return sorted(ensembles, key=lambda e: np.round(np.sort(e.states, axis=0), 9).tobytes())
+
+
 def _solve_verify_then_dedup(cs, cfg, check):
     """The acceptance step before deduplication came first: every converged
     start with distinct members is validated and checked, and the survivors
@@ -347,6 +355,18 @@ def _label_dependent_verify(bm, ens, tol):
     return dataclasses.replace(report, passed=report.passed and ens.states[0, 2] <= bm.x_ss[2])
 
 
+def _label_dependent_residuals(bm):
+    """``projector_residuals``, failing also every row whose first member lies
+    above the steady state in z, as ``_label_dependent_verify`` does."""
+
+    def residuals(basis, liou, states, kappa):
+        out = projector_residuals(basis, liou, states, kappa)
+        out[states[:, 0, 2] > bm.x_ss[2]] = np.inf
+        return out
+
+    return residuals
+
+
 @pytest.mark.parametrize("check", [verify, _label_dependent_verify], ids=["verify", "label-dependent"])
 @pytest.mark.parametrize(
     "k, graph, seeds",
@@ -357,7 +377,9 @@ def _label_dependent_verify(bm, ens, tol):
 )
 def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, graph, seeds, check):
     # The multistart's acceptance step, run directly: the meridian disc is a
-    # chord-map system for solve_numeric.
+    # chord-map system for solve_numeric.  The acceptance checks every
+    # validated candidate in one stacked call, and a candidate that fails
+    # hides no later relabelled copy that passes.
     if graph == "meridian":
         bm = vectorize(
             load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": 0.05})
@@ -369,14 +391,15 @@ def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, gr
     cfg = SolverConfig(seeds=seeds, rng_seed=3)
     expected = _solve_verify_then_dedup(cs, cfg, check)
 
-    calls = []
+    rows = []
+    stacked = projector_residuals if check is verify else _label_dependent_residuals(cs.bm)
 
-    def counting_check(*args, **kwargs):
-        calls.append(1)
-        return check(*args, **kwargs)
+    def counting_check(basis, liou, states, kappa):
+        rows.append(len(states))
+        return stacked(basis, liou, states, kappa)
 
-    monkeypatch.setattr(solver, "verify", counting_check)
-    sols = solver._multistart([cs], cfg)[0]
+    monkeypatch.setattr(solver, "projector_residuals", counting_check)
+    sols = solver._verified(solver._multistart([cs], cfg))[0]
     assert expected
     assert len(sols.ensembles) == len(expected)
     for got, ref in zip(sols.ensembles, expected):
@@ -386,12 +409,12 @@ def test_dedup_before_verify_matches_verify_then_dedup(rf_bm, monkeypatch, k, gr
     diag = sols.diagnostics
     rejections = diag["rejections"]
     failed = rejections.get("projector-form verification failed", 0)
-    assert len(calls) == len(sols.ensembles) + failed
+    assert len(rows) == 1 and rows[0] >= len(sols.ensembles) + failed
     assert (failed > 0) == (check is not verify)
     assert diag["n_accepted"] == len(sols.ensembles)
     assert diag["n_starts"] == diag["n_accepted"] + sum(rejections.values())
     if graph != "full":  # the full graph's solutions form continuous families
-        assert rejections["duplicate"] > len(calls)
+        assert rejections["duplicate"] > len(sols.ensembles) + failed
 
 
 def test_full_graph_rejects_coincident_members_once_per_start(rf_bm):
@@ -556,6 +579,10 @@ def test_same_ensemble_decides_the_full_minimum_against_eps(rng, k):
                     minimum = _ensemble_distance_loop(*pair)
                     for eps in (minimum, np.nextafter(minimum, -np.inf), 0.5 * minimum, 2.0 * minimum, DEDUP_EPS):
                         assert same_ensemble(*pair, eps) == (minimum <= eps)
+                        # The acceptance's walk decides a stack of candidates the same way.
+                        first, second = pair
+                        stacked = solver._same_as(first.states[None], first.kappa[None], second.states, second.kappa, eps)
+                        assert stacked.tolist() == [minimum <= eps]
     # Ensembles of another dimension or size are never the same.
     assert not same_ensemble(e1, candidate(2, rng.normal(size=(k, 3)), e1.kappa), np.inf)
     assert not same_ensemble(e1, candidate(3, rng.normal(size=(k + 1, 8)), np.ones((k + 1, k + 1))), np.inf)
@@ -627,7 +654,7 @@ def test_chord_census_equals_multistart_on_the_rf_discs(rf_bm):
 def _assert_chord_census_equals_multistart(systems, expected=None):
     cfg = SolverConfig(seeds=512, rng_seed=0)
     chord = solve_systems(systems, cfg)
-    multistart = solver._multistart(systems, cfg)
+    multistart = solver._verified(solver._multistart(systems, cfg))
     assert all(sols.diagnostics["method"] == "chord map" for sols in chord)
     assert all(sols.diagnostics["method"] == "multistart" for sols in multistart)
     counts = [len(sols.ensembles) for sols in chord]
@@ -673,13 +700,13 @@ def test_chord_hands_one_candidate_per_orbit_to_the_acceptance(rf_bm, monkeypatc
     seen = []
     real = solver._verified
 
-    def recording(cs, cfg, candidates, diagnostics):
-        seen.append(len(candidates))
-        return real(cs, cfg, candidates, diagnostics)
+    def recording(batches):
+        seen.append([len(batch.states) for batch in batches])
+        return real(batches)
 
     monkeypatch.setattr(solver, "_verified", recording)
     solsets = solve_systems(_rf_k3_disc_systems(rf_bm), SolverConfig())
-    assert seen == [len(sols.ensembles) for sols in solsets] == [0, 4, 4]
+    assert seen == [[len(sols.ensembles) for sols in solsets]] == [[0, 4, 4]]
     assert [sols.diagnostics["rejections"].get("duplicate", 0) for sols in solsets] == [0, 8, 8]
 
 
@@ -692,7 +719,7 @@ def test_chord_candidate_that_is_no_root_fails_verification(rf_bm):
     steep = roots[np.argmax(np.abs(maps.orbits(which, roots).slope))]
     angles = np.sort(np.append(roots, steep + 1e-4))
     orb = maps.orbits(np.zeros(angles.size, dtype=int), angles)
-    sols = solver._chord_accept(cs, SolverConfig(), orb, np.arange(angles.size))
+    sols = solver._verified(solver._chord_accept([cs], SolverConfig(), orb, [np.arange(angles.size)]))[0]
     diag = sols.diagnostics
     assert np.abs(orb.gap[angles == steep + 1e-4]) > 1e-3
     assert diag["rejections"]["projector-form verification failed"] == 1
@@ -768,8 +795,7 @@ def test_closed_forms_count_every_candidate_once(request, model, k):
 
 def test_closed_forms_keep_only_what_the_projector_form_check_passes(rf_bm, ae_bm, monkeypatch):
     assert len(analytic_k2(rf_bm).ensembles) == 3
-    failing = dataclasses.replace(verify(rf_bm, analytic_k2(rf_bm).ensembles[0]), passed=False)
-    monkeypatch.setattr(solver, "verify", lambda *args, **kwargs: failing)
+    monkeypatch.setattr(solver, "projector_residuals", lambda basis, liou, states, kappa: np.ones(states.shape[:2]))
     for sols in (analytic_k2(rf_bm), analytic_k2(ae_bm), solve_wigner_family(ae_bm, 3)):
         assert sols.ensembles == []
         assert sols.diagnostics["rejections"]["projector-form verification failed"] == sols.diagnostics["n_converged"] > 0
@@ -816,3 +842,135 @@ def test_ensemble_distance_is_the_minimum_over_all_relabellings(rf_bm, ae_bm):
                 assert same_ensemble(e1, e2, minimum) and not same_ensemble(e1, e2, np.nextafter(minimum, -np.inf))
         assert ensemble_distance(e1, moved) <= DEDUP_EPS
         assert same_ensemble(e1, moved, DEDUP_EPS)
+
+
+# The stacked acceptance against the per-candidate walk it replaced.
+
+
+def _per_candidate_verified(batches):
+    """The acceptance one candidate at a time: each batch walked in order, a
+    candidate the same as a kept one counted as a duplicate, any other
+    validated by ``Ensemble.from_states_kappa`` and checked by ``verify``."""
+    solsets = []
+    for batch in batches:
+        kept, tags, duplicates = [], [], 0
+        for i in range(len(batch.states)):
+            cand = _Candidate(batch.bm.dim, batch.states[i], clamp_rates(batch.kappa[i]))
+            if any(same_ensemble(cand, ens, DEDUP_EPS) for ens in kept):
+                duplicates += 1
+                continue
+            try:
+                ens = Ensemble.from_states_kappa(batch.bm.dim, batch.states[i], batch.kappa[i])
+            except EnsembleError as exc:
+                solver._reject(batch.diagnostics, str(exc))
+                continue
+            if not verify(batch.bm, ens, tol=10 * batch.tol).passed:
+                solver._reject(batch.diagnostics, "projector-form verification failed")
+                continue
+            kept.append(ens)
+            tags.append(batch.tags[i])
+        if duplicates:
+            solver._reject(batch.diagnostics, "duplicate", duplicates)
+        batch.diagnostics["n_accepted"] = len(kept)
+        solsets.append(SolutionSet(kept, batch.diagnostics, tags))
+    return solsets
+
+
+def _assert_same_solutions(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.diagnostics == b.diagnostics
+        assert list(a.diagnostics["rejections"].items()) == list(b.diagnostics["rejections"].items())
+        assert len(a.ensembles) == len(b.ensembles) and a.family_tags == b.family_tags
+        for e1, e2 in zip(a.ensembles, b.ensembles):
+            for name in ("states", "kappa", "occupations"):
+                assert np.array_equal(getattr(e1, name), getattr(e2, name))
+
+
+RF_ARGS = ["resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18"]
+AE_ARGS = ["absorption_emission", "--param", "gamma_minus=1", "--param", "gamma_plus=0.3"]
+CASCADE_D3_SPEC = str(Path(__file__).resolve().parents[1] / "bench" / "models" / "cascade_d3.json")
+SEARCHES = {
+    "rf-k2-cyclic": [*RF_ARGS, "--k", "2", "--seeds", "16", "--rng", "7"],
+    "rf-k3-cyclic": [*RF_ARGS, "--k", "3", "--seeds", "128", "--rng", "7"],
+    "rf-k2-full": [*RF_ARGS, "--k", "2", "--graph", "full", "--seeds", "64", "--rng", "7"],
+    "rf-k3-full": [*RF_ARGS, "--k", "3", "--graph", "full", "--seeds", "128", "--rng", "7"],
+    "ae-k2": [*AE_ARGS, "--k", "2", "--seeds", "64", "--rng", "7"],
+    "ae-k3": [*AE_ARGS, "--k", "3", "--seeds", "64", "--rng", "7"],
+    "cascade-d3-k3-full": [CASCADE_D3_SPEC, "--k", "3", "--graph", "full", "--seeds", "16"],
+}
+
+
+@pytest.mark.parametrize("args", SEARCHES.values(), ids=SEARCHES)
+def test_stacked_acceptance_matches_the_per_candidate_walk_in_search(tmp_path, monkeypatch, capsys, args):
+    # The bundle holds every route's counts and rejection histogram and the
+    # listed ensembles in order, each to the last bit.
+    bundles = []
+    for accept in (solver._verified, _per_candidate_verified):
+        monkeypatch.setattr(solver, "_verified", accept)
+        path = tmp_path / f"{len(bundles)}.json"
+        assert cli.main(["search", *args, "-o", str(path)]) in (0, 1)
+        bundles.append(path.read_bytes())
+    assert bundles[0] == bundles[1]
+
+
+def test_stacked_acceptance_matches_the_per_candidate_walk_on_the_readme_scan(monkeypatch):
+    systems = _ae_grid_systems(README_GRID)
+    ours = solve_systems(systems, SolverConfig())
+    monkeypatch.setattr(solver, "_verified", _per_candidate_verified)
+    _assert_same_solutions(ours, solve_systems(systems, SolverConfig()))
+    assert sum(len(sols.ensembles) for sols in ours) > 0
+
+
+def test_stacked_acceptance_files_every_reason_in_order(ae_bm):
+    # One route's candidates: copies of a K=10 ensemble that fail each check
+    # in the order the checks are made, the ensemble, then relabelled copies,
+    # one with rates off by 5e-7 that the projector-form check alone would
+    # reject; a duplicate counts as one whatever else it fails.  The copy just
+    # outside the state set lies within DEDUP_EPS of the ensemble, so it
+    # comes first.
+    (ens,) = [e for e in solve_wigner_family(ae_bm, 10).ensembles if np.count_nonzero(e.kappa) == 20][:1]
+    blocks = np.zeros((10, 10))
+    for block in (range(5), range(5, 10)):
+        blocks[np.ix_(block, block)] = 1.0 - np.eye(5)
+    blocks[5, 0] = blocks[0, 5] = 1.0001e-9  # connected, but no unique stationary distribution
+    perm = np.roll(np.arange(10), 3)
+    rows = []
+
+    def copy(states=None, kappa=None):
+        rows.append((ens.states.copy() if states is None else states, ens.kappa.copy() if kappa is None else kappa))
+        return rows[-1]
+
+    copy()[0][3, 0] = np.nan
+    copy()[1][1, 0] = np.inf
+    copy()[1][1, 0] = -0.5
+    copy()[0][2] *= 1.01
+    copy()[0][2] *= np.sqrt(1 + 5e-7)
+    copy(kappa=np.where(np.arange(10)[:, None] == 0, 0.0, ens.kappa))
+    copy(kappa=blocks)
+    copy(kappa=1.1 * ens.kappa)
+    copy()
+    copy(ens.states[perm], ens.kappa[np.ix_(perm, perm)])
+    copy(ens.states[perm], (1 + 5e-7) * ens.kappa[np.ix_(perm, perm)])
+    states, kappa = map(np.array, zip(*rows))
+
+    def batch():
+        diagnostics = solver._new_diagnostics("mixed", len(rows))
+        return _Batch(ae_bm, SolverConfig().tol, states, kappa, list(range(len(rows))), diagnostics)
+
+    (sols,) = solver._verified([batch()])
+    assert list(sols.diagnostics["rejections"].items()) == [
+        ("non-finite member coordinate", 1),
+        ("non-finite rate", 1),
+        ("negative transition rate -0.5", 1),
+        ("member is not on the pure-state sphere", 1),
+        ("member maps to a non-positive matrix", 1),
+        ("transition graph is not strongly connected", 1),
+        ("rate matrix has no unique stationary distribution", 1),
+        ("projector-form verification failed", 1),
+        ("duplicate", 2),
+    ]
+    assert sols.diagnostics["n_accepted"] == 1 and sols.family_tags == [8]
+    assert np.array_equal(sols.ensembles[0].states, ens.states)
+    assert np.array_equal(sols.ensembles[0].occupations, ens.occupations)
+    _assert_same_solutions([sols], _per_candidate_verified([batch()]))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -81,24 +82,52 @@ def test_no_program_path_computes_the_exact_relabelling_distance():
     assert not offenders, "ensemble_distance called:\n" + "\n".join(offenders)
 
 
+# The calls that validate, check or build an Ensemble.
+ENSEMBLE_CHECKS = ("from_states_kappa", "verify", "validate_stack", "projector_residuals", "Ensemble")
+
+
 def _checks_ensemble(node) -> bool:
-    """Whether a call runs the projector-form check or validates an Ensemble."""
+    """Whether a call validates, checks or builds an Ensemble."""
     func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "verify"
-    return isinstance(func, ast.Attribute) and func.attr == "from_states_kappa"
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return name in ENSEMBLE_CHECKS
 
 
 def test_solver_checks_ensembles_only_in_its_shared_acceptance():
-    # Every route hands its candidates to _verified; a route with its own
-    # check would fork the acceptance again.
+    # Every route hands its candidates to _verified, which validates and
+    # checks them all in one stacked call each; a route with its own check,
+    # or a per-candidate Ensemble.from_states_kappa or verify, would fork
+    # the acceptance again.
     tree = ast.parse((Path(preforge.__file__).parent / "solver.py").read_text(encoding="utf-8"))
     shared = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_verified")
     inside = {id(node) for node in ast.walk(shared)}
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _checks_ensemble(node)]
-    assert [ast.unparse(node.func) for node in calls if id(node) in inside] == ["Ensemble.from_states_kappa", "verify"]
+    calls = sorted(
+        (node for node in ast.walk(tree) if isinstance(node, ast.Call) and _checks_ensemble(node)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    assert [ast.unparse(node.func) for node in calls if id(node) in inside] == [
+        "validate_stack",
+        "projector_residuals",
+        "Ensemble",
+    ]
     offenders = [f"solver.py:{node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
     assert not offenders, "ensembles checked outside _verified:\n" + "\n".join(offenders)
+
+
+def test_every_name_the_span_tracer_patches_exists():
+    # bench/spans.py wraps program functions by name; a renamed or deleted
+    # one makes a traced benchmark run die with an AttributeError.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)  # raises on a name that no longer exists
+    finally:
+        tracer.restore()
+    spans_named = {"constraints.ensemble", "constraints.verify", "solver.dedup", "solver.family_equivalent", "solver.solve"}
+    assert spans_named <= set(tracer.names)
 
 
 def test_no_function_in_constraints_or_solver_takes_a_rate_scale():
