@@ -72,9 +72,12 @@ def _parse_params(pairs):
             raise MESpecError(f"--param expects NAME=VALUE, got '{pair}'")
         name, _, value = pair.partition("=")
         try:
-            params[name.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise MESpecError(f"--param {name}: '{value}' is not a number") from exc
+        if not np.isfinite(number):
+            raise MESpecError(f"--param {name}: '{value}' is not a finite number")
+        params[name.strip()] = number
     return params
 
 
@@ -230,13 +233,15 @@ def cmd_search(args) -> int:
     one outgoing rate (a K-cycle up to relabelling).  Each numeric route's
     entry in ``results.routes`` is the solver's method, its start count
     (the roots found, on a chord-map route), its counts and its rejection
-    histogram.  A route that ``route_skip_reasons`` proves empty is not
-    solved (at K=2 when ``analytic_k2`` is complete, at K>=3 on a 1-D
-    slice); it stays in ``results.routes`` with zero counts and its reason
-    under ``"skipped"``.  The other routes are solved by one
-    ``solve_systems`` call, so cyclic routes on 2-D qubit slices are solved
-    by the chord map and routes of one shape share a stack, and are then
-    walked in plan order.
+    histogram.  A route that ``route_skip_reasons`` proves adds nothing is
+    not solved (at K=2 when ``analytic_k2`` is complete, at K>=3 on a 1-D
+    slice, and the full route of a qubit at K=3 under the cyclic graph when
+    every invariant plane with pure states is a subspace route of the plan,
+    so the plan's subspaces are handed over whole); it stays in
+    ``results.routes`` with zero counts and its reason under ``"skipped"``.
+    The other routes are solved by one ``solve_systems`` call, so cyclic
+    routes on 2-D qubit slices are solved by the chord map and routes of
+    one shape share a stack, and are then walked in plan order.
     """
     params = _parse_params(args.param)
     me = _load_model(args.spec, params)
@@ -284,7 +289,7 @@ def cmd_search(args) -> int:
 
     generators = [w.generator for w in symmetries if w.generator is not None]
     routes = []
-    reasons = route_skip_reasons(bm, k, [None if sub is None else sub.n for _, sub in plan])
+    reasons = route_skip_reasons(bm, k, [sub for _, sub in plan], args.graph)
     systems = [
         build_full(bm, k, args.graph) if sub is None else build_subspace_reduced(bm, sub, k, args.graph)
         for (_, sub), reason in zip(plan, reasons)

@@ -413,6 +413,8 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     failed = ~np.isfinite(cost)
     evals = np.ones(len(theta), dtype=int)
     active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > 1e-3 * tol))
+    if not active.size:  # every start is done already
+        return theta, resid, failed
     jac = cs.jacobian(theta[active], which[active])
     scale = np.einsum("smp,smp->sp", jac, jac)
     scale[scale == 0.0] = 1.0

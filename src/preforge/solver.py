@@ -40,7 +40,7 @@ route, after each trial rotation of ``family_equivalent``, and in
 related to one by a continuous symmetry, for ``search`` across all its
 routes and for ``scan`` at each grid value.
 ``route_skip_reasons`` says when a numeric route provably adds nothing to
-the closed forms, so that it need not be solved.
+the closed forms or to the other routes, so that it need not be solved.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import eig_full
+from .algebra import eig_full, exp_flow
 from .constraints import (
     PURITY_TOL,
     ConstraintSystem,
@@ -97,6 +97,9 @@ _CHORD_DEPTH = 40
 _CHORD_BUDGET = 1 << 14
 _NEWTON_STEPS = 60
 _EPS = np.finfo(float).eps
+# A subspace route is an invariant plane x_ss + n^perp when its orthonormal
+# basis is this close to orthogonal to the unit normal n.
+_PLANE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if self.seeds < 1:
             raise ValueError("need at least one start")
 
@@ -313,12 +316,13 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
     return _closed_form("analytic-k2", bm, outcomes)
 
 
-def route_skip_reasons(bm: BlochModel, k: int, slice_dims: list) -> list:
+def route_skip_reasons(bm: BlochModel, k: int, subspaces: list, graph: str) -> list:
     """For each numeric K-member route, why it provably adds no ensemble, or None to solve it.
 
-    ``slice_dims`` holds each route's invariant-subspace dimension, None for
-    the full space.  Both proofs take for granted that results with two
-    coincident members are dropped, as ``solve_numeric`` does.
+    ``subspaces`` holds each route's ``InvariantSubspace``, None for the
+    full space, and ``graph`` the transition graph of every route.  The
+    proofs take for granted that results with two coincident members are
+    dropped, as ``solve_numeric`` does.
 
     * K=2: subtracting the two flow rows gives
       l0 (x1 - x2) = -(kappa_12 + kappa_21) (x1 - x2), and the
@@ -329,17 +333,60 @@ def route_skip_reasons(bm: BlochModel, k: int, slice_dims: list) -> list:
       lists every K=2 ensemble of every route.
     * K>=3 on a slice of dimension at most 1: a line meets the pure-state
       sphere in at most two points, so two members coincide.
+    * The full space of a qubit at K=3 under the cyclic graph: each flow row
+      l0 x_k + b = sum_j kappa_jk (x_j - x_k) lies in the direction space of
+      the members' affine hull, which holds x_ss, so that hull is an
+      invariant affine subspace.  Three distinct pure states are never
+      collinear, so every ensemble lies in an invariant plane x_ss + n^perp,
+      n a real left eigenvector of l0.  When each real eigenvalue has a
+      one-dimensional eigenspace those planes are finitely many, one per
+      eigenvalue (see :func:`_invariant_planes`).  The full route is skipped
+      when each plane either holds at most one pure state or is a 2-D
+      subspace route: that route solves the same cyclic system restricted
+      to the plane, by the chord map where it qualifies.
     """
     if k == 2:
         spec = eig_full(bm.l0)
         real = [c for c in spec.clusters if abs(c.value.imag) <= spec.tol]
         if all(c.geometric == 1 and _real_direction(c.vectors[:, 0]) is not None for c in real):
             reason = "analytic_k2 lists every K=2 ensemble: each real eigenvalue of l0 has a 1-D eigenspace"
-            return [reason] * len(slice_dims)
-    return [
-        f"a {n}-D slice holds at most 2 distinct pure states" if k >= 3 and n is not None and n <= 1 else None
-        for n in slice_dims
+            return [reason] * len(subspaces)
+    reasons = [
+        f"a {sub.n}-D slice holds at most 2 distinct pure states" if k >= 3 and sub is not None and sub.n <= 1 else None
+        for sub in subspaces
     ]
+    if k == 3 and bm.dim == 2 and graph == "cyclic" and None in subspaces:
+        planes = _invariant_planes(bm)
+        routes = [sub.basis_i0 for sub in subspaces if sub is not None and sub.n == 2]
+        if planes is not None and all(
+            bm.pure_slice(span)[1] <= 0
+            or any(np.linalg.norm(basis.T @ normal) <= _PLANE_TOL for basis in routes)
+            for normal, span in planes
+        ):
+            reason = "every K=3 ensemble lies in an invariant plane, each one with pure states a subspace route"
+            reasons = [reason if sub is None else why for sub, why in zip(subspaces, reasons)]
+    return reasons
+
+
+def _invariant_planes(bm: BlochModel):
+    """The invariant planes x_ss + n^perp of a qubit model, as pairs of the
+    unit normal n and an orthonormal basis (3, 2) of n^perp; None when a real
+    eigenvalue of l0 has a degenerate eigenspace, and so infinitely many.
+
+    A plane n^perp is invariant under l0 exactly when n is a real left
+    eigenvector.  For a real eigenvalue with a one-dimensional eigenspace,
+    the shifted generator l0 - lambda has rank 2, and its left singular
+    vectors are n, for the zero singular value, and a basis of n^perp.
+    """
+    spec = eig_full(bm.l0)
+    real = [c for c in spec.clusters if abs(c.value.imag) <= spec.tol]
+    if any(c.geometric != 1 for c in real):
+        return None
+    planes = []
+    for cluster in real:
+        u = np.linalg.svd(bm.l0 - cluster.value.real * np.eye(bm.n_coords))[0]
+        planes.append((u[:, -1], u[:, :-1]))
+    return planes
 
 
 def _azimuthal_frame(bm: BlochModel, k: int):
@@ -987,10 +1034,11 @@ def _cycle_repeats(angles: np.ndarray, radius: np.ndarray, first: np.ndarray, se
 
 
 class _Family(NamedTuple):
-    """A rotation family: its generator and the plane it turns, from one SVD."""
+    """A rotation family: the plane it turns, from one SVD, and its
+    rotation by each angle, from one ``exp_flow`` of the generator."""
 
-    generator: np.ndarray
     plane: np.ndarray
+    rotation: Callable  # angle -> exp(angle * generator)
 
 
 def _family(generator) -> _Family:
@@ -998,7 +1046,7 @@ def _family(generator) -> _Family:
     if isinstance(generator, _Family):
         return generator
     gen = np.asarray(generator, dtype=float)
-    return _Family(gen, np.linalg.svd(gen)[0][:, :2])
+    return _Family(np.linalg.svd(gen)[0][:, :2], exp_flow(gen))
 
 
 def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: float = DEDUP_EPS) -> bool:
@@ -1006,7 +1054,7 @@ def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: fl
     this generator, given as an array or as its ``_Family``."""
     if e1.k != e2.k:
         return False
-    gen, plane = _family(generator)
+    plane, rotation = _family(generator)
     # Align each member of e2 in turn with member 0 of e1; the plane basis
     # from the SVD carries no orientation, so both senses are tried.  Each
     # projection is its own matrix-vector product and each length its own
@@ -1018,7 +1066,7 @@ def family_equivalent(e1: Ensemble, e2: Ensemble, generator: np.ndarray, eps: fl
     for j in np.flatnonzero((r2 >= 1e-12) & ~(np.abs(r2 - np.linalg.norm(p1)) > eps)):
         theta = a1 - np.arctan2(p2[j, 1], p2[j, 0])
         for angle in (theta, -theta):
-            if same_ensemble(e1, _Candidate(e2.dim, e2.states @ lie_element(gen, angle).T, e2.kappa), eps):
+            if same_ensemble(e1, _Candidate(e2.dim, e2.states @ rotation(angle).T, e2.kappa), eps):
                 return True
     return False
 

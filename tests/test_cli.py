@@ -95,7 +95,8 @@ def test_search_finds_k2_census_and_bundle_roundtrip(capsys, tmp_path):
 
 SEARCH_RF_K2 = ("search", "resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18", "--k", "2")
 # At K=2 analytic_k2 settles rf and no route reaches the solver; at K=3 the
-# 2-D subspace routes and the full route do.
+# 2-D subspace routes do, and the full route is skipped: every K=3 ensemble
+# lies in one of those invariant planes.
 SEARCH_RF = (*SEARCH_RF_K2[:-1], "3")
 
 
@@ -779,6 +780,69 @@ def test_unknown_parameter_is_usage_error(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and f"'{name}'" in err
+
+
+SCAN_AE = (
+    "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+    "--values", "0.04:0.06:0.01", "--k", "3", "--seeds", "2",
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["search", "scan"])
+def test_non_finite_tol_is_usage_error(capsys, command, value):
+    argv = (*SEARCH_RF, "--seeds", "2") if command == "search" else SCAN_AE
+    code, out, err = run(capsys, *argv, "--tol", value)
+    assert code == 2 and out == ""
+    assert err == f"error: tol must be a positive finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("graph", ["cyclic", "full"])
+def test_search_with_every_start_within_tol_takes_no_step(capsys, tmp_path, graph):
+    # At --tol 1e6 every multistart start is within 1e-3 tol before its
+    # first step, so the Levenberg-Marquardt stack has no start to iterate.
+    out = tmp_path / "bundle.json"
+    code, _, err = run(
+        capsys, *SEARCH_RF, "--tol", "1e6", "--seeds", "4", "--subspace", "none", "--graph", graph, "-o", str(out)
+    )
+    assert code in (0, 1) and "error" not in err
+    (route,) = json.loads(out.read_text())["results"]["routes"]
+    assert route["method"] == "multistart" and route["n_starts"] == route["n_converged"] == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["search", "scan"])
+def test_non_finite_param_is_usage_error(capsys, command, value):
+    if command == "search":
+        name, argv = "Omega", ("search", "resonance_fluorescence", "--param", "gamma=1", "--k", "3", "--seeds", "2")
+    else:
+        name, argv = "gamma_minus", SCAN_AE[:2] + SCAN_AE[4:]
+    code, out, err = run(capsys, *argv, "--param", f"{name}={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: --param {name}: '{value}' is not a finite number\n"
+
+
+def test_rf_k3_search_lists_every_ensemble_without_the_full_space_multistart(capsys, tmp_path, monkeypatch):
+    # Each K=3 ensemble lies in an invariant plane, and on rf every plane is
+    # a chord-map subspace route, so the full route is skipped and no
+    # multistart runs; the census of 8 comes from two of the planes.
+    from preforge import constraints, solver
+
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("the multistart ran")
+
+    monkeypatch.setattr(constraints, "_levenberg_marquardt", no_multistart)
+    monkeypatch.setattr(solver, "_levenberg_marquardt", no_multistart)
+    out = tmp_path / "bundle.json"
+    code, _, _ = run(capsys, *SEARCH_RF, "--seeds", "128", "--rng", "7", "-o", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    full = results["routes"][-1]
+    assert full["route"] == "full" and "invariant plane" in full["skipped"]
+    assert (full["n_starts"], full["n_converged"], full["n_accepted"], full["rejections"]) == (0, 0, 0, {})
+    assert [r.get("method") for r in results["routes"][:-1]] == [None] * 3 + ["chord map"] * 3
+    assert len(results["ensembles"]) == 8
+    assert {doc["source"]["route"] for doc in results["ensembles"]} == {"subspace[4] dim 2", "subspace[5] dim 2"}
 
 
 RF_MODEL = ("resonance_fluorescence", "--param", "gamma=1", "--param", "Omega=0.18")

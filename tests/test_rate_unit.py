@@ -91,7 +91,7 @@ def test_search_is_the_same_in_any_time_unit(capsys, tmp_path, case, m):
     ref_code, ref = _search(capsys, tmp_path, case, 0)
     code, got = _search(capsys, tmp_path, case, m)
     assert code == ref_code == 0
-    keys = ("route", "n_starts", "n_converged", "n_accepted", "rejections")
+    keys = ("route", "n_starts", "n_converged", "n_accepted", "rejections", "skipped")
     assert [{key: r.get(key) for key in keys} for r in got["routes"]] == [
         {key: r.get(key) for key in keys} for r in ref["routes"]
     ]
@@ -107,7 +107,7 @@ def test_search_is_the_same_in_any_time_unit(capsys, tmp_path, case, m):
 def test_subspace_routes_keep_their_labels_in_any_time_unit(capsys, tmp_path, case):
     # Subspaces are ordered by their eigenvalues in the rate unit, so at
     # 2^40 each label names the same subspace route as at m = 0.
-    keys = ("route", "n_starts", "n_converged", "n_accepted", "rejections")
+    keys = ("route", "n_starts", "n_converged", "n_accepted", "rejections", "skipped")
     ref, got = (_search(capsys, tmp_path, case, m)[1]["routes"] for m in (0, 40))
     assert [{key: r.get(key) for key in keys} for r in got] == [{key: r.get(key) for key in keys} for r in ref]
     assert sum(r["route"].startswith("subspace") for r in ref) >= 3

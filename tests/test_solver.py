@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from preforge import cli
+from preforge.algebra import eig_full
 from preforge.constraints import (
     Ensemble,
     build_full,
@@ -82,11 +83,11 @@ def test_numeric_k2_census_matches_analytic(rf_bm):
 
 
 def _k2_routes(bm):
-    """Slice dimensions (None for the full space) and K=2 systems of the full
+    """Route subspaces (None for the full space) and K=2 systems of the full
     space and of each detected subspace with a pure state."""
     subs = [s for s in find_invariant_subspaces(bm) if s.pure_witness is not None]
     systems = [build_full(bm, 2, "cyclic")] + [build_subspace_reduced(bm, s, 2, "cyclic") for s in subs]
-    return [None] + [s.n for s in subs], systems
+    return [None] + subs, systems
 
 
 @pytest.mark.parametrize("model", ["rf_me", "rf_me_fast", "rf_omega_1", "cascade_d3_me", "pump_d3_me"])
@@ -99,8 +100,8 @@ def test_analytic_k2_is_complete_when_real_eigenspaces_are_lines(request, model)
     else:
         me = request.getfixturevalue(model)
     bm = vectorize(me)
-    dims, systems = _k2_routes(bm)
-    assert all(route_skip_reasons(bm, 2, dims))
+    subs, systems = _k2_routes(bm)
+    assert all(route_skip_reasons(bm, 2, subs, "cyclic"))
     cfg = SolverConfig(seeds=24, rng_seed=5)
     analytic = analytic_k2(bm).ensembles
     for cs in systems:
@@ -111,8 +112,8 @@ def test_analytic_k2_is_complete_when_real_eigenspaces_are_lines(request, model)
 def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
     # The equatorial plane is a 2-D eigenspace of l0: analytic_k2 lists one
     # representative of a rotation family, and the numeric routes find others.
-    dims, _ = _k2_routes(ae_bm)
-    assert route_skip_reasons(ae_bm, 2, dims) == [None] * len(dims)
+    subs, _ = _k2_routes(ae_bm)
+    assert route_skip_reasons(ae_bm, 2, subs, "cyclic") == [None] * len(subs)
     analytic = analytic_k2(ae_bm).ensembles
     found = solve_numeric(build_full(ae_bm, 2, "cyclic"), SolverConfig(seeds=24, rng_seed=5)).ensembles
     assert any(not any(same_ensemble(ens, ref, 1e-3) for ref in analytic) for ens in found)
@@ -120,8 +121,73 @@ def test_skip_helper_solves_k2_with_a_degenerate_real_eigenspace(ae_bm):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_skip_helper_skips_one_dimensional_slices_from_three_members(rf_bm, k):
-    reasons = route_skip_reasons(rf_bm, k, [1, 2, None])
+    # One 2-D slice leaves two invariant planes that meet the pure sphere
+    # unsearched, so the full route is solved at K=3 too.
+    line, plane = (next(s for s in find_invariant_subspaces(rf_bm) if s.n == n) for n in (1, 2))
+    reasons = route_skip_reasons(rf_bm, k, [line, plane, None], "cyclic")
     assert reasons[0] == "a 1-D slice holds at most 2 distinct pure states" and reasons[1:] == [None, None]
+
+
+def _plane_normals(bm):
+    """Unit normals of the invariant planes of a qubit model: its real left eigenvectors."""
+    spec = eig_full(bm.l0.T)
+    real = [c.vectors[:, 0] for c in spec.clusters if abs(c.value.imag) <= spec.tol]
+    return [np.real(n) / np.linalg.norm(n) for n in real]
+
+
+def _plan(bm):
+    """A ``search --subspace auto`` plan: every detected subspace by dimension, then the full space."""
+    return sorted(find_invariant_subspaces(bm), key=lambda s: s.n) + [None]
+
+
+# rf in the real regime, at Omega = 1 and in the complex regime, and the
+# defective generator of criterion 7 (a 2x2 Jordan block at -3 gamma / 4).
+PLANE_MODELS = {"rf": 0.18, "rf-omega-1": 1.0, "rf-fast": 0.5, "defective": 0.25}
+
+
+@pytest.mark.parametrize("graph", ["cyclic", "full"])
+@pytest.mark.parametrize("model", list(PLANE_MODELS))
+def test_every_qubit_k3_ensemble_lies_in_an_invariant_plane(model, graph):
+    # The K=3 proof of route_skip_reasons: the members' affine hull holds
+    # x_ss and is invariant, and three pure states span a plane, so every
+    # ensemble lies in some x_ss + n^perp with n a real left eigenvector.
+    # Each cyclic one is then an ensemble of that plane's subspace route,
+    # which the full route is skipped for.  An invariant plane of a Jordan
+    # block moves as the square root of a perturbation, so there members
+    # solved to a residual near 1e-13 lie off it by up to about 1e-6.
+    bm = vectorize(load_catalog("resonance_fluorescence", {"gamma": 1.0, "Omega": PLANE_MODELS[model]}))
+    normals = _plane_normals(bm)
+    plane_tol = 1e-6 if model == "defective" else 1e-10
+    cfg = SolverConfig(seeds=64, rng_seed=3) if graph == "cyclic" else SolverConfig(seeds=256, rng_seed=4)
+    found = solve_numeric(build_full(bm, 3, graph), cfg).ensembles
+    for ens in found:
+        assert min(np.max(np.abs((ens.states - bm.x_ss) @ n)) for n in normals) <= plane_tol
+    plan = _plan(bm)
+    reasons = route_skip_reasons(bm, 3, plan, graph)
+    assert (reasons[-1] is not None) == (graph == "cyclic")
+    if graph == "cyclic":
+        planes = [s for s in plan if s is not None and s.n == 2]
+        assert len(planes) == len(normals)
+        solved = solve_systems([build_subspace_reduced(bm, s, 3, graph) for s in planes])
+        listed = [ens for sols in solved for ens in sols.ensembles]
+        assert len(found) == len(listed)
+        for ens in found:
+            assert any(same_ensemble(ens, ref, DEDUP_EPS) for ref in listed)
+
+
+def test_no_full_route_skip_without_a_proof(rf_bm, ae_bm):
+    # The K=3 plane proof needs one invariant plane per real eigenvalue, the
+    # cyclic graph, a full route to skip and every plane that meets the pure
+    # sphere searched.
+    plan = _plan(rf_bm)
+    assert route_skip_reasons(rf_bm, 3, plan, "cyclic")[-1] is not None
+    assert route_skip_reasons(ae_bm, 3, _plan(ae_bm), "cyclic")[-1] is None  # a 2-D real eigenspace
+    assert route_skip_reasons(rf_bm, 3, plan, "full")[-1] is None
+    assert route_skip_reasons(rf_bm, 3, [None], "cyclic") == [None]  # --subspace none
+    assert route_skip_reasons(rf_bm, 4, plan, "cyclic")[-1] is None
+    meeting = [s for s in plan if s is not None and s.n == 2]
+    for dropped in meeting:
+        assert route_skip_reasons(rf_bm, 3, [s for s in plan if s is not dropped], "cyclic")[-1] is None
 
 
 def test_numeric_finds_single_ensemble_in_complex_regime(rf_bm_fast):
