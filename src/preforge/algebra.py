@@ -26,6 +26,7 @@ __all__ = [
     "coordinate_rep",
     "block_leak",
     "eig_full",
+    "real_direction",
     "expm",
     "exp_flow",
     "null_space",
@@ -245,20 +246,20 @@ class Spectrum:
     def defective(self) -> bool:
         return any(c.defective for c in self.clusters)
 
-    def real_eigenpairs(self) -> list:
-        """(value, unit vector) for clusters with real value and real vector."""
-        out = []
-        for c in self.clusters:
-            if abs(c.value.imag) > self.tol:
-                continue
-            for i in range(c.vectors.shape[1]):
-                v = c.vectors[:, i]
-                # Rotate the global phase to make the vector as real as possible.
-                k = np.argmax(np.abs(v))
-                v = v * np.exp(-1j * np.angle(v[k]))
-                if np.max(np.abs(v.imag)) <= self.tol * 10:
-                    out.append((c.value.real, v.real / np.linalg.norm(v.real)))
-        return out
+    @property
+    def real_clusters(self) -> list:
+        """The clusters whose eigenvalue is real to within ``tol``."""
+        return [c for c in self.clusters if abs(c.value.imag) <= self.tol]
+
+
+def real_direction(e: np.ndarray):
+    """An eigenvector ``e`` as a real unit vector, or None if it has an
+    imaginary part above 1e-10."""
+    e = np.real_if_close(e)
+    if np.max(np.abs(np.imag(e))) > 1e-10:
+        return None
+    e = np.real(e)
+    return e / np.linalg.norm(e)
 
 
 def eig_full(m: np.ndarray, tol_scale: float = 1e-8) -> Spectrum:

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import eig_full
 from .constraints import (
+    VERIFY_TOL,
     Ensemble,
     build_full,
     build_subspace_reduced,
@@ -157,7 +157,7 @@ def _emit(doc, path):
 
 
 def _model_summary(bm) -> dict:
-    spectrum = eig_full(bm.l0)
+    spectrum = bm.spectrum
     clusters = [
         {
             "eigenvalue": [c.value.real, c.value.imag],
@@ -236,7 +236,7 @@ def cmd_search(args) -> int:
     histogram.  A route that ``route_skip_reasons`` proves adds nothing is
     not solved (at K=2 when ``analytic_k2`` is complete, at K>=3 on a 1-D
     slice, and the full route of a qubit at K=3 under the cyclic graph when
-    every invariant plane with pure states is a subspace route of the plan,
+    every invariant plane is a subspace route of the plan,
     so the plan's subspaces are handed over whole); it stays in
     ``results.routes`` with zero counts and its reason under ``"skipped"``.
     The other routes are solved by one ``solve_systems`` call, so cyclic
@@ -639,7 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="ensemble size")
     p.add_argument("--graph", choices=["cyclic", "full"], default="cyclic")
     p.add_argument("--subspace", default="auto", help="auto | none | index")
-    p.add_argument("--wigner-reduce", choices=["auto", "none"], default="auto")
+    p.add_argument(
+        "--wigner-reduce",
+        choices=["auto", "none"],
+        default="auto",
+        help="switch the closed-form azimuthal-family route on (auto: taken when the model has that symmetry) or off",
+    )
     p.add_argument("--seeds", type=int, default=512, help=_SEEDS_HELP)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--rng", type=int, default=0)
@@ -648,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an ensemble file")
     add_common(p)
     p.add_argument("--ensemble", required=True, help="ensemble JSON file")
-    p.add_argument("--tol", type=float, default=1e-8, help="largest residual, relative to the model's rate unit")
+    p.add_argument("--tol", type=float, default=VERIFY_TOL, help="largest residual, relative to the model's rate unit")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scheme", help="synthesize an adaptive measurement scheme")

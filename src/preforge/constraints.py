@@ -45,6 +45,8 @@ __all__ = [
 KAPPA_CLAMP = 1e-9
 KAPPA_REJECT = -1e-6
 PURITY_TOL = 1e-9
+# Default largest projector-form residual of ``verify``, in the model's rate unit.
+VERIFY_TOL = 1e-8
 
 
 def transition_edges(graph, k: int) -> list:
@@ -244,8 +246,6 @@ class ConstraintSystem:
     _sample: callable
     expand: np.ndarray | None = None  # (core params, params)
     rows: np.ndarray | None = None  # kept core rows
-    graph_consistent: bool = True
-    inconsistency_reason: str = ""
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -484,7 +484,7 @@ def _sample_sphere(rng: np.random.Generator, centre: np.ndarray, radius_sq: floa
     """Uniform point on the sphere of squared radius ``radius_sq`` about ``centre``."""
     direction = rng.normal(size=centre.size)
     direction /= np.linalg.norm(direction)
-    return centre + math.sqrt(max(radius_sq, 0.0)) * direction
+    return centre + math.sqrt(radius_sq) * direction
 
 
 def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
@@ -495,7 +495,7 @@ def build_full(bm: BlochModel, k: int, graph="cyclic") -> ConstraintSystem:
     """
     n = bm.n_coords
     edges = transition_edges(graph, k)
-    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
+    scale = bm.l0_norm / bm.rate_unit
 
     def sample(rng):
         states = [_sample_pure_state(bm, rng) for _ in range(k)]
@@ -531,7 +531,7 @@ def build_subspace_reduced(bm: BlochModel, sub, k: int, graph="cyclic") -> Const
     n_sub = basis_i0.shape[1]
     # Pure states within the slice sit on a sphere in coefficient space.
     centre, slice_radius_sq = bm.pure_slice(basis_i0)
-    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
+    scale = bm.l0_norm / bm.rate_unit
 
     def sample(rng):
         states = [_sample_sphere(rng, centre, slice_radius_sq) for _ in range(k)]
@@ -591,6 +591,9 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     orbit closes after s steps are confined to the fixed space of t0^s.
     The parameters map linearly onto the full system's members and rates,
     and the residual keeps the representatives' rows of the full system.
+    Raises :class:`PermutationError` when ``perm`` is no permutation, its
+    order is incompatible with that of t0, a fixed space is empty, or it
+    maps a graph edge onto a pair outside the graph.
     """
     edges = transition_edges(graph, k)
     perm = tuple(int(p) for p in perm)
@@ -624,34 +627,24 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
             raise PermutationError("symmetry power has no fixed space: empty orbit constraint")
         fix_bases.append(fix)
 
-    # Rate symmetry: orbits of edges under (j, k) -> (perm[j], perm[k]).
+    # Rate symmetry: orbits of edges under (j, k) -> (perm[j], perm[k]),
+    # each carrying one rate; an orbit must stay inside the graph.
     edge_set = set(edges)
     edge_orbit_of = {}
     edge_orbits = []
-    graph_consistent = True
-    reason = ""
     for e in edges:
         if e in edge_orbit_of:
             continue
         orbit = [e]
         edge_orbit_of[e] = len(edge_orbits)
         current = (perm[e[0]], perm[e[1]])
-        forced_zero = False
         while current != e:
             if current not in edge_set:
-                forced_zero = True
-                graph_consistent = False
-                reason = (
-                    f"symmetry maps edge {e} onto {current}, absent from the "
-                    "graph: its rate is forced to zero"
-                )
-            else:
-                if current in edge_orbit_of:
-                    break
-                edge_orbit_of[current] = len(edge_orbits)
-                orbit.append(current)
+                raise PermutationError(f"permutation maps edge {e} onto {current}, absent from the graph")
+            edge_orbit_of[current] = len(edge_orbits)
+            orbit.append(current)
             current = (perm[current[0]], perm[current[1]])
-        edge_orbits.append({"edges": orbit, "forced_zero": forced_zero})
+        edge_orbits.append(orbit)
 
     state_dims = [fb.shape[1] for fb in fix_bases]
     state_offsets = np.concatenate([[0], np.cumsum(state_dims)]).astype(int)
@@ -661,19 +654,17 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
     # Representatives are fix @ theta; t0 fixes x_ss, so x_ss lies in every fixed
     # space and the pure representatives are the sphere |theta|^2 = slice radius_sq.
     fix_radii_sq = [bm.pure_slice(fix)[1] for fix in fix_bases]
-    scale = np.linalg.norm(bm.l0, 2) / bm.rate_unit
+    scale = bm.l0_norm / bm.rate_unit
 
     # Member k = perm^p(rep) sits at t0^p x_rep; every edge of an orbit
-    # carries the orbit's rate, or zero when the orbit is forced to zero.
+    # carries the orbit's rate.
     expand = np.zeros((k * n + len(edges), n_state_params + n_rate))
     for o_idx, orbit in enumerate(orbits):
         cols = slice(state_offsets[o_idx], state_offsets[o_idx + 1])
         for p, member in enumerate(orbit):
             expand[member * n : (member + 1) * n, cols] = t_powers[p] @ fix_bases[o_idx]
     for e_idx, e in enumerate(edges):
-        eo_idx = edge_orbit_of[e]
-        if not edge_orbits[eo_idx]["forced_zero"]:
-            expand[k * n + e_idx, n_state_params + eo_idx] = 1.0
+        expand[k * n + e_idx, n_state_params + edge_orbit_of[e]] = 1.0
     rows = np.concatenate([[*range(o[0] * n, o[0] * n + n), k * n + o[0]] for o in orbits])
 
     def sample(rng):
@@ -703,8 +694,6 @@ def build_wigner_reduced(bm: BlochModel, w, perm, k: int, graph="cyclic") -> Con
         _sample=sample,
         expand=expand,
         rows=rows,
-        graph_consistent=graph_consistent,
-        inconsistency_reason=reason,
         notes={"edge_orbits": edge_orbits, "fix_dims": state_dims},
     )
 
@@ -752,7 +741,7 @@ def projector_residuals(basis, liou: np.ndarray, states: np.ndarray, kappa: np.n
     return np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
 
 
-def verify(bm: BlochModel, ens: Ensemble, tol: float = 1e-8) -> VerificationReport:
+def verify(bm: BlochModel, ens: Ensemble, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check an ensemble against the projector-form condition.
 
     This path evaluates the generator on the member projectors directly and

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import OperatorBasis, build_basis, bloch_to_rho, coordinate_rep, pure_radius_sq
+from .algebra import OperatorBasis, Spectrum, build_basis, bloch_to_rho, coordinate_rep, eig_full, pure_radius_sq
 from .errors import (
     AssumptionError,
     InvalidSettingError,
@@ -125,14 +126,16 @@ def lindbladian(me: MasterEquation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochModel:
-    """Coherence-space reduction xdot = l0 x + b, steady state x_ss, rate unit
-    2^round(log2 ||l0||_2), and the generator it was reduced from on row-major vec(rho)."""
+    """Coherence-space reduction xdot = l0 x + b, steady state x_ss, the
+    norm ||l0||_2 and the rate unit 2^round(log2 ||l0||_2), and the
+    generator it was reduced from on row-major vec(rho)."""
 
     me: MasterEquation
     basis: OperatorBasis
     l0: np.ndarray
     b: np.ndarray
     x_ss: np.ndarray
+    l0_norm: float
     rate_unit: float
     liouvillian: np.ndarray
 
@@ -144,6 +147,11 @@ class BlochModel:
     def n_coords(self) -> int:
         return self.dim * self.dim - 1
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """``eig_full(l0)``, computed on first use and then kept."""
+        return eig_full(self.l0)
+
     def steady_rho(self) -> np.ndarray:
         return bloch_to_rho(self.x_ss, self.basis)
 
@@ -152,7 +160,9 @@ class BlochModel:
 
         For orthonormal columns ``span``, x_ss + span @ c is on the sphere
         |x|^2 = D(D-1)/2 iff |c - centre|^2 = radius_sq; returns
-        ``(centre, radius_sq)``.  A negative radius_sq means the slice misses it.
+        ``(centre, radius_sq)``.  The steady state has full rank (see
+        :func:`vectorize`), so |x_ss|^2 < D(D-1)/2 and radius_sq >=
+        D(D-1)/2 - |x_ss|^2 > 0: every slice through x_ss meets the sphere.
         """
         proj = span.T @ self.x_ss
         return -proj, pure_radius_sq(self.dim) - self.x_ss @ self.x_ss + proj @ proj
@@ -180,7 +190,9 @@ def vectorize(me: MasterEquation, basis: OperatorBasis | None = None) -> BlochMo
     if np.min(np.linalg.eigvalsh(rho_ss)) <= 1e-12:
         raise AssumptionError("steady state is rank deficient")
     rate_unit = 2.0 ** np.round(np.log2(sv[0]))
-    return BlochModel(me=me, basis=basis, l0=l0, b=b, x_ss=x_ss, rate_unit=rate_unit, liouvillian=liou)
+    return BlochModel(
+        me=me, basis=basis, l0=l0, b=b, x_ss=x_ss, l0_norm=float(sv[0]), rate_unit=rate_unit, liouvillian=liou
+    )
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import eig_full, exp_flow
+from .algebra import exp_flow, real_direction
 from .constraints import (
     PURITY_TOL,
+    VERIFY_TOL,
     ConstraintSystem,
     Ensemble,
     _levenberg_marquardt,
@@ -267,15 +268,6 @@ def _canonical_order(states: np.ndarray) -> list:
     return sorted(range(len(keys)), key=lambda i: keys[i].tobytes())
 
 
-def _real_direction(e: np.ndarray):
-    """``e`` as a real unit vector, or None if it has an imaginary part."""
-    e = np.real_if_close(e)
-    if np.max(np.abs(np.imag(e))) > 1e-10:
-        return None
-    e = np.real(e)
-    return e / np.linalg.norm(e)
-
-
 def analytic_k2(bm: BlochModel) -> SolutionSet:
     """Two-member ensembles from the real eigenvectors of l0, by eigenvalue.
 
@@ -285,24 +277,18 @@ def analytic_k2(bm: BlochModel) -> SolutionSet:
     eigenspaces yield one representative tagged as a rotation family.  Each
     line is one candidate for the shared acceptance.
     """
-    spec = eig_full(bm.l0)
     lines = []  # (eigenvalue, real direction or None, degenerate)
-    for cluster in spec.clusters:
-        if abs(cluster.value.imag) > spec.tol:
-            continue
+    for cluster in bm.spectrum.real_clusters:
         degenerate = cluster.geometric >= 2 and not cluster.defective
         vectors = cluster.vectors.T[:1] if degenerate else cluster.vectors.T
-        lines += [(cluster.value.real, _real_direction(e), degenerate) for e in vectors]
+        lines += [(cluster.value.real, real_direction(e), degenerate) for e in vectors]
     outcomes = []
     for lam, e, degenerate in sorted(lines, key=lambda line: line[0]):
         if e is None:
             outcomes.append("eigenvector is not real")
             continue
-        # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc)
+        # |x_ss + t e|^2 = R^2 at t = centre +- sqrt(disc), disc > 0
         (centre,), disc = bm.pure_slice(e[:, None])
-        if disc <= 0:
-            outcomes.append("line misses the pure sphere")
-            continue
         t_plus = centre + np.sqrt(disc)
         t_minus = centre - np.sqrt(disc)
         x1 = bm.x_ss + t_plus * e
@@ -340,60 +326,51 @@ def route_skip_reasons(bm: BlochModel, k: int, subspaces: list, graph: str) -> l
       collinear, so every ensemble lies in an invariant plane x_ss + n^perp,
       n a real left eigenvector of l0.  When each real eigenvalue has a
       one-dimensional eigenspace those planes are finitely many, one per
-      eigenvalue (see :func:`_invariant_planes`).  The full route is skipped
-      when each plane either holds at most one pure state or is a 2-D
-      subspace route: that route solves the same cyclic system restricted
-      to the plane, by the chord map where it qualifies.
+      eigenvalue (see :func:`_invariant_plane_normals`).  The full route is
+      skipped when each plane is a 2-D subspace route: that route solves the
+      same cyclic system restricted to the plane, by the chord map where it
+      qualifies.
     """
-    if k == 2:
-        spec = eig_full(bm.l0)
-        real = [c for c in spec.clusters if abs(c.value.imag) <= spec.tol]
-        if all(c.geometric == 1 and _real_direction(c.vectors[:, 0]) is not None for c in real):
-            reason = "analytic_k2 lists every K=2 ensemble: each real eigenvalue of l0 has a 1-D eigenspace"
-            return [reason] * len(subspaces)
+    if k == 2 and all(
+        c.geometric == 1 and real_direction(c.vectors[:, 0]) is not None for c in bm.spectrum.real_clusters
+    ):
+        reason = "analytic_k2 lists every K=2 ensemble: each real eigenvalue of l0 has a 1-D eigenspace"
+        return [reason] * len(subspaces)
     reasons = [
         f"a {sub.n}-D slice holds at most 2 distinct pure states" if k >= 3 and sub is not None and sub.n <= 1 else None
         for sub in subspaces
     ]
     if k == 3 and bm.dim == 2 and graph == "cyclic" and None in subspaces:
-        planes = _invariant_planes(bm)
+        normals = _invariant_plane_normals(bm)
         routes = [sub.basis_i0 for sub in subspaces if sub is not None and sub.n == 2]
-        if planes is not None and all(
-            bm.pure_slice(span)[1] <= 0
-            or any(np.linalg.norm(basis.T @ normal) <= _PLANE_TOL for basis in routes)
-            for normal, span in planes
+        if normals is not None and all(
+            any(np.linalg.norm(basis.T @ normal) <= _PLANE_TOL for basis in routes) for normal in normals
         ):
             reason = "every K=3 ensemble lies in an invariant plane, each one with pure states a subspace route"
             reasons = [reason if sub is None else why for sub, why in zip(subspaces, reasons)]
     return reasons
 
 
-def _invariant_planes(bm: BlochModel):
-    """The invariant planes x_ss + n^perp of a qubit model, as pairs of the
-    unit normal n and an orthonormal basis (3, 2) of n^perp; None when a real
-    eigenvalue of l0 has a degenerate eigenspace, and so infinitely many.
+def _invariant_plane_normals(bm: BlochModel):
+    """The unit normals n of the invariant planes x_ss + n^perp of a qubit
+    model; None when a real eigenvalue of l0 has a degenerate eigenspace,
+    and so infinitely many planes.
 
     A plane n^perp is invariant under l0 exactly when n is a real left
     eigenvector.  For a real eigenvalue with a one-dimensional eigenspace,
-    the shifted generator l0 - lambda has rank 2, and its left singular
-    vectors are n, for the zero singular value, and a basis of n^perp.
+    the shifted generator l0 - lambda has rank 2, and n is its left
+    singular vector for the zero singular value.
     """
-    spec = eig_full(bm.l0)
-    real = [c for c in spec.clusters if abs(c.value.imag) <= spec.tol]
+    real = bm.spectrum.real_clusters
     if any(c.geometric != 1 for c in real):
         return None
-    planes = []
-    for cluster in real:
-        u = np.linalg.svd(bm.l0 - cluster.value.real * np.eye(bm.n_coords))[0]
-        planes.append((u[:, -1], u[:, :-1]))
-    return planes
+    return [np.linalg.svd(bm.l0 - c.value.real * np.eye(bm.n_coords))[0][:, -1] for c in real]
 
 
 def _azimuthal_frame(bm: BlochModel, k: int):
     """Rotation generator certified at angle 2*pi/k, its plane and radius."""
-    spec = eig_full(bm.l0)
-    for cluster in spec.clusters:
-        if abs(cluster.value.imag) > spec.tol or cluster.geometric < 2:
+    for cluster in bm.spectrum.real_clusters:
+        if cluster.geometric < 2:
             continue
         space = np.real(cluster.vectors[:, :2])
         q, _ = np.linalg.qr(space)
@@ -422,10 +399,7 @@ def solve_wigner_family(bm: BlochModel, k: int) -> SolutionSet:
         return _closed_form("wigner-family", bm, [], reason="no azimuthal symmetry")
     gen, e1, e2 = frame
     # The rotation fixes x_ss, so the circle is centred on it.
-    _, r_sq = bm.pure_slice(np.column_stack([e1, e2]))
-    if r_sq <= 0:
-        return _closed_form("wigner-family", bm, [], reason="symmetry circle is empty")
-    r = np.sqrt(r_sq)
+    r = np.sqrt(bm.pure_slice(np.column_stack([e1, e2]))[1])
     angles = 2 * np.pi * np.arange(k) / k
     states = np.array(
         [bm.x_ss + r * (np.cos(a) * e1 + np.sin(a) * e2) for a in angles]
@@ -477,10 +451,9 @@ def solve_numeric(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> Solu
     batched Levenberg-Marquardt iteration.  Converged points whose residual
     meets ``cfg.tol`` go to the shared screen.  On both routes the
     candidates that pass are sorted canonically, then deduplicated,
-    validated and verified by ``_verified``.  On a graph-consistent system
-    every start (every root, on the chord route) ends up either kept
-    (``n_accepted``) or counted once under ``rejections``, ``"duplicate"``
-    included.
+    validated and verified by ``_verified``.  Every start (every root, on
+    the chord route) ends up either kept (``n_accepted``) or counted once
+    under ``rejections``, ``"duplicate"`` included.
     """
     return solve_systems([cs], cfg)[0]
 
@@ -504,16 +477,14 @@ def _multistart(systems: list, cfg: SolverConfig) -> list:
     """The multistart of :func:`solve_numeric` on each of ``systems``, as
     one batch of candidates per system for ``_verified``.
 
-    The starts of all graph-consistent systems with one ``stack_key`` are
-    iterated in one Levenberg-Marquardt stack, each row on its own
-    system's model, in consecutive stacks of at most ``_STACK_ENTRIES``
-    Jacobian entries.  Starts do not interact, so every start ends where it
+    The starts of all systems with one ``stack_key`` are iterated in one
+    Levenberg-Marquardt stack, each row on its own system's model, in
+    consecutive stacks of at most ``_STACK_ENTRIES`` Jacobian entries.  Starts do not interact, so every start ends where it
     ends when its system is solved alone.
     """
     groups = {}
     for i, cs in enumerate(systems):
-        if cs.graph_consistent:
-            groups.setdefault(cs.stack_key, []).append(i)
+        groups.setdefault(cs.stack_key, []).append(i)
     finals = {}
     for members in groups.values():
         stack = stack_systems([systems[i] for i in members])
@@ -534,7 +505,7 @@ def _multistart(systems: list, cfg: SolverConfig) -> list:
         for g, i in enumerate(members):
             own = slice(g * cfg.seeds, (g + 1) * cfg.seeds)
             finals[i] = thetas[own], resids[own], failed[own]
-    return [_converged(cs, cfg, finals.get(i)) for i, cs in enumerate(systems)]
+    return [_converged(cs, cfg, finals[i]) for i, cs in enumerate(systems)]
 
 
 def _coincident(states: np.ndarray) -> np.ndarray:
@@ -560,12 +531,8 @@ def _reject(diagnostics: dict, reason: str, count: int = 1):
 
 def _converged(cs: ConstraintSystem, cfg: SolverConfig, final) -> _Batch:
     """The multistart's candidates on one system, from its final
-    (parameters, residuals, failed) starts, screened and in canonical order;
-    none when the system is not graph-consistent and ``final`` is None."""
-    diagnostics = _new_diagnostics("multistart", cfg.seeds, graph_consistent=cs.graph_consistent)
-    if final is None:
-        diagnostics["reason"] = cs.inconsistency_reason
-        return _Batch(cs.bm, cfg.tol, np.empty(0), np.empty(0), [], diagnostics)
+    (parameters, residuals, failed) starts, screened and in canonical order."""
+    diagnostics = _new_diagnostics("multistart", cfg.seeds)
     theta, resid, failed = final
     above = np.max(np.abs(resid), axis=1) > cfg.tol
     outcomes = [
@@ -627,10 +594,12 @@ def _verified(batches: list) -> list:
     The candidates of one shape in all batches are validated by one
     ``validate_stack`` call and checked by one ``projector_residuals`` call,
     each against its own model; the residual is a rate, held to ``10 * tol``
-    in the model's rate unit.  Then ``_distinct`` walks each batch with the
-    rates as validated: a duplicate of a kept candidate counts as
-    ``"duplicate"`` whatever else it fails, any other failing candidate under
-    its first reason, and the kept ones as ``n_accepted``.
+    in the model's rate unit but never above ``VERIFY_TOL``, the default of
+    ``verify``, so that every ensemble listed passes ``verify``.  Then
+    ``_distinct`` walks each batch with the rates as validated: a duplicate
+    of a kept candidate counts as ``"duplicate"`` whatever else it fails,
+    any other failing candidate under its first reason, and the kept ones
+    as ``n_accepted``.
     """
     groups = {}
     for b, batch in enumerate(batches):
@@ -645,7 +614,8 @@ def _verified(batches: list) -> list:
         reasons, kappa, occupations = validate_stack(basis, states, np.concatenate([batches[b].kappa for b in members]))
         valid = np.flatnonzero([reason is None for reason in reasons])
         liou = np.array([batches[b].bm.liouvillian for b in members])[owner[valid]]
-        limit = np.array([10 * batches[b].tol * batches[b].bm.rate_unit for b in members])[owner[valid]]
+        limit = np.array([min(10 * batches[b].tol, VERIFY_TOL) * batches[b].bm.rate_unit for b in members])
+        limit = limit[owner[valid]]
         residual = projector_residuals(basis, liou, states[valid], kappa[valid]).max(axis=1)
         for i in valid[~(residual <= limit)].tolist():
             reasons[i] = "projector-form verification failed"
@@ -681,7 +651,6 @@ def _chord_qualifies(cs: ConstraintSystem) -> bool:
         and cs.lin.shape == (2, 2)
         and cs.expand is None
         and cs.rows is None
-        and cs.radius_sq > 0
         and cs.edges == transition_edges("cyclic", cs.k)
     ):
         return False
@@ -1005,7 +974,7 @@ def _chord_accept(systems: list, cfg: SolverConfig, orb: _Orbits, owns: list) ->
     converged = np.bincount(system, np.abs(orb.gap[own]) <= orb.noise[own], len(systems)).astype(int).tolist()
     batches = []
     for s, cs in enumerate(systems):
-        diagnostics = _new_diagnostics("chord map", len(owns[s]), graph_consistent=cs.graph_consistent)
+        diagnostics = _new_diagnostics("chord map", len(owns[s]))
         diagnostics["n_converged"] = converged[s]
         kept = []
         for i in range(bounds[s], bounds[s + 1]):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .algebra import (
     block_leak,
-    eig_full,
     expm,
     null_space,
     orth,
@@ -124,8 +123,8 @@ class _KetSlice:
 def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | None = None) -> list:
     """A pure state in each translated slice {x_ss + span(basis_i0)}, or None.
 
-    ``slices`` holds (basis_i0, basis_r0) pairs.  A slice misses the pure
-    sphere when its squared radius there is not positive.  For a qubit every
+    ``slices`` holds (basis_i0, basis_r0) pairs.  Every slice meets the
+    pure sphere (see :meth:`BlochModel.pure_slice`), and for a qubit every
     point of that sphere is a state.  In larger dimension the witness is the
     coherence vector of a ket psi solving the quadratic equations of
     :class:`_KetSlice` (one per complement column plus the norm).  Each slice
@@ -139,10 +138,8 @@ def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | 
     witnesses = [None] * len(slices)
     stacks = {}  # complement dimension -> slice indices
     for i, (basis_i0, basis_r0) in enumerate(slices):
-        centre, r_sq = bm.pure_slice(basis_i0)
-        if r_sq <= 0:
-            continue
         if bm.dim == 2:
+            centre, r_sq = bm.pure_slice(basis_i0)
             direction = np.eye(basis_i0.shape[1])[0]
             witnesses[i] = bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction)
         else:
@@ -237,7 +234,7 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     The outcome counts go to the ``preforge`` logger at debug level.
     """
     n = bm.n_coords
-    spec = eig_full(bm.l0)
+    spec = bm.spectrum
 
     atoms = []  # (columns, tag template, eigenvalue, family)
 
@@ -391,10 +388,9 @@ def certify_wigner(bm: BlochModel, t0: np.ndarray) -> dict:
     """
     t0 = np.asarray(t0, dtype=float)
     n = bm.n_coords
-    scale = max(np.linalg.norm(bm.l0, 2), 1e-300)
     report = {
         "orthogonality": float(np.max(np.abs(t0.T @ t0 - np.eye(n)))),
-        "commutation": float(np.linalg.norm(t0.T @ bm.l0 @ t0 - bm.l0, 2) / scale),
+        "commutation": float(np.linalg.norm(t0.T @ bm.l0 @ t0 - bm.l0, 2) / bm.l0_norm),
         "drift": float(
             np.linalg.norm(t0 @ bm.b - bm.b) / max(np.linalg.norm(bm.b), 1e-300)
         ),
@@ -456,7 +452,7 @@ def _free_components(bm: BlochModel) -> tuple:
     """
     n = bm.n_coords
     half = 0.5 * CERT_TOL
-    coupled = np.abs(bm.l0) > half * np.linalg.norm(bm.l0, 2)
+    coupled = np.abs(bm.l0) > half * bm.l0_norm
     reach = coupled | coupled.T | np.eye(n, dtype=bool)
     for _ in range((n - 1).bit_length()):
         reach = reach @ reach

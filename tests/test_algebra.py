@@ -13,6 +13,7 @@ from preforge.algebra import (
     orth,
     pure_radius_sq,
     random_density_matrix,
+    real_direction,
     rho_to_bloch,
 )
 from preforge.errors import DimensionError, NormalizationError, ShapeError
@@ -119,12 +120,23 @@ def test_eig_full_diagonal_matrix():
     spec = eig_full(np.diag([-1.0, -2.0, -3.0]))
     assert not spec.defective
     assert sorted(c.value.real for c in spec.clusters) == [-3.0, -2.0, -1.0]
-    pairs = spec.real_eigenpairs()
-    assert len(pairs) == 3
+    assert len(spec.real_clusters) == 3
+    directions = [real_direction(c.vectors[:, 0]) for c in spec.real_clusters]
+    assert all(d is not None and abs(np.linalg.norm(d) - 1) < 1e-15 for d in directions)
+
+
+def test_real_clusters_leave_out_a_complex_pair_whose_vectors_are_not_real():
+    # A rotation block has eigenvalues -1 +- i and complex eigenvectors.
+    spec = eig_full(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -2.0]]))
+    assert [c.value.real for c in spec.real_clusters] == [-2.0]
+    pair = [c for c in spec.clusters if c.value.imag != 0]
+    assert len(pair) == 2 and all(real_direction(c.vectors[:, 0]) is None for c in pair)
 
 
 def test_eig_full_driven_qubit_generator(rf_bm):
-    pairs = {round(lam, 9): vec for lam, vec in eig_full(rf_bm.l0).real_eigenpairs()}
+    pairs = {
+        round(c.value.real, 9): real_direction(c.vectors[:, 0]) for c in eig_full(rf_bm.l0).real_clusters
+    }
     root = np.sqrt(0.4816)
     e_plus = np.array([0.0, 1 + root, 0.72])
     e_minus = np.array([0.0, 1 - root, 0.72])

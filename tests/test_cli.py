@@ -1257,3 +1257,107 @@ def test_readme_scan_at_k8_finishes_and_counts_each_ensemble_once(capsys, tmp_pa
     assert all(len(gens) == 1 for _, gens in counted)
     for kept, gens in counted:
         _assert_pairwise_new(kept, gens)
+
+
+@pytest.mark.parametrize("subspace", ["none", "auto"])
+def test_every_ensemble_search_lists_at_a_loose_tol_passes_verify(capsys, tmp_path, subspace):
+    # --tol loosens the multistart's convergence test, but the projector-form
+    # check never accepts above verify's default tolerance: each listed
+    # ensemble passes `pre-forge verify` as it stands.
+    out = tmp_path / "bundle.json"
+    run(capsys, *SEARCH_RF, "--subspace", subspace, "--seeds", "16", "--tol", "1e-3", "-o", str(out))
+    docs = json.loads(out.read_text())["results"]["ensembles"]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"ensemble{i}.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run(capsys, "verify", *RF_MODEL, "--ensemble", str(path))
+        assert code == 0, report
+    if subspace == "auto":
+        assert len(docs) == 8  # the chord-map census
+
+
+def test_search_subspace_index_out_of_range_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "bundle.json"
+    code, stdout, err = run(capsys, *SEARCH_RF, "--subspace", "99", "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: --subspace 99 out of range: 6 subspaces detected\n"
+    assert not out.exists()
+
+
+def test_scan_without_a_span_solves_the_full_space(capsys, tmp_path):
+    from preforge.constraints import build_full
+    from preforge.mespec import load_catalog
+    from preforge.model import vectorize
+    from preforge.solver import SolverConfig, scan_existence
+    from preforge.symmetry import find_wigner_symmetries
+
+    csv_path = tmp_path / "scan.csv"
+    code, _, _ = run(
+        capsys, "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+        "--values", "0.02:0.06:0.02", "--k", "2", "--seeds", "16", "-o", str(csv_path),
+    )
+    assert code == 0
+
+    def model(value):
+        return vectorize(load_catalog("absorption_emission", {"gamma_minus": 1.0, "gamma_plus": value}))
+
+    (generator,) = [w.generator for w in find_wigner_symmetries(model(0.02)) if w.generator is not None]
+    table = scan_existence(
+        model, [0.02, 0.04, 0.06], lambda bm: build_full(bm, 2, "cyclic"), SolverConfig(seeds=16),
+        quotient_generator=generator,
+    )
+    counts = ("n_starts", "n_converged", "n_accepted")
+    expected = [
+        [f"{value:.6g}", str(count), *(str(diag[key]) for key in counts)]
+        for (value, count), diag in zip(table.rows(), table.diagnostics)
+    ]
+    assert [line.split(",") for line in csv_path.read_text().splitlines()[1:]] == expected
+    assert all(count > 0 for count in table.counts)
+
+
+def test_pure_steady_state_is_usage_error(capsys):
+    # Undriven decay ends in the ground state.  Every slice through a
+    # full-rank steady state meets the pure-state sphere; this one is refused.
+    code, out, err = run(capsys, "analyze", *RF_MODEL[:3], "--param", "Omega=0")
+    assert code == 2 and out == ""
+    assert err == "error: steady state is rank deficient\n"
+
+
+SCAN_THRESHOLD = (
+    "scan", "absorption_emission", "--param", "gamma_minus=1", "--scan-param", "gamma_plus",
+    "--values", "0.035:0.075:0.005", "--k", "3", "--subspace-span", "1,0,0;0,0,1", "--seeds", "4",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        ((*SEARCH_RF_K2, "--seeds", "4"), 1),
+        ((*SEARCH_RF, "--seeds", "4"), 1),
+        ((*SEARCH_AE, "--k", "2", "--seeds", "4"), 1),
+        ((*SEARCH_AE, "--k", "3", "--seeds", "4"), 1),
+        (("analyze", *RF_MODEL), 1),
+        (SCAN_THRESHOLD, 0),
+    ],
+    ids=["search-rf-k2", "search-rf-k3", "search-ae-k2", "search-ae-k3", "analyze", "scan"],
+)
+def test_each_command_decomposes_l0_at_most_once(capsys, tmp_path, monkeypatch, argv, calls):
+    # The spectrum of l0 is computed on first use and kept on the model, so
+    # search and analyze pay for it once and scan never does.
+    import sys
+
+    from preforge import algebra
+
+    original, seen = algebra.eig_full, []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "preforge":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    code, _, _ = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert code in (0, 1) and len(seen) == calls

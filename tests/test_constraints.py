@@ -315,16 +315,16 @@ def test_wigner_reduced_thermal_family_matches_linear_equations(ae_bm):
 
 
 def test_wigner_reduced_flags_cyclic_inconsistency(rf_bm):
+    # The swap maps the cycle edge 1 <- 0 onto 0 <- 1, which the cycle lacks.
     w = find_wigner_symmetries(rf_bm)[0]
-    cs = build_wigner_reduced(rf_bm, w, perm=[1, 0, 2], k=3, graph="cyclic")
-    assert not cs.graph_consistent
-    assert "forced to zero" in cs.inconsistency_reason
+    with pytest.raises(PermutationError, match="absent from the graph"):
+        build_wigner_reduced(rf_bm, w, perm=[1, 0, 2], k=3, graph="cyclic")
 
 
 def test_wigner_reduced_trivial_perm_equals_subspace_reduction(rf_bm, rng):
     w = find_wigner_symmetries(rf_bm)[0]
     cs = build_wigner_reduced(rf_bm, w, perm=[0, 1, 2], k=3, graph="cyclic")
-    assert cs.graph_consistent
+    assert cs.notes["edge_orbits"] == [[edge] for edge in cs.edges]  # one rate per edge
     disc = subspace_from_span(rf_bm, np.array([[0, 1.0, 0], [0, 0, 1.0]]).T)
     cs_sub = build_subspace_reduced(rf_bm, disc, 3, "cyclic")
     # identical-fixed-point parametrization: members confined to the x = 0 disc

@@ -794,6 +794,22 @@ def test_chord_candidate_that_is_no_root_fails_verification(rf_bm):
     assert len(sols.ensembles) == 4
 
 
+def test_chord_orbit_run_backwards_is_a_negative_rate(rf_bm):
+    # Reversing the flow keeps the chord map (the chord along -v is the
+    # chord along v) and negates every chord parameter t, so each periodic
+    # orbit of the disc runs backwards and no rate 1/t is positive.  The
+    # forward flow keeps 4 of these orbits (see the test above).
+    cs = _rf_k3_disc_systems(rf_bm)[2]
+    backwards = dataclasses.replace(cs, lin=-cs.lin)
+    maps, which, roots, _ = _chord_routes([backwards])
+    orb = maps.orbits(which, roots)
+    sols = solver._verified(solver._chord_accept([backwards], SolverConfig(), orb, [np.argsort(roots)]))[0]
+    diag = sols.diagnostics
+    assert np.sum(np.min(orb.chord, axis=0) < 0) == 12
+    assert diag["rejections"] == {"negative rate": 12, "coincident members": 1}
+    assert diag["n_starts"] == len(roots) == 13 and sols.ensembles == []
+
+
 def test_chord_cells_left_unresolved_are_candidates_verify_decides(rf_bm, monkeypatch):
     # With no halving allowed, every cell the first grid cannot settle is a
     # candidate; those whose orbits do not close fail verification.

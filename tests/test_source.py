@@ -142,3 +142,12 @@ def test_no_function_in_constraints_or_solver_takes_a_rate_scale():
                 if "rate_scale" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, "rate_scale parameters:\n" + "\n".join(offenders)
+
+
+# l0 is read once per model: BlochModel keeps its spectrum and its norm.
+L0_READ = re.compile(r"(?<!def )\beig_full\(|np\.linalg\.norm\(bm\.l0\b")
+
+
+def test_the_spectrum_and_norm_of_l0_are_computed_in_model_alone():
+    offenders = _calls(L0_READ, skip=("model.py",))
+    assert not offenders, "l0 decomposed outside model.py:\n" + "\n".join(offenders)
