@@ -394,11 +394,14 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     system in a stack of same-shape systems (:func:`stack_systems`), and
     goes along with every row handed to ``cs``; None means one system.
     Each start keeps its own damping lambda (Nielsen's update from the gain
-    ratio) and leaves the stack when its residual is far below ``tol``,
-    when no step lowers its cost any more, after ``max_iter`` residual
-    evaluations, or when its linear model has promised less than a tenth of
-    its cost for 20 iterations in a row: it is then approaching a stationary
-    point that is no root, a local minimum or rates running off to infinity.
+    ratio) and leaves the stack when its residual is at most
+    1e-3 * min(tol, 1e-10), with 1e-10 the default search tolerance (so a
+    looser ``tol`` only decides which starts count as converged, and the
+    copies of one root still land together), when no step lowers its cost
+    any more, after ``max_iter`` residual evaluations, or when its linear
+    model has promised less than a tenth of its cost for 20 iterations in
+    a row: it is then approaching a stationary point that is no root, a
+    local minimum or rates running off to infinity.
     Square and overdetermined systems use More's scaling (running maximum of
     the squared Jacobian column norms); underdetermined ones damp
     isotropically, so steps are minimum-norm and change the rates as little
@@ -412,7 +415,8 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     cost = 0.5 * np.einsum("si,si->s", resid, resid)
     failed = ~np.isfinite(cost)
     evals = np.ones(len(theta), dtype=int)
-    active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > 1e-3 * tol))
+    stop = 1e-3 * min(tol, 1e-10)
+    active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > stop))
     if not active.size:  # every start is done already
         return theta, resid, failed
     jac = cs.jacobian(theta[active], which[active])
@@ -453,7 +457,7 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
             ~finite
             | (slow >= 20)
             | (lam > 1e16)
-            | (np.max(np.abs(resid[active]), axis=1) <= 1e-3 * tol)
+            | (np.max(np.abs(resid[active]), axis=1) <= stop)
             | (evals[active] >= max_iter)
         )
         keep = ~done

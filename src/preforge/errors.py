@@ -58,4 +58,4 @@ class SynthesisError(PreForgeError, RuntimeError):
 
 
 class RealizationError(PreForgeError, RuntimeError):
-    """A simulated trajectory drifted away from its nominal ensemble member."""
+    """A scheme does not pin its ensemble's member chain, or a member never clicks."""

@@ -69,6 +69,11 @@ class AdaptiveScheme:
     def n_detectors(self) -> int:
         return self.jump_map.shape[1]
 
+    @property
+    def next_labels(self) -> np.ndarray:
+        """The member after each click: ``jump_map`` with ``NO_TARGET`` keeping the member."""
+        return np.where(self.jump_map == NO_TARGET, np.arange(self.k)[:, None], self.jump_map)
+
     def jumps_and_generator(self, me: MasterEquation, k: int):
         """Transformed jump operators and no-jump operator of member k."""
         return apply_unravelling(me, self.settings[k])

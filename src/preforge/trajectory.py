@@ -1,23 +1,28 @@
-"""Exact waiting-time jump simulation with adaptive setting switching.
+"""Jump trajectories of an adaptive scheme: the certified member chain and an exact click engine.
 
-This is the waiting-time form of the Monte Carlo wavefunction method
-(Dalibard, Castin & Molmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70,
-101 (1998)).  Between detections the unnormalized state follows
-exp(-i H'_eff tau) psi under the active setting's no-jump operator, and
-its squared norm N(tau) is the probability that no detector has clicked
-yet.  Each click is sampled directly: draw u uniform in (0, 1), solve
-N(tau) = u for the waiting time, take the exactly propagated pre-click
-state, pick detector m with weight ||c'_m psi||^2 and switch the active
-setting according to the scheme's routing table.  Propagation uses the
-eigendecomposition H'_eff = V Lambda V^-1, or a matrix exponential when
-H'_eff is defective or nearly so.  Nothing is stepped, so there is no step
+A scheme that pins its ensemble makes the conditioned state a K-state jump
+chain on the member kets.  Member phi_k is then an eigenvector of its
+setting's H'_eff, so it waits an exponential time at exit rate
+r_k = sum_m ||c'_m phi_k||^2, detector m clicks with probability
+||c'_m phi_k||^2 / r_k, and the post-click ket is member ``jump_map[k][m]``
+(a ``NO_TARGET`` detector keeps the label).  :func:`simulate` certifies
+this once per (member, detector) and samples the chain exactly with arrays
+(Gillespie, J. Comput. Phys. 22, 403 (1976)).
+
+:func:`unconditional_check` starts from any ket and runs the waiting-time
+Monte Carlo wavefunction method (Dalibard, Castin & Molmer, PRL 68, 580
+(1992); Plenio & Knight, RMP 70, 101 (1998)) on :class:`_ClickEngine`.  The
+unnormalized state follows exp(-i H'_eff tau) psi between detections, and
+its squared norm N(tau) is the probability of no click yet: each wait
+solves N(tau) = u for u uniform in (0, 1], detector m is picked with weight
+||c'_m psi||^2, and the routing table switches the setting.  Propagation
+uses the eigendecomposition of H'_eff, or a matrix exponential when it is
+defective or nearly so.  Neither path steps in time, so there is no step
 size and no discretization bias.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +31,7 @@ import numpy as np
 from .algebra import bloch_to_rho, build_basis, coordinate_rep, exp_flow, expm, orth, rho_to_bloch
 from .constraints import Ensemble
 from .errors import ConvergenceError, RealizationError
-from .measurement import NO_TARGET, AdaptiveScheme
+from .measurement import AdaptiveScheme
 from .model import MasterEquation, lindbladian
 
 __all__ = [
@@ -40,7 +45,8 @@ __all__ = [
 # Eigenvector condition number above which H'_eff counts as defective: the
 # eigenbasis loses about cond(V) ulps of the norm N(tau), the expm path none.
 _DEFECTIVE_COND = 1e4
-# Decay rates below this fraction of ||H'_eff|| count as dark (no decay).
+# Decay rates below this fraction of ||H'_eff|| (in the engine), or exit rates
+# below this fraction of the largest member's (in the chain), count as dark.
 _DARK_TOL = 1e-12
 # Waiting times beyond this many units of 1/||H'_eff|| count as no click.
 _TAU_CAP = 1e15
@@ -55,7 +61,7 @@ _DRAW_BLOCK = 8
 _LOCKSTEP_ROWS = 4096
 _STACK_ROWS = 512
 # Clicks that ``simulate`` discards before it records statistics, and the
-# largest coherence distance of a pre-click state from its nominal member.
+# largest closure certificate (a coherence distance) of a pinned chain.
 BURN_IN_JUMPS = 20
 DRIFT_TOL = 1e-4
 # Width, in standard errors, of the unconditional check's sampling band, and
@@ -91,7 +97,7 @@ class TrajectoryStats:
 
 
 class _ClickEngine:
-    """Exact no-jump propagation and click sampling for one setting."""
+    """Exact no-jump propagation and click sampling for one setting, on a stack of kets (one per row)."""
 
     def __init__(self, jumps, h_eff):
         self.jumps = np.asarray(jumps, dtype=complex)
@@ -109,66 +115,6 @@ class _ClickEngine:
         dark = lam.imag >= -_DARK_TOL * scale
         self.dark = orth(v[:, dark]) if dark.any() else None
 
-    def _flow(self, psi):
-        """tau -> exp(-i H'_eff tau) psi, unnormalized."""
-        if self.vinv is None:
-            return lambda tau: self.exp_h(tau) @ psi
-        v, lam, w = self.v, self.lam, self.vinv @ psi
-        return lambda tau: v @ (np.exp(-1j * tau * lam) * w)
-
-    def propagate(self, psi, tau):
-        """exp(-i H'_eff tau) psi, unnormalized."""
-        return self._flow(psi)(tau)
-
-    def limit_norm(self, psi) -> float:
-        """N(infinity): the no-jump norm that never decays."""
-        if self.dark is None:
-            return 0.0
-        overlap = self.dark.conj().T @ psi
-        return float(np.vdot(overlap, overlap).real)
-
-    def wait(self, psi, u: float):
-        """Waiting time tau with N(tau) = u, u in (0, 1], for a unit ket psi.
-
-        Returns ``(tau, phi)`` with ``phi`` the unnormalized state at tau,
-        or ``(inf, None)`` when u is at or below N(infinity) and no click
-        ever happens.  Newton steps on log N(tau), whose slope is
-        2 Im<phi|H'_eff|phi> / N, are kept inside a bracket of the root and
-        replaced by bisection (or doubling, before an upper bound is known)
-        when they leave it.  For a pinned member log N is linear, and the
-        first step gives tau = -ln u / sum_m ||c'_m psi||^2.
-        """
-        if u <= self.limit_norm(psi):
-            return math.inf, None
-        flow = self._flow(psi)
-        log_u = math.log(u)
-        lo, hi = 0.0, math.inf
-        tau, g = 0.0, -log_u
-        slope = 2.0 * np.vdot(psi, self.h @ psi).imag
-        for _ in range(_MAX_ITER):
-            step = tau - g / slope if slope < 0 else math.inf
-            if lo < step < hi:
-                tau = step
-            elif hi < math.inf:
-                tau = 0.5 * (lo + hi)
-            else:
-                tau = max(2.0 * tau, self.tau_unit)
-            if tau > _TAU_CAP * self.tau_unit:
-                return math.inf, None
-            phi = flow(tau)
-            n = float(np.vdot(phi, phi).real)
-            g = math.log(n) - log_u if n > 0 else -math.inf
-            if abs(g) <= _LOG_TOL:
-                return tau, phi
-            if g > 0:
-                lo = tau
-            else:
-                hi = tau
-            if hi < math.inf and hi - lo <= 4e-16 * hi:  # bracket at rounding level
-                return tau, phi
-            slope = 2.0 * np.vdot(phi, self.h @ phi).imag / n if n > 0 else math.nan
-        raise ConvergenceError(f"waiting time for u = {u:.3g} did not converge", residual=g)
-
     def _coefficients(self, psi):
         """Rows of psi in the form ``_flow_rows`` propagates: eigen-coordinates, or psi itself."""
         return psi if self.vinv is None else _apply(self.vinv, psi)
@@ -179,20 +125,26 @@ class _ClickEngine:
             return np.array([self.exp_h(t) @ c for t, c in zip(tau, coeffs)]).reshape(coeffs.shape)
         return _apply(self.v, np.exp(-1j * tau[:, None] * self.lam) * coeffs)
 
-    def propagate_stack(self, psi, tau):
-        """:meth:`propagate` for each row of ``psi`` (n, D) with its own time ``tau[n]``."""
+    def propagate(self, psi, tau):
+        """exp(-i H'_eff tau_n) psi_n, unnormalized, for each row of ``psi`` (n, D) and ``tau`` (n,)."""
         return self._flow_rows(self._coefficients(psi), tau)
 
     def _slopes(self, phi):
         """2 Im<phi_n|H'_eff|phi_n> for each row n."""
         return 2.0 * _vdot_rows(phi, _apply(self.h, phi)).imag
 
-    def wait_stack(self, psi, u):
-        """:meth:`wait` for each row of the unit kets ``psi`` (n, D) with its own ``u[n]``.
+    def wait(self, psi, u):
+        """Waiting times tau_n with N(tau_n) = u_n in (0, 1], for the unit kets ``psi`` (n, D).
 
-        Every row runs the scalar rule with its own bracket and leaves the
-        stack at the same exit.  Returns ``(tau, phi)`` with ``tau[n] = inf``
-        and a NaN row ``phi[n]`` where no click ever happens.
+        Returns ``(tau, phi)`` with ``phi`` the unnormalized states at tau,
+        and ``tau[n] = inf`` with a NaN row ``phi[n]`` where u_n is at or
+        below N(infinity), the weight of psi_n on the eigenvectors that
+        never decay, so that no click ever happens.  Each row takes Newton
+        steps on log N(tau), whose slope is 2 Im<phi|H'_eff|phi> / N, kept
+        inside its own bracket of the root and replaced by bisection (or
+        doubling, before an upper bound is known) when they leave it, and
+        leaves the stack once converged.  For a pinned member log N is
+        linear, and the first step gives tau = -ln u / sum_m ||c'_m psi||^2.
         """
         tau_out = np.full(len(u), math.inf)
         phi_out = np.full(psi.shape, np.nan, dtype=complex)
@@ -238,26 +190,20 @@ class _ClickEngine:
             f"waiting time for u = {math.exp(log_u[worst]):.3g} did not converge", residual=float(g[worst])
         )
 
-    def click(self, pre, r: float):
-        """Detector chosen with weight ||c'_m pre||^2 from r in [0, 1), and the post-click ket.
+    def click(self, pre, r):
+        """Detector of each row of ``pre`` (n, D) and the post-click kets.
 
+        Detector m is chosen with weight ||c'_m pre_n||^2 from r_n in [0, 1);
         ``pre`` need not be normalized: only the relative weights matter.
         """
-        amps = self.jumps @ pre
-        cumulative = list(itertools.accumulate(np.einsum("mi,mi->m", amps.conj(), amps).real.tolist()))
-        channel = bisect.bisect_right(cumulative, r * cumulative[-1])
-        return channel, _unit(amps[channel])
-
-    def click_stack(self, pre, r):
-        """:meth:`click` for each row of ``pre`` (n, D) with its own ``r[n]``."""
         amps = _apply(self.jumps[None], pre[:, None])
         cumulative = np.cumsum(_vdot_rows(amps, amps).real, axis=1)
         channels = np.sum(cumulative <= (r * cumulative[:, -1])[:, None], axis=1)
         return channels, _unit_rows(amps[np.arange(len(channels)), channels])
 
 
-# The stacked engine forms its products as matrix-vector and vector-vector
-# matmuls, one per row, so each row rounds exactly as the scalar engine does.
+# The engine forms its products as matrix-vector and vector-vector matmuls,
+# one per row, so a row rounds the same in a stack of any size.
 def _apply(mat, rows):
     """``mat @ row`` for each row."""
     return (mat @ rows[..., None])[..., 0]
@@ -269,31 +215,17 @@ def _vdot_rows(a, b):
 
 
 def _unit_rows(rows):
-    """Each row divided by its norm, rounded as :func:`_unit` rounds one ket."""
+    """Each row divided by its norm."""
     return rows / np.sqrt(_vdot_rows(rows, rows).real)[:, None]
-
-
-def _norm(v) -> float:
-    return math.sqrt(np.vdot(v, v).real)
-
-
-def _unit(v):
-    return v / _norm(v)
 
 
 def _coherence_distance(psi, phi) -> float:
     """Coherence-vector distance of two pure unit kets, D * ||psi - phi <phi|psi>||."""
-    return psi.size * _norm(psi - phi * np.vdot(phi, psi))
+    return psi.size * float(np.linalg.norm(psi - phi * np.vdot(phi, psi)))
 
 
 def _engines(me: MasterEquation, scheme: AdaptiveScheme) -> list:
     return [_ClickEngine(*scheme.jumps_and_generator(me, k)) for k in range(scheme.k)]
-
-
-def _uniforms(rng):
-    """``rng.random()`` values one by one, drawn 1024 at a time from the same stream."""
-    while True:
-        yield from rng.random(1024).tolist()
 
 
 def _by_label(labels):
@@ -339,7 +271,7 @@ class _Draws:
         return out
 
 
-def _lockstep_sums(engines, jump_map, psi0, times, draws: _Draws):
+def _lockstep_sums(engines, next_labels, psi0, times, draws: _Draws):
     """Sum of phi phi^dagger at each checkpoint over the trajectories of ``draws``, run in lockstep."""
     n = draws.cursor.size
     psi = np.tile(psi0, (n, 1))
@@ -351,7 +283,7 @@ def _lockstep_sums(engines, jump_map, psi0, times, draws: _Draws):
     def wait(rows):
         u = 1.0 - draws.next(rows)
         for k, idx in _by_label(label[rows]):
-            tau[rows[idx]], pre[rows[idx]] = engines[k].wait_stack(psi[rows[idx]], u[idx])
+            tau[rows[idx]], pre[rows[idx]] = engines[k].wait(psi[rows[idx]], u[idx])
 
     wait(np.arange(n))
     sums = np.empty((len(times), psi0.size, psi0.size), dtype=complex)
@@ -361,18 +293,36 @@ def _lockstep_sums(engines, jump_map, psi0, times, draws: _Draws):
             r = draws.next(due)
             for k, idx in _by_label(label[due]):
                 rows = due[idx]
-                channels, psi[rows] = engines[k].click_stack(pre[rows], r[idx])
-                targets = jump_map[k, channels]
-                label[rows] = np.where(targets == NO_TARGET, k, targets)
+                channels, psi[rows] = engines[k].click(pre[rows], r[idx])
+                label[rows] = next_labels[k, channels]
             t[due] += tau[due]
             wait(due)
             due = due[t[due] + tau[due] <= t_check]
         phi = np.empty_like(psi)
         for k, idx in _by_label(label):
-            phi[idx] = engines[k].propagate_stack(psi[idx], t_check - t[idx])
+            phi[idx] = engines[k].propagate(psi[idx], t_check - t[idx])
         phi = _unit_rows(phi)
         sums[c_idx] = np.einsum("ni,nj->ij", phi, phi.conj())
     return sums
+
+
+def _certified_chain(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble):
+    """Detector weights ||c'_m phi_k||^2 (K, M), exit rates (0 for a dark member)
+    and the closure certificate of :func:`simulate`."""
+    kets = ens.kets().astype(complex)
+    ops = [scheme.jumps_and_generator(me, k) for k in range(ens.k)]
+    amps = np.array([np.asarray(jumps) @ phi for (jumps, _), phi in zip(ops, kets)])
+    weights = np.sum(np.abs(amps) ** 2, axis=2)
+    rates = weights.sum(axis=1)
+    lit = rates > _DARK_TOL * rates.max()
+    drift = 0.0
+    for k in np.flatnonzero(lit):
+        drift = max(
+            drift,
+            _coherence_distance(ops[k][1] @ kets[k], kets[k]) / rates[k],
+            *(_coherence_distance(a / math.sqrt(rates[k]), kets[j]) for a, j in zip(amps[k], scheme.next_labels[k])),
+        )
+    return weights, np.where(lit, rates, 0.0), drift
 
 
 def simulate(
@@ -381,84 +331,76 @@ def simulate(
     ens: Ensemble,
     cfg: TrajectoryConfig | None = None,
 ) -> TrajectoryStats:
-    """Simulate one adaptive trajectory started in member 0.
+    """Sample the member chain of ``scheme`` on ``ens``, started in member 0.
 
-    Statistics are accumulated after a burn-in of ``BURN_IN_JUMPS``
-    detections; a pre-click state further than ``DRIFT_TOL`` (coherence
-    distance) from its nominal member raises :class:`RealizationError`, and
-    so does a member state that would never click again before the stopping
-    target.
+    The chain is certified first.  ``max_state_drift`` is the largest of
+    each member's no-jump residual D ||(1 - phi phi^dagger) H'_eff phi_k||
+    over one mean wait 1/r_k, and the coherence distance from its target
+    member of each c'_m phi_k / sqrt(r_k), a post-click ket weighted by the
+    square root of its detector's probability.  Above ``DRIFT_TOL`` the
+    scheme does not pin the ensemble and :class:`RealizationError` is
+    raised.  A member whose exit rate is below ``_DARK_TOL`` of the largest
+    never clicks and is left out of the certificate.
+
+    The chain then draws one table from ``default_rng([cfg.rng_seed, 0])``
+    with a row per click and K + 1 columns: column 0 gives click i's wait
+    -log(1 - u) / r_label, and column 1 + k the detector of member k's i-th
+    click, so each member has its own queue of detectors and a run is a
+    prefix of any longer run at the same seed.  Statistics are accumulated
+    after a burn-in of ``BURN_IN_JUMPS`` clicks, at whose end the clock
+    restarts, and ``t_max`` ends either phase.  A member that never clicks
+    holds the trajectory until ``t_max``, and raises
+    :class:`RealizationError` without one.
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
-    n_jumps_target = cfg.n_jumps if cfg.n_jumps is not None else 10_000
-    kets = list(ens.kets().astype(complex))
-    engines = _engines(me, scheme)
-    jump_map = scheme.jump_map.tolist()
+    weights, rates, drift = _certified_chain(me, scheme, ens)
+    if drift > DRIFT_TOL:
+        raise RealizationError(f"closure certificate {drift:.3e} > {DRIFT_TOL:g}: scheme does not pin the ensemble")
+    k_members, burn = ens.k, BURN_IN_JUMPS
+    n_clicks = burn + (cfg.n_jumps if cfg.n_jumps is not None else 10_000)
+    draws = np.random.default_rng([cfg.rng_seed, 0]).random((n_clicks, k_members + 1))
+    cumulative = np.cumsum(weights, axis=1)
+    channels = np.stack(
+        [np.searchsorted(c[:-1], draws[:, 1 + k] * c[-1], side="right") for k, c in enumerate(cumulative)], axis=1
+    )
+    nxt = scheme.next_labels
+    queues = [iter(nxt[k, channels[:, k]].tolist() if rates[k] > 0 else ()) for k in range(k_members)]
+    walk = [0]
+    try:
+        for _ in range(n_clicks):
+            walk.append(next(queues[walk[-1]]))
+    except StopIteration:  # the walk reached a dark member
+        pass
+    labels = np.array(walk)
+    n_done = labels.size - 1
+    waits = -np.log1p(-draws[:n_done, 0]) / rates[labels[:n_done]]
+    if n_done < n_clicks:
+        waits = np.append(waits, math.inf)
+    clock = np.concatenate([np.cumsum(waits[:burn]), np.cumsum(waits[burn:])])
+    over = np.flatnonzero(clock >= (math.inf if cfg.t_max is None else cfg.t_max))
+    end = int(over[0]) if over.size else waits.size
+    if cfg.t_max is None and end < waits.size:
+        raise RealizationError(f"member {labels[end]} never clicks after {end} clicks: it is dark to every detector")
 
-    uniforms = _uniforms(np.random.default_rng([cfg.rng_seed, 0]))
-    psi = kets[0]
-    label = 0
-    k_members = ens.k
-
-    dwell = [0.0] * k_members
-    jump_counts = [[0] * k_members for _ in range(k_members)]
-    self_loops = [0] * k_members
-    events = []
-    max_drift = 0.0
-    n_recorded = 0
-    n_total_jumps = 0
-    t = 0.0
-    burning = True
-
-    while n_recorded < n_jumps_target:
-        engine = engines[label]
-        tau, pre = engine.wait(psi, 1.0 - next(uniforms))
-        if cfg.t_max is not None and t + tau >= cfg.t_max:
-            if not burning:
-                dwell[label] += cfg.t_max - t
-            break
-        if tau == math.inf:
-            raise RealizationError(
-                f"member {label} never clicks after {n_total_jumps} clicks: "
-                "part of its state is dark to every detector"
-            )
-        t += tau
-        if not burning:
-            dwell[label] += tau
-        pre = _unit(pre)
-        drift = _coherence_distance(pre, kets[label])
-        n_total_jumps += 1
-        if drift > DRIFT_TOL:
-            raise RealizationError(
-                f"pre-click state drifted {drift:.3e} from member {label} "
-                f"after {n_total_jumps} clicks: scheme does not pin the ensemble"
-            )
-        channel, psi = engine.click(pre, next(uniforms))
-        target = jump_map[label][channel]
-        if burning and n_total_jumps >= BURN_IN_JUMPS:
-            burning = False
-            t = 0.0
-        elif not burning:
-            max_drift = max(max_drift, drift)
-            n_recorded += 1
-            if target == label or target == NO_TARGET:
-                self_loops[label] += 1
-            else:
-                jump_counts[target][label] += 1
-            events.append((t, channel, label, label if target == NO_TARGET else target))
-        label = label if target == NO_TARGET else target
-
-    dwell = np.array(dwell)
+    src, dst = labels[burn:end], labels[burn + 1 : end + 1]
+    dwell = np.bincount(src, waits[burn:end], minlength=k_members).astype(float)
+    if burn <= end < waits.size:
+        dwell[labels[end]] += cfg.t_max - (clock[end - 1] if end > burn else 0.0)
+    channel = np.empty(end, dtype=np.int64)
+    for k in range(k_members):
+        at = np.flatnonzero(labels[:end] == k)
+        channel[at] = channels[: at.size, k]
+    pairs = np.bincount(dst * k_members + src, minlength=k_members**2).reshape(k_members, k_members)
+    loops = pairs.diagonal().copy()
     total_time = float(dwell.sum())
-    occupancy = dwell / total_time if total_time > 0 else dwell
     return TrajectoryStats(
-        occupancy=occupancy,
-        jump_counts=np.array(jump_counts, dtype=np.int64),
-        self_loop_counts=np.array(self_loops, dtype=np.int64),
-        max_state_drift=max_drift,
-        n_jumps=n_recorded,
+        occupancy=dwell / total_time if total_time > 0 else dwell,
+        jump_counts=pairs - np.diag(loops),
+        self_loop_counts=loops,
+        max_state_drift=float(drift),
+        n_jumps=int(src.size),
         total_time=total_time,
-        events=events,
+        events=list(zip(clock[burn:end].tolist(), channel[burn:].tolist(), src.tolist(), dst.tolist())),
     )
 
 
@@ -467,18 +409,14 @@ def member_click_rates(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble
 
     The sampled rate is the number of clicks out of member k (transitions
     and self-loops) over the time spent in k after burn-in, NaN for a member
-    never visited.  The exact rate is sum_m ||c'_m psi_k||^2 under member
-    k's setting: a pinned member waits an exponential time at that rate.
+    never visited.  The exact rate is r_k = sum_m ||c'_m phi_k||^2 under
+    member k's setting, from the detector weights the chain samples.
     """
     clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
     dwell = stats.occupancy * stats.total_time
     with np.errstate(divide="ignore", invalid="ignore"):
         sampled = np.where(dwell > 0, clicks / dwell, math.nan)
-    kets = ens.kets().astype(complex)
-    exact = np.array(
-        [np.sum(np.abs(scheme.jumps_and_generator(me, k)[0] @ kets[k]) ** 2) for k in range(ens.k)]
-    )
-    return sampled, exact
+    return sampled, _certified_chain(me, scheme, ens)[0].sum(axis=1)
 
 
 @dataclass
@@ -569,7 +507,7 @@ def unconditional_check(
     engines = _engines(me, scheme)
     sums = (
         _lockstep_sums(
-            engines, scheme.jump_map, psi0, times,
+            engines, scheme.next_labels, psi0, times,
             _Draws(cfg.rng_seed, first, min(_LOCKSTEP_ROWS, n_trajectories - first)),
         )
         for first in range(0, n_trajectories, _LOCKSTEP_ROWS)

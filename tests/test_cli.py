@@ -1276,6 +1276,17 @@ def test_every_ensemble_search_lists_at_a_loose_tol_passes_verify(capsys, tmp_pa
         assert len(docs) == 8  # the chord-map census
 
 
+@pytest.mark.parametrize("tol", ["1e-3", "1e-4", "1e-5", "1e-10"])
+def test_full_space_census_does_not_depend_on_tol(capsys, tmp_path, tol):
+    # Each start iterates to 1e-3 * min(tol, 1e-10), so at a loose --tol the
+    # copies of one ensemble still merge in the dedup instead of being listed
+    # several times (17 ensembles at 1e-5 when the stop followed --tol).
+    out = tmp_path / "bundle.json"
+    code, _, _ = run(capsys, *SEARCH_RF, "--subspace", "none", "--seeds", "64", "--tol", tol, "-o", str(out))
+    assert code == 0
+    assert len(json.loads(out.read_text())["results"]["ensembles"]) == 8
+
+
 def test_search_subspace_index_out_of_range_is_usage_error(capsys, tmp_path):
     out = tmp_path / "bundle.json"
     code, stdout, err = run(capsys, *SEARCH_RF, "--subspace", "99", "-o", str(out))

@@ -12,7 +12,7 @@ from preforge.solver import analytic_k2
 from preforge.trajectory import (
     _DRAW_BLOCK,
     _LOCKSTEP_ROWS,
-    BURN_IN_JUMPS,
+    DRIFT_TOL,
     TrajectoryConfig,
     _ClickEngine,
     _Draws,
@@ -84,12 +84,16 @@ def _trajectory_draws(seed, traj):
 
 
 def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
-    """One trajectory at a time on the scalar engine, as the check ran before lockstep.
+    """One trajectory at a time, each engine call on a stack of one row.
 
     Returns the samples phi phi^dagger, shape (n_trajectories, n_times, D, D),
     and the number of uniform draws each trajectory took.
     """
     engines = _engines(me, scheme)
+
+    def one(method, label, *args):
+        return [out[0] for out in getattr(engines[label], method)(*(np.array([a]) for a in args))]
+
     psi0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     samples = np.zeros((n_trajectories, len(times), me.dim, me.dim), dtype=complex)
     n_draws = np.zeros(n_trajectories, dtype=int)
@@ -98,17 +102,17 @@ def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
         psi = psi0
         label = 0
         t = 0.0
-        tau, pre = engines[label].wait(psi, 1.0 - next(draws))
+        tau, pre = one("wait", label, psi, 1.0 - next(draws))
         n_draws[traj] = 1
         for c_idx, t_check in enumerate(times):
             while t + tau <= t_check:
-                channel, psi = engines[label].click(pre, next(draws))
+                channel, psi = one("click", label, pre, next(draws))
                 target = int(scheme.jump_map[label, channel])
                 label = label if target == NO_TARGET else target
                 t += tau
-                tau, pre = engines[label].wait(psi, 1.0 - next(draws))
+                tau, pre = one("wait", label, psi, 1.0 - next(draws))
                 n_draws[traj] += 2
-            phi = engines[label].propagate(psi, t_check - t)
+            phi = engines[label].propagate(psi[None], np.array([t_check - t]))[0]
             phi = phi / np.linalg.norm(phi)
             samples[traj, c_idx] = np.outer(phi, phi.conj())
     return samples, n_draws
@@ -168,7 +172,7 @@ def test_norm_decays_monotonically_between_clicks(rf_me, axis_scheme, rng):
     for _ in range(5):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        norms = np.array([np.linalg.norm(engine.propagate(psi, tau)) ** 2 for tau in taus])
+        norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), taus), axis=1) ** 2
         assert np.all(np.diff(norms) <= 1e-12)
         exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
         assert np.max(np.abs(norms - exact)) <= 1e-12
@@ -180,8 +184,9 @@ def test_pinned_member_waits_closed_form(rf_me, axis_scheme, axis_pair):
         jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, k)
         engine = _ClickEngine(jumps, h_eff)
         rate = sum(np.linalg.norm(c @ kets[k]) ** 2 for c in jumps)
-        for u in (0.9, 0.3, 1e-3):
-            tau, phi = engine.wait(kets[k], u)
+        draws = np.array([0.9, 0.3, 1e-3])
+        taus, phis = engine.wait(np.tile(kets[k], (draws.size, 1)), draws)
+        for u, tau, phi in zip(draws, taus, phis):
             assert abs(tau - (-np.log(u) / rate)) <= 1e-12 * tau
             assert abs(np.linalg.norm(phi) ** 2 - u) <= 1e-12
 
@@ -193,8 +198,8 @@ def test_jordan_block_wait_solves_norm_equation(rng):
     assert engine.vinv is None  # defective: propagated by matrix exponential
     for _ in range(5):
         psi = random_pure_ket(2, rng)
-        for u in (0.95, 0.5, 0.01):
-            tau, phi = engine.wait(psi, u)
+        draws = np.array([0.95, 0.5, 0.01])
+        for u, tau, phi in zip(draws, *engine.wait(np.tile(psi, (draws.size, 1)), draws)):
             assert np.isfinite(tau) and tau > 0
             state = la.expm(-1j * h_eff * tau) @ psi
             assert abs(np.linalg.norm(state) ** 2 - u) <= 1e-12
@@ -210,7 +215,7 @@ def test_norm_near_exceptional_point_matches_expm(eps):
     engine = _ClickEngine([np.array([[0.0, 0.0], [1.0, 0.0]])], h_eff)
     psi = np.array([1.0, 0.0], dtype=complex)
     taus = np.linspace(0.0, 30.0, 301)
-    norms = np.array([np.linalg.norm(engine.propagate(psi, tau)) ** 2 for tau in taus])
+    norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), taus), axis=1) ** 2
     exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
     assert np.max(np.abs(norms - exact)) <= 1e-13
 
@@ -237,13 +242,13 @@ def test_dark_state_never_clicks_and_fails_bounded():
     h_eff = np.diag([0.0, -0.5j * gamma])
     engine = _ClickEngine([decay], h_eff)
     e0 = np.array([1.0, 0.0], dtype=complex)
-    for u in (0.999, 0.5, 1e-9):
-        assert engine.wait(e0, u) == (np.inf, None)
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    assert abs(engine.limit_norm(plus) - 0.5) <= 1e-12
-    assert engine.wait(plus, 0.4)[0] == np.inf
-    tau, _ = engine.wait(plus, 0.8)
-    assert abs(tau - (-np.log(0.6) / gamma)) <= 1e-12 * tau
+    kets = np.array([e0, e0, e0, plus, plus, plus, plus])
+    # plus keeps the no-jump norm 1/2 forever: u at or below it never clicks
+    taus, phis = engine.wait(kets, np.array([0.999, 0.5, 1e-9, 0.4, 0.5 - 1e-12, 0.5 + 1e-12, 0.8]))
+    assert np.all(taus[:5] == np.inf) and np.all(np.isnan(phis[:5]))
+    assert np.isfinite(taus[5])
+    assert abs(taus[6] - (-np.log(0.6) / gamma)) <= 1e-12 * taus[6]
 
     me = MasterEquation(2, np.zeros((2, 2)), [decay])
     ens = Ensemble.from_states_kappa(2, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0, 1], [1, 0]])
@@ -253,6 +258,24 @@ def test_dark_state_never_clicks_and_fails_bounded():
         simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10))
     stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10, t_max=5.0))
     assert stats.n_jumps == 0 and stats.total_time == 0.0
+
+
+def test_dark_member_reached_after_burn_in_holds_until_t_max():
+    # Member 0 (e1) clicks back to itself at rate 5 and decays to the dark
+    # member 1 (e0) at rate 0.1, so the walk ends there after about 50 clicks.
+    loop = np.sqrt(5.0) / 2 * np.diag([-1.0, 1.0])  # shifted to sqrt(5) |e1><e1| below
+    decay = np.sqrt(0.1) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = MasterEquation(2, np.zeros((2, 2)), [loop, decay])
+    ens = Ensemble.from_states_kappa(2, [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [[0, 1], [1, 0]])
+    shift = UnravellingSetting(np.eye(2), np.array([np.sqrt(5.0) / 2, 0.0]))
+    scheme = AdaptiveScheme(settings=(shift, shift), jump_map=np.array([[0, 1], [NO_TARGET, NO_TARGET]]))
+    stats = simulate(me, scheme, ens, TrajectoryConfig(t_max=50.0, rng_seed=1))
+    assert stats.max_state_drift == 0.0 and stats.n_jumps > 0
+    t_last, _, _, to = stats.events[-1]
+    assert to == 1 and abs(stats.total_time - 50.0) <= 1e-12
+    assert abs(stats.occupancy[1] * stats.total_time - (50.0 - t_last)) <= 1e-12
+    with pytest.raises(RealizationError, match="member 1 never clicks"):
+        simulate(me, scheme, ens, TrajectoryConfig(n_jumps=1000, rng_seed=1))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -459,63 +482,80 @@ def _wait_cases(rf_me, axis_scheme, axis_pair, rng):
     return cases
 
 
-def test_stacked_wait_matches_scalar_wait_row_by_row(rf_me, axis_scheme, axis_pair, rng):
+def test_stacked_wait_solves_the_norm_equation_row_by_row(rf_me, axis_scheme, axis_pair, rng):
     n_inf = 0
     for engine, kets, draws in _wait_cases(rf_me, axis_scheme, axis_pair, rng):
-        taus, phis = engine.wait_stack(kets, draws)
+        taus, phis = engine.wait(kets, draws)
         for psi, u, tau, phi in zip(kets, draws, taus, phis):
-            ref_tau, ref_phi = engine.wait(psi, u)
-            if ref_phi is None:
+            if tau == np.inf:
                 n_inf += 1
-                assert tau == np.inf and np.all(np.isnan(phi))
+                assert np.all(np.isnan(phi))
+                # no click ever: the norm never falls below u
+                assert np.linalg.norm(la.expm(-1j * engine.h * 1e3) @ psi) ** 2 >= u - 1e-12
                 continue
-            assert abs(tau - ref_tau) <= 1e-12 * ref_tau
-            assert np.max(np.abs(phi - ref_phi)) <= 1e-12
+            state = la.expm(-1j * engine.h * tau) @ psi
+            assert abs(np.linalg.norm(state) ** 2 - u) <= 1e-12
+            assert np.max(np.abs(phi - state)) <= 1e-12
     assert n_inf >= 2  # dark kets below their limit norm never click
 
 
-def test_stacked_click_and_propagate_match_scalar(rf_me, axis_scheme, rng):
-    engine = _ClickEngine(*axis_scheme.jumps_and_generator(rf_me, 0))
+def test_stacked_click_and_propagate_match_direct_products(rf_me, axis_scheme, rng):
+    jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, 0)
+    engine = _ClickEngine(jumps, h_eff)
     kets = np.array([random_pure_ket(2, rng) for _ in range(20)])
     r = rng.uniform(size=20)
-    channels, posts = engine.click_stack(kets, r)
+    channels, posts = engine.click(kets, r)
     taus = rng.uniform(0.0, 5.0, size=20)
-    flows = engine.propagate_stack(kets, taus)
+    flows = engine.propagate(kets, taus)
     for psi, ri, ch, post, tau, flow in zip(kets, r, channels, posts, taus, flows):
-        ref_ch, ref_post = engine.click(psi, ri)
-        assert ch == ref_ch and np.max(np.abs(post - ref_post)) <= 1e-12
-        assert np.max(np.abs(flow - engine.propagate(psi, tau))) <= 1e-12
+        amps = np.asarray(jumps) @ psi
+        cumulative = np.cumsum(np.linalg.norm(amps, axis=1) ** 2)
+        assert ch == np.searchsorted(cumulative, ri * cumulative[-1], side="right")
+        assert np.max(np.abs(post - amps[ch] / np.linalg.norm(amps[ch]))) <= 1e-12
+        assert np.max(np.abs(flow - la.expm(-1j * h_eff * tau) @ psi)) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["rf_axis", "ae_poles"])
-def test_stacked_engine_replays_simulate(request, monkeypatch, case):
-    me, scheme = request.getfixturevalue(f"{case}_case")
-    ens = request.getfixturevalue({"rf_axis": "axis_pair", "ae_poles": "poles"}[case])
-    calls = []
+@pytest.mark.parametrize("case, ensemble", [("rf_axis_case", "axis_pair"), ("ae_poles_case", "poles")])
+def test_chain_agrees_with_the_stacked_engine_from_the_member_kets(request, case, ensemble):
+    # The engine solves every wait and click from the state itself; on a
+    # pinned ensemble its statistics must be those of the sampled chain.
+    me, scheme = request.getfixturevalue(case)
+    ens = request.getfixturevalue(ensemble)
+    engines = _engines(me, scheme)
+    kets = ens.kets().astype(complex)
+    dwell, clicks = np.zeros(ens.k), np.zeros(ens.k)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        rows = 50
+        psi, label = np.tile(kets[0], (rows, 1)), np.zeros(rows, dtype=int)
+        for _ in range(60):
+            u, r = 1.0 - rng.random(rows), rng.random(rows)
+            for k in range(ens.k):
+                at = np.flatnonzero(label == k)
+                tau, pre = engines[k].wait(psi[at], u[at])
+                channels, psi[at] = engines[k].click(pre, r[at])
+                dwell[k] += tau.sum()
+                clicks[k] += at.size
+                label[at] = scheme.next_labels[k, channels]
+            assert max(_coherence_distance(p, kets[k]) for p, k in zip(psi, label)) <= DRIFT_TOL
+    stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=6000, rng_seed=4))
+    occupancy = dwell / dwell.sum()
+    p0p1 = ens.occupations[0] * ens.occupations[1]
+    # four standard errors of the difference of two independent estimates
+    band = 4.0 * np.sqrt(p0p1 * (1 / clicks.sum() + 1 / stats.n_jumps))
+    assert abs(occupancy[0] - stats.occupancy[0]) <= band
+    sampled, exact = member_click_rates(me, scheme, ens, stats)
+    chain_clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
+    for k in range(ens.k):
+        band = 4.0 * np.sqrt(1 / clicks[k] + 1 / chain_clicks[k]) * exact[k]
+        assert abs(clicks[k] / dwell[k] - sampled[k]) <= band
 
-    def recording(name):
-        scalar = getattr(_ClickEngine, name)
 
-        def record(engine, *args):
-            out = scalar(engine, *args)
-            calls.append((name, engine, args, out))
-            return out
-
-        return record
-
-    for name in ("wait", "click"):
-        monkeypatch.setattr(_ClickEngine, name, recording(name))
-    simulate(me, scheme, ens, TrajectoryConfig(n_jumps=300 - BURN_IN_JUMPS, rng_seed=7))
-    assert [c[0] for c in calls] == ["wait", "click"] * 300
-    for name, engine, (ket, draw), out in calls:
-        if name == "wait":
-            tau, phi = engine.wait_stack(ket[None], np.array([draw]))
-            assert abs(tau[0] - out[0]) <= 1e-12 * out[0]
-            assert np.max(np.abs(phi[0] - out[1])) <= 1e-12
-        else:
-            channel, post = engine.click_stack(ket[None], np.array([draw]))
-            assert channel[0] == out[0]
-            assert np.max(np.abs(post[0] - out[1])) <= 1e-12
+def test_longer_run_extends_a_shorter_one(rf_me, axis_scheme, axis_pair):
+    short = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=100, rng_seed=4))
+    long = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=300, rng_seed=4))
+    assert long.events[:100] == short.events
+    assert short.max_state_drift == long.max_state_drift <= 1e-12  # certified once, from the operators
 
 
 @pytest.mark.parametrize(
@@ -557,7 +597,7 @@ def test_stacked_wait_raises_when_a_row_does_not_converge(monkeypatch):
     monkeypatch.setattr("preforge.trajectory._MAX_ITER", 2)
     kets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ConvergenceError):
-        engine.wait_stack(kets, np.array([0.5, 0.1]))
+        engine.wait(kets, np.array([0.5, 0.1]))
 
 
 @pytest.mark.parametrize(
