@@ -11,14 +11,15 @@ this once per (member, detector) and samples the chain exactly with arrays
 
 :func:`unconditional_check` starts from any ket and runs the waiting-time
 Monte Carlo wavefunction method (Dalibard, Castin & Molmer, PRL 68, 580
-(1992); Plenio & Knight, RMP 70, 101 (1998)) on :class:`_ClickEngine`.  The
-unnormalized state follows exp(-i H'_eff tau) psi between detections, and
-its squared norm N(tau) is the probability of no click yet: each wait
-solves N(tau) = u for u uniform in (0, 1], detector m is picked with weight
-||c'_m psi||^2, and the routing table switches the setting.  Propagation
-uses the eigendecomposition of H'_eff, or a matrix exponential when it is
-defective or nearly so.  Neither path steps in time, so there is no step
-size and no discretization bias.
+(1992); Plenio & Knight, RMP 70, 101 (1998)) on one :class:`_ClickEngine`
+that stacks all of the scheme's settings.  The unnormalized state follows
+exp(-i H'_eff tau) psi between detections, and its squared norm N(tau) is
+the probability of no click yet: each wait solves N(tau) = u for u uniform
+in (0, 1], detector m is picked with weight ||c'_m psi||^2, and the routing
+table switches the setting, so each click round is one engine call on kets
+with mixed settings.  Propagation uses the eigendecomposition of H'_eff, or
+a matrix exponential when it is defective or nearly so.  Neither path
+steps in time, so there is no step size and no discretization bias.
 """
 
 from __future__ import annotations
@@ -56,10 +57,8 @@ _MAX_ITER = 200
 # Uniform draws taken at once from each unconditional-check trajectory's
 # stream: the first wait and three clicks, each click drawing r and u.
 _DRAW_BLOCK = 8
-# Trajectories run in lockstep at once, which bounds the check's memory, and
-# rows per stacked engine call, which bounds the temporaries of a wait.
+# Trajectories run in lockstep at once, which bounds the check's memory.
 _LOCKSTEP_ROWS = 4096
-_STACK_ROWS = 512
 # Clicks that ``simulate`` discards before it records statistics, and the
 # largest closure certificate (a coherence distance) of a pinned chain.
 BURN_IN_JUMPS = 20
@@ -72,15 +71,24 @@ _BAND_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Stopping target and random stream."""
+    """Stopping target and random stream; ``t_max`` None or inf is no time limit."""
 
     t_max: float | None = None
     n_jumps: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_jumps is not None and self.n_jumps < 1:
-            raise ValueError(f"jump count must be positive, got {self.n_jumps}")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError(f"time limit must be positive, got {self.t_max}")
+        if self.t_max == math.inf:
+            object.__setattr__(self, "t_max", None)
+        if self.n_jumps is not None:
+            _check_count(self.n_jumps, "jump count")
+
+
+def _check_count(value, what: str):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be positive and an integer, got {value!r}")
 
 
 @dataclass
@@ -97,43 +105,57 @@ class TrajectoryStats:
 
 
 class _ClickEngine:
-    """Exact no-jump propagation and click sampling for one setting, on a stack of kets (one per row)."""
+    """Exact no-jump propagation and click sampling for all of a scheme's settings.
 
-    def __init__(self, jumps, h_eff):
-        self.jumps = np.asarray(jumps, dtype=complex)
-        self.h = np.asarray(h_eff, dtype=complex)
-        lam, v = np.linalg.eig(self.h)
-        self.lam = lam
-        self.v = v
-        self.vinv = np.linalg.inv(v) if np.linalg.cond(v) <= _DEFECTIVE_COND else None
-        self.exp_h = exp_flow(-1j * self.h) if self.vinv is None else None
-        scale = max(np.linalg.norm(self.h, 2), 1e-300)
+    Built from one ``(jumps, h_eff)`` pair per setting label, a setting with
+    fewer detectors padded with zero detectors, which never click.  Each
+    method takes a stack of kets, one per row, with each row's label.
+    """
+
+    def __init__(self, settings):
+        self.h = np.array([h for _, h in settings], dtype=complex)
+        k, dim, _ = self.h.shape
+        self.jumps = np.zeros((k, max(len(jumps) for jumps, _ in settings), dim, dim), dtype=complex)
+        self.lam, self.v = np.linalg.eig(self.h)
+        scale = np.maximum(np.linalg.norm(self.h, 2, axis=(1, 2)), 1e-300)
         self.tau_unit = 1.0 / scale
         # Eigenvectors that never decay are annihilated by every jump operator
         # and orthogonal to all decaying (generalized) eigenvectors, so the
-        # no-jump norm tends to the weight of psi on their span.
-        dark = lam.imag >= -_DARK_TOL * scale
-        self.dark = orth(v[:, dark]) if dark.any() else None
+        # no-jump norm tends to the weight of psi on their span: the rows of
+        # ``dark`` are an orthonormal basis of it, conjugated and zero-padded.
+        dark = self.lam.imag >= -_DARK_TOL * scale[:, None]
+        self.vinv, self.dark = np.zeros_like(self.v), np.zeros_like(self.v)
+        self.exp_h = {}  # label -> exp_flow of a defective setting, which propagates row by row
+        for i, (jumps, _) in enumerate(settings):
+            self.jumps[i, : len(jumps)] = jumps
+            if np.linalg.cond(self.v[i]) <= _DEFECTIVE_COND:
+                self.vinv[i] = np.linalg.inv(self.v[i])
+            else:
+                self.exp_h[i] = exp_flow(-1j * self.h[i])
+            basis = orth(self.v[i][:, dark[i]])
+            self.dark[i, : basis.shape[1]] = basis.conj().T
+        self.defective = np.isin(np.arange(k), list(self.exp_h))
+        self.dark = self.dark if dark.any() else None
 
-    def _coefficients(self, psi):
-        """Rows of psi in the form ``_flow_rows`` propagates: eigen-coordinates, or psi itself."""
-        return psi if self.vinv is None else _apply(self.vinv, psi)
+    def coefficients(self, psi, label):
+        """Rows of psi in the form ``propagate`` reads: eigen-coordinates, or psi itself."""
+        coeffs = _apply(self.vinv.take(label, 0), psi)
+        if self.exp_h:
+            at = self.defective[label]
+            coeffs[at] = psi[at]
+        return coeffs
 
-    def _flow_rows(self, coeffs, tau):
-        """exp(-i H'_eff tau_n) psi_n for each row n, unnormalized."""
-        if self.vinv is None:
-            return np.array([self.exp_h(t) @ c for t, c in zip(tau, coeffs)]).reshape(coeffs.shape)
-        return _apply(self.v, np.exp(-1j * tau[:, None] * self.lam) * coeffs)
+    def propagate(self, psi, label, tau, coeffs=None):
+        """exp(-i H'_eff tau_n) psi_n, unnormalized, for each row n, from the rows' ``coefficients`` if given."""
+        coeffs = self.coefficients(psi, label) if coeffs is None else coeffs
+        # ``take`` gathers the rows' settings faster than fancy indexing does.
+        out = _apply(self.v.take(label, 0), np.exp(-1j * tau[:, None] * self.lam.take(label, 0)) * coeffs)
+        if self.exp_h:
+            for row in np.flatnonzero(self.defective[label]):
+                out[row] = self.exp_h[label[row]](tau[row]) @ coeffs[row]
+        return out
 
-    def propagate(self, psi, tau):
-        """exp(-i H'_eff tau_n) psi_n, unnormalized, for each row of ``psi`` (n, D) and ``tau`` (n,)."""
-        return self._flow_rows(self._coefficients(psi), tau)
-
-    def _slopes(self, phi):
-        """2 Im<phi_n|H'_eff|phi_n> for each row n."""
-        return 2.0 * _vdot_rows(phi, _apply(self.h, phi)).imag
-
-    def wait(self, psi, u):
+    def wait(self, psi, label, u, coeffs=None):
         """Waiting times tau_n with N(tau_n) = u_n in (0, 1], for the unit kets ``psi`` (n, D).
 
         Returns ``(tau, phi)`` with ``phi`` the unnormalized states at tau,
@@ -145,65 +167,63 @@ class _ClickEngine:
         doubling, before an upper bound is known) when they leave it, and
         leaves the stack once converged.  For a pinned member log N is
         linear, and the first step gives tau = -ln u / sum_m ||c'_m psi||^2.
+        ``coeffs``, if given, are the rows' ``coefficients``.
         """
         tau_out = np.full(len(u), math.inf)
         phi_out = np.full(psi.shape, np.nan, dtype=complex)
-        limit = 0.0 if self.dark is None else np.sum(np.abs(psi @ self.dark.conj()) ** 2, axis=1)
+        limit = 0.0 if self.dark is None else np.sum(np.abs(_apply(self.dark.take(label, 0), psi)) ** 2, axis=1)
         rows = np.flatnonzero(u > limit)
-        coeffs = self._coefficients(psi[rows])
+        label = label[rows]
+        coeffs = self.coefficients(psi[rows], label) if coeffs is None else coeffs[rows]
+        tau_unit = self.tau_unit[label]
         log_u = np.log(u[rows])
         lo, hi = np.zeros(rows.size), np.full(rows.size, math.inf)
         tau, g = np.zeros(rows.size), -log_u
-        slope = self._slopes(psi[rows])
+        phi, n = psi[rows], np.ones(rows.size)
         for _ in range(_MAX_ITER):
             with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.where(n > 0, 2.0 * _vdot_rows(phi, _apply(self.h.take(label, 0), phi)).imag / n, math.nan)
                 step = np.where(slope < 0, tau - g / slope, math.inf)
             tau = np.where(
                 (lo < step) & (step < hi),
                 step,
-                np.where(hi < math.inf, 0.5 * (lo + hi), np.maximum(2.0 * tau, self.tau_unit)),
+                np.where(hi < math.inf, 0.5 * (lo + hi), np.maximum(2.0 * tau, tau_unit)),
             )
-            live = tau <= _TAU_CAP * self.tau_unit
-            if not live.all():
-                rows, coeffs, log_u, lo, hi, tau = (a[live] for a in (rows, coeffs, log_u, lo, hi, tau))
-            if rows.size == 0:
-                return tau_out, phi_out
-            phi = self._flow_rows(coeffs, tau)
+            phi = self.propagate(None, label, tau, coeffs)
             n = _vdot_rows(phi, phi).real
             with np.errstate(divide="ignore"):
                 g = np.log(n) - log_u
             above = g > 0
             lo, hi = np.where(above, tau, lo), np.where(above, hi, tau)
-            done = (np.abs(g) <= _LOG_TOL) | ((hi < math.inf) & (hi - lo <= 4e-16 * hi))
+            live = tau <= _TAU_CAP * tau_unit  # beyond the cap: no click
+            done = live & ((np.abs(g) <= _LOG_TOL) | ((hi < math.inf) & (hi - lo <= 4e-16 * hi)))
             tau_out[rows[done]] = tau[done]
             phi_out[rows[done]] = phi[done]
-            keep = ~done
-            rows, coeffs, log_u, lo, hi, tau, g, phi, n = (
-                a[keep] for a in (rows, coeffs, log_u, lo, hi, tau, g, phi, n)
+            keep = live & ~done
+            rows, label, tau_unit, coeffs, log_u, lo, hi, tau, g, phi, n = (
+                a[keep] for a in (rows, label, tau_unit, coeffs, log_u, lo, hi, tau, g, phi, n)
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.where(n > 0, self._slopes(phi) / n, math.nan)
-        if rows.size == 0:
-            return tau_out, phi_out
+            if rows.size == 0:
+                return tau_out, phi_out
         worst = int(np.argmax(np.abs(g)))
         raise ConvergenceError(
             f"waiting time for u = {math.exp(log_u[worst]):.3g} did not converge", residual=float(g[worst])
         )
 
-    def click(self, pre, r):
+    def click(self, pre, label, r):
         """Detector of each row of ``pre`` (n, D) and the post-click kets.
 
         Detector m is chosen with weight ||c'_m pre_n||^2 from r_n in [0, 1);
         ``pre`` need not be normalized: only the relative weights matter.
         """
-        amps = _apply(self.jumps[None], pre[:, None])
+        amps = _apply(self.jumps.take(label, 0), pre[:, None])
         cumulative = np.cumsum(_vdot_rows(amps, amps).real, axis=1)
         channels = np.sum(cumulative <= (r * cumulative[:, -1])[:, None], axis=1)
         return channels, _unit_rows(amps[np.arange(len(channels)), channels])
 
 
 # The engine forms its products as matrix-vector and vector-vector matmuls,
-# one per row, so a row rounds the same in a stack of any size.
+# one per row, so a row rounds the same in a stack of any size and settings.
 def _apply(mat, rows):
     """``mat @ row`` for each row."""
     return (mat @ rows[..., None])[..., 0]
@@ -224,19 +244,6 @@ def _coherence_distance(psi, phi) -> float:
     return psi.size * float(np.linalg.norm(psi - phi * np.vdot(phi, psi)))
 
 
-def _engines(me: MasterEquation, scheme: AdaptiveScheme) -> list:
-    return [_ClickEngine(*scheme.jumps_and_generator(me, k)) for k in range(scheme.k)]
-
-
-def _by_label(labels):
-    """(label, positions) for each distinct value in ``labels``, ``_STACK_ROWS`` positions at most."""
-    groups = []
-    for k in np.unique(labels):
-        at = np.flatnonzero(labels == k)
-        groups += [(int(k), at[i : i + _STACK_ROWS]) for i in range(0, at.size, _STACK_ROWS)]
-    return groups
-
-
 class _Draws:
     """Uniform draws of trajectories first, ..., first + n - 1 (row i - first), in stream order.
 
@@ -255,53 +262,42 @@ class _Draws:
         self.cursor = np.zeros(n, dtype=np.int64)
         self.own = {}  # row -> its trajectory's own stream
 
-    def next(self, rows):
-        """The next draw of each trajectory in ``rows`` (distinct row indices)."""
-        cursor = self.cursor[rows]
-        out = np.empty(rows.size)
-        near = cursor < _DRAW_BLOCK
-        out[near] = self.table[rows[near], cursor[near]]
-        for j in np.flatnonzero(~near):
+    def next(self, rows, count=1):
+        """The next ``count`` draws of each trajectory in ``rows`` (distinct row indices), as (n, count)."""
+        cursor = self.cursor[rows, None] + np.arange(count)
+        out = self.table[rows[:, None], np.minimum(cursor, _DRAW_BLOCK - 1)]
+        for j, c in zip(*np.nonzero(cursor >= _DRAW_BLOCK)):
             row = int(rows[j])
             if row not in self.own:
                 child = np.random.SeedSequence([self.seed, 1000], spawn_key=(self.first + row,))
                 self.own[row] = np.random.default_rng(child)
-            out[j] = self.own[row].random()
-        self.cursor[rows] += 1
+            out[j, c] = self.own[row].random()
+        self.cursor[rows] += count
         return out
 
 
-def _lockstep_sums(engines, next_labels, psi0, times, draws: _Draws):
-    """Sum of phi phi^dagger at each checkpoint over the trajectories of ``draws``, run in lockstep."""
+def _lockstep_sums(engine: _ClickEngine, next_labels, psi0, times, draws: _Draws):
+    """Sum of phi phi^dagger at each checkpoint over the trajectories of ``draws``, run in lockstep:
+    one ``click`` and one ``wait`` per click round, one ``propagate`` of the post-click coefficients per checkpoint."""
     n = draws.cursor.size
     psi = np.tile(psi0, (n, 1))
     label = np.zeros(n, dtype=np.int64)
+    coeffs = engine.coefficients(psi, label)
     t = np.zeros(n)
-    tau = np.empty(n)
-    pre = np.empty_like(psi)
-
-    def wait(rows):
-        u = 1.0 - draws.next(rows)
-        for k, idx in _by_label(label[rows]):
-            tau[rows[idx]], pre[rows[idx]] = engines[k].wait(psi[rows[idx]], u[idx])
-
-    wait(np.arange(n))
+    tau, pre = engine.wait(psi, label, 1.0 - draws.next(np.arange(n))[:, 0], coeffs)
     sums = np.empty((len(times), psi0.size, psi0.size), dtype=complex)
     for c_idx, t_check in enumerate(times):
         due = np.flatnonzero(t + tau <= t_check)
         while due.size:
-            r = draws.next(due)
-            for k, idx in _by_label(label[due]):
-                rows = due[idx]
-                channels, psi[rows] = engines[k].click(pre[rows], r[idx])
-                label[rows] = next_labels[k, channels]
+            r, u = draws.next(due, 2).T
+            channels, post = engine.click(pre[due], label[due], r)
+            post_label = next_labels[label[due], channels]
+            post_coeffs = engine.coefficients(post, post_label)
+            psi[due], label[due], coeffs[due] = post, post_label, post_coeffs
             t[due] += tau[due]
-            wait(due)
+            tau[due], pre[due] = engine.wait(post, post_label, 1.0 - u, post_coeffs)
             due = due[t[due] + tau[due] <= t_check]
-        phi = np.empty_like(psi)
-        for k, idx in _by_label(label):
-            phi[idx] = engines[k].propagate(psi[idx], t_check - t[idx])
-        phi = _unit_rows(phi)
+        phi = _unit_rows(engine.propagate(psi, label, t_check - t, coeffs))
         sums[c_idx] = np.einsum("ni,nj->ij", phi, phi.conj())
     return sums
 
@@ -461,9 +457,10 @@ def unconditional_check(
     propagation of the generator in coordinate representation, so the model
     needs no unique or full-rank steady state (a dark state is allowed).
 
-    The trajectories run in lockstep, up to ``_LOCKSTEP_ROWS`` at a time: at
-    each checkpoint the rows whose next click comes first are clicked and
-    sent to their next wait together, one stack per setting, until every
+    The trajectories run in lockstep, up to ``_LOCKSTEP_ROWS`` at a time, on
+    one :class:`_ClickEngine` for all of the scheme's settings: at each
+    checkpoint the rows whose next click comes first are clicked and sent to
+    their next wait together, one stack whatever their settings, until every
     row's next click lies beyond the checkpoint.  Trajectory i draws u of the
     first wait, then r of the click and u of the next wait per click, from
     the stream laid out by :class:`_Draws` (its block of
@@ -477,11 +474,12 @@ def unconditional_check(
     sigma(t)^2 = 1 - ||rho_bar(t)||_F^2 and the average's Frobenius error
     has root mean square sigma(t)/sqrt(N); the band is z times that plus a
     numerical floor, with z = ``UNCONDITIONAL_Z``.  One trajectory gives a
-    band of zero width.  An explicit ``tol`` is a fixed bound on every
-    distance instead.
+    band of zero width.  An explicit ``tol`` (non-negative) is a fixed bound
+    on every distance instead.
     """
-    if n_trajectories < 1:
-        raise ValueError(f"trajectory count must be positive, got {n_trajectories}")
+    _check_count(n_trajectories, "trajectory count")
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
     cfg = TrajectoryConfig() if cfg is None else cfg
     dim = me.dim
     basis = build_basis(dim)
@@ -504,10 +502,10 @@ def unconditional_check(
         raise ValueError(f"initial state must be a finite nonzero vector of length {dim}")
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    engines = _engines(me, scheme)
+    engine = _ClickEngine([scheme.jumps_and_generator(me, k) for k in range(scheme.k)])
     sums = (
         _lockstep_sums(
-            engines, scheme.next_labels, psi0, times,
+            engine, scheme.next_labels, psi0, times,
             _Draws(cfg.rng_seed, first, min(_LOCKSTEP_ROWS, n_trajectories - first)),
         )
         for first in range(0, n_trajectories, _LOCKSTEP_ROWS)

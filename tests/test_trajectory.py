@@ -17,7 +17,6 @@ from preforge.trajectory import (
     _ClickEngine,
     _Draws,
     _coherence_distance,
-    _engines,
     member_click_rates,
     simulate,
     unconditional_check,
@@ -83,16 +82,24 @@ def _trajectory_draws(seed, traj):
         yield own.random()
 
 
+def _scheme_engine(me, scheme):
+    return _ClickEngine([scheme.jumps_and_generator(me, k) for k in range(scheme.k)])
+
+
+def _labels(n, label=0):
+    return np.full(n, label, dtype=np.int64)
+
+
 def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
     """One trajectory at a time, each engine call on a stack of one row.
 
     Returns the samples phi phi^dagger, shape (n_trajectories, n_times, D, D),
     and the number of uniform draws each trajectory took.
     """
-    engines = _engines(me, scheme)
+    engine = _scheme_engine(me, scheme)
 
-    def one(method, label, *args):
-        return [out[0] for out in getattr(engines[label], method)(*(np.array([a]) for a in args))]
+    def one(method, label, rows, values):
+        return [out[0] for out in getattr(engine, method)(np.array([rows]), _labels(1, label), np.array([values]))]
 
     psi0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     samples = np.zeros((n_trajectories, len(times), me.dim, me.dim), dtype=complex)
@@ -112,7 +119,7 @@ def _reference_samples(me, scheme, cfg, psi0, times, n_trajectories):
                 t += tau
                 tau, pre = one("wait", label, psi, 1.0 - next(draws))
                 n_draws[traj] += 2
-            phi = engines[label].propagate(psi[None], np.array([t_check - t]))[0]
+            phi = engine.propagate(psi[None], _labels(1, label), np.array([t_check - t]))[0]
             phi = phi / np.linalg.norm(phi)
             samples[traj, c_idx] = np.outer(phi, phi.conj())
     return samples, n_draws
@@ -167,12 +174,12 @@ def test_wrong_amplitude_sign_fails_to_pin(rf_me, axis_pair, axis_scheme):
 
 def test_norm_decays_monotonically_between_clicks(rf_me, axis_scheme, rng):
     jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, 0)
-    engine = _ClickEngine(jumps, h_eff)
+    engine = _ClickEngine([(jumps, h_eff)])
     taus = np.linspace(0.0, 20.0, 401)
     for _ in range(5):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), taus), axis=1) ** 2
+        norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), _labels(taus.size), taus), axis=1) ** 2
         assert np.all(np.diff(norms) <= 1e-12)
         exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
         assert np.max(np.abs(norms - exact)) <= 1e-12
@@ -182,10 +189,10 @@ def test_pinned_member_waits_closed_form(rf_me, axis_scheme, axis_pair):
     kets = axis_pair.kets()
     for k in range(2):
         jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, k)
-        engine = _ClickEngine(jumps, h_eff)
+        engine = _ClickEngine([(jumps, h_eff)])
         rate = sum(np.linalg.norm(c @ kets[k]) ** 2 for c in jumps)
         draws = np.array([0.9, 0.3, 1e-3])
-        taus, phis = engine.wait(np.tile(kets[k], (draws.size, 1)), draws)
+        taus, phis = engine.wait(np.tile(kets[k], (draws.size, 1)), _labels(draws.size), draws)
         for u, tau, phi in zip(draws, taus, phis):
             assert abs(tau - (-np.log(u) / rate)) <= 1e-12 * tau
             assert abs(np.linalg.norm(phi) ** 2 - u) <= 1e-12
@@ -194,12 +201,12 @@ def test_pinned_member_waits_closed_form(rf_me, axis_scheme, axis_pair):
 def test_jordan_block_wait_solves_norm_equation(rng):
     gamma = 1.0
     h_eff = np.array([[-0.5j * gamma, 0.5 * gamma], [0.0, -0.5j * gamma]])
-    engine = _ClickEngine([np.sqrt(gamma) * np.eye(2)], h_eff)
-    assert engine.vinv is None  # defective: propagated by matrix exponential
+    engine = _ClickEngine([([np.sqrt(gamma) * np.eye(2)], h_eff)])
+    assert engine.defective[0]  # propagated by matrix exponential
     for _ in range(5):
         psi = random_pure_ket(2, rng)
         draws = np.array([0.95, 0.5, 0.01])
-        for u, tau, phi in zip(draws, *engine.wait(np.tile(psi, (draws.size, 1)), draws)):
+        for u, tau, phi in zip(draws, *engine.wait(np.tile(psi, (draws.size, 1)), _labels(draws.size), draws)):
             assert np.isfinite(tau) and tau > 0
             state = la.expm(-1j * h_eff * tau) @ psi
             assert abs(np.linalg.norm(state) ** 2 - u) <= 1e-12
@@ -212,10 +219,10 @@ def test_norm_near_exceptional_point_matches_expm(eps):
     # the eigenvectors are nearly parallel (cond(V) about 4e4 and 4e5).
     omega = 0.25 * (1.0 + eps)
     h_eff = np.array([[-0.5j, omega], [omega, 0.0]])
-    engine = _ClickEngine([np.array([[0.0, 0.0], [1.0, 0.0]])], h_eff)
+    engine = _ClickEngine([([np.array([[0.0, 0.0], [1.0, 0.0]])], h_eff)])
     psi = np.array([1.0, 0.0], dtype=complex)
     taus = np.linspace(0.0, 30.0, 301)
-    norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), taus), axis=1) ** 2
+    norms = np.linalg.norm(engine.propagate(np.tile(psi, (taus.size, 1)), _labels(taus.size), taus), axis=1) ** 2
     exact = np.array([np.linalg.norm(la.expm(-1j * h_eff * tau) @ psi) ** 2 for tau in taus])
     assert np.max(np.abs(norms - exact)) <= 1e-13
 
@@ -240,12 +247,13 @@ def test_dark_state_never_clicks_and_fails_bounded():
     gamma = 0.8
     decay = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])  # e1 -> e0
     h_eff = np.diag([0.0, -0.5j * gamma])
-    engine = _ClickEngine([decay], h_eff)
+    engine = _ClickEngine([([decay], h_eff)])
     e0 = np.array([1.0, 0.0], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     kets = np.array([e0, e0, e0, plus, plus, plus, plus])
     # plus keeps the no-jump norm 1/2 forever: u at or below it never clicks
-    taus, phis = engine.wait(kets, np.array([0.999, 0.5, 1e-9, 0.4, 0.5 - 1e-12, 0.5 + 1e-12, 0.8]))
+    draws = np.array([0.999, 0.5, 1e-9, 0.4, 0.5 - 1e-12, 0.5 + 1e-12, 0.8])
+    taus, phis = engine.wait(kets, _labels(len(kets)), draws)
     assert np.all(taus[:5] == np.inf) and np.all(np.isnan(phis[:5]))
     assert np.isfinite(taus[5])
     assert abs(taus[6] - (-np.log(0.6) / gamma)) <= 1e-12 * taus[6]
@@ -420,18 +428,16 @@ def ae_poles_case(ae_me, poles_scheme):
     return ae_me, poles_scheme
 
 
+# Every engine call in a lockstep batch of 16 rows is a stack of at most 16.
 @pytest.mark.parametrize(
-    "lockstep_rows, stack_rows", [(None, None), (None, 16), (37, 8)],
-    ids=["one-stack", "stacks-of-16", "batches-of-37"],
+    "lockstep_rows", [None, 16, 37], ids=["one-stack", "stacks-of-16", "batches-of-37"],
 )
 @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
-def test_lockstep_matches_one_trajectory_at_a_time(request, monkeypatch, name, lockstep_rows, stack_rows):
+def test_lockstep_matches_one_trajectory_at_a_time(request, monkeypatch, name, lockstep_rows):
     fixture, psi0, seed, times, n = LOCKSTEP_CASES[name]
     me, scheme = request.getfixturevalue(fixture)
     if lockstep_rows is not None:
         monkeypatch.setattr("preforge.trajectory._LOCKSTEP_ROWS", lockstep_rows)
-    if stack_rows is not None:
-        monkeypatch.setattr("preforge.trajectory._STACK_ROWS", stack_rows)
     cfg = TrajectoryConfig(rng_seed=seed)
     report = unconditional_check(me, scheme, cfg, psi0=np.array(psi0), times=times, n_trajectories=n)
     samples, n_draws = _reference_samples(me, scheme, cfg, psi0, times, n)
@@ -442,7 +448,7 @@ def test_lockstep_matches_one_trajectory_at_a_time(request, monkeypatch, name, l
     if name == "block-exhausted":
         assert n_draws.max() > _DRAW_BLOCK  # some stream was re-created and drew a longer block
     if name == "exceptional-point":
-        assert _engines(me, scheme)[0].vinv is None
+        assert _scheme_engine(me, scheme).defective[0]
 
 
 def test_trajectory_does_not_depend_on_the_trajectory_count(ae_me, poles_scheme):
@@ -463,21 +469,22 @@ def _wait_cases(rf_me, axis_scheme, axis_pair, rng):
     kets = axis_pair.kets().astype(complex)
     random = np.array([random_pure_ket(2, rng) for _ in range(12)])
     for k in range(2):
-        engine = _ClickEngine(*axis_scheme.jumps_and_generator(rf_me, k))
+        engine = _ClickEngine([axis_scheme.jumps_and_generator(rf_me, k)])
         cases.append((engine, np.repeat(kets[k : k + 1], 3, axis=0), np.array([0.9, 0.3, 1e-3])))
         cases.append((engine, random, rng.uniform(1e-6, 1.0, size=len(random))))
     gamma = 0.8
     decay = np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])
-    dark = _ClickEngine([decay], np.diag([0.0, -0.5j * gamma]))
+    dark = _ClickEngine([([decay], np.diag([0.0, -0.5j * gamma]))])
     e0 = np.array([1.0, 0.0], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     dark_kets = np.array([e0, plus, plus, plus, *random])
     cases.append((dark, dark_kets, np.array([0.5, 0.4, 0.8, 0.5001, *rng.uniform(size=12)])))
     jordan = np.array([[-0.5j, 0.5], [0.0, -0.5j]])
-    cases.append((_ClickEngine([np.eye(2)], jordan), random, rng.uniform(0.01, 0.95, size=len(random))))
+    cases.append((_ClickEngine([([np.eye(2)], jordan)]), random, rng.uniform(0.01, 0.95, size=len(random))))
     for eps in (1e-9, 1e-11, 1e-6):
         omega = 0.25 * (1.0 + eps)
-        engine = _ClickEngine([np.array([[0.0, 0.0], [1.0, 0.0]])], np.array([[-0.5j, omega], [omega, 0.0]]))
+        h_eff = np.array([[-0.5j, omega], [omega, 0.0]])
+        engine = _ClickEngine([([np.array([[0.0, 0.0], [1.0, 0.0]])], h_eff)])
         cases.append((engine, random, rng.uniform(1e-4, 1.0, size=len(random))))
     return cases
 
@@ -485,15 +492,16 @@ def _wait_cases(rf_me, axis_scheme, axis_pair, rng):
 def test_stacked_wait_solves_the_norm_equation_row_by_row(rf_me, axis_scheme, axis_pair, rng):
     n_inf = 0
     for engine, kets, draws in _wait_cases(rf_me, axis_scheme, axis_pair, rng):
-        taus, phis = engine.wait(kets, draws)
+        taus, phis = engine.wait(kets, _labels(len(kets)), draws)
+        h_eff = engine.h[0]
         for psi, u, tau, phi in zip(kets, draws, taus, phis):
             if tau == np.inf:
                 n_inf += 1
                 assert np.all(np.isnan(phi))
                 # no click ever: the norm never falls below u
-                assert np.linalg.norm(la.expm(-1j * engine.h * 1e3) @ psi) ** 2 >= u - 1e-12
+                assert np.linalg.norm(la.expm(-1j * h_eff * 1e3) @ psi) ** 2 >= u - 1e-12
                 continue
-            state = la.expm(-1j * engine.h * tau) @ psi
+            state = la.expm(-1j * h_eff * tau) @ psi
             assert abs(np.linalg.norm(state) ** 2 - u) <= 1e-12
             assert np.max(np.abs(phi - state)) <= 1e-12
     assert n_inf >= 2  # dark kets below their limit norm never click
@@ -501,12 +509,12 @@ def test_stacked_wait_solves_the_norm_equation_row_by_row(rf_me, axis_scheme, ax
 
 def test_stacked_click_and_propagate_match_direct_products(rf_me, axis_scheme, rng):
     jumps, h_eff = axis_scheme.jumps_and_generator(rf_me, 0)
-    engine = _ClickEngine(jumps, h_eff)
+    engine = _ClickEngine([(jumps, h_eff)])
     kets = np.array([random_pure_ket(2, rng) for _ in range(20)])
     r = rng.uniform(size=20)
-    channels, posts = engine.click(kets, r)
+    channels, posts = engine.click(kets, _labels(20), r)
     taus = rng.uniform(0.0, 5.0, size=20)
-    flows = engine.propagate(kets, taus)
+    flows = engine.propagate(kets, _labels(20), taus)
     for psi, ri, ch, post, tau, flow in zip(kets, r, channels, posts, taus, flows):
         amps = np.asarray(jumps) @ psi
         cumulative = np.cumsum(np.linalg.norm(amps, axis=1) ** 2)
@@ -521,7 +529,7 @@ def test_chain_agrees_with_the_stacked_engine_from_the_member_kets(request, case
     # pinned ensemble its statistics must be those of the sampled chain.
     me, scheme = request.getfixturevalue(case)
     ens = request.getfixturevalue(ensemble)
-    engines = _engines(me, scheme)
+    engine = _scheme_engine(me, scheme)
     kets = ens.kets().astype(complex)
     dwell, clicks = np.zeros(ens.k), np.zeros(ens.k)
     for seed in (1, 2):
@@ -532,8 +540,8 @@ def test_chain_agrees_with_the_stacked_engine_from_the_member_kets(request, case
             u, r = 1.0 - rng.random(rows), rng.random(rows)
             for k in range(ens.k):
                 at = np.flatnonzero(label == k)
-                tau, pre = engines[k].wait(psi[at], u[at])
-                channels, psi[at] = engines[k].click(pre, r[at])
+                tau, pre = engine.wait(psi[at], label[at], u[at])
+                channels, psi[at] = engine.click(pre, label[at], r[at])
                 dwell[k] += tau.sum()
                 clicks[k] += at.size
                 label[at] = scheme.next_labels[k, channels]
@@ -593,11 +601,11 @@ def test_unconditional_check_creates_a_generator_per_batch_and_overflow(
 
 
 def test_stacked_wait_raises_when_a_row_does_not_converge(monkeypatch):
-    engine = _ClickEngine([np.eye(2)], np.array([[-0.5j, 0.5], [0.0, -0.5j]]))
+    engine = _ClickEngine([([np.eye(2)], np.array([[-0.5j, 0.5], [0.0, -0.5j]]))])
     monkeypatch.setattr("preforge.trajectory._MAX_ITER", 2)
     kets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ConvergenceError):
-        engine.wait(kets, np.array([0.5, 0.1]))
+        engine.wait(kets, _labels(2), np.array([0.5, 0.1]))
 
 
 @pytest.mark.parametrize(
@@ -632,3 +640,129 @@ def test_member_click_rates_match_pinned_rates(rf_me, axis_scheme, axis_pair):
         assert exact[k] == pytest.approx(sum(np.linalg.norm(c @ kets[k]) ** 2 for c in jumps), rel=1e-12)
         assert sampled[k] == clicks[k] / (stats.occupancy[k] * stats.total_time)
         assert abs(sampled[k] - exact[k]) <= 4.0 / np.sqrt(clicks[k]) * exact[k]
+
+
+def _mixed_settings(rf_me, axis_scheme):
+    """An eigenbasis setting, a defective setting with two detectors and a setting with a dark eigenvector."""
+    decay = np.sqrt(0.8) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    jordan = np.array([[-0.5j, 0.5], [0.0, -0.5j]])
+    return [
+        axis_scheme.jumps_and_generator(rf_me, 0),
+        ([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)], jordan),
+        ([decay], np.diag([0.0, -0.4j])),
+    ]
+
+
+def test_one_stacked_call_equals_one_row_calls_per_setting(rf_me, axis_scheme, rng):
+    settings = _mixed_settings(rf_me, axis_scheme)
+    engine = _ClickEngine(settings)
+    assert engine.defective.tolist() == [False, True, False] and engine.dark is not None
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    kets = np.array([*(random_pure_ket(2, rng) for _ in range(27)), plus, plus, plus])
+    labels = np.array([*(np.arange(27) % 3), 2, 2, 2])
+    u = np.array([*rng.uniform(1e-3, 1.0, size=27), 0.4, 0.5 - 1e-12, 0.8])  # plus on the dark setting
+    r = rng.uniform(size=kets.shape[0])
+    taus = rng.uniform(0.0, 5.0, size=kets.shape[0])
+    tau, pre = engine.wait(kets, labels, u)
+    assert np.all(tau[-3:-1] == np.inf) and np.isfinite(tau[-1])  # no click below the dark weight 1/2
+    channels, post = engine.click(kets, labels, r)
+    flows = engine.propagate(kets, labels, taus)
+    for i, k in enumerate(labels):
+        one = _ClickEngine([settings[k]])
+        row, label = slice(i, i + 1), _labels(1)
+        for stacked, alone in [
+            ((tau[row], pre[row]), one.wait(kets[row], label, u[row])),
+            ((channels[row], post[row]), one.click(kets[row], label, r[row])),
+            ((flows[row],), (one.propagate(kets[row], label, taus[row]),)),
+        ]:
+            assert [a.tobytes() for a in stacked] == [a.tobytes() for a in alone]
+
+
+def test_settings_with_fewer_detectors_are_padded_with_zero_detectors(rf_me, axis_scheme, rng):
+    engine = _ClickEngine(_mixed_settings(rf_me, axis_scheme))
+    assert engine.jumps.shape == (3, 2, 2, 2)
+    assert not engine.jumps[[0, 2], 1].any()
+    kets = np.array([random_pure_ket(2, rng) for _ in range(40)])
+    r = np.array([*rng.uniform(size=36), 0.0, 0.5, 1.0 - 1e-16, np.nextafter(1.0, 0.0)])
+    for label in (0, 2):
+        channels, post = engine.click(kets, _labels(40, label), r)
+        assert np.all(channels == 0) and np.all(np.isfinite(post))
+
+
+def test_each_lockstep_round_is_one_wait_and_one_click_call(monkeypatch, rf_me, axis_scheme):
+    calls, in_wait = [], []
+    wait, click, propagate = _ClickEngine.wait, _ClickEngine.click, _ClickEngine.propagate
+
+    def spy_wait(self, psi, label, *rest):
+        calls.append(("wait", label.copy()))
+        in_wait.append(True)
+        try:
+            return wait(self, psi, label, *rest)
+        finally:
+            in_wait.pop()
+
+    def spy_click(self, pre, label, r):
+        calls.append(("click", label.copy()))
+        return click(self, pre, label, r)
+
+    def spy_propagate(self, psi, label, *rest):
+        if not in_wait:
+            calls.append(("checkpoint", label.copy()))
+        return propagate(self, psi, label, *rest)
+
+    monkeypatch.setattr(_ClickEngine, "wait", spy_wait)
+    monkeypatch.setattr(_ClickEngine, "click", spy_click)
+    monkeypatch.setattr(_ClickEngine, "propagate", spy_propagate)
+    n, cfg = 300, TrajectoryConfig(rng_seed=3, t_max=2.0)
+    report = unconditional_check(rf_me, axis_scheme, cfg, psi0=np.array([0.0, 1.0]), n_trajectories=n)
+    names = [name for name, _ in calls if name != "checkpoint"]
+    rounds = names.count("click")
+    assert rounds > 1 and names == ["wait"] + ["click", "wait"] * rounds
+    checkpoints = [label for name, label in calls if name == "checkpoint"]
+    assert len(checkpoints) == len(report.times) and all(label.size == n for label in checkpoints)
+    clicks = [label for name, label in calls if name == "click"]
+    assert any(np.unique(label).size == 2 for label in clicks)  # both settings in one call
+    _, n_draws = _reference_samples(rf_me, axis_scheme, cfg, [0.0, 1.0], report.times, n)
+    assert sum(label.size for label in clicks) == np.sum((n_draws - 1) // 2)
+
+
+@pytest.mark.parametrize("t_max", [np.nan, 0.0, -1.0])
+def test_config_rejects_a_time_limit_that_is_not_positive(t_max):
+    with pytest.raises(ValueError, match=f"time limit must be positive, got {t_max}"):
+        TrajectoryConfig(t_max=t_max)
+
+
+def test_infinite_time_limit_is_no_limit(rf_me, axis_scheme, axis_pair, dark_case):
+    assert TrajectoryConfig(t_max=np.inf, n_jumps=100) == TrajectoryConfig(n_jumps=100)
+    unlimited = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(t_max=np.inf, n_jumps=100, rng_seed=4))
+    assert unlimited.events == simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=100, rng_seed=4)).events
+    me, scheme = dark_case
+    ens = Ensemble.from_states_kappa(2, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0, 1], [1, 0]])
+    with pytest.raises(RealizationError, match="never clicks"):
+        simulate(me, scheme, ens, TrajectoryConfig(t_max=np.inf, n_jumps=10))
+
+
+def test_config_rejects_a_fractional_jump_count():
+    with pytest.raises(ValueError, match="jump count must be positive and an integer, got 2.5"):
+        TrajectoryConfig(n_jumps=2.5)
+    assert TrajectoryConfig(n_jumps=np.int64(3)).n_jumps == 3
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_trajectories": 2.5}, "trajectory count must be positive and an integer, got 2.5"),
+        ({"tol": np.nan}, "tolerance must be non-negative, got nan"),
+        ({"tol": -1e-3}, "tolerance must be non-negative, got -0.001"),
+    ],
+    ids=["fractional-trajectory-count", "nan-tol", "negative-tol"],
+)
+def test_unconditional_check_rejects_bad_counts_and_tolerances_before_any_trajectory(
+    monkeypatch, rf_me, axis_scheme, kwargs, message
+):
+    def no_trajectories(*args):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr("preforge.trajectory._Draws", no_trajectories)
+    with pytest.raises(ValueError, match=message):
+        unconditional_check(rf_me, axis_scheme, **{"n_trajectories": 10, **kwargs})
