@@ -25,12 +25,15 @@ __all__ = [
     "pure_radius_sq",
     "coordinate_rep",
     "block_leak",
+    "block_leak_each",
     "eig_full",
     "real_direction",
     "expm",
     "exp_flow",
     "null_space",
+    "null_space_each",
     "orth",
+    "orth_each",
 ]
 
 
@@ -147,31 +150,71 @@ def block_leak(mat: np.ndarray, basis_i0: np.ndarray, basis_r0: np.ndarray) -> f
     of their orthogonal complement it vanishes exactly when ``mat`` maps
     span(basis_i0) into itself.  It is 0 when either basis is empty.
     """
-    if basis_i0.size == 0 or basis_r0.size == 0:
-        return 0.0
+    return float(block_leak_each(mat, [(basis_i0, basis_r0)])[0])
+
+
+def block_leak_each(mat: np.ndarray, pairs: list) -> np.ndarray:
+    """:func:`block_leak` of ``mat`` for each (basis_i0, basis_r0) pair.
+
+    The pairs of one shape share one stacked product and one stacked SVD,
+    and each value equals the one computed alone.
+    """
+    out = np.zeros(len(pairs))
+    full = [k for k, (i0, r0) in enumerate(pairs) if i0.size and r0.size]
+    if not full:
+        return out
     scale = max(np.linalg.norm(mat, 2), 1e-300)
-    return float(np.linalg.norm(basis_r0.T @ mat @ basis_i0, 2) / scale)
+    for members in _by_shape([pairs[k][0] for k in full], [pairs[k][1] for k in full]):
+        rows = [full[k] for k in members]
+        blocks = np.array([pairs[k][1].T for k in rows]) @ mat @ np.array([pairs[k][0] for k in rows])
+        out[rows] = np.linalg.norm(blocks, 2, axis=(1, 2)) / scale
+    return out
 
 
-def _svd_rank(s: np.ndarray, shape: tuple, rcond: float | None) -> int:
-    """Number of singular values above rcond * s_max (default eps * max(M, N))."""
+def _by_shape(*lists) -> list:
+    """Index lists of the positions whose entries share their shapes, in first-seen order."""
+    groups = {}
+    for k, entries in enumerate(zip(*lists)):
+        groups.setdefault(tuple(e.shape for e in entries), []).append(k)
+    return list(groups.values())
+
+
+def _svd_ranks(s: np.ndarray, shape: tuple, rcond: float | None) -> np.ndarray:
+    """Per row of a stack of singular values, the number above rcond * s_max
+    (default eps * max(M, N) for matrices of ``shape``)."""
     if rcond is None:
         rcond = np.finfo(s.dtype).eps * max(shape)
-    return int(np.sum(s > rcond * np.amax(s, initial=0.0)))
+    return np.sum(s > rcond * np.amax(s, axis=-1, keepdims=True, initial=0.0), axis=-1)
 
 
 def null_space(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``, as columns (one SVD)."""
-    a = np.asarray(a)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return vh[_svd_rank(s, a.shape, rcond):].conj().T
+    return null_space_each([np.asarray(a)], rcond)[0]
+
+
+def null_space_each(mats: list, rcond: float | None = None) -> list:
+    """:func:`null_space` of each matrix: one stacked SVD per shape."""
+    out = [None] * len(mats)
+    for members in _by_shape(mats):
+        _, s, vh = np.linalg.svd(np.array([mats[k] for k in members]), full_matrices=True)
+        for k, rank, vh_k in zip(members, _svd_ranks(s, mats[members[0]].shape, rcond), vh):
+            out[k] = vh_k[rank:].conj().T
+    return out
 
 
 def orth(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span of ``a``, as columns (one SVD)."""
-    a = np.asarray(a)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _svd_rank(s, a.shape, rcond)]
+    return orth_each([np.asarray(a)], rcond)[0]
+
+
+def orth_each(mats: list, rcond: float | None = None) -> list:
+    """:func:`orth` of each matrix: one stacked SVD per shape."""
+    out = [None] * len(mats)
+    for members in _by_shape(mats):
+        u, s, _ = np.linalg.svd(np.array([mats[k] for k in members]), full_matrices=False)
+        for k, rank, u_k in zip(members, _svd_ranks(s, mats[members[0]].shape, rcond), u):
+            out[k] = u_k[:, :rank]
+    return out
 
 
 # Taylor degree of exp_flow: at ||x||_1 <= 1/2 the truncated tail of exp(x)

@@ -393,6 +393,9 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     ``n_constraints`` and ``n_params``.  ``which`` (S,) gives each start's
     system in a stack of same-shape systems (:func:`stack_systems`), and
     goes along with every row handed to ``cs``; None means one system.
+    ``n_constraints`` is one count for the whole stack or one per system;
+    a system padded with zero rows to the stack's width gives its own
+    count, so that it is damped as it would be alone.
     Each start keeps its own damping lambda (Nielsen's update from the gain
     ratio) and leaves the stack when its residual is at most
     1e-3 * min(tol, 1e-10), with 1e-10 the default search tolerance (so a
@@ -402,11 +405,12 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     model has promised less than a tenth of its cost for 20 iterations in
     a row: it is then approaching a stationary point that is no root, a
     local minimum or rates running off to infinity.
-    Square and overdetermined systems use More's scaling (running maximum of
-    the squared Jacobian column norms); underdetermined ones damp
-    isotropically, so steps are minimum-norm and change the rates as little
-    as the equations allow.  Starts do not interact, so each result is the
-    same whatever else is in the stack.  Returns the final parameters, their
+    Each start's damping follows its own system's count: square and
+    overdetermined systems use More's scaling (running maximum of the
+    squared Jacobian column norms); underdetermined ones damp isotropically,
+    so steps are minimum-norm and change the rates as little as the
+    equations allow.  Starts do not interact, so each result is the same
+    whatever else is in the stack.  Returns the final parameters, their
     residuals and a mask of starts whose step became singular or non-finite.
     """
     theta = np.array(theta, dtype=float)
@@ -422,9 +426,9 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     jac = cs.jacobian(theta[active], which[active])
     scale = np.einsum("smp,smp->sp", jac, jac)
     scale[scale == 0.0] = 1.0
-    isotropic = cs.n_constraints < cs.n_params
-    if isotropic:
-        scale[:] = scale.max(axis=1, keepdims=True)
+    n_eq = np.asarray(cs.n_constraints)
+    isotropic = np.broadcast_to(n_eq[which[active]] if n_eq.ndim else n_eq, active.shape) < cs.n_params
+    scale[isotropic] = scale[isotropic].max(axis=1, keepdims=True)
     lam = np.full(len(active), 1e-3)
     nu = np.full(len(active), 2.0)
     slow = np.zeros(len(active), dtype=int)
@@ -462,14 +466,14 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
         )
         keep = ~done
         refresh = good[keep]
-        active, jac, scale = active[keep], jac[keep], scale[keep]
+        active, jac, scale, isotropic = active[keep], jac[keep], scale[keep], isotropic[keep]
         lam, nu, slow = lam[keep], nu[keep], slow[keep]
         if refresh.any():
             rows = active[refresh]
             jac[refresh] = cs.jacobian(theta[rows], which[rows])
-            if not isotropic:
-                norms = np.einsum("smp,smp->sp", jac[refresh], jac[refresh])
-                scale[refresh] = np.maximum(scale[refresh], norms)
+            more = refresh & ~isotropic
+            norms = np.einsum("smp,smp->sp", jac[more], jac[more])
+            scale[more] = np.maximum(scale[more], norms)
     return theta, resid, failed
 
 

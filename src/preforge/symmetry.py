@@ -13,6 +13,7 @@ Two reductions are supported:
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -20,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    block_leak,
+    block_leak_each,
     expm,
     null_space,
+    null_space_each,
     orth,
+    orth_each,
     random_pure_ket,
     rho_to_bloch,
 )
@@ -93,31 +96,54 @@ class _KetSlice:
 
     Row j is psi^dag M_j psi = r_j^T (x(psi) - x_ss) for unit psi, with
     M_j = (D/2) sum_i (r0)_ij s_i - (r_j^T x_ss) 1 for each complement
-    column r_j; the last row is psi^dag psi - 1.  Every row is a real
+    column r_j; the row after them is psi^dag psi - 1.  Every row is a real
     quadratic form theta^T Q theta, so the Jacobian 2 Q theta is exact.
-    The forms of slices with equal complement dimension are stacked, and
-    ``which`` picks each row's slice.
+    All slices share one stack, and ``which`` picks each row's slice.  Each
+    slice's rows are padded with zero forms to one width: the widest
+    complement the enumeration can make (D^2 - D, from a slice of dimension
+    D - 1) plus the norm row, or the widest slice given if that is wider.
+    A slice then rounds the same alone or stacked with any others.
+    ``n_constraints`` holds each slice's unpadded count, which decides its
+    damping.  Each residual call adds one to ``counts["witness evaluations"]``.
     """
 
-    def __init__(self, bm: BlochModel, complements: list):
+    def __init__(self, bm: BlochModel, complements: list, counts: collections.Counter):
         d = bm.dim
-        forms = []
-        for basis_r0 in complements:
+        self.n_constraints = np.array([basis_r0.shape[1] + 1 for basis_r0 in complements])
+        self.n_params = 2 * d
+        width = max(bm.n_coords - d + 2, *self.n_constraints)
+        self.forms = np.zeros((len(complements), width, 2 * d, 2 * d))
+        self.shift = np.zeros((len(complements), width))
+        # One product per slice, so that no slice's forms depend on the others.
+        for s, basis_r0 in enumerate(complements):
             herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
             herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
             herm = np.concatenate([herm, np.eye(d)[None]])
             re, im = herm.real, herm.imag
-            forms.append(np.block([[re, -im], [im, re]]))  # (m, 2D, 2D), symmetric
-        self.forms = np.array(forms)
-        self.n_constraints, self.n_params = self.forms.shape[1], 2 * d
-        self.shift = np.zeros(self.n_constraints)
-        self.shift[-1] = 1.0
+            self.forms[s, : len(herm)] = np.block([[re, -im], [im, re]])  # symmetric
+            self.shift[s, len(herm) - 1] = 1.0
+        self.counts = counts
 
     def residual(self, theta: np.ndarray, which) -> np.ndarray:
-        return np.einsum("sp,smpq,sq->sm", theta, self.forms[which], theta) - self.shift
+        self.counts["witness evaluations"] += 1
+        return np.einsum("sp,smpq,sq->sm", theta, self.forms[which], theta) - self.shift[which]
 
     def jacobian(self, theta: np.ndarray, which) -> np.ndarray:
         return 2.0 * np.einsum("smpq,sq->smp", self.forms[which], theta)
+
+
+@functools.cache
+def _witness_starts(dim: int) -> np.ndarray:
+    """The ``WITNESS_STARTS`` seeded Haar kets of one dimension, as [Re psi, Im psi] rows.
+
+    Built on first use and kept, so every witness search of a dimension
+    starts from the same rows without drawing them again.
+    """
+    rng = np.random.default_rng(dim * dim - 1)
+    kets = [random_pure_ket(dim, rng) for _ in range(WITNESS_STARTS)]
+    starts = np.array([np.concatenate([psi.real, psi.imag]) for psi in kets])
+    starts.setflags(write=False)
+    return starts
 
 
 def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | None = None) -> list:
@@ -128,45 +154,40 @@ def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | 
     point of that sphere is a state.  In larger dimension the witness is the
     coherence vector of a ket psi solving the quadratic equations of
     :class:`_KetSlice` (one per complement column plus the norm).  Each slice
-    gets the same seeded Haar starts, the slices of one complement dimension
-    share one batched Levenberg-Marquardt solve, and a slice's first root
-    within ``WITNESS_TOL`` gives an exactly pure witness.  ``None`` then
-    means no root was reached from those starts, which does not prove that
-    the slice holds no pure state.  ``counts`` tallies the stacks and rows.
+    gets the same seeded Haar starts (:func:`_witness_starts`), all slices
+    share one batched Levenberg-Marquardt solve whatever their complement
+    dimension, and a slice's first root within ``WITNESS_TOL`` gives an
+    exactly pure witness.  ``None`` then means no root was reached from
+    those starts, which does not prove that the slice holds no pure state.
+    ``counts`` tallies the stacks, rows and residual evaluations.
     """
     counts = collections.Counter() if counts is None else counts
-    witnesses = [None] * len(slices)
-    stacks = {}  # complement dimension -> slice indices
-    for i, (basis_i0, basis_r0) in enumerate(slices):
-        if bm.dim == 2:
+    if bm.dim == 2:
+        witnesses = []
+        for basis_i0, _ in slices:
             centre, r_sq = bm.pure_slice(basis_i0)
             direction = np.eye(basis_i0.shape[1])[0]
-            witnesses[i] = bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction)
-        else:
-            stacks.setdefault(basis_r0.shape[1], []).append(i)
-    if not stacks:
+            witnesses.append(bm.x_ss + basis_i0 @ (centre + np.sqrt(r_sq) * direction))
         return witnesses
-    rng = np.random.default_rng(bm.n_coords)
-    kets = [random_pure_ket(bm.dim, rng) for _ in range(WITNESS_STARTS)]
-    starts = np.array([np.concatenate([psi.real, psi.imag]) for psi in kets])
-    for members in stacks.values():
-        counts["witness stacks"] += 1
-        counts["witness rows"] += len(members) * WITNESS_STARTS
-        theta, resid, failed = _levenberg_marquardt(
-            _KetSlice(bm, [slices[i][1] for i in members]),
-            np.tile(starts, (len(members), 1)),
-            WITNESS_TOL,
-            WITNESS_MAX_ITER,
-            np.repeat(np.arange(len(members)), WITNESS_STARTS),
-        )
-        root = ~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL)
-        for g, i in enumerate(members):
-            own = np.flatnonzero(root[g * WITNESS_STARTS : (g + 1) * WITNESS_STARTS])
-            if own.size:
-                row = theta[g * WITNESS_STARTS + own[0]]
-                psi = row[: bm.dim] + 1j * row[bm.dim :]
-                psi /= np.linalg.norm(psi)
-                witnesses[i] = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+    witnesses = [None] * len(slices)
+    if not slices:
+        return witnesses
+    counts["witness stacks"] += 1
+    counts["witness rows"] += len(slices) * WITNESS_STARTS
+    theta, resid, failed = _levenberg_marquardt(
+        _KetSlice(bm, [basis_r0 for _, basis_r0 in slices], counts),
+        np.tile(_witness_starts(bm.dim), (len(slices), 1)),
+        WITNESS_TOL,
+        WITNESS_MAX_ITER,
+        np.repeat(np.arange(len(slices)), WITNESS_STARTS),
+    )
+    root = ~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL)
+    for i, own in enumerate(root.reshape(len(slices), WITNESS_STARTS)):
+        if own.any():
+            row = theta[i * WITNESS_STARTS + np.argmax(own)]
+            psi = row[: bm.dim] + 1j * row[bm.dim :]
+            psi /= np.linalg.norm(psi)
+            witnesses[i] = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
     return witnesses
 
 
@@ -177,8 +198,8 @@ def _certified(bm: BlochModel, candidates: list, counts: collections.Counter, st
     ``witness`` is reused; the other slices are solved in one
     :func:`_pure_witnesses` call.  ``counts`` tallies the outcomes.
     """
-    complements = [null_space(c[0].T) for c in candidates]  # (n_coords, 0) for the whole space
-    certs = [block_leak(bm.l0, c[0], r0) for c, r0 in zip(candidates, complements)]
+    complements = null_space_each([c[0].T for c in candidates])  # (n_coords, 0) for the whole space
+    certs = block_leak_each(bm.l0, [(c[0], r0) for c, r0 in zip(candidates, complements)])
     pending = [i for i, c in enumerate(candidates) if certs[i] <= CERT_TOL and c[3] is None]
     slices = [(candidates[i][0], complements[i]) for i in pending]
     solved = dict(zip(pending, _pure_witnesses(bm, slices, counts)))
@@ -203,7 +224,7 @@ def _certified(bm: BlochModel, candidates: list, counts: collections.Counter, st
             out.append(None)
             continue
         n = basis_i0.shape[1]
-        out.append(InvariantSubspace(basis_i0, complements[i], n, certs[i], witness, family, tags))
+        out.append(InvariantSubspace(basis_i0, complements[i], n, float(certs[i]), witness, family, tags))
     return out
 
 
@@ -287,8 +308,9 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
 
     for size in range(1, len(atoms) + 1):
         level = []  # (atom index set, order key, candidate)
-        for combo in itertools.combinations(range(len(atoms)), size):
-            basis_i0 = orth(np.column_stack([atoms[i][0] for i in combo]), rcond=1e-10)
+        combos = list(itertools.combinations(range(len(atoms)), size))
+        spans = orth_each([np.column_stack([atoms[i][0] for i in combo]) for combo in combos], rcond=1e-10)
+        for combo, basis_i0 in zip(combos, spans):
             if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
                 continue
             proj = basis_i0 @ basis_i0.T
@@ -313,10 +335,10 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     _log.debug(
         "invariant subspaces: %d candidates tested, %d witnessed by solve, "
         "%d witness inherited, %d rejected as a repeat, %d no witness found, "
-        "%d not invariant, %d witness stacks, %d witness rows",
+        "%d not invariant, %d witness stacks, %d witness rows, %d witness evaluations",
         counts["tested"], counts["solved"], counts["inherited"], counts["repeat"],
         counts["no witness"], counts["not invariant"], counts["witness stacks"],
-        counts["witness rows"],
+        counts["witness rows"], counts["witness evaluations"],
     )
     results.sort(key=lambda item: item[0])
     return [sub for _, sub in results]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import logging
 
@@ -6,12 +7,15 @@ import pytest
 import scipy.linalg as la
 
 from preforge.algebra import bloch_to_rho, orth, pure_radius_sq, random_pure_ket, rho_to_bloch
-from preforge.constraints import build_subspace_reduced
+from preforge.constraints import _levenberg_marquardt, build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
+from preforge.model import MasterEquation, vectorize
 from preforge.solver import analytic_k2, same_ensemble
 from preforge import symmetry
 from preforge.symmetry import (
+    WITNESS_MAX_ITER,
     WITNESS_STARTS,
+    WITNESS_TOL,
     _pure_witnesses,
     apply_wigner,
     certify_wigner,
@@ -236,9 +240,10 @@ def test_subspace_search_logs_its_counts(cascade_d3_bm, caplog):
     assert reached == 28
     assert counts["no witness found"] == 5
     assert counts["witnessed by solve"] + counts["witness inherited"] == len(subs) == 23
-    # The 10 solved slices share 5 stacks, one per level and complement dimension.
-    assert counts["witness stacks"] == 5
+    # The 10 solved slices share 3 stacks, one per level that has any.
+    assert counts["witness stacks"] == 3
     assert counts["witness rows"] == WITNESS_STARTS * (counts["witnessed by solve"] + counts["no witness found"])
+    assert counts["witness stacks"] <= counts["witness evaluations"] <= counts["witness stacks"] * WITNESS_MAX_ITER
 
 
 def test_d4_subspace_search_logs_its_counts(cascade_d4_bm, caplog):
@@ -253,7 +258,7 @@ def test_d4_subspace_search_logs_its_counts(cascade_d4_bm, caplog):
         "not invariant": 0,
     }
     assert len(subs) == 406
-    assert counts["witness stacks"] == 19 and counts["witness rows"] == WITNESS_STARTS * 377
+    assert counts["witness stacks"] == 5 and counts["witness rows"] == WITNESS_STARTS * 377
 
 
 def _recorded_witness_calls(bm, monkeypatch):
@@ -275,17 +280,74 @@ def _recorded_witness_calls(bm, monkeypatch):
     return calls
 
 
-def test_subspace_search_makes_one_solve_per_level_and_complement_dimension(cascade_d3_bm, monkeypatch):
-    bm = cascade_d3_bm
-    calls = _recorded_witness_calls(bm, monkeypatch)
-    n_solves = 0
+def test_subspace_search_makes_one_solve_per_level(cascade_d3_bm, monkeypatch):
+    calls = _recorded_witness_calls(cascade_d3_bm, monkeypatch)
     for slices, stacks in calls:
-        dims = [r0.shape[1] for i0, r0 in slices if bm.pure_slice(i0)[1] > 0]
-        assert sorted(m - 1 for m, _ in stacks) == sorted(set(dims))
-        for _, which in stacks:
-            assert np.array_equal(which, np.repeat(np.arange(len(which) // WITNESS_STARTS), WITNESS_STARTS))
-        n_solves += len(dims)
-    assert sum(len(stacks) for _, stacks in calls) == 5 and n_solves == 10
+        assert len(stacks) == (1 if slices else 0)
+        for n_constraints, which in stacks:
+            assert np.array_equal(n_constraints, [r0.shape[1] + 1 for _, r0 in slices])
+            assert np.array_equal(which, np.repeat(np.arange(len(slices)), WITNESS_STARTS))
+    # Level 2 (pairs of atoms) mixes complement dimensions in its one stack.
+    assert len({r0.shape[1] for _, r0 in calls[1][0]}) >= 3
+    assert sum(len(stacks) for _, stacks in calls) == 3
+    assert sum(len(slices) for slices, _ in calls) == 10
+
+
+def _slice_through_pure_state(bm, n_sub, rng):
+    """(basis_i0, basis_r0) of a slice x_ss + span(B) holding a random pure state."""
+    psi = random_pure_ket(bm.dim, rng)
+    x = rho_to_bloch(np.outer(psi, psi.conj()), bm.basis)
+    basis_i0 = orth(np.column_stack([x - bm.x_ss, rng.normal(size=(bm.n_coords, n_sub - 1))]))
+    return basis_i0, la.null_space(basis_i0.T)
+
+
+def test_mixed_witness_stack_damps_each_row_by_its_own_count(cascade_d3_bm):
+    # A 5-dim slice gives 4 equations in 2D = 6 unknowns (isotropic damping),
+    # a 2-dim one 7 equations (More's scaling); one stack holds both.
+    bm = cascade_d3_bm
+    rng = np.random.default_rng(11)
+    slices = [_slice_through_pure_state(bm, n_sub, rng) for n_sub in (5, 2)]
+    starts = symmetry._witness_starts(bm.dim)
+
+    def solve(members):
+        ket_slice = symmetry._KetSlice(bm, [slices[i][1] for i in members], collections.Counter())
+        assert np.array_equal(ket_slice.n_constraints < 2 * bm.dim, [i == 0 for i in members])
+        which = np.repeat(np.arange(len(members)), WITNESS_STARTS)
+        theta, resid, _ = _levenberg_marquardt(
+            ket_slice, np.tile(starts, (len(members), 1)), WITNESS_TOL, WITNESS_MAX_ITER, which
+        )
+        return theta, resid
+
+    theta, resid = solve([0, 1])
+    for i in (0, 1):
+        alone_theta, alone_resid = solve([i])
+        rows = slice(i * WITNESS_STARTS, (i + 1) * WITNESS_STARTS)
+        assert theta[rows].tobytes() == alone_theta.tobytes()
+        assert resid[rows].tobytes() == alone_resid.tobytes()
+
+
+@pytest.mark.parametrize("dim, n_span", [(3, 1), (4, 2)])
+def test_subspace_from_span_witnesses_a_span_narrower_than_d_minus_1(dim, n_span):
+    # Every coherence vector is an eigenvector of the fully depolarizing
+    # generator (all D^2 - 1 clock-and-shift jumps at one rate), so any span
+    # is invariant.  Below D - 1 dimensions the complement is wider than any
+    # the enumeration makes, and the witness stack is widened to hold it.
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    jumps = [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a, b in itertools.product(range(dim), repeat=2)
+        if a or b
+    ]
+    bm = vectorize(MasterEquation(dim, np.zeros((dim, dim)), jumps))
+    basis_i0, basis_r0 = _slice_through_pure_state(bm, n_span, np.random.default_rng(5))
+    assert basis_r0.shape[1] + 1 > bm.n_coords - dim + 2
+    sub = subspace_from_span(bm, basis_i0)
+    w = sub.pure_witness
+    assert sub.n == n_span
+    assert abs(w @ w - pure_radius_sq(dim)) <= 1e-9
+    assert sub.distance(w - bm.x_ss) <= 1e-8
+    assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
 
 
 @pytest.mark.parametrize("model", ["cascade_d3", "cascade_d4"])
