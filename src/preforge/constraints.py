@@ -47,6 +47,12 @@ KAPPA_REJECT = -1e-6
 PURITY_TOL = 1e-9
 # Default largest projector-form residual of ``verify``, in the model's rate unit.
 VERIFY_TOL = 1e-8
+# A start ends at a stationary point that is no root when an accepted step
+# (gain at most 2) was predicted to remove less than this share of its cost.
+# Slice-witness starts that reach a positive minimum fall through 1e-4 on to
+# 1e-14; multistart starts that still converge after slow stretches keep
+# the share at 8e-3 and above on their accepted steps.
+STATIONARY_SHARE = 1e-3
 
 
 def transition_edges(graph, k: int) -> list:
@@ -385,7 +391,7 @@ def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which=None):
+def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which=None, first_root=0):
     """Levenberg-Marquardt on a stack of starts (S, p), all iterated at once.
 
     ``cs`` needs only ``residual(theta, which)`` and ``jacobian(theta,
@@ -397,14 +403,27 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     a system padded with zero rows to the stack's width gives its own
     count, so that it is damped as it would be alone.
     Each start keeps its own damping lambda (Nielsen's update from the gain
-    ratio) and leaves the stack when its residual is at most
-    1e-3 * min(tol, 1e-10), with 1e-10 the default search tolerance (so a
-    looser ``tol`` only decides which starts count as converged, and the
-    copies of one root still land together), when no step lowers its cost
-    any more, after ``max_iter`` residual evaluations, or when its linear
-    model has promised less than a tenth of its cost for 20 iterations in
-    a row: it is then approaching a stationary point that is no root, a
-    local minimum or rates running off to infinity.
+    ratio) and leaves the stack
+
+    * when its residual is at most 1e-3 * min(tol, 1e-10), with 1e-10 the
+      default search tolerance (so a looser ``tol`` only decides which
+      starts count as converged, and the copies of one root still land
+      together);
+    * at a stationary point that is no root: an accepted step with gain
+      ratio at most 2 was predicted to lower its cost by less than
+      ``STATIONARY_SHARE`` of it (the ``ftol`` test of MINPACK's ``lmder``;
+      More, LNM 630, 1978);
+    * when no step lowers its cost any more (lambda above 1e16);
+    * after ``max_iter`` residual evaluations;
+    * when its linear model has promised less than a tenth of its cost for
+      20 iterations in a row: it is then in a slow valley, approaching a
+      local minimum or rates running off to infinity.
+
+    With ``first_root`` = k > 0 the rows come in consecutive groups of k
+    starts of one system, of which only the lowest-index root (residual at
+    most ``tol``) is wanted: a group leaves the stack once that root is
+    final, i.e. every start before it in the group has left, and the
+    group's later starts stop where they are.
     Each start's damping follows its own system's count: square and
     overdetermined systems use More's scaling (running maximum of the
     squared Jacobian column norms); underdetermined ones damp isotropically,
@@ -420,7 +439,8 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     failed = ~np.isfinite(cost)
     evals = np.ones(len(theta), dtype=int)
     stop = 1e-3 * min(tol, 1e-10)
-    active = np.flatnonzero(~failed & (np.max(np.abs(resid), axis=1) > stop))
+    size = np.max(np.abs(resid), axis=1)
+    active = np.flatnonzero(~failed & (size > stop))
     if not active.size:  # every start is done already
         return theta, resid, failed
     jac = cs.jacobian(theta[active], which[active])
@@ -433,6 +453,9 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     nu = np.full(len(active), 2.0)
     slow = np.zeros(len(active), dtype=int)
     eye = np.eye(theta.shape[1])
+    over = np.ones(len(theta), dtype=bool)
+    over[active] = False
+    root = over & ~failed & (size <= tol)
     while active.size and max_iter > 1:
         jac_t = np.swapaxes(jac, 1, 2)
         grad = (jac_t @ resid[active][:, :, None])[:, :, 0]
@@ -448,6 +471,7 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
         with np.errstate(all="ignore"):  # non-finite starts are dropped below
             gain = (cost[active] - trial_cost) / predicted
             good = finite & (gain > 1e-4)
+            stationary = good & (gain <= 2) & (predicted < STATIONARY_SHARE * cost[active])
             lam = np.where(good, lam * np.maximum(1 / 3, 1 - (2 * gain - 1) ** 3), lam * nu)
         lam = np.maximum(lam, 1e-15)
         nu = np.where(good, 2.0, 2.0 * nu)
@@ -459,11 +483,20 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
         failed[active[~finite]] = True
         done = (
             ~finite
+            | stationary
             | (slow >= 20)
             | (lam > 1e16)
             | (np.max(np.abs(resid[active]), axis=1) <= stop)
             | (evals[active] >= max_iter)
         )
+        if first_root:
+            ended = active[done]
+            over[ended] = True
+            root[ended] = ~failed[ended] & (np.max(np.abs(resid[ended]), axis=1) <= tol)
+            # A group is settled when its first row that is a root or still running is a root.
+            groups = (root | ~over).reshape(-1, first_root)
+            settled = root.reshape(-1, first_root)[np.arange(len(groups)), np.argmax(groups, axis=1)]
+            done |= settled[active // first_root]
         keep = ~done
         refresh = good[keep]
         active, jac, scale, isotropic = active[keep], jac[keep], scale[keep], isotropic[keep]

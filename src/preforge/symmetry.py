@@ -104,7 +104,8 @@ class _KetSlice:
     D - 1) plus the norm row, or the widest slice given if that is wider.
     A slice then rounds the same alone or stacked with any others.
     ``n_constraints`` holds each slice's unpadded count, which decides its
-    damping.  Each residual call adds one to ``counts["witness evaluations"]``.
+    damping.  Each residual call adds one to ``counts["witness evaluations"]``
+    and its row count to ``counts["witness row evaluations"]``.
     """
 
     def __init__(self, bm: BlochModel, complements: list, counts: collections.Counter):
@@ -126,6 +127,7 @@ class _KetSlice:
 
     def residual(self, theta: np.ndarray, which) -> np.ndarray:
         self.counts["witness evaluations"] += 1
+        self.counts["witness row evaluations"] += len(theta)
         return np.einsum("sp,smpq,sq->sm", theta, self.forms[which], theta) - self.shift[which]
 
     def jacobian(self, theta: np.ndarray, which) -> np.ndarray:
@@ -157,9 +159,13 @@ def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | 
     gets the same seeded Haar starts (:func:`_witness_starts`), all slices
     share one batched Levenberg-Marquardt solve whatever their complement
     dimension, and a slice's first root within ``WITNESS_TOL`` gives an
-    exactly pure witness.  ``None`` then means no root was reached from
-    those starts, which does not prove that the slice holds no pure state.
-    ``counts`` tallies the stacks, rows and residual evaluations.
+    exactly pure witness.  A slice leaves the solve once that root is
+    final (every lower-index start has ended), and a start that reaches a
+    positive minimum ends there, so each witness is the one that running
+    every start to its end would give.  ``None`` then means no root was
+    reached from those starts, which does not prove that the slice holds no
+    pure state.  ``counts`` tallies the stacks, rows and residual
+    evaluations, and the rows those evaluations held.
     """
     counts = collections.Counter() if counts is None else counts
     if bm.dim == 2:
@@ -180,6 +186,7 @@ def _pure_witnesses(bm: BlochModel, slices: list, counts: collections.Counter | 
         WITNESS_TOL,
         WITNESS_MAX_ITER,
         np.repeat(np.arange(len(slices)), WITNESS_STARTS),
+        first_root=WITNESS_STARTS,
     )
     root = ~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL)
     for i, own in enumerate(root.reshape(len(slices), WITNESS_STARTS)):
@@ -301,8 +308,11 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
         return tuple(atoms[i][1].format(f"{atoms[i][2] / unit:.6g}") for i in combo)
 
     results = []  # (order key, subspace)
-    # Projectors met so far fill the first n_seen rows; the buffer doubles when full.
-    seen_projectors, n_seen = np.empty((16, n, n)), 0
+    # Projectors met so far, by dimension: a buffer whose first rows hold them
+    # and their count; a full buffer grows to twice its rows plus 16.
+    # Projectors of unequal rank have unequal traces, so some diagonal entry
+    # differs by 1/n or more and only equal ranks need comparing.
+    seen = {}
     witnessed = []  # (atom index set, witness)
     counts = collections.Counter()
 
@@ -314,13 +324,14 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
             if not (bm.dim - 1 <= basis_i0.shape[1] <= n - 1):
                 continue
             proj = basis_i0 @ basis_i0.T
-            if np.any(np.max(np.abs(seen_projectors[:n_seen] - proj), axis=(1, 2)) < 1e-8):
+            projectors, n_seen = seen.get(basis_i0.shape[1], (np.empty((0, n, n)), 0))
+            if np.any(np.max(np.abs(projectors[:n_seen] - proj), axis=(1, 2)) < 1e-8):
                 counts["repeat"] += 1
                 continue
-            if n_seen == len(seen_projectors):
-                seen_projectors = np.concatenate([seen_projectors, np.empty_like(seen_projectors)])
-            seen_projectors[n_seen] = proj
-            n_seen += 1
+            if n_seen == len(projectors):
+                projectors = np.concatenate([projectors, np.empty((n_seen + 16, n, n))])
+            projectors[n_seen] = proj
+            seen[basis_i0.shape[1]] = projectors, n_seen + 1
             members = frozenset(combo)
             inherited = next((w for held, w in witnessed if held <= members), None)
             family = next((atoms[i][3] for i in combo if atoms[i][3] is not None), None)
@@ -335,10 +346,11 @@ def find_invariant_subspaces(bm: BlochModel) -> list:
     _log.debug(
         "invariant subspaces: %d candidates tested, %d witnessed by solve, "
         "%d witness inherited, %d rejected as a repeat, %d no witness found, "
-        "%d not invariant, %d witness stacks, %d witness rows, %d witness evaluations",
+        "%d not invariant, %d witness stacks, %d witness rows, %d witness evaluations, "
+        "%d witness row evaluations",
         counts["tested"], counts["solved"], counts["inherited"], counts["repeat"],
         counts["no witness"], counts["not invariant"], counts["witness stacks"],
-        counts["witness rows"], counts["witness evaluations"],
+        counts["witness rows"], counts["witness evaluations"], counts["witness row evaluations"],
     )
     results.sort(key=lambda item: item[0])
     return [sub for _, sub in results]

@@ -243,7 +243,9 @@ def test_subspace_search_logs_its_counts(cascade_d3_bm, caplog):
     # The 10 solved slices share 3 stacks, one per level that has any.
     assert counts["witness stacks"] == 3
     assert counts["witness rows"] == WITNESS_STARTS * (counts["witnessed by solve"] + counts["no witness found"])
-    assert counts["witness stacks"] <= counts["witness evaluations"] <= counts["witness stacks"] * WITNESS_MAX_ITER
+    # A row ends at a stationary point, and a slice once its first root is final (without these exits: 75 and 1532).
+    assert counts["witness stacks"] <= counts["witness evaluations"] <= 50
+    assert counts["witness rows"] <= counts["witness row evaluations"] <= 1000
 
 
 def test_d4_subspace_search_logs_its_counts(cascade_d4_bm, caplog):
@@ -259,6 +261,7 @@ def test_d4_subspace_search_logs_its_counts(cascade_d4_bm, caplog):
     }
     assert len(subs) == 406
     assert counts["witness stacks"] == 5 and counts["witness rows"] == WITNESS_STARTS * 377
+    assert counts["witness evaluations"] <= 180  # 230 when every row runs out
 
 
 def _recorded_witness_calls(bm, monkeypatch):
@@ -269,9 +272,9 @@ def _recorded_witness_calls(bm, monkeypatch):
         calls.append((list(slices), []))
         return solve(bm, slices, counts)
 
-    def recording_lm(cs, starts, tol, max_iter, which=None):
+    def recording_lm(cs, starts, tol, max_iter, which=None, **options):
         calls[-1][1].append((cs.n_constraints, np.array(which)))
-        return lm(cs, starts, tol, max_iter, which)
+        return lm(cs, starts, tol, max_iter, which, **options)
 
     monkeypatch.setattr(symmetry, "_pure_witnesses", recording_witnesses)
     monkeypatch.setattr(symmetry, "_levenberg_marquardt", recording_lm)
@@ -291,6 +294,63 @@ def test_subspace_search_makes_one_solve_per_level(cascade_d3_bm, monkeypatch):
     assert len({r0.shape[1] for _, r0 in calls[1][0]}) >= 3
     assert sum(len(stacks) for _, stacks in calls) == 3
     assert sum(len(slices) for slices, _ in calls) == 10
+
+
+def test_rows_of_a_slice_without_witness_end_at_its_stationary_point(cascade_d3_bm, monkeypatch):
+    # A slice is in each residual call while any of its rows runs, so the
+    # calls it is in count the evaluations of its longest-running row.
+    evaluations, empty = [], []
+    residual, solve = symmetry._KetSlice.residual, symmetry._pure_witnesses
+
+    def counting_residual(self, theta, which):
+        evaluations[-1][np.unique(which)] += 1
+        return residual(self, theta, which)
+
+    def recording_witnesses(bm, slices, counts=None):
+        evaluations.append(np.zeros(len(slices), dtype=int))
+        witnesses = solve(bm, slices, counts)
+        empty.append(np.array([w is None for w in witnesses], dtype=bool))
+        return witnesses
+
+    monkeypatch.setattr(symmetry._KetSlice, "residual", counting_residual)
+    monkeypatch.setattr(symmetry, "_pure_witnesses", recording_witnesses)
+    find_invariant_subspaces(cascade_d3_bm)
+    # Each of these slices reaches a positive minimum; until the 20-iteration
+    # slow-progress patience ran out, their rows took 26-31 evaluations.
+    assert empty[0].sum() == 2 and sum(m.sum() for m in empty) == 5
+    for evals, missing in zip(evaluations, empty):
+        assert np.all(evals[missing] <= 15)
+
+
+@pytest.mark.parametrize("model", ["cascade_d3", "cascade_d4"])
+def test_each_slice_keeps_the_first_root_of_a_run_whose_rows_all_run_out(model, request, monkeypatch):
+    bm = request.getfixturevalue(f"{model}_bm")
+    runs, lm = [], symmetry._levenberg_marquardt
+
+    def with_full_run(cs, starts, tol, max_iter, which=None, **options):
+        before = cs.counts["witness row evaluations"]
+        out = lm(cs, starts, tol, max_iter, which, **options)
+        middle = cs.counts["witness row evaluations"]
+        full = lm(cs, starts, tol, max_iter, which)
+        runs.append((out, full, middle - before, cs.counts["witness row evaluations"] - middle))
+        return out
+
+    monkeypatch.setattr(symmetry, "_levenberg_marquardt", with_full_run)
+    find_invariant_subspaces(bm)
+    assert runs
+    for (theta, resid, failed), (full_theta, full_resid, full_failed), rows, full_rows in runs:
+        root = (~failed & (np.max(np.abs(resid), axis=1) <= WITNESS_TOL)).reshape(-1, WITNESS_STARTS)
+        full_root = (~full_failed & (np.max(np.abs(full_resid), axis=1) <= WITNESS_TOL)).reshape(-1, WITNESS_STARTS)
+        assert np.array_equal(root.any(axis=1), full_root.any(axis=1))
+        for g in np.flatnonzero(full_root.any(axis=1)):
+            first = np.argmax(full_root[g])
+            assert np.argmax(root[g]) == first
+            row = g * WITNESS_STARTS + first
+            assert theta[row].tobytes() == full_theta[row].tobytes()
+            assert resid[row].tobytes() == full_resid[row].tobytes()
+        assert rows <= full_rows
+    # The starts after each slice's first root stop early.
+    assert sum(run[2] for run in runs) < sum(run[3] for run in runs)
 
 
 def _slice_through_pure_state(bm, n_sub, rng):
