@@ -394,11 +394,12 @@ def _solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which=None, first_root=0):
     """Levenberg-Marquardt on a stack of starts (S, p), all iterated at once.
 
-    ``cs`` needs only ``residual(theta, which)`` and ``jacobian(theta,
-    which)`` on stacks (as :class:`ConstraintSystem` provides them),
-    ``n_constraints`` and ``n_params``.  ``which`` (S,) gives each start's
-    system in a stack of same-shape systems (:func:`stack_systems`), and
-    goes along with every row handed to ``cs``; None means one system.
+    ``cs`` needs ``n_constraints``, ``n_params`` and, on stacks, either
+    ``residual(theta, which)`` and ``jacobian(theta, which)`` (as
+    :class:`ConstraintSystem` has them) or one ``evaluate(theta, which)``
+    giving both.  ``which`` (S,) gives each start's system in a stack of
+    same-shape systems (:func:`stack_systems`), and goes along with every
+    row handed to ``cs``; None means one system.
     ``n_constraints`` is one count for the whole stack or one per system;
     a system padded with zero rows to the stack's width gives its own
     count, so that it is damped as it would be alone.
@@ -424,6 +425,10 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     most ``tol``) is wanted: a group leaves the stack once that root is
     final, i.e. every start before it in the group has left, and the
     group's later starts stop where they are.
+    The state of the running starts is kept compacted, and a start's row is
+    written back when it leaves.  An accepted trial keeps the Jacobian that
+    ``evaluate`` gave with its residual; without ``evaluate``, the Jacobian
+    is evaluated after the residual, for the accepted rows only.
     Each start's damping follows its own system's count: square and
     overdetermined systems use More's scaling (running maximum of the
     squared Jacobian column norms); underdetermined ones damp isotropically,
@@ -434,77 +439,74 @@ def _levenberg_marquardt(cs, theta: np.ndarray, tol: float, max_iter: int, which
     """
     theta = np.array(theta, dtype=float)
     which = np.zeros(len(theta), dtype=int) if which is None else np.asarray(which)
-    resid = cs.residual(theta, which)
+    # Without a joint evaluation, the Jacobian (None here) is evaluated later.
+    joint = hasattr(cs, "evaluate")
+    evaluate = cs.evaluate if joint else lambda theta, which: (cs.residual(theta, which), None)
+    resid, jac = evaluate(theta, which)
     cost = 0.5 * np.einsum("si,si->s", resid, resid)
     failed = ~np.isfinite(cost)
-    evals = np.ones(len(theta), dtype=int)
     stop = 1e-3 * min(tol, 1e-10)
     size = np.max(np.abs(resid), axis=1)
-    active = np.flatnonzero(~failed & (size > stop))
+    over = failed | (size <= stop)
+    active = np.flatnonzero(~over)
     if not active.size:  # every start is done already
         return theta, resid, failed
-    jac = cs.jacobian(theta[active], which[active])
+    x, r, c, w = theta[active], resid[active], cost[active], which[active]  # the running rows
+    jac = cs.jacobian(x, w) if jac is None else jac[active]
     scale = np.einsum("smp,smp->sp", jac, jac)
     scale[scale == 0.0] = 1.0
     n_eq = np.asarray(cs.n_constraints)
-    isotropic = np.broadcast_to(n_eq[which[active]] if n_eq.ndim else n_eq, active.shape) < cs.n_params
+    isotropic = np.broadcast_to(n_eq[w] if n_eq.ndim else n_eq, active.shape) < cs.n_params
     scale[isotropic] = scale[isotropic].max(axis=1, keepdims=True)
-    lam = np.full(len(active), 1e-3)
-    nu = np.full(len(active), 2.0)
-    slow = np.zeros(len(active), dtype=int)
+    lam, nu, slow = np.full(len(active), 1e-3), np.full(len(active), 2.0), np.zeros(len(active), dtype=int)
     eye = np.eye(theta.shape[1])
-    over = np.ones(len(theta), dtype=bool)
-    over[active] = False
     root = over & ~failed & (size <= tol)
+    evals = 1  # residual evaluations so far, the same for every running row
     while active.size and max_iter > 1:
         jac_t = np.swapaxes(jac, 1, 2)
-        grad = (jac_t @ resid[active][:, :, None])[:, :, 0]
+        grad = (jac_t @ r[:, :, None])[:, :, 0]
         damping = lam[:, None] * scale
         step = _solve_stack(jac_t @ jac + damping[:, :, None] * eye, -grad)
-        trial = theta[active] + step
-        trial_resid = cs.residual(trial, which[active])
-        evals[active] += 1
-        trial_cost = 0.5 * np.einsum("si,si->s", trial_resid, trial_resid)
+        trial = x + step
+        trial_r, trial_jac = evaluate(trial, w)
+        evals += 1
+        trial_cost = 0.5 * np.einsum("si,si->s", trial_r, trial_r)
         finite = np.isfinite(trial_cost) & np.isfinite(step).all(axis=1)
         # Cost reduction predicted by the linear model, which is positive.
         predicted = 0.5 * np.einsum("sp,sp->s", step, damping * step - grad)
         with np.errstate(all="ignore"):  # non-finite starts are dropped below
-            gain = (cost[active] - trial_cost) / predicted
+            gain = (c - trial_cost) / predicted
             good = finite & (gain > 1e-4)
-            stationary = good & (gain <= 2) & (predicted < STATIONARY_SHARE * cost[active])
+            stationary = good & (gain <= 2) & (predicted < STATIONARY_SHARE * c)
             lam = np.where(good, lam * np.maximum(1 / 3, 1 - (2 * gain - 1) ** 3), lam * nu)
         lam = np.maximum(lam, 1e-15)
         nu = np.where(good, 2.0, 2.0 * nu)
-        slow = np.where(predicted < 0.1 * cost[active], slow + 1, 0)
-        moved = active[good]
-        theta[moved] = trial[good]
-        resid[moved] = trial_resid[good]
-        cost[moved] = trial_cost[good]
-        failed[active[~finite]] = True
-        done = (
-            ~finite
-            | stationary
-            | (slow >= 20)
-            | (lam > 1e16)
-            | (np.max(np.abs(resid[active]), axis=1) <= stop)
-            | (evals[active] >= max_iter)
-        )
-        if first_root:
+        slow = np.where(predicted < 0.1 * c, slow + 1, 0)
+        np.copyto(x, trial, where=good[:, None])
+        np.copyto(r, trial_r, where=good[:, None])
+        np.copyto(c, trial_cost, where=good)
+        if joint:
+            np.copyto(jac, trial_jac, where=good[:, None, None])
+            del trial_jac  # free before the next evaluation
+        size = np.max(np.abs(r), axis=1)
+        done = ~finite | stationary | (slow >= 20) | (lam > 1e16) | (size <= stop) | (evals >= max_iter)
+        if done.any():
+            if first_root:
+                ended = active[done]
+                over[ended] = True
+                root[ended] = finite[done] & (size[done] <= tol)
+                # A group is settled when its first row that is a root or still running is a root.
+                groups = (root | ~over).reshape(-1, first_root)
+                settled = root.reshape(-1, first_root)[np.arange(len(groups)), np.argmax(groups, axis=1)]
+                done |= settled[active // first_root]
             ended = active[done]
-            over[ended] = True
-            root[ended] = ~failed[ended] & (np.max(np.abs(resid[ended]), axis=1) <= tol)
-            # A group is settled when its first row that is a root or still running is a root.
-            groups = (root | ~over).reshape(-1, first_root)
-            settled = root.reshape(-1, first_root)[np.arange(len(groups)), np.argmax(groups, axis=1)]
-            done |= settled[active // first_root]
-        keep = ~done
-        refresh = good[keep]
-        active, jac, scale, isotropic = active[keep], jac[keep], scale[keep], isotropic[keep]
-        lam, nu, slow = lam[keep], nu[keep], slow[keep]
-        if refresh.any():
-            rows = active[refresh]
-            jac[refresh] = cs.jacobian(theta[rows], which[rows])
-            more = refresh & ~isotropic
+            failed[ended], theta[ended], resid[ended] = ~finite[done], x[done], r[done]
+            running = (active, x, r, c, w, good, jac, scale, isotropic, lam, nu, slow)
+            active, x, r, c, w, good, jac, scale, isotropic, lam, nu, slow = (a[~done] for a in running)
+        if good.any():
+            if not joint:
+                jac[good] = cs.jacobian(x[good], w[good])
+            more = good & ~isotropic
             norms = np.einsum("smp,smp->sp", jac[more], jac[more])
             scale[more] = np.maximum(scale[more], norms)
     return theta, resid, failed

@@ -53,6 +53,9 @@ WITNESS_TOL = 1e-12
 WITNESS_MAX_ITER = 100
 # Angle of the representative rotation reported for each rotation generator.
 REP_ANGLE = np.pi / 3
+# Most Wigner candidates certified in one stack (more come in further stacks);
+# a D = 4 stack's structure tensors then stay near 14 MB.
+_WIGNER_STACK = 256
 
 
 @dataclass(frozen=True)
@@ -102,36 +105,38 @@ class _KetSlice:
     slice's rows are padded with zero forms to one width: the widest
     complement the enumeration can make (D^2 - D, from a slice of dimension
     D - 1) plus the norm row, or the widest slice given if that is wider.
-    A slice then rounds the same alone or stacked with any others.
-    ``n_constraints`` holds each slice's unpadded count, which decides its
-    damping.  Each residual call adds one to ``counts["witness evaluations"]``
-    and its row count to ``counts["witness row evaluations"]``.
+    All forms come from one stacked product, and a slice rounds the same
+    alone or stacked with any others.  ``n_constraints`` holds each slice's
+    unpadded count, which decides its damping.  Each :meth:`evaluate` call
+    adds one to ``counts["witness evaluations"]`` and its row count to
+    ``counts["witness row evaluations"]``.
     """
 
     def __init__(self, bm: BlochModel, complements: list, counts: collections.Counter):
-        d = bm.dim
+        d, n_slices = bm.dim, len(complements)
         self.n_constraints = np.array([basis_r0.shape[1] + 1 for basis_r0 in complements])
         self.n_params = 2 * d
         width = max(bm.n_coords - d + 2, *self.n_constraints)
-        self.forms = np.zeros((len(complements), width, 2 * d, 2 * d))
-        self.shift = np.zeros((len(complements), width))
-        # One product per slice, so that no slice's forms depend on the others.
+        columns = np.zeros((n_slices, width, bm.n_coords))  # each complement's columns, then zero rows
         for s, basis_r0 in enumerate(complements):
-            herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
-            herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
-            herm = np.concatenate([herm, np.eye(d)[None]])
-            re, im = herm.real, herm.imag
-            self.forms[s, : len(herm)] = np.block([[re, -im], [im, re]])  # symmetric
-            self.shift[s, len(herm) - 1] = 1.0
+            columns[s, : basis_r0.shape[1]] = basis_r0.T
+        herm = 0.5 * d * (columns @ bm.basis.traceless.reshape(bm.n_coords, -1)).reshape(n_slices, width, d, d)
+        herm -= (columns @ bm.x_ss)[:, :, None, None] * np.eye(d)
+        norm_row = (np.arange(n_slices), self.n_constraints - 1)
+        herm[norm_row] = np.eye(d)
+        self.forms = np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])  # symmetric
+        self.shift = (np.arange(width) == norm_row[1][:, None]).astype(float)
         self.counts = counts
 
-    def residual(self, theta: np.ndarray, which) -> np.ndarray:
+    def evaluate(self, theta: np.ndarray, which) -> tuple:
+        """Residuals (S, width) and Jacobians (S, width, 2D) of a stack, both from one product Q theta."""
         self.counts["witness evaluations"] += 1
         self.counts["witness row evaluations"] += len(theta)
-        return np.einsum("sp,smpq,sq->sm", theta, self.forms[which], theta) - self.shift[which]
-
-    def jacobian(self, theta: np.ndarray, which) -> np.ndarray:
-        return 2.0 * np.einsum("smpq,sq->smp", self.forms[which], theta)
+        forms = self.forms.reshape(len(self.forms), -1, self.n_params)
+        q_theta = (forms.take(which, axis=0) @ theta[:, :, None]).reshape(len(theta), -1, self.n_params)
+        resid = np.einsum("smp,sp->sm", q_theta, theta) - self.shift.take(which, axis=0)
+        q_theta *= 2.0  # the Jacobian, in place: the gathered forms are already freed
+        return resid, q_theta
 
 
 @functools.cache
@@ -397,11 +402,37 @@ def _structure_constants(basis) -> np.ndarray:
     return _STRUCTURE[key]
 
 
-def _act_on_tensor(t0: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """t0 applied to all three indices: sum_ijk t0_ai t0_bj t0_ck tensor_ijk."""
-    for _ in range(3):
-        tensor = np.moveaxis(tensor @ t0.T, -1, 0)
-    return tensor
+def _wigner_reports(bm: BlochModel, t0s: np.ndarray) -> list:
+    """The :func:`certify_wigner` report of each candidate of a stack (N, n, n),
+    each check run once on the stack (the structure tensors on the candidates
+    that pass the algebraic checks); every report is the one its t0 gets alone."""
+    t0s_t = np.swapaxes(t0s, 1, 2)
+    checks = {
+        "orthogonality": np.max(np.abs(t0s_t @ t0s - np.eye(bm.n_coords)), axis=(1, 2)),
+        "commutation": np.linalg.svd(t0s_t @ bm.l0 @ t0s - bm.l0, compute_uv=False)[:, 0] / bm.l0_norm,
+        "drift": np.linalg.norm(t0s @ bm.b - bm.b, axis=1) / max(np.linalg.norm(bm.b), 1e-300),
+        "steady_state": np.linalg.norm(t0s @ bm.x_ss - bm.x_ss, axis=1) / max(np.linalg.norm(bm.x_ss), 1e-300),
+    }
+    algebraic = np.all([checks[key] <= limit for key, limit in _WIGNER_LIMITS.items()], axis=0)
+    checks["state_set"] = np.full(len(t0s), np.nan)
+    antiunitary = np.full(len(t0s), None)
+    if algebraic.any():
+        tensor = image = _structure_constants(bm.basis)
+        passed_t = t0s_t[algebraic, None]
+        for _ in range(3):  # each t0 on all three indices: sum_ijk t0_ai t0_bj t0_ck T_ijk
+            image = np.moveaxis(image @ passed_t, -1, 1)
+        checks["state_set"][algebraic] = np.max(np.abs(image.real - tensor.real), axis=(1, 2, 3))
+        # Antiunitary: t0 flips f rather than keeping it, |f' + f| < |f' - f|, i.e. <f', f> < 0.
+        antiunitary[algebraic] = image.imag.reshape(len(image), -1) @ tensor.imag.ravel() < 0
+    limits = dict(_WIGNER_LIMITS, state_set=CERT_TOL)
+    reports = []
+    for i, anti in enumerate(antiunitary):
+        report = {key: float(values[i]) for key, values in checks.items()}
+        report["antiunitary"] = None if anti is None else bool(anti)
+        report["failed"] = next((key for key, limit in limits.items() if not report[key] <= limit), None)
+        report["certified"] = report["failed"] is None
+        reports.append(report)
+    return reports
 
 
 def certify_wigner(bm: BlochModel, t0: np.ndarray) -> dict:
@@ -418,54 +449,25 @@ def certify_wigner(bm: BlochModel, t0: np.ndarray) -> dict:
     (unitary) or flips its sign (antiunitary); ``antiunitary`` records
     which, and is ``None`` when ``state_set`` was not computed.  For a
     qubit it equals det t0 < 0.  ``failed`` names the first check that
-    fails, in report order, or is ``None``.
+    fails, in report order, or is ``None``.  It is the one-candidate
+    stack of :func:`_wigner_reports`.
     """
-    t0 = np.asarray(t0, dtype=float)
-    n = bm.n_coords
-    report = {
-        "orthogonality": float(np.max(np.abs(t0.T @ t0 - np.eye(n)))),
-        "commutation": float(np.linalg.norm(t0.T @ bm.l0 @ t0 - bm.l0, 2) / bm.l0_norm),
-        "drift": float(
-            np.linalg.norm(t0 @ bm.b - bm.b) / max(np.linalg.norm(bm.b), 1e-300)
-        ),
-        "steady_state": float(
-            np.linalg.norm(t0 @ bm.x_ss - bm.x_ss) / max(np.linalg.norm(bm.x_ss), 1e-300)
-        ),
-        "state_set": float("nan"),
-        "antiunitary": None,
-    }
-    if all(report[key] <= limit for key, limit in _WIGNER_LIMITS.items()):
-        tensor = _structure_constants(bm.basis)
-        image = _act_on_tensor(t0, tensor)
-        report["state_set"] = float(np.max(np.abs(image.real - tensor.real)))
-        f, f_image = tensor.imag, image.imag
-        report["antiunitary"] = bool(np.linalg.norm(f_image + f) < np.linalg.norm(f_image - f))
-    limits = dict(_WIGNER_LIMITS, state_set=CERT_TOL)
-    report["failed"] = next((key for key, limit in limits.items() if not report[key] <= limit), None)
-    report["certified"] = report["failed"] is None
-    return report
+    return _wigner_reports(bm, np.asarray(t0, dtype=float)[None])[0]
 
 
 def _lie_generators(bm: BlochModel) -> list:
     """Antisymmetric solutions of A l0 = l0 A, A b = 0 (rotation generators)."""
     n = bm.n_coords
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cols = []
-    for i, j in pairs:
-        a = np.zeros((n, n))
-        a[i, j], a[j, i] = 1.0, -1.0
-        cols.append(np.concatenate([(a @ bm.l0 - bm.l0 @ a).ravel(), a @ bm.b]))
-    system = np.column_stack(cols) if cols else np.zeros((n * n + n, 0))
-    null = null_space(system, rcond=1e-10)
-    gens = []
-    for idx in range(null.shape[1]):
-        a = np.zeros((n, n))
-        for (i, j), value in zip(pairs, null[:, idx]):
-            a[i, j], a[j, i] = value, -value
-        # Unit angular speed: exp(theta * a) rotates its leading plane by theta.
-        a /= np.linalg.norm(a, 2)
-        gens.append(a)
-    return gens
+    upper = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j, in row order
+    pairs = np.arange(len(upper[0]))
+    units = np.zeros((len(pairs), n, n))  # one unit generator per coordinate pair
+    units[(pairs, *upper)], units[(pairs, *upper[::-1])] = 1.0, -1.0
+    system = np.concatenate([(units @ bm.l0 - bm.l0 @ units).reshape(len(pairs), -1), units @ bm.b], axis=1).T
+    null = null_space(system, rcond=1e-10).T
+    gens = np.zeros((len(null), n, n))
+    gens[:, upper[0], upper[1]], gens[:, upper[1], upper[0]] = null, -null
+    # Unit angular speed: exp(theta * a) rotates its leading plane by theta.
+    return list(gens / np.linalg.svd(gens, compute_uv=False)[:, :1, None])
 
 
 def lie_element(gen: np.ndarray, angle: float) -> np.ndarray:
@@ -507,42 +509,38 @@ def find_wigner_symmetries(bm: BlochModel) -> list:
     are the coordinate sign flips that are constant on each component of
     the generator's coupling graph and leave the drift and steady state
     alone (see :func:`_free_components`); every flip that can pass
-    the algebraic checks is among them.  :func:`certify_wigner` decides
-    each one through the structure constants, and sets ``antiunitary`` for
-    every D.  Symmetries outside the rotations and the sign flips, such as
-    the coordinate swaps of a qubit's rotation axis, are not listed; on a
-    qubit with a rotation generator those swaps are products of a reported
-    rotation and a reported flip.  The screen's counts go to the
-    ``preforge`` logger at debug level.
+    the algebraic checks is among them.  All candidates are certified in one
+    stacked pass of :func:`certify_wigner`'s checks (:func:`_wigner_reports`),
+    which decide each one through the structure constants and set
+    ``antiunitary`` for every D.  Symmetries outside the rotations and the
+    sign flips, such as the coordinate swaps of a qubit's rotation axis, are
+    not listed; on a qubit with a rotation generator those swaps are
+    products of a reported rotation and a reported flip.  The screen's
+    counts go to the ``preforge`` logger at debug level.
     """
-    out = []
-    for g_idx, gen in enumerate(_lie_generators(bm)):
-        t0 = lie_element(gen, REP_ANGLE)
-        report = certify_wigner(bm, t0)
-        if report["certified"]:
-            out.append(
-                WignerSymmetry(
-                    t0=t0,
-                    antiunitary=report["antiunitary"],
-                    generator_tag=f"rotation[{g_idx}] angle={REP_ANGLE:.6g}",
-                    generator=gen,
-                )
-            )
-    # The flips constant on each free component, in product order over the
-    # components and without the identity; for components ordered by their
-    # first coordinate this is the order of a product over coordinates.
+    gens = _lie_generators(bm)
     n_components, free = _free_components(bm)
-    counts = collections.Counter()
-    for signs in itertools.islice(itertools.product((1.0, -1.0), repeat=len(free)), 1, None):
-        diagonal = np.ones(bm.n_coords)
-        for coords, sign in zip(free, signs):
-            diagonal[coords] = sign
-        t0 = np.diag(diagonal)
-        report = certify_wigner(bm, t0)
-        counts["tested"] += 1
-        counts[report["failed"] or "certified"] += 1
-        if report["certified"]:
-            out.append(WignerSymmetry(t0=t0, antiunitary=report["antiunitary"]))
+    # The rotations (with their generator's index), then the flips constant on
+    # each free component, in product order over the components and without
+    # the identity; for components ordered by their first coordinate this is
+    # the order of a product over coordinates.
+    def flips():
+        for signs in itertools.islice(itertools.product((1.0, -1.0), repeat=len(free)), 1, None):
+            diagonal = np.ones(bm.n_coords)
+            for coords, sign in zip(free, signs):
+                diagonal[coords] = sign
+            yield np.diag(diagonal), None
+
+    candidates = itertools.chain(((lie_element(gen, REP_ANGLE), g) for g, gen in enumerate(gens)), flips())
+    out, counts = [], collections.Counter()
+    while stack := list(itertools.islice(candidates, _WIGNER_STACK)):
+        for (t0, g), report in zip(stack, _wigner_reports(bm, np.array([t0 for t0, _ in stack]))):
+            if g is None:
+                counts["tested"] += 1
+                counts[report["failed"] or "certified"] += 1
+            if report["certified"]:
+                tag = None if g is None else f"rotation[{g}] angle={REP_ANGLE:.6g}"
+                out.append(WignerSymmetry(t0, report["antiunitary"], tag, None if g is None else gens[g]))
     _log.debug(
         "wigner symmetries: %d coupling components, %d free components, "
         "%d candidates tested, %d certified, %d rejected by commutation, "

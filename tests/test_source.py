@@ -151,3 +151,43 @@ L0_READ = re.compile(r"(?<!def )\beig_full\(|np\.linalg\.norm\(bm\.l0\b")
 def test_the_spectrum_and_norm_of_l0_are_computed_in_model_alone():
     offenders = _calls(L0_READ, skip=("model.py",))
     assert not offenders, "l0 decomposed outside model.py:\n" + "\n".join(offenders)
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+# What only a Wigner certifier computes: the structure tensor's image and the
+# report's state-set and antiunitary entries.
+STATE_SET_CHECKS = {"_structure_constants"}
+STATE_SET_KEYS = {"state_set", "antiunitary"}
+
+
+def _computes_state_set_checks(function) -> bool:
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and _called_name(node) in STATE_SET_CHECKS:
+            return True
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            key = node.slice
+            if isinstance(key, ast.Constant) and key.value in STATE_SET_KEYS:
+                return True
+        if isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value in STATE_SET_KEYS for key in node.keys
+        ):
+            return True
+    return False
+
+
+def test_symmetry_keeps_one_wigner_certifier():
+    # certify_wigner is the one-candidate stack of _wigner_reports; a second
+    # function computing the state-set or antiunitary checks would fork the
+    # certificate between the solver's calls and the stacked screen.
+    tree = ast.parse((Path(preforge.__file__).parent / "symmetry.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions if _computes_state_set_checks(f)] == ["_wigner_reports"]
+    (certify,) = [f for f in functions if f.name == "certify_wigner"]
+    returned = [node.value for node in ast.walk(certify) if isinstance(node, ast.Return)]
+    assert len(returned) == 1 and "_wigner_reports" in {
+        _called_name(node) for node in ast.walk(returned[0]) if isinstance(node, ast.Call)
+    }

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from preforge.algebra import bloch_to_rho, orth, pure_radius_sq, random_pure_ket, rho_to_bloch
+from preforge.algebra import bloch_to_rho, null_space, orth, pure_radius_sq, random_pure_ket, rho_to_bloch
 from preforge.constraints import _levenberg_marquardt, build_subspace_reduced
 from preforge.errors import ShapeError, SubspaceError
 from preforge.model import MasterEquation, vectorize
@@ -297,14 +297,14 @@ def test_subspace_search_makes_one_solve_per_level(cascade_d3_bm, monkeypatch):
 
 
 def test_rows_of_a_slice_without_witness_end_at_its_stationary_point(cascade_d3_bm, monkeypatch):
-    # A slice is in each residual call while any of its rows runs, so the
+    # A slice is in each evaluation while any of its rows runs, so the
     # calls it is in count the evaluations of its longest-running row.
     evaluations, empty = [], []
-    residual, solve = symmetry._KetSlice.residual, symmetry._pure_witnesses
+    evaluate, solve = symmetry._KetSlice.evaluate, symmetry._pure_witnesses
 
-    def counting_residual(self, theta, which):
+    def counting_evaluate(self, theta, which):
         evaluations[-1][np.unique(which)] += 1
-        return residual(self, theta, which)
+        return evaluate(self, theta, which)
 
     def recording_witnesses(bm, slices, counts=None):
         evaluations.append(np.zeros(len(slices), dtype=int))
@@ -312,7 +312,7 @@ def test_rows_of_a_slice_without_witness_end_at_its_stationary_point(cascade_d3_
         empty.append(np.array([w is None for w in witnesses], dtype=bool))
         return witnesses
 
-    monkeypatch.setattr(symmetry._KetSlice, "residual", counting_residual)
+    monkeypatch.setattr(symmetry._KetSlice, "evaluate", counting_evaluate)
     monkeypatch.setattr(symmetry, "_pure_witnesses", recording_witnesses)
     find_invariant_subspaces(cascade_d3_bm)
     # Each of these slices reaches a positive minimum; until the 20-iteration
@@ -386,12 +386,8 @@ def test_mixed_witness_stack_damps_each_row_by_its_own_count(cascade_d3_bm):
         assert resid[rows].tobytes() == alone_resid.tobytes()
 
 
-@pytest.mark.parametrize("dim, n_span", [(3, 1), (4, 2)])
-def test_subspace_from_span_witnesses_a_span_narrower_than_d_minus_1(dim, n_span):
-    # Every coherence vector is an eigenvector of the fully depolarizing
-    # generator (all D^2 - 1 clock-and-shift jumps at one rate), so any span
-    # is invariant.  Below D - 1 dimensions the complement is wider than any
-    # the enumeration makes, and the witness stack is widened to hold it.
+def _clock_shift_bm(dim):
+    """The fully depolarizing generator: all D^2 - 1 clock-and-shift jumps at one rate."""
     shift = np.roll(np.eye(dim), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
     jumps = [
@@ -399,7 +395,16 @@ def test_subspace_from_span_witnesses_a_span_narrower_than_d_minus_1(dim, n_span
         for a, b in itertools.product(range(dim), repeat=2)
         if a or b
     ]
-    bm = vectorize(MasterEquation(dim, np.zeros((dim, dim)), jumps))
+    return vectorize(MasterEquation(dim, np.zeros((dim, dim)), jumps))
+
+
+@pytest.mark.parametrize("dim, n_span", [(3, 1), (4, 2)])
+def test_subspace_from_span_witnesses_a_span_narrower_than_d_minus_1(dim, n_span):
+    # Every coherence vector is an eigenvector of the fully depolarizing
+    # generator (all D^2 - 1 clock-and-shift jumps at one rate), so any span
+    # is invariant.  Below D - 1 dimensions the complement is wider than any
+    # the enumeration makes, and the witness stack is widened to hold it.
+    bm = _clock_shift_bm(dim)
     basis_i0, basis_r0 = _slice_through_pure_state(bm, n_span, np.random.default_rng(5))
     assert basis_r0.shape[1] + 1 > bm.n_coords - dim + 2
     sub = subspace_from_span(bm, basis_i0)
@@ -408,6 +413,95 @@ def test_subspace_from_span_witnesses_a_span_narrower_than_d_minus_1(dim, n_span
     assert abs(w @ w - pure_radius_sq(dim)) <= 1e-9
     assert sub.distance(w - bm.x_ss) <= 1e-8
     assert np.min(np.linalg.eigvalsh(bloch_to_rho(w, bm.basis))) >= -1e-9
+
+
+def _per_slice_forms(bm, complements):
+    """Witness forms and shifts built slice by slice, one product per complement:
+    its rows, then the norm row, then zero rows up to the stack's width."""
+    d = bm.dim
+    width = max(bm.n_coords - d + 2, *[r0.shape[1] + 1 for r0 in complements])
+    forms = np.zeros((len(complements), width, 2 * d, 2 * d))
+    shift = np.zeros((len(complements), width))
+    for s, basis_r0 in enumerate(complements):
+        herm = 0.5 * d * np.tensordot(basis_r0.T, bm.basis.traceless, axes=1)
+        herm -= (basis_r0.T @ bm.x_ss)[:, None, None] * np.eye(d)
+        herm = np.concatenate([herm, np.eye(d)[None]])
+        re, im = herm.real, herm.imag
+        forms[s, : len(herm)] = np.block([[re, -im], [im, re]])
+        shift[s, len(herm) - 1] = 1.0
+    return forms, shift
+
+
+@pytest.mark.parametrize("model", ["cascade_d3", "clock_shift_3", "clock_shift_4"])
+def test_ket_slice_forms_keep_the_per_slice_layout(model, request, monkeypatch):
+    if model == "cascade_d3":  # every complement width the search makes
+        bm = request.getfixturevalue("cascade_d3_bm")
+        complements = [r0 for sliced, _ in _recorded_witness_calls(bm, monkeypatch) for _, r0 in sliced]
+    else:  # spans from narrower than D - 1, which widens the stack, to D^2 - 2
+        bm = _clock_shift_bm(int(model[-1]))
+        rng = np.random.default_rng(5)
+        spans = range(bm.dim - 2, bm.n_coords)
+        complements = [_slice_through_pure_state(bm, n_sub, rng)[1] for n_sub in spans]
+    widths = [r0.shape[1] for r0 in complements]
+    assert len(set(widths)) >= 3
+    d = bm.dim
+    ket_slice = symmetry._KetSlice(bm, complements, collections.Counter())
+    forms, shift = _per_slice_forms(bm, complements)
+    assert ket_slice.forms.shape == forms.shape
+    assert ket_slice.forms.shape[1] == max(bm.n_coords - d + 2, max(widths) + 1)
+    assert np.array_equal(ket_slice.forms, forms)  # equal values; a padding zero may carry a sign
+    assert np.array_equal(ket_slice.shift, shift)
+    for s, width in enumerate(widths):
+        assert np.array_equal(ket_slice.forms[s, width], np.eye(2 * d))  # the norm row
+        assert not ket_slice.forms[s, width + 1 :].any()
+        assert np.flatnonzero(ket_slice.shift[s]).tolist() == [width]
+    # One evaluation gives what the separate residual and Jacobian einsums gave.
+    rng = np.random.default_rng(7)
+    which = rng.permutation(np.repeat(np.arange(len(complements)), 3))
+    theta = rng.normal(size=(len(which), 2 * d))
+    resid, jac = ket_slice.evaluate(theta, which)
+    want_resid = np.einsum("sp,smpq,sq->sm", theta, forms[which], theta) - shift[which]
+    want_jac = 2.0 * np.einsum("smpq,sq->smp", forms[which], theta)
+    assert np.max(np.abs(resid - want_resid)) <= 1e-15 * np.max(np.abs(want_resid))
+    assert np.max(np.abs(jac - want_jac)) <= 1e-15 * np.max(np.abs(want_jac))
+
+
+class _CallRecorder:
+    """Stands in for a residual system and counts the calls of each of its methods."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.rows = inner, collections.Counter(), 0
+
+    def __getattr__(self, name):
+        value = getattr(self.inner, name)
+        if not callable(value):
+            return value
+
+        def recorded(theta, *args, **kwargs):
+            self.calls[name] += 1
+            self.rows += len(theta)
+            return value(theta, *args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("model, evaluations, row_evaluations", [("cascade_d3", 39, 732), ("cascade_d4", 141, None)])
+def test_witness_search_never_evaluates_a_separate_jacobian(model, evaluations, row_evaluations, request, monkeypatch, caplog):
+    bm = request.getfixturevalue(f"{model}_bm")
+    recorders, lm = [], symmetry._levenberg_marquardt
+
+    def recording_lm(cs, *args, **options):
+        recorders.append(_CallRecorder(cs))
+        return lm(recorders[-1], *args, **options)
+
+    monkeypatch.setattr(symmetry, "_levenberg_marquardt", recording_lm)
+    _, counts = _logged_subspace_search(bm, caplog)
+    assert recorders
+    assert set().union(*(r.calls for r in recorders)) == {"evaluate"}  # no residual- or Jacobian-only call
+    assert sum(r.calls["evaluate"] for r in recorders) == counts["witness evaluations"] == evaluations
+    assert sum(r.rows for r in recorders) == counts["witness row evaluations"]
+    if row_evaluations is not None:
+        assert counts["witness row evaluations"] == row_evaluations
 
 
 @pytest.mark.parametrize("model", ["cascade_d3", "cascade_d4"])
@@ -553,3 +647,117 @@ def test_wigner_screen_logs_its_counts(cascade_d3_bm, caplog):
     assert counts["rejected by state set"] == 4
     assert counts["rejected by commutation"] + counts["rejected by drift"] == 0
     assert counts["rejected by steady state"] == 0
+
+
+_WIGNER_MODELS = ["rf_bm", "ae_bm", "cascade_d3_bm", "cascade_d4_bm"]
+
+
+def _pairwise_lie_generators(bm):
+    """Rotation generators built one coordinate pair at a time (reference)."""
+    n = bm.n_coords
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cols = []
+    for i, j in pairs:
+        a = np.zeros((n, n))
+        a[i, j], a[j, i] = 1.0, -1.0
+        cols.append(np.concatenate([(a @ bm.l0 - bm.l0 @ a).ravel(), a @ bm.b]))
+    null = null_space(np.column_stack(cols), rcond=1e-10)
+    gens = []
+    for idx in range(null.shape[1]):
+        a = np.zeros((n, n))
+        for (i, j), value in zip(pairs, null[:, idx]):
+            a[i, j], a[j, i] = value, -value
+        gens.append(a / np.linalg.norm(a, 2))
+    return gens
+
+
+def _screen_one_by_one(bm):
+    """The Wigner screen with each candidate certified alone (reference)."""
+    out = []
+    for g, gen in enumerate(_pairwise_lie_generators(bm)):
+        t0 = lie_element(gen, symmetry.REP_ANGLE)
+        report = certify_wigner(bm, t0)
+        if report["certified"]:
+            out.append(WignerSymmetry(t0, report["antiunitary"], f"rotation[{g}] angle={symmetry.REP_ANGLE:.6g}", gen))
+    _, free = symmetry._free_components(bm)
+    for signs in itertools.islice(itertools.product((1.0, -1.0), repeat=len(free)), 1, None):
+        diagonal = np.ones(bm.n_coords)
+        for coords, sign in zip(free, signs):
+            diagonal[coords] = sign
+        report = certify_wigner(bm, np.diag(diagonal))
+        if report["certified"]:
+            out.append(WignerSymmetry(t0=np.diag(diagonal), antiunitary=report["antiunitary"]))
+    return out
+
+
+def _wigner_candidates(bm):
+    """A stack of certified and rejected candidates: the rotations and flips the
+    screen tests, each single-coordinate flip, a seeded orthogonal map and 2 * 1."""
+    n = bm.n_coords
+    rotations = [lie_element(gen, symmetry.REP_ANGLE) for gen in symmetry._lie_generators(bm)]
+    _, free = symmetry._free_components(bm)
+    flips = []
+    for signs in itertools.islice(itertools.product((1.0, -1.0), repeat=len(free)), 1, None):
+        diagonal = np.ones(n)
+        for coords, sign in zip(free, signs):
+            diagonal[coords] = sign
+        flips.append(np.diag(diagonal))
+    singles = [np.diag(np.where(np.arange(n) == i, -1.0, 1.0)) for i in range(n)]
+    q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+    return np.array(rotations + flips + singles + [q, 2.0 * np.eye(n)])
+
+
+@pytest.mark.parametrize("model", _WIGNER_MODELS)
+def test_stacked_wigner_reports_equal_certify_wigner_one_by_one(model, request):
+    bm = request.getfixturevalue(model)
+    t0s = _wigner_candidates(bm)
+    reports = symmetry._wigner_reports(bm, t0s)
+    assert len(reports) == len(t0s)
+    outcomes = {report["failed"] for report in reports}
+    assert None in outcomes and len(outcomes) >= 3  # certified and rejected candidates mixed
+    for t0, report in zip(t0s, reports):
+        alone = certify_wigner(bm, t0)
+        assert list(report) == list(alone)
+        assert repr(report) == repr(alone)  # every value, nan, None and bools included
+    assert symmetry._wigner_reports(bm, np.empty((0, bm.n_coords, bm.n_coords))) == []
+
+
+# (antiunitary, generator tag, flip diagonal) of each symmetry found.
+_WIGNER_FOUND = {
+    "rf_bm": [(True, None, [-1, 1, 1])],
+    "ae_bm": [
+        (False, "rotation[0] angle=1.0472", None),
+        (True, None, [1, -1, 1]),
+        (True, None, [-1, 1, 1]),
+        (False, None, [-1, -1, 1]),
+    ],
+    "cascade_d3_bm": [
+        (False, "rotation[0] angle=1.0472", None),
+        (True, None, [1, -1, -1, -1, 1, 1, 1, 1]),
+        (True, None, [-1, 1, -1, 1, -1, 1, 1, 1]),
+        (False, None, [-1, -1, 1, -1, -1, 1, 1, 1]),
+    ],
+    "cascade_d4_bm": [
+        (False, "rotation[0] angle=1.0472", None),
+        (True, None, [1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1]),
+        (True, None, [-1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, 1, 1, 1, 1]),
+        (False, None, [-1, -1, -1, 1, 1, 1, -1, -1, -1, 1, 1, 1, 1, 1, 1]),
+    ],
+}
+
+
+@pytest.mark.parametrize("model", _WIGNER_MODELS)
+def test_wigner_screen_equals_certifying_each_candidate_alone(model, request):
+    bm = request.getfixturevalue(model)
+    syms = find_wigner_symmetries(bm)
+    found = [
+        (w.antiunitary, w.generator_tag, None if w.generator is not None else np.diag(w.t0).astype(int).tolist())
+        for w in syms
+    ]
+    assert found == _WIGNER_FOUND[model]
+    reference = _screen_one_by_one(bm)
+    assert len(syms) == len(reference)
+    for got, want in zip(syms, reference):
+        assert got.t0.tobytes() == want.t0.tobytes()
+        assert got.antiunitary is want.antiunitary and got.generator_tag == want.generator_tag
+        assert (got.generator is None and want.generator is None) or got.generator.tobytes() == want.generator.tobytes()
