@@ -428,7 +428,7 @@ def cmd_simulate(args) -> int:
     print("occupancy:", " ".join(f"{v:.6f}" for v in stats.occupancy))
     print("stationary:", " ".join(f"{v:.6f}" for v in ens.occupations))
     print(f"max state drift: {stats.max_state_drift:.3e}")
-    sampled, exact = member_click_rates(me, scheme, ens, stats)
+    sampled, exact = member_click_rates(stats)
     print("click rates (sampled/exact):", " ".join(f"{s:.6g}/{e:.6g}" for s, e in zip(sampled, exact)))
     results = {
         "occupancy": stats.occupancy.tolist(),

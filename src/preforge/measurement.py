@@ -12,26 +12,20 @@ detector mixing.  The detector count is derived: the most any member needs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import block_leak, build_basis, coordinate_rep, null_space, orth
 from .constraints import Ensemble
-from .errors import SynthesisError
-from .model import (
-    MasterEquation,
-    UnravellingSetting,
-    apply_unravelling,
-    lindbladian,
-    superoperator,
-    transformed_operators,
-    unravelled_lindbladian,
-    vectorize,
-)
+from .errors import RealizationError, SynthesisError
+from .model import MasterEquation, UnravellingSetting, apply_unravelling, lindbladian, superoperator, vectorize
 
 __all__ = [
     "AdaptiveScheme",
+    "Realization",
+    "certify",
     "synthesize",
     "check_subspace_preservation",
     "check_wigner_scheme",
@@ -41,9 +35,14 @@ _log = logging.getLogger("preforge")
 
 NO_TARGET = -1
 
-EIGENSTATE_TOL = 1e-8
-DIRECTION_TOL = 1e-8
+# The tolerance rule of :func:`certify`.  The closure certificate is a
+# coherence distance D ||psi - phi <phi|psi>||, and CLOSURE_TOL is a ket error
+# of 1e-8 on a qubit; rates pass within RATE_TOL of the rate scale (:func:`_rate_tol`).
+CLOSURE_TOL = 2e-8
 RATE_TOL = 1e-6
+# Exit rates below this fraction of the largest member's (in the certificate),
+# or decay rates below this fraction of ||H'_eff|| (in the click engine), count as dark.
+DARK_TOL = 1e-12
 PRESERVATION_TOL = 1e-8
 
 
@@ -52,8 +51,11 @@ class AdaptiveScheme:
     """Per-member detection settings and detector-to-member routing.
 
     ``jump_map[k, m]`` is the member reached when detector m clicks while
-    the system sits in member k; the member's own index marks a self-loop
-    and ``NO_TARGET`` a detector whose amplitude vanishes on that member.
+    the system sits in member k.  The member's own index marks a self-loop,
+    and so does ``NO_TARGET``: such a click keeps member k, so :func:`certify`
+    checks it like any self-loop (the post-click ket must be phi_k) and counts
+    it in k's exit rate but in no rate kappa_jk.  :func:`synthesize` routes
+    to ``NO_TARGET`` only the detectors whose amplitude vanishes on member k.
     ``diagnostics`` holds one dict per member from :func:`synthesize`.
     """
 
@@ -84,37 +86,83 @@ def _model_scale(me) -> float:
     return max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads)
 
 
-def _check_member(me, kets, k, routing, s, beta, kappa, rate_scale):
-    """Tolerance verdicts for a candidate setting on one member.
+def _rate_tol(me, kappa) -> float:
+    """RATE_TOL times the rate scale max(max_l ||c_l||_2^2, max kappa), in the model's own time unit."""
+    return RATE_TOL * max(_model_scale(me), float(np.max(kappa)))
 
-    Rates are judged to ``RATE_TOL * max(max_l ||c_l||^2, rate_scale)``.
+
+def _coherence_distance(psi, phi) -> float:
+    """Coherence-vector distance of two pure unit kets, D * ||psi - phi <phi|psi>||."""
+    return psi.size * float(np.linalg.norm(psi - phi * np.vdot(phi, psi)))
+
+
+@dataclass(frozen=True)
+class Realization:
+    """The per-member realization facts of a scheme on an ensemble, and their verdicts, from :func:`certify`."""
+
+    weights: np.ndarray  # (K, M) ||c'_m phi_k||^2 under member k's setting
+    rates: np.ndarray  # (K,) exit rates, 0 for a dark member
+    next_labels: np.ndarray  # (K, M) the member after each click
+    closure: np.ndarray  # (K,) closure certificates, 0 for a dark member
+    rate_mismatch: np.ndarray  # (K,) max over j != k of |sum_{m -> j} weights[k, m] - kappa_jk|
+    generator_defect: np.ndarray  # (K,) ||L_k - L||_F for the generator L_k rebuilt from member k's operators
+    realized: np.ndarray  # (K,) each member's verdict on all three facts
+    drift: float  # the scheme's closure certificate, the largest member's
+    closed: bool  # whether the drift passes, which keeps the chain on the member kets
+
+
+def certify(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble) -> Realization:
+    """Every per-member realization fact of ``scheme`` on ``ens``, from one build of each member's operators.
+
+    Member k's closure certificate is the largest of its no-jump residual
+    D ||(1 - phi phi^dagger) H'_eff phi_k|| over one mean wait 1/r_k and of
+    the coherence distance from its next member (k itself for ``NO_TARGET``)
+    of each c'_m phi_k / sqrt(r_k), a post-click ket weighted by the square
+    root of its detector's probability.  A member whose exit rate r_k is
+    below ``DARK_TOL`` of the largest never clicks and has none.  The one
+    tolerance rule: the closure certificate, a relative distance, passes at
+    most ``CLOSURE_TOL``; the rate mismatch and the generator defect (on
+    row-major vec(rho)) are rates and pass at most ``RATE_TOL`` times the
+    rate scale max(max_l ||c_l||^2, max kappa).  A scheme whose settings,
+    routing rows or targets do not fit the ensemble raises :class:`RealizationError`.
     """
-    rate_tol = RATE_TOL * max(_model_scale(me), rate_scale)
-    jumps, h_eff = transformed_operators(me, s, beta)
-    phi = kets[k]
-    v = h_eff @ phi
-    scale = max(np.linalg.norm(h_eff, 2), 1e-300)
-    if np.linalg.norm(v - (phi.conj() @ v) * phi) > EIGENSTATE_TOL * scale:
-        return False
-    weights = {}
-    for m0, target in enumerate(routing):
-        w = jumps[m0] @ phi
-        wn = np.linalg.norm(w)
-        if target == NO_TARGET:
-            if wn * wn > rate_tol:
-                return False
-            continue
-        tket = kets[target]
-        if wn > 1e-12 and np.linalg.norm(w - (tket.conj() @ w) * tket) > DIRECTION_TOL * max(
-            wn, 1e-12
-        ):
-            return False
-        if target != k:
-            weights[target] = weights.get(target, 0.0) + wn * wn
-    for j in range(len(kets)):
-        if kappa[j, k] > 0 and abs(weights.get(j, 0.0) - kappa[j, k]) > rate_tol:
-            return False
-    return True
+    k_members, routes = ens.k, scheme.jump_map
+    if (
+        scheme.k != k_members
+        or routes.shape[:-1] != (k_members,)
+        or {setting.n_detectors for setting in scheme.settings} != {routes.shape[-1]}
+        or not np.all((routes >= NO_TARGET) & (routes < k_members))  # NO_TARGET is -1
+    ):
+        raise RealizationError(
+            f"scheme of {scheme.k} settings with routing of shape {routes.shape} does not fit an ensemble of "
+            f"{k_members} members: it needs a setting and a routing row per member, targets in 0..{k_members - 1}"
+        )
+    kets = ens.kets().astype(complex)
+    ops = [scheme.jumps_and_generator(me, k) for k in range(k_members)]
+    amps = np.array([np.asarray(jumps) @ phi for (jumps, _), phi in zip(ops, kets)])
+    weights = np.sum(np.abs(amps) ** 2, axis=2)
+    rates = weights.sum(axis=1)
+    lit = rates > DARK_TOL * rates.max()
+    next_labels = scheme.next_labels
+    closure = np.zeros(k_members)
+    for k in np.flatnonzero(lit):
+        closure[k] = max(
+            _coherence_distance(ops[k][1] @ kets[k], kets[k]) / rates[k],
+            *(_coherence_distance(a / math.sqrt(rates[k]), kets[j]) for a, j in zip(amps[k], next_labels[k])),
+        )
+    flow = np.zeros((k_members, k_members))
+    np.add.at(flow, (next_labels, np.arange(k_members)[:, None]), weights)
+    mismatch = np.max(np.abs(flow - ens.kappa) * ~np.eye(k_members, dtype=bool), axis=0)
+    ref = lindbladian(me)
+    defect = np.array([np.linalg.norm(superoperator(h_eff, jumps) - ref) for jumps, h_eff in ops])
+    rate_tol = _rate_tol(me, ens.kappa)
+    drift = float(closure.max())
+    return Realization(
+        weights, np.where(lit, rates, 0.0), next_labels, closure, mismatch, defect,
+        realized=(closure <= CLOSURE_TOL) & (mismatch <= rate_tol) & (defect <= rate_tol),
+        drift=drift,
+        closed=drift <= CLOSURE_TOL,
+    )
 
 
 def _member_fit(me, kets, k, kappa, sigma_tol):
@@ -182,17 +230,16 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
     padded to M columns, the polar factor U of W^dag Phi gives S = U[:L]^T
     and beta = S b (+ sqrt(-sigma) U[L] for an oscillator-only detector).
     M is the most detectors any member needs; the rest stay dark and route
-    to ``NO_TARGET``.  Each member must pass :func:`_check_member` with
-    ``|beta|^2 <= 10 max_l ||c_l||^2``, else :class:`SynthesisError` carries
-    its residual.  Rates are judged to ``RATE_TOL`` times the larger of
-    max_l ||c_l||^2 and the largest rate, so in the model's own time unit.
+    to ``NO_TARGET``.  A self-loop weight sigma within the rate tolerance of
+    :func:`certify` counts as none.  Each member must be realized by the
+    certificate of :func:`certify` and have ``|beta|^2 <= 10 max_l
+    ||c_l||^2``, else :class:`SynthesisError` carries its residual.
     Per-member eigenvector and Gram residuals, sigma and detector counts go
     to ``diagnostics`` and the ``preforge`` debug log.
     """
     kets = ens.kets()
-    model_scale, rate_scale = _model_scale(me), float(np.max(ens.kappa))
-    beta_cap = np.sqrt(10.0 * model_scale)
-    sigma_tol = RATE_TOL * max(model_scale, rate_scale)
+    beta_cap = np.sqrt(10.0 * _model_scale(me))
+    sigma_tol = _rate_tol(me, ens.kappa)
     fits = [_member_fit(me, kets, k, ens.kappa, sigma_tol) for k in range(ens.k)]
     m = max(max(w.shape[1], cols.shape[1]) for _, _, w, cols, _, _ in fits)
     settings, diagnostics = [], []
@@ -208,31 +255,17 @@ def synthesize(me: MasterEquation, ens: Ensemble) -> AdaptiveScheme:
         gram = float(np.linalg.norm(x @ x.conj().T - phi_cols @ phi_cols.conj().T, 2))
         diagnostics.append({"eigen_residual": eigen_residual, "gram_residual": gram,
                             "sigma": sigma, "detectors": max(w.shape[1], cols.shape[1])})
-        residual, amplitude = max(eigen_residual, gram), np.max(np.abs(beta))
-        if amplitude > beta_cap + 1e-9 or not _check_member(
-            me, kets, k, jump_map[k], s, beta, ens.kappa, rate_scale
-        ):
-            raise SynthesisError(
-                f"no setting found for member {k}: residual {residual:.3e}, "
-                f"|beta| {amplitude:.3g} (cap {beta_cap:.3g})",
-                best_residual=residual,
-            )
         settings.append(UnravellingSetting(s, beta))
+    scheme = AdaptiveScheme(tuple(settings), jump_map, tuple(diagnostics))
+    realized = certify(me, scheme, ens).realized
+    for k, (setting, diag) in enumerate(zip(settings, diagnostics)):
+        residual, amplitude = max(diag["eigen_residual"], diag["gram_residual"]), np.max(np.abs(setting.beta))
+        if amplitude > beta_cap + 1e-9 or not realized[k]:
+            raise SynthesisError(f"no setting found for member {k}: residual {residual:.3e}, |beta| "
+                                 f"{amplitude:.3g} (cap {beta_cap:.3g})", best_residual=residual)
     _log.debug("synthesis: %d detectors; per member (eigen residual, Gram residual, sigma, "
                "detectors): %s", m, [tuple(d.values()) for d in diagnostics])
-    scheme = AdaptiveScheme(tuple(settings), jump_map, tuple(diagnostics))
-    _assert_generator_invariance(me, scheme)
     return scheme
-
-
-def _assert_generator_invariance(me: MasterEquation, scheme: AdaptiveScheme, tol=1e-10):
-    basis = build_basis(me.dim)
-    ref = coordinate_rep(lindbladian(me), basis)
-    scale = max(np.linalg.norm(ref, 2), 1e-300)
-    for setting in scheme.settings:
-        rep = coordinate_rep(unravelled_lindbladian(me, setting), basis)
-        if np.linalg.norm(rep - ref, 2) > tol * scale:
-            raise SynthesisError("setting does not preserve the unconditional generator")
 
 
 @dataclass

@@ -36,7 +36,6 @@ __all__ = [
     "UnravellingSetting",
     "superoperator",
     "lindbladian",
-    "unravelled_lindbladian",
     "vectorize",
     "transformed_operators",
     "apply_unravelling",
@@ -249,9 +248,3 @@ def apply_unravelling(me: MasterEquation, u: UnravellingSetting):
             f"setting mixes {u.s.shape[1]} channels, model has {me.n_channels}"
         )
     return transformed_operators(me, u.s, u.beta)
-
-
-def unravelled_lindbladian(me: MasterEquation, u: UnravellingSetting) -> np.ndarray:
-    """Generator rebuilt from the transformed operators (for invariance checks)."""
-    jumps, h_eff = apply_unravelling(me, u)
-    return superoperator(h_eff, jumps)

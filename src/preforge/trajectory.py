@@ -5,9 +5,9 @@ chain on the member kets.  Member phi_k is then an eigenvector of its
 setting's H'_eff, so it waits an exponential time at exit rate
 r_k = sum_m ||c'_m phi_k||^2, detector m clicks with probability
 ||c'_m phi_k||^2 / r_k, and the post-click ket is member ``jump_map[k][m]``
-(a ``NO_TARGET`` detector keeps the label).  :func:`simulate` certifies
-this once per (member, detector) and samples the chain exactly with arrays
-(Gillespie, J. Comput. Phys. 22, 403 (1976)).
+(a ``NO_TARGET`` detector keeps the label).  :func:`simulate` reads these
+facts from :func:`preforge.measurement.certify` and samples the chain exactly
+with arrays (Gillespie, J. Comput. Phys. 22, 403 (1976)).
 
 :func:`unconditional_check` starts from any ket and runs the waiting-time
 Monte Carlo wavefunction method (Dalibard, Castin & Molmer, PRL 68, 580
@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import bloch_to_rho, build_basis, coordinate_rep, exp_flow, expm, orth, rho_to_bloch
 from .constraints import Ensemble
 from .errors import ConvergenceError, RealizationError
-from .measurement import AdaptiveScheme
+from .measurement import DARK_TOL, AdaptiveScheme, certify
 from .model import MasterEquation, lindbladian
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
 # Eigenvector condition number above which H'_eff counts as defective: the
 # eigenbasis loses about cond(V) ulps of the norm N(tau), the expm path none.
 _DEFECTIVE_COND = 1e4
-# Decay rates below this fraction of ||H'_eff|| (in the engine), or exit rates
-# below this fraction of the largest member's (in the chain), count as dark.
-_DARK_TOL = 1e-12
 # Waiting times beyond this many units of 1/||H'_eff|| count as no click.
 _TAU_CAP = 1e15
 # Root-finder tolerance on log N(tau) - log u, and its iteration budget.
@@ -59,10 +56,8 @@ _MAX_ITER = 200
 _DRAW_BLOCK = 8
 # Trajectories run in lockstep at once, which bounds the check's memory.
 _LOCKSTEP_ROWS = 4096
-# Clicks that ``simulate`` discards before it records statistics, and the
-# largest closure certificate (a coherence distance) of a pinned chain.
+# Clicks that ``simulate`` discards before it records statistics.
 BURN_IN_JUMPS = 20
-DRIFT_TOL = 1e-4
 # Width, in standard errors, of the unconditional check's sampling band, and
 # the numerical floor added to it.
 UNCONDITIONAL_Z = 4.0
@@ -101,6 +96,7 @@ class TrajectoryStats:
     max_state_drift: float
     n_jumps: int
     total_time: float
+    exit_rates: np.ndarray  # (K,) exact, from the realization certificate
     events: list = field(default_factory=list)  # (time, channel, from, to)
 
 
@@ -123,7 +119,7 @@ class _ClickEngine:
         # and orthogonal to all decaying (generalized) eigenvectors, so the
         # no-jump norm tends to the weight of psi on their span: the rows of
         # ``dark`` are an orthonormal basis of it, conjugated and zero-padded.
-        dark = self.lam.imag >= -_DARK_TOL * scale[:, None]
+        dark = self.lam.imag >= -DARK_TOL * scale[:, None]
         self.vinv, self.dark = np.zeros_like(self.v), np.zeros_like(self.v)
         self.exp_h = {}  # label -> exp_flow of a defective setting, which propagates row by row
         for i, (jumps, _) in enumerate(settings):
@@ -239,11 +235,6 @@ def _unit_rows(rows):
     return rows / np.sqrt(_vdot_rows(rows, rows).real)[:, None]
 
 
-def _coherence_distance(psi, phi) -> float:
-    """Coherence-vector distance of two pure unit kets, D * ||psi - phi <phi|psi>||."""
-    return psi.size * float(np.linalg.norm(psi - phi * np.vdot(phi, psi)))
-
-
 class _Draws:
     """Uniform draws of trajectories first, ..., first + n - 1 (row i - first), in stream order.
 
@@ -302,25 +293,6 @@ def _lockstep_sums(engine: _ClickEngine, next_labels, psi0, times, draws: _Draws
     return sums
 
 
-def _certified_chain(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble):
-    """Detector weights ||c'_m phi_k||^2 (K, M), exit rates (0 for a dark member)
-    and the closure certificate of :func:`simulate`."""
-    kets = ens.kets().astype(complex)
-    ops = [scheme.jumps_and_generator(me, k) for k in range(ens.k)]
-    amps = np.array([np.asarray(jumps) @ phi for (jumps, _), phi in zip(ops, kets)])
-    weights = np.sum(np.abs(amps) ** 2, axis=2)
-    rates = weights.sum(axis=1)
-    lit = rates > _DARK_TOL * rates.max()
-    drift = 0.0
-    for k in np.flatnonzero(lit):
-        drift = max(
-            drift,
-            _coherence_distance(ops[k][1] @ kets[k], kets[k]) / rates[k],
-            *(_coherence_distance(a / math.sqrt(rates[k]), kets[j]) for a, j in zip(amps[k], scheme.next_labels[k])),
-        )
-    return weights, np.where(lit, rates, 0.0), drift
-
-
 def simulate(
     me: MasterEquation,
     scheme: AdaptiveScheme,
@@ -329,14 +301,12 @@ def simulate(
 ) -> TrajectoryStats:
     """Sample the member chain of ``scheme`` on ``ens``, started in member 0.
 
-    The chain is certified first.  ``max_state_drift`` is the largest of
-    each member's no-jump residual D ||(1 - phi phi^dagger) H'_eff phi_k||
-    over one mean wait 1/r_k, and the coherence distance from its target
-    member of each c'_m phi_k / sqrt(r_k), a post-click ket weighted by the
-    square root of its detector's probability.  Above ``DRIFT_TOL`` the
-    scheme does not pin the ensemble and :class:`RealizationError` is
-    raised.  A member whose exit rate is below ``_DARK_TOL`` of the largest
-    never clicks and is left out of the certificate.
+    The chain is certified first by :func:`preforge.measurement.certify`,
+    which gives the detector weights, exit rates and next labels it samples.
+    ``max_state_drift`` is the closure certificate; if it fails the rule, or
+    the scheme does not fit the ensemble, :class:`RealizationError` is
+    raised.  Only the closure is judged, so a hand-built scheme need not run
+    at the ensemble's rates.
 
     The chain then draws one table from ``default_rng([cfg.rng_seed, 0])``
     with a row per click and K + 1 columns: column 0 gives click i's wait
@@ -349,9 +319,10 @@ def simulate(
     :class:`RealizationError` without one.
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
-    weights, rates, drift = _certified_chain(me, scheme, ens)
-    if drift > DRIFT_TOL:
-        raise RealizationError(f"closure certificate {drift:.3e} > {DRIFT_TOL:g}: scheme does not pin the ensemble")
+    real = certify(me, scheme, ens)
+    if not real.closed:
+        raise RealizationError(f"closure certificate {real.drift:.3e} is above its tolerance: scheme does not pin the ensemble")
+    weights, rates = real.weights, real.rates
     k_members, burn = ens.k, BURN_IN_JUMPS
     n_clicks = burn + (cfg.n_jumps if cfg.n_jumps is not None else 10_000)
     draws = np.random.default_rng([cfg.rng_seed, 0]).random((n_clicks, k_members + 1))
@@ -359,7 +330,7 @@ def simulate(
     channels = np.stack(
         [np.searchsorted(c[:-1], draws[:, 1 + k] * c[-1], side="right") for k, c in enumerate(cumulative)], axis=1
     )
-    nxt = scheme.next_labels
+    nxt = real.next_labels
     queues = [iter(nxt[k, channels[:, k]].tolist() if rates[k] > 0 else ()) for k in range(k_members)]
     walk = [0]
     try:
@@ -393,26 +364,27 @@ def simulate(
         occupancy=dwell / total_time if total_time > 0 else dwell,
         jump_counts=pairs - np.diag(loops),
         self_loop_counts=loops,
-        max_state_drift=float(drift),
+        max_state_drift=real.drift,
         n_jumps=int(src.size),
         total_time=total_time,
+        exit_rates=rates,
         events=list(zip(clock[burn:end].tolist(), channel[burn:].tolist(), src.tolist(), dst.tolist())),
     )
 
 
-def member_click_rates(me: MasterEquation, scheme: AdaptiveScheme, ens: Ensemble, stats: TrajectoryStats):
+def member_click_rates(stats: TrajectoryStats):
     """Sampled and exact click rate out of each member, as two (K,) arrays.
 
     The sampled rate is the number of clicks out of member k (transitions
     and self-loops) over the time spent in k after burn-in, NaN for a member
-    never visited.  The exact rate is r_k = sum_m ||c'_m phi_k||^2 under
-    member k's setting, from the detector weights the chain samples.
+    never visited.  The exact rate is the certificate's exit rate r_k = sum_m
+    ||c'_m phi_k||^2 (0 for a dark member), which the chain was sampled at.
     """
     clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
     dwell = stats.occupancy * stats.total_time
     with np.errstate(divide="ignore", invalid="ignore"):
         sampled = np.where(dwell > 0, clicks / dwell, math.nan)
-    return sampled, _certified_chain(me, scheme, ens)[0].sum(axis=1)
+    return sampled, stats.exit_rates
 
 
 @dataclass

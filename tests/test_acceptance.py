@@ -22,7 +22,7 @@ from preforge.constraints import (
 )
 from preforge.measurement import check_subspace_preservation, check_wigner_scheme, synthesize
 from preforge.mespec import load_catalog
-from preforge.model import UnravellingSetting, lindbladian, unravelled_lindbladian, vectorize
+from preforge.model import UnravellingSetting, apply_unravelling, lindbladian, superoperator, vectorize
 from preforge.solver import (
     SolverConfig,
     analytic_k2,
@@ -379,7 +379,7 @@ def test_criterion_10_property_suites(rf, ae):
                 rng.normal(size=(n_l, n_l)) + 1j * rng.normal(size=(n_l, n_l))
             )
             setting = UnravellingSetting(q, rng.normal(size=n_l) + 1j * rng.normal(size=n_l))
-            other = unravelled_lindbladian(model, setting)
+            other = superoperator(*apply_unravelling(model, setting)[::-1])
             for _ in range(10):
                 rho = random_density_matrix(2, rng)
                 vec = rho.ravel()

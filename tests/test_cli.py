@@ -962,6 +962,28 @@ def test_simulate_bundle_has_member_click_rates(capsys, tmp_path, rf_ensemble_fi
         assert abs(sampled - exact) <= 4.0 / np.sqrt(n) * exact
 
 
+def test_each_member_operators_are_built_once_per_certificate_and_engine(capsys, monkeypatch, rf_me, rf_ensemble_file):
+    # synthesize builds each member's operators once, for its certificate;
+    # simulate certifies once more and the unconditional check builds its
+    # click engine once, so a run builds them three times per member.
+    import preforge.model as model
+    from preforge.cli import _load_ensemble
+    from preforge.measurement import synthesize
+
+    builds = []
+    build = model.transformed_operators
+    monkeypatch.setattr(model, "transformed_operators", lambda *args: builds.append(1) or build(*args))
+    ens = _load_ensemble(rf_ensemble_file)
+    synthesize(rf_me, ens)
+    assert len(builds) == ens.k
+    builds.clear()
+    code, _, _ = run(
+        capsys, "simulate", *RF_MODEL, "--ensemble", str(rf_ensemble_file), "--jumps", "200",
+        "--unconditional", "--trajectories", "20",
+    )
+    assert code == 0 and len(builds) <= 3 * ens.k
+
+
 @pytest.fixture()
 def ae_ensemble_file(tmp_path, ae_bm):
     from preforge.solver import analytic_k2

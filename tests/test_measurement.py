@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 from preforge.algebra import build_basis, coordinate_rep, rho_to_bloch
 from preforge.constraints import Ensemble, build_full, build_subspace_reduced, verify
-from preforge.errors import SynthesisError
+from preforge.errors import RealizationError, SynthesisError
 from preforge.measurement import (
     NO_TARGET,
-    _assert_generator_invariance,
-    _check_member,
+    AdaptiveScheme,
+    _coherence_distance,
+    certify,
     check_subspace_preservation,
     check_wigner_scheme,
     synthesize,
 )
-from preforge.model import MasterEquation, lindbladian, unravelled_lindbladian, vectorize
+from preforge.model import (
+    MasterEquation,
+    UnravellingSetting,
+    apply_unravelling,
+    lindbladian,
+    superoperator,
+    vectorize,
+)
 from preforge.solver import SolverConfig, analytic_k2, solve_numeric
 from preforge.symmetry import (
     WignerSymmetry,
@@ -21,7 +31,7 @@ from preforge.symmetry import (
     find_wigner_symmetries,
     subspace_from_span,
 )
-from preforge.trajectory import TrajectoryConfig, simulate
+from preforge.trajectory import TrajectoryConfig, member_click_rates, simulate
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +99,7 @@ def test_scheme_reconstructs_generator(rf_me, rf_bm, axis_scheme):
     basis = rf_bm.basis
     ref = coordinate_rep(lindbladian(rf_me), basis)
     for setting in axis_scheme.settings:
-        rep = coordinate_rep(unravelled_lindbladian(rf_me, setting), basis)
+        rep = coordinate_rep(superoperator(*apply_unravelling(rf_me, setting)[::-1]), basis)
         assert np.linalg.norm(rep - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
 
 
@@ -218,14 +228,10 @@ def rf_k3(rf_bm):
 
 
 def _assert_realized(me, ens, scheme):
-    kets = ens.kets()
     cap = np.sqrt(10.0 * max(np.linalg.norm(c, 2) ** 2 for c in me.lindblads))
-    for k, setting in enumerate(scheme.settings):
-        assert _check_member(
-            me, kets, k, scheme.jump_map[k], setting.s, setting.beta, ens.kappa, ens.kappa.max()
-        )
+    assert certify(me, scheme, ens).realized.all()
+    for setting in scheme.settings:
         assert np.max(np.abs(setting.beta)) <= cap
-    _assert_generator_invariance(me, scheme)
 
 
 RF_K3_COUNTS = {"cyclic": 8, "full": 1}
@@ -324,3 +330,113 @@ def test_three_level_bare_detection_slice_verdicts(pump_d3_me, tags, preserves):
         assert max(v.leak for v in report.verdicts) <= 1e-12
     else:
         assert max(v.leak for v in report.verdicts) > 0.5
+
+
+def _drift_as_simulate_computed_it(me, scheme, ens):
+    """The closure certificate in the order of operations ``simulate`` used
+    before the certificate had one function: one running max over the lit
+    members, each member's terms in detector order."""
+    kets = ens.kets().astype(complex)
+    ops = [scheme.jumps_and_generator(me, k) for k in range(ens.k)]
+    amps = np.array([np.asarray(jumps) @ phi for (jumps, _), phi in zip(ops, kets)])
+    rates = np.sum(np.abs(amps) ** 2, axis=2).sum(axis=1)
+    drift = 0.0
+    for k in np.flatnonzero(rates > 1e-12 * rates.max()):
+        drift = max(
+            drift,
+            _coherence_distance(ops[k][1] @ kets[k], kets[k]) / rates[k],
+            *(_coherence_distance(a / math.sqrt(rates[k]), kets[j]) for a, j in zip(amps[k], scheme.next_labels[k])),
+        )
+    return drift
+
+
+@pytest.fixture(scope="module")
+def catalog_ensembles(rf_me, rf_bm, ae_me, ae_bm, pump_d3_me):
+    """Name -> (model, ensembles): the catalog ensembles every verdict is pinned on."""
+    cfg = SolverConfig(seeds=64, rng_seed=7)
+    return {
+        "rf-k2": (rf_me, analytic_k2(rf_bm).ensembles),
+        "rf-k3": (rf_me, solve_numeric(build_full(rf_bm, 3, "cyclic"), cfg).ensembles),
+        "ae-k2": (ae_me, analytic_k2(ae_bm).ensembles),
+        "ae-k3": (ae_me, solve_numeric(build_full(ae_bm, 3, "full"), cfg).ensembles),
+        "pump-d3": (pump_d3_me, [_pump_d3_ensemble()]),
+    }
+
+
+CATALOG_COUNTS = {"rf-k2": 3, "rf-k3": 8, "ae-k2": 2, "ae-k3": 4, "pump-d3": 1}
+
+
+@pytest.mark.parametrize("name, index", [(n, i) for n, count in CATALOG_COUNTS.items() for i in range(count)])
+def test_catalog_schemes_are_realized_with_the_drift_simulate_reported(catalog_ensembles, name, index):
+    me, ensembles = catalog_ensembles[name]
+    assert len(ensembles) == CATALOG_COUNTS[name]
+    ens = ensembles[index]
+    scheme = synthesize(me, ens)
+    real = certify(me, scheme, ens)
+    assert real.realized.all() and real.closed
+    stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=200, rng_seed=0))
+    assert stats.max_state_drift == real.drift == _drift_as_simulate_computed_it(me, scheme, ens)
+    assert np.array_equal(member_click_rates(stats)[1], real.rates)
+
+
+def test_certificate_rejects_what_synthesis_and_simulation_rejected(rf_me, rf_k2, axis_scheme):
+    ens = rf_k2[-0.5]
+    with pytest.raises(SynthesisError) as err:
+        synthesize(rf_me, Ensemble.from_states_kappa(2, ens.states, ens.kappa * 1.7))
+    assert err.value.best_residual > 1e-8
+    flipped = AdaptiveScheme(
+        tuple(UnravellingSetting(s.s, -s.beta) for s in axis_scheme.settings), axis_scheme.jump_map.copy()
+    )
+    real = certify(rf_me, flipped, ens)
+    assert not real.closed and not real.realized.any()
+    with pytest.raises(RealizationError, match="closure certificate"):
+        simulate(rf_me, flipped, ens, TrajectoryConfig(n_jumps=100))
+
+
+def test_certificate_of_a_dark_member(rf_me):
+    # Decay e1 -> e0 on identity settings: e0 is dark, so it has no closure
+    # certificate and no exit rate, and its missing rate is a rate mismatch.
+    decay = np.sqrt(0.8) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = MasterEquation(2, np.zeros((2, 2)), [decay])
+    ens = Ensemble.from_states_kappa(2, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0, 1], [1, 0]])
+    identity = UnravellingSetting.identity(1)
+    scheme = AdaptiveScheme((identity, identity), np.array([[1], [0]]))
+    real = certify(me, scheme, ens)
+    assert real.closed and real.closure.tolist() == [0.0, 0.0]
+    assert real.rates[0] == 0.0 and real.rates[1] == pytest.approx(0.8, rel=1e-12)
+    assert real.realized.tolist() == [False, False]  # rates 0 and 0.8 against kappa 1
+    with pytest.raises(RealizationError, match="never clicks"):
+        simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10))
+
+
+def test_a_clicking_no_target_detector_is_a_self_loop(rf_me, rf_k2, axis_scheme):
+    # A second detector beta = 0.3 on the identity: it clicks on each member
+    # at rate 0.09 and leaves the member ket as it is.  Routed to NO_TARGET it
+    # is a self-loop, so the scheme still realizes the pair, with exit rates
+    # raised by 0.09 that the chain samples as self-loops.
+    ens = rf_k2[-0.5]
+    settings = tuple(UnravellingSetting(np.vstack([s.s, [[0.0]]]), [s.beta[0], 0.3]) for s in axis_scheme.settings)
+    scheme = AdaptiveScheme(settings, np.array([[1, NO_TARGET], [0, NO_TARGET]]))
+    real = certify(rf_me, scheme, ens)
+    assert real.realized.all() and real.drift <= 1e-14
+    assert real.next_labels.tolist() == [[1, 0], [0, 1]]
+    assert np.allclose(real.weights[:, 1], 0.09, rtol=1e-12)
+    assert np.allclose(real.rates, ens.kappa.sum(axis=0) + 0.09, rtol=1e-12)
+    stats = simulate(rf_me, scheme, ens, TrajectoryConfig(n_jumps=4000, rng_seed=0))
+    assert stats.max_state_drift == real.drift
+    loops = stats.self_loop_counts.sum() / stats.n_jumps
+    share = 0.09 / real.rates[0]  # both members exit at the same rate
+    assert abs(loops - share) <= 4 * np.sqrt(share * (1 - share) / stats.n_jumps)
+
+
+def test_a_scheme_that_does_not_fit_the_ensemble_is_refused(rf_me, rf_k2, catalog_ensembles, axis_scheme):
+    k3 = catalog_ensembles["rf-k3"][1][0]
+    k3_scheme = synthesize(rf_me, k3)
+    cfg = TrajectoryConfig(n_jumps=10)
+    for scheme, ens in ((axis_scheme, k3), (k3_scheme, rf_k2[-0.5])):
+        with pytest.raises(RealizationError, match="does not fit an ensemble"):
+            simulate(rf_me, scheme, ens, cfg)
+    for routing in ([[1], [2]], [[1], [-2]], [[1, 0], [0, 1]], [1, 0]):
+        scheme = AdaptiveScheme(axis_scheme.settings, np.array(routing))
+        with pytest.raises(RealizationError, match="does not fit an ensemble"):
+            certify(rf_me, scheme, rf_k2[-0.5])

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import preforge
+from preforge import measurement, trajectory
 
 # A handler that catches every error hides the failures it should report.
 BROAD_EXCEPT = re.compile(r"^\s*except\s*(:|.*\b(Base)?Exception\b)")
@@ -191,3 +192,48 @@ def test_symmetry_keeps_one_wigner_certifier():
     assert len(returned) == 1 and "_wigner_reports" in {
         _called_name(node) for node in ast.walk(returned[0]) if isinstance(node, ast.Call)
     }
+
+
+def _scopes_of(picked):
+    """``file:function`` of the innermost function around each node ``picked`` selects, over the package."""
+    package = Path(preforge.__file__).parent
+    scopes = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if picked(node):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                scopes.add(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+    return sorted(scopes)
+
+
+def _reads(name):
+    return lambda node: (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _calls_to(name):
+    return lambda node: isinstance(node, ast.Call) and _called_name(node) == name
+
+
+def test_realization_is_judged_in_one_certificate():
+    # synthesize, simulate and the click rates read one certificate; a second
+    # place that measures closure or judges it would fork the verdict again.
+    # The fit in synthesize reads the rate tolerance too, to round a self-loop
+    # weight the certificate would not see to zero.
+    assert _scopes_of(_calls_to("_coherence_distance")) == ["measurement.py:certify"]
+    assert _scopes_of(_reads("CLOSURE_TOL")) == ["measurement.py:certify"]
+    assert _scopes_of(_reads("RATE_TOL")) == ["measurement.py:_rate_tol"]
+    assert _scopes_of(_calls_to("_rate_tol")) == ["measurement.py:certify", "measurement.py:synthesize"]
+    for module in (measurement, trajectory):
+        for gone in ("EIGENSTATE_TOL", "DIRECTION_TOL", "DRIFT_TOL", "_check_member", "_certified_chain"):
+            assert not hasattr(module, gone), f"{module.__name__}.{gone}"
+    assert _scopes_of(_calls_to("jumps_and_generator")) == [
+        "measurement.py:_operation_reps",
+        "measurement.py:certify",
+        "trajectory.py:unconditional_check",
+    ]

@@ -5,18 +5,16 @@ import scipy.linalg as la
 from preforge.algebra import build_basis, random_pure_ket, rho_to_bloch
 from preforge.constraints import Ensemble
 from preforge.errors import ConvergenceError, RealizationError
-from preforge.measurement import NO_TARGET, AdaptiveScheme, synthesize
+from preforge.measurement import CLOSURE_TOL, NO_TARGET, AdaptiveScheme, _coherence_distance, synthesize
 from preforge.mespec import load_catalog
 from preforge.model import MasterEquation, UnravellingSetting
 from preforge.solver import analytic_k2
 from preforge.trajectory import (
     _DRAW_BLOCK,
     _LOCKSTEP_ROWS,
-    DRIFT_TOL,
     TrajectoryConfig,
     _ClickEngine,
     _Draws,
-    _coherence_distance,
     member_click_rates,
     simulate,
     unconditional_check,
@@ -545,14 +543,14 @@ def test_chain_agrees_with_the_stacked_engine_from_the_member_kets(request, case
                 dwell[k] += tau.sum()
                 clicks[k] += at.size
                 label[at] = scheme.next_labels[k, channels]
-            assert max(_coherence_distance(p, kets[k]) for p, k in zip(psi, label)) <= DRIFT_TOL
+            assert max(_coherence_distance(p, kets[k]) for p, k in zip(psi, label)) <= CLOSURE_TOL
     stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=6000, rng_seed=4))
     occupancy = dwell / dwell.sum()
     p0p1 = ens.occupations[0] * ens.occupations[1]
     # four standard errors of the difference of two independent estimates
     band = 4.0 * np.sqrt(p0p1 * (1 / clicks.sum() + 1 / stats.n_jumps))
     assert abs(occupancy[0] - stats.occupancy[0]) <= band
-    sampled, exact = member_click_rates(me, scheme, ens, stats)
+    sampled, exact = member_click_rates(stats)
     chain_clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
     for k in range(ens.k):
         band = 4.0 * np.sqrt(1 / clicks[k] + 1 / chain_clicks[k]) * exact[k]
@@ -632,7 +630,7 @@ def test_unconditional_check_rejects_bad_inputs_before_any_trajectory(
 
 def test_member_click_rates_match_pinned_rates(rf_me, axis_scheme, axis_pair):
     stats = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=4000, rng_seed=17))
-    sampled, exact = member_click_rates(rf_me, axis_scheme, axis_pair, stats)
+    sampled, exact = member_click_rates(stats)
     clicks = stats.jump_counts.sum(axis=0) + stats.self_loop_counts
     kets = axis_pair.kets()
     for k in range(2):
