@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -207,13 +208,18 @@ class Ensemble:
     def projectors(self, basis=None) -> np.ndarray:
         return member_projectors(build_basis(self.dim) if basis is None else basis, self.states)
 
-    def kets(self, basis=None) -> np.ndarray:
-        """Member states as kets (largest-eigenvalue vectors of the projectors)."""
-        kets = []
-        for p in self.projectors(basis):
-            vals, vecs = np.linalg.eigh(p)
-            kets.append(vecs[:, -1])
-        return np.array(kets)
+    def kets(self) -> np.ndarray:
+        """Member states as kets (largest-eigenvalue vectors of the projectors), (K, D).
+
+        Computed once per ensemble and shared by every caller, so read-only.
+        """
+        return self._kets
+
+    @cached_property
+    def _kets(self) -> np.ndarray:
+        kets = np.linalg.eigh(self.projectors())[1][..., -1].copy()
+        kets.flags.writeable = False
+        return kets
 
     def average(self) -> np.ndarray:
         return self.occupations @ self.states

@@ -17,9 +17,10 @@ exp(-i H'_eff tau) psi between detections, and its squared norm N(tau) is
 the probability of no click yet: each wait solves N(tau) = u for u uniform
 in (0, 1], detector m is picked with weight ||c'_m psi||^2, and the routing
 table switches the setting, so each click round is one engine call on kets
-with mixed settings.  Propagation uses the eigendecomposition of H'_eff, or
-a matrix exponential when it is defective or nearly so.  Neither path
-steps in time, so there is no step size and no discretization bias.
+with mixed settings, and one pass of rounds serves every checkpoint.
+Propagation uses the eigendecomposition of H'_eff, or a matrix exponential
+when it is defective or nearly so.  Neither path steps in time, so there is
+no step size and no discretization bias.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _MAX_ITER = 200
 # Uniform draws taken at once from each unconditional-check trajectory's
 # stream: the first wait and three clicks, each click drawing r and u.
 _DRAW_BLOCK = 8
-# Trajectories run in lockstep at once, which bounds the check's memory.
+# Trajectories run in lockstep at once; a batch keeps 16D + 24 bytes per click.
 _LOCKSTEP_ROWS = 4096
 # Clicks that ``simulate`` discards before it records statistics.
 BURN_IN_JUMPS = 20
@@ -218,16 +219,26 @@ class _ClickEngine:
         return channels, _unit_rows(amps[np.arange(len(channels)), channels])
 
 
-# The engine forms its products as matrix-vector and vector-vector matmuls,
-# one per row, so a row rounds the same in a stack of any size and settings.
+# The engine's products round each row on its own, so a row rounds the same
+# in a stack of any size and settings.  ``mat @ row`` is the in-order sum of
+# the column products from a zero accumulator, which is how the batched
+# matmul sums up to D = 3, signed zeros included, at a fraction of its cost;
+# from D = 4 numpy hands the matmul to BLAS, which sums in another order, so
+# it is kept there.  ``np.vecdot`` rounds as the row-wise matmul does.
 def _apply(mat, rows):
     """``mat @ row`` for each row."""
-    return (mat @ rows[..., None])[..., 0]
+    dim = rows.shape[-1]
+    if dim > 3:
+        return (mat @ rows[..., None])[..., 0]
+    out = 0.0 + mat[..., 0] * rows[..., None, 0]
+    for k in range(1, dim):
+        out += mat[..., k] * rows[..., None, k]
+    return out
 
 
 def _vdot_rows(a, b):
     """``np.vdot(a_n, b_n)`` for each row n."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _unit_rows(rows):
@@ -268,27 +279,44 @@ class _Draws:
 
 
 def _lockstep_sums(engine: _ClickEngine, next_labels, psi0, times, draws: _Draws):
-    """Sum of phi phi^dagger at each checkpoint over the trajectories of ``draws``, run in lockstep:
-    one ``click`` and one ``wait`` per click round, one ``propagate`` of the post-click coefficients per checkpoint."""
+    """Sum of phi phi^dagger at each of the sorted ``times`` over the trajectories of ``draws``, run in lockstep.
+
+    One pass of click rounds takes every trajectory up to its last click at
+    or before the last checkpoint: round j clicks the rows that make a j-th
+    click, one ``click`` and one ``wait`` call whatever their settings, and
+    keeps each row's clock, label and ``coefficients`` after it.  Each
+    checkpoint then gathers every row's state after its last click at or
+    before it (the start counts as a click at 0) and propagates the stack
+    there in one ``propagate`` call.
+    """
     n = draws.cursor.size
-    psi = np.tile(psi0, (n, 1))
+    rows = np.arange(n)
     label = np.zeros(n, dtype=np.int64)
+    clock = np.zeros(n)
+    psi = np.tile(psi0, (n, 1))
     coeffs = engine.coefficients(psi, label)
-    t = np.zeros(n)
-    tau, pre = engine.wait(psi, label, 1.0 - draws.next(np.arange(n))[:, 0], coeffs)
+    tau, pre = engine.wait(psi, label, 1.0 - draws.next(rows)[:, 0], coeffs)
+    rounds = [(rows, clock, label, coeffs)]
+    due = clock + tau <= times[-1]
+    while due.any():
+        rows = rows[due]
+        r, u = draws.next(rows, 2).T
+        channels, post = engine.click(pre[due], label[due], r)
+        label = next_labels[label[due], channels]
+        clock = clock[due] + tau[due]
+        coeffs = engine.coefficients(post, label)
+        rounds.append((rows, clock, label, coeffs))
+        tau, pre = engine.wait(post, label, 1.0 - u, coeffs)
+        due = clock + tau <= times[-1]
+    # Row i's states, in round order and so in clock order, are order[first[i]:][:count[i]].
+    rows, clock, label, coeffs = (np.concatenate(a) for a in zip(*rounds))
+    order = np.argsort(rows, kind="stable")
+    count = np.bincount(rows, minlength=n)
+    first = np.cumsum(count) - count
     sums = np.empty((len(times), psi0.size, psi0.size), dtype=complex)
     for c_idx, t_check in enumerate(times):
-        due = np.flatnonzero(t + tau <= t_check)
-        while due.size:
-            r, u = draws.next(due, 2).T
-            channels, post = engine.click(pre[due], label[due], r)
-            post_label = next_labels[label[due], channels]
-            post_coeffs = engine.coefficients(post, post_label)
-            psi[due], label[due], coeffs[due] = post, post_label, post_coeffs
-            t[due] += tau[due]
-            tau[due], pre[due] = engine.wait(post, post_label, 1.0 - u, post_coeffs)
-            due = due[t[due] + tau[due] <= t_check]
-        phi = _unit_rows(engine.propagate(psi, label, t_check - t, coeffs))
+        at = order[first + np.bincount(rows[clock <= t_check], minlength=n) - 1]
+        phi = _unit_rows(engine.propagate(None, label[at], t_check - clock[at], coeffs[at]))
         sums[c_idx] = np.einsum("ni,nj->ij", phi, phi.conj())
     return sums
 
@@ -314,9 +342,12 @@ def simulate(
     click, so each member has its own queue of detectors and a run is a
     prefix of any longer run at the same seed.  Statistics are accumulated
     after a burn-in of ``BURN_IN_JUMPS`` clicks, at whose end the clock
-    restarts, and ``t_max`` ends either phase.  A member that never clicks
-    holds the trajectory until ``t_max``, and raises
-    :class:`RealizationError` without one.
+    restarts.  A member that never clicks holds the trajectory until
+    ``t_max``, and raises :class:`RealizationError` without one.  A run
+    whose ``t_max`` ends during the burn-in records nothing and raises,
+    naming the cause: :class:`RealizationError` when the walk stopped in a
+    member that never clicks, ``ValueError`` when the time limit was too
+    short.
     """
     cfg = TrajectoryConfig() if cfg is None else cfg
     real = certify(me, scheme, ens)
@@ -348,10 +379,17 @@ def simulate(
     end = int(over[0]) if over.size else waits.size
     if cfg.t_max is None and end < waits.size:
         raise RealizationError(f"member {labels[end]} never clicks after {end} clicks: it is dark to every detector")
+    if end < burn:
+        if end == n_done:
+            raise RealizationError(
+                f"member {labels[end]} never clicks: the walk reached it after {end} of the {burn} burn-in "
+                f"clicks, so nothing was recorded before t_max = {cfg.t_max:g}"
+            )
+        raise ValueError(f"t_max = {cfg.t_max:g} ends after {end} of the {burn} burn-in clicks: nothing was recorded")
 
     src, dst = labels[burn:end], labels[burn + 1 : end + 1]
     dwell = np.bincount(src, waits[burn:end], minlength=k_members).astype(float)
-    if burn <= end < waits.size:
+    if end < waits.size:
         dwell[labels[end]] += cfg.t_max - (clock[end - 1] if end > burn else 0.0)
     channel = np.empty(end, dtype=np.int64)
     for k in range(k_members):
@@ -430,10 +468,12 @@ def unconditional_check(
     needs no unique or full-rank steady state (a dark state is allowed).
 
     The trajectories run in lockstep, up to ``_LOCKSTEP_ROWS`` at a time, on
-    one :class:`_ClickEngine` for all of the scheme's settings: at each
-    checkpoint the rows whose next click comes first are clicked and sent to
-    their next wait together, one stack whatever their settings, until every
-    row's next click lies beyond the checkpoint.  Trajectory i draws u of the
+    one :class:`_ClickEngine` for all of the scheme's settings: one pass of
+    click rounds takes every row up to its last click at or before the last
+    checkpoint, round j clicking each row's j-th click and sending it to its
+    next wait, one stack whatever their settings; each checkpoint then
+    propagates every row's state after its last click at or before it (a
+    click at exactly the checkpoint is applied).  Trajectory i draws u of the
     first wait, then r of the click and u of the next wait per click, from
     the stream laid out by :class:`_Draws` (its block of
     ``default_rng([cfg.rng_seed, 1000])``, then its own child stream), so it

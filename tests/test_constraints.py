@@ -287,6 +287,21 @@ def test_ensemble_occupations_are_stationary(ae_bm):
     assert np.max(np.abs(ens.average() - ae_bm.x_ss)) < 1e-10
 
 
+def test_ensemble_kets_are_computed_once_and_read_only(ae_bm, monkeypatch):
+    ens = analytic_k2(ae_bm).ensembles[0]
+    kets = ens.kets()
+    for ket, p in zip(kets, ens.projectors()):
+        assert abs(np.linalg.norm(ket) - 1.0) < 1e-14 and np.max(np.abs(p @ ket - ket)) < 1e-14
+
+    def no_eigh(*args):
+        raise AssertionError("kets were decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert ens.kets() is kets
+    with pytest.raises(ValueError, match="read-only"):
+        kets[0, 0] = 0.0
+
+
 def test_wigner_reduced_thermal_family_matches_linear_equations(ae_bm):
     # Full symmetry reduction: one free member, rates tied along the two
     # edge orbits of the full graph; the known equal-rate solution solves it.

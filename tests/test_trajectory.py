@@ -15,6 +15,8 @@ from preforge.trajectory import (
     TrajectoryConfig,
     _ClickEngine,
     _Draws,
+    _apply,
+    _vdot_rows,
     member_click_rates,
     simulate,
     unconditional_check,
@@ -262,8 +264,16 @@ def test_dark_state_never_clicks_and_fails_bounded():
     scheme = AdaptiveScheme(settings=(identity, identity), jump_map=np.array([[1], [0]]))
     with pytest.raises(RealizationError):
         simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10))
-    stats = simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10, t_max=5.0))
-    assert stats.n_jumps == 0 and stats.total_time == 0.0
+    # The walk starts in the dark member, so t_max ends during the burn-in.
+    with pytest.raises(RealizationError, match="member 0 never clicks: the walk reached it after 0 of the 20 burn-in"):
+        simulate(me, scheme, ens, TrajectoryConfig(n_jumps=10, t_max=5.0))
+
+
+def test_time_limit_inside_the_burn_in_raises(rf_me, axis_scheme, axis_pair):
+    with pytest.raises(ValueError, match=r"t_max = 1 ends after \d+ of the 20 burn-in clicks: nothing was recorded"):
+        simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=100, t_max=1.0))
+    stats = simulate(rf_me, axis_scheme, axis_pair, TrajectoryConfig(n_jumps=100, t_max=100.0))
+    assert stats.n_jumps > 0 and abs(stats.occupancy.sum() - 1.0) <= 1e-12
 
 
 def test_dark_member_reached_after_burn_in_holds_until_t_max():
@@ -398,7 +408,23 @@ LOCKSTEP_CASES = {
     "exceptional-point": ("ep_case", [1.0, 0.0], 6, [1.0, 3.0], 200),
     "block-exhausted": ("ae_poles_case", [1.0, 1.0], 2, [2.0, 12.0], 60),
     "pump-d3-unrouted-clicks": ("pump_d3_case", [1.0, 1.0, 1.0], 8, [0.5, 2.0], 150),
+    # Unsorted, with 0.0 and a duplicate; 1e-7 lies before every first click
+    # and 60.0 after every last one, as each trajectory ends in the dark member.
+    "many-checkpoints": (
+        "loop_to_dark_case", [1.0, 1.0], 12, [30.0, 0.0, 1e-7, 0.5, 2.0, 0.5, 1.0, 0.25, 4.0, 60.0, 8.0, 3.0], 120,
+    ),
 }
+
+
+@pytest.fixture(scope="module")
+def loop_to_dark_case():
+    """e1 clicks back to itself at rate 5 and decays to the dark e0 at rate 1."""
+    loop = np.sqrt(5.0) / 2 * np.diag([-1.0, 1.0])  # shifted to sqrt(5) |e1><e1| by the setting
+    decay = np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = MasterEquation(2, np.zeros((2, 2)), [loop, decay])
+    shift = UnravellingSetting(np.eye(2), np.array([np.sqrt(5.0) / 2, 0.0]))
+    scheme = AdaptiveScheme(settings=(shift, shift), jump_map=np.array([[0, 1], [NO_TARGET, NO_TARGET]]))
+    return me, scheme
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +452,24 @@ def ae_poles_case(ae_me, poles_scheme):
     return ae_me, poles_scheme
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_row_kernels_equal_one_row_products_bit_for_bit(dim, rng):
+    def stack(*shape):
+        out = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out[rng.random(shape) < 0.1] = 0.0  # exact zeros, so that signed zeros are compared too
+        return out
+
+    mats, rows = stack(60, dim, dim), stack(60, dim)
+    assert _apply(mats, rows).tobytes() == np.array([m @ v for m, v in zip(mats, rows)]).tobytes()
+    jumps = stack(60, 3, dim, dim)  # a click's (n, M, D, D) detectors against its (n, 1, D) kets
+    one_row = np.array([[m @ v for m in ms] for ms, v in zip(jumps, rows)])
+    assert _apply(jumps, rows[:, None]).tobytes() == one_row.tobytes()
+    other = stack(60, dim)
+    assert _vdot_rows(rows, other).tobytes() == np.array([np.vdot(a, b) for a, b in zip(rows, other)]).tobytes()
+    amps = stack(60, 3, dim)
+    assert _vdot_rows(amps, amps).tobytes() == np.array([[np.vdot(a, a) for a in row] for row in amps]).tobytes()
+
+
 # Every engine call in a lockstep batch of 16 rows is a stack of at most 16.
 @pytest.mark.parametrize(
     "lockstep_rows", [None, 16, 37], ids=["one-stack", "stacks-of-16", "batches-of-37"],
@@ -438,7 +482,8 @@ def test_lockstep_matches_one_trajectory_at_a_time(request, monkeypatch, name, l
         monkeypatch.setattr("preforge.trajectory._LOCKSTEP_ROWS", lockstep_rows)
     cfg = TrajectoryConfig(rng_seed=seed)
     report = unconditional_check(me, scheme, cfg, psi0=np.array(psi0), times=times, n_trajectories=n)
-    samples, n_draws = _reference_samples(me, scheme, cfg, psi0, times, n)
+    assert np.array_equal(report.times, np.unique(times))
+    samples, n_draws = _reference_samples(me, scheme, cfg, psi0, report.times, n)
     reference = samples.mean(axis=0)
     assert np.max(np.abs(report.averages - reference)) <= 1e-12
     distances = np.linalg.norm(reference - report.exact, axis=(1, 2))
@@ -687,7 +732,10 @@ def test_settings_with_fewer_detectors_are_padded_with_zero_detectors(rf_me, axi
         assert np.all(channels == 0) and np.all(np.isfinite(post))
 
 
-def test_each_lockstep_round_is_one_wait_and_one_click_call(monkeypatch, rf_me, axis_scheme):
+def _lockstep_schedule(me, scheme, psi0, n, cfg):
+    """The engine calls of one unconditional check, in order, as (name, labels) with name
+    ``wait``, ``click`` or ``checkpoint`` (a ``propagate`` outside a wait); its report; and
+    the clicks each trajectory makes up to the last checkpoint, counted one trajectory at a time."""
     calls, in_wait = [], []
     wait, click, propagate = _ClickEngine.wait, _ClickEngine.click, _ClickEngine.propagate
 
@@ -708,20 +756,29 @@ def test_each_lockstep_round_is_one_wait_and_one_click_call(monkeypatch, rf_me, 
             calls.append(("checkpoint", label.copy()))
         return propagate(self, psi, label, *rest)
 
-    monkeypatch.setattr(_ClickEngine, "wait", spy_wait)
-    monkeypatch.setattr(_ClickEngine, "click", spy_click)
-    monkeypatch.setattr(_ClickEngine, "propagate", spy_propagate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ClickEngine, "wait", spy_wait)
+        patch.setattr(_ClickEngine, "click", spy_click)
+        patch.setattr(_ClickEngine, "propagate", spy_propagate)
+        report = unconditional_check(me, scheme, cfg, psi0=np.array(psi0), n_trajectories=n)
+    _, n_draws = _reference_samples(me, scheme, cfg, psi0, report.times, n)
+    return calls, report, (n_draws - 1) // 2
+
+
+def test_each_lockstep_round_is_one_wait_and_one_click_call(rf_me, axis_scheme, ae_me, poles_scheme):
+    # Every click on the rf axis pair switches the setting, so the rows of a
+    # round all carry one label; the ae poles self-loop, so their rounds mix.
     n, cfg = 300, TrajectoryConfig(rng_seed=3, t_max=2.0)
-    report = unconditional_check(rf_me, axis_scheme, cfg, psi0=np.array([0.0, 1.0]), n_trajectories=n)
-    names = [name for name, _ in calls if name != "checkpoint"]
-    rounds = names.count("click")
-    assert rounds > 1 and names == ["wait"] + ["click", "wait"] * rounds
-    checkpoints = [label for name, label in calls if name == "checkpoint"]
-    assert len(checkpoints) == len(report.times) and all(label.size == n for label in checkpoints)
-    clicks = [label for name, label in calls if name == "click"]
-    assert any(np.unique(label).size == 2 for label in clicks)  # both settings in one call
-    _, n_draws = _reference_samples(rf_me, axis_scheme, cfg, [0.0, 1.0], report.times, n)
-    assert sum(label.size for label in clicks) == np.sum((n_draws - 1) // 2)
+    for me, scheme, psi0, mixed in [(rf_me, axis_scheme, [0.0, 1.0], False), (ae_me, poles_scheme, [1.0, 1.0], True)]:
+        calls, report, clicks_made = _lockstep_schedule(me, scheme, psi0, n, cfg)
+        names = [name for name, _ in calls]
+        rounds = names.count("click")
+        assert rounds == clicks_made.max() > 1 and names.count("wait") == rounds + 1
+        assert names == ["wait"] + ["click", "wait"] * rounds + ["checkpoint"] * len(report.times)
+        assert all(label.size == n for name, label in calls if name == "checkpoint")
+        clicks = [label for name, label in calls if name == "click"]
+        assert [label.size for label in clicks] == [np.sum(clicks_made >= j) for j in range(1, rounds + 1)]
+        assert any(np.unique(label).size == 2 for label in clicks) == mixed  # both settings in one call
 
 
 @pytest.mark.parametrize("t_max", [np.nan, 0.0, -1.0])
